@@ -185,6 +185,19 @@ void RunSummary() {
     s.calls0 = s.hist->Count();
     s.seconds0 = s.hist->Sum();
   }
+  // The Stemmer's surface-form memo starts cold in the fresh scratch, so
+  // its misses over this pass are the documents' distinct forms.
+  struct MemoProbe {
+    const char* key;
+    obs::Counter* counter;
+    uint64_t before = 0, delta = 0;
+  };
+  MemoProbe memo[] = {
+      {"hits", reg.GetCounter("ckr.runtime.stem_memo_hits")},
+      {"misses", reg.GetCounter("ckr.runtime.stem_memo_misses")},
+      {"resets", reg.GetCounter("ckr.runtime.stem_memo_resets")},
+  };
+  for (MemoProbe& m : memo) m.before = m.counter->Value();
   RuntimeStats flat;
   RankerScratch scratch;
   std::vector<std::vector<RankedAnnotation>> flat_out;
@@ -196,6 +209,8 @@ void RunSummary() {
     s.calls = s.hist->Count() - s.calls0;
     s.seconds = s.hist->Sum() - s.seconds0;
   }
+  for (MemoProbe& m : memo) m.delta = m.counter->Value() - m.before;
+  const uint64_t memo_tokens = memo[0].delta + memo[1].delta;
 
   bool identical = true;
   uint64_t detections = 0;
@@ -251,6 +266,14 @@ void RunSummary() {
                 s.calls > 0 ? s.seconds / static_cast<double>(s.calls) * 1e6
                             : 0.0);
   }
+  std::printf("  stem memo: %llu hits, %llu misses (%.1f%% hits), %llu "
+              "resets\n",
+              static_cast<unsigned long long>(memo[0].delta),
+              static_cast<unsigned long long>(memo[1].delta),
+              memo_tokens > 0 ? 100.0 * static_cast<double>(memo[0].delta) /
+                                    static_cast<double>(memo_tokens)
+                              : 0.0,
+              static_cast<unsigned long long>(memo[2].delta));
   std::printf("ranker speedup (flat / legacy): %.2fx\n", ranker_speedup);
   std::printf("outputs bit-identical across layouts and batch: %s\n",
               identical ? "yes" : "NO");
@@ -305,6 +328,12 @@ void RunSummary() {
     std::fprintf(f, "%s\"%s\": {\"samples\": %llu, \"seconds\": %.6f}",
                  i == 0 ? "" : ", ", s.key,
                  static_cast<unsigned long long>(s.calls), s.seconds);
+  }
+  std::fprintf(f, "},\n");
+  std::fprintf(f, "  \"stem_memo\": {");
+  for (size_t i = 0; i < std::size(memo); ++i) {
+    std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ", memo[i].key,
+                 static_cast<unsigned long long>(memo[i].delta));
   }
   std::fprintf(f, "},\n");
   std::fprintf(f, "  \"ranker_speedup_flat_over_legacy\": %.4f,\n",

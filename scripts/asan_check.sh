@@ -5,7 +5,8 @@
 # codec blobs into fixed stack arrays through hand-rolled cursors, so a
 # clean run here is the memory-safety gate for the term-id layout, the
 # block index, and the equivalence suites that compare them to the legacy
-# index byte for byte.
+# index byte for byte. The Stemmer's memo (offsets into a shared key
+# buffer, linear probing) and the tokenizer run here too.
 #
 # Usage: scripts/asan_check.sh [extra ctest args]
 set -euo pipefail
@@ -13,6 +14,7 @@ cd "$(dirname "$0")/.."
 
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target \
-  index_test index_equiv_test block_index_test offline_parallel_test
+  index_test index_equiv_test block_index_test offline_parallel_test \
+  stem_memo_test text_test
 ctest --test-dir build-asan --output-on-failure "$@" \
-  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax)'
+  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax|StemMemo|Tokeniz|AsciiClassifier)'

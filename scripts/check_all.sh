@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The one gate: tier-1 tests, the three sanitizer suites (with
+# The one gate: tier-1 tests, the perfbench package's own tests, the
+# three sanitizer suites (with
 # CKR_DCHECK invariants live — the presets set CKR_ENABLE_DCHECKS, which
 # also arms the runtime lock-order registry), the ckr_lint contract
 # linter over the tree, and the clang thread-safety-analysis build plus
@@ -14,6 +15,15 @@ echo "== tier-1: configure + build + ctest (default preset) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
+
+echo "== perfbench: the end-to-end benchmark's own arithmetic tests =="
+# perfbench/ is a CMake package of its own (perfbench/README.md) that
+# BENCHMARK.json drives; its gtests pin the percentile, op-counting, ratio
+# and span self-time math every reported metric rests on. Same build
+# directory and type as perfbench/run.py.
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build .bench_build -j "$(nproc)" --target perfbench_tests
+./.bench_build/perfbench_tests
 
 echo "== corpus-scale smoke: 50k-doc streamed build + docid reorder =="
 # Streams a ~50k-doc scaled world through the out-of-core index build,

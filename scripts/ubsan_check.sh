@@ -3,7 +3,8 @@
 # and runs them. The flat trainer does manual pointer arithmetic over the
 # pre-transformed matrix and the pair-difference rows, and the v2 model
 # format round-trips raw little-endian doubles, so a clean run here is the
-# UB gate for the contiguous training engine.
+# UB gate for the contiguous training engine. The Stemmer's memo and the
+# tokenizer's byte classifiers (signed char comparisons) run here too.
 #
 # Usage: scripts/ubsan_check.sh [extra ctest args]
 set -euo pipefail
@@ -11,6 +12,7 @@ cd "$(dirname "$0")/.."
 
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$(nproc)" --target \
-  ranksvm_test training_parallel_test eval_test core_test
+  ranksvm_test training_parallel_test eval_test core_test stem_memo_test \
+  text_test
 ctest --test-dir build-ubsan --output-on-failure "$@" \
-  -R '(RankSvm|TrainingParallel|Bootstrap|Core)'
+  -R '(RankSvm|TrainingParallel|Bootstrap|Core|StemMemo|Tokeniz|AsciiClassifier)'

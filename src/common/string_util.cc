@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
@@ -31,9 +30,7 @@ std::string JoinStrings(const std::vector<std::string>& pieces,
 
 std::string ToLowerAscii(std::string_view text) {
   std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : out) c = AsciiToLower(c);
   return out;
 }
 
@@ -47,8 +44,8 @@ std::string_view TrimView(std::string_view text, std::string_view strip_chars) {
 std::string_view StripSurroundingPunct(std::string_view token) {
   size_t b = 0;
   size_t e = token.size();
-  while (b < e && std::ispunct(static_cast<unsigned char>(token[b]))) ++b;
-  while (e > b && std::ispunct(static_cast<unsigned char>(token[e - 1]))) --e;
+  while (b < e && IsAsciiPunct(token[b])) ++b;
+  while (e > b && IsAsciiPunct(token[e - 1])) --e;
   return token.substr(b, e - b);
 }
 

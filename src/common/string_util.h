@@ -16,6 +16,27 @@ std::vector<std::string> SplitString(std::string_view text,
 std::string JoinStrings(const std::vector<std::string>& pieces,
                         std::string_view sep);
 
+// Byte classifiers equal to <cctype>'s in the C locale, which the library
+// never leaves (nothing calls setlocale). Inline and branch-light: the
+// tokenizer runs them on every byte of every document, and the <cctype>
+// calls dispatch through the current locale's tables.
+
+/// std::isspace: ' ', '\t', '\n', '\v', '\f', '\r'.
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// std::ispunct: printable, neither alphanumeric nor space.
+inline bool IsAsciiPunct(char c) {
+  return (c >= '!' && c <= '/') || (c >= ':' && c <= '@') ||
+         (c >= '[' && c <= '`') || (c >= '{' && c <= '~');
+}
+
+/// std::tolower: maps 'A'..'Z' to 'a'..'z', every other byte to itself.
+inline char AsciiToLower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c + ('a' - 'A')) : c;
+}
+
 /// ASCII lower-casing (the library's text domain is ASCII by construction).
 std::string ToLowerAscii(std::string_view text);
 

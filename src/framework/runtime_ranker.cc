@@ -1,6 +1,7 @@
 #include "framework/runtime_ranker.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/parallel.h"
@@ -15,6 +16,11 @@ namespace {
 
 double SafeRate(uint64_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / 1e6 / seconds : 0.0;
+}
+
+uint64_t NextRankerId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SortRanked(std::vector<RankedAnnotation>* ranked) {
@@ -411,7 +417,8 @@ RuntimeRanker::RuntimeRanker(const EntityDetector& detector,
       interestingness_(interestingness),
       relevance_(relevance),
       tids_(tids),
-      model_(std::move(model)) {
+      model_(std::move(model)),
+      id_(NextRankerId()) {
   // Resolve every detector entry to dense store ids once; the per-document
   // path then runs entirely on ids.
   const uint32_t n = static_cast<uint32_t>(detector_.NumEntries());
@@ -444,16 +451,24 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
   // Stemmer component: tokenize once (shared with detection below) and
-  // stem every non-stopword token into the context TID set.
+  // resolve every token to its context TID through the scratch's memo,
+  // which runs the stop-word -> Porter -> TID chain only on forms it has
+  // not seen (kMaxTid: stop word or unknown stem).
   int64_t t0 = clock_->NowNanos();
   TokenizeInto(text, &scratch->detect.tokens);
   scratch->context.Reset(tids_.size());
+  StemMemo& memo = scratch->stem_memo;
+  memo.Bind(id_, tids_.size());
+  const auto stem_to_tid = [&](std::string_view form) {
+    if (IsStopWord(form)) return GlobalTidTable::kMaxTid;
+    PorterStemInto(form, &scratch->stem_buf);
+    return tids_.Lookup(scratch->stem_buf);
+  };
   for (const Token& tok : scratch->detect.tokens) {
-    if (IsStopWord(tok.text)) continue;
-    PorterStemInto(tok.text, &scratch->stem_buf);
-    uint32_t tid = tids_.Lookup(scratch->stem_buf);
+    uint32_t tid = memo.Resolve(tok.text, stem_to_tid);
     if (tid != GlobalTidTable::kMaxTid) scratch->context.Insert(tid);
   }
+  const StemMemo::Tally memo_tally = memo.TakeTally();
   double stem_s = clock_->SecondsSince(t0);
 
   // Ranker component, stage 1: candidate detection on the flat automaton.
@@ -504,6 +519,9 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
   CKR_OBS_COUNTER_INC("ckr.runtime.documents");
   CKR_OBS_COUNTER_ADD("ckr.runtime.detections", ranked.size());
   CKR_OBS_COUNTER_ADD("ckr.runtime.bytes_processed", text.size());
+  CKR_OBS_COUNTER_ADD("ckr.runtime.stem_memo_hits", memo_tally.hits);
+  CKR_OBS_COUNTER_ADD("ckr.runtime.stem_memo_misses", memo_tally.misses);
+  CKR_OBS_COUNTER_ADD("ckr.runtime.stem_memo_resets", memo_tally.resets);
 
   if (stats != nullptr) {
     stats->stemmer_seconds += stem_s;

@@ -2,7 +2,9 @@
 //
 // All mining is offline; the online path must run under tight latency and
 // memory budgets. The components mirror the paper:
-//  * Stemmer — stems the incoming document once and caches the result;
+//  * Stemmer — stems the incoming document once and caches the result
+//    (the per-scratch StemMemo also carries token -> TID across
+//    documents, so Porter runs once per distinct surface form);
 //  * quantized interestingness store — each of the vector's fields fits in
 //    two bytes ("this causes a minor decrease in granularity"), 18 MB per
 //    million concepts;
@@ -39,6 +41,7 @@
 #include "common/status.h"
 #include "detect/entity_detector.h"
 #include "framework/binary_io.h"
+#include "framework/stem_memo.h"
 #include "features/interestingness.h"
 #include "features/relevance.h"
 #include "obs/clock.h"
@@ -241,6 +244,7 @@ struct RankerScratch {
   EntityDetector::Scratch detect;
   EpochSet context;       ///< Stemmed context TIDs (universe: TID table).
   EpochSet seen_entries;  ///< Detector entries already emitted.
+  StemMemo stem_memo;     ///< Token text -> TID, kept across documents.
   std::string stem_buf;
   std::vector<double> features;
 };
@@ -306,6 +310,8 @@ class RuntimeRanker {
   RankSvmModel model_;
   const CtrTracker* tracker_ = nullptr;
   const Clock* clock_ = &RealClock();
+  /// Process-unique, so a scratch's StemMemo can tell rankers apart.
+  uint64_t id_;
 
   /// Detector entry id -> dense store ids, resolved once at construction
   /// so the document path never hashes a concept key.

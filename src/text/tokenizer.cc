@@ -1,19 +1,15 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 #include "common/string_util.h"
 #include "text/porter_stemmer.h"
 
 namespace ckr {
 namespace {
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
-
 bool AllDigits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (c < '0' || c > '9') return false;
   }
   return true;
 }
@@ -27,39 +23,27 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out,
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {
-    while (i < n && IsSpace(text[i])) ++i;
+    while (i < n && IsAsciiSpace(text[i])) ++i;
     if (i >= n) break;
     size_t start = i;
-    while (i < n && !IsSpace(text[i])) ++i;
-    std::string_view raw = text.substr(start, i - start);
-    std::string_view piece = raw;
-    size_t begin = start;
-    if (options.strip_punct) {
-      std::string_view stripped = StripSurroundingPunct(piece);
-      begin = start + static_cast<size_t>(stripped.data() - piece.data());
-      piece = stripped;
-    }
+    while (i < n && !IsAsciiSpace(text[i])) ++i;
+    std::string_view piece = text.substr(start, i - start);
+    if (options.strip_punct) piece = StripSurroundingPunct(piece);
     if (piece.empty()) continue;
     if (!options.keep_numbers && AllDigits(piece)) continue;
     if (count == out->size()) out->emplace_back();
     Token& tok = (*out)[count++];
-    tok.raw.assign(piece);
+    tok.text.assign(piece);
     if (options.lowercase) {
-      tok.text.resize(piece.size());
-      for (size_t c = 0; c < piece.size(); ++c) {
-        tok.text[c] = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(piece[c])));
-      }
-    } else {
-      tok.text.assign(piece);
+      for (char& c : tok.text) c = AsciiToLower(c);
     }
     // Possessive normalization: "obama's" matches the entity "obama" (the
-    // raw form and offsets keep the full surface).
+    // offsets keep the full surface).
     if (tok.text.size() > 2 && EndsWith(tok.text, "'s")) {
       tok.text.resize(tok.text.size() - 2);
     }
-    tok.begin = begin;
-    tok.end = begin + piece.size();
+    tok.begin = static_cast<size_t>(piece.data() - text.data());
+    tok.end = tok.begin + piece.size();
   }
   out->resize(count);
 }

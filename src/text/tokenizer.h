@@ -11,10 +11,10 @@
 
 namespace ckr {
 
-/// A token with its position in the source text.
+/// A token with its position in the source text. The surface form is
+/// `source.substr(begin, end - begin)`; it is not copied.
 struct Token {
   std::string text;   ///< Normalized token (lower-cased).
-  std::string raw;    ///< Original surface form.
   size_t begin = 0;   ///< Byte offset of the first character.
   size_t end = 0;     ///< Byte offset one past the last character.
 
@@ -31,13 +31,14 @@ struct TokenizerOptions {
 };
 
 /// Splits text on whitespace and normalizes each token. Tokens that become
-/// empty after normalization are dropped.
+/// empty after normalization are dropped. Spaces, punctuation and case
+/// follow <cctype> in the C locale, so bytes >= 0x80 are word characters.
 std::vector<Token> Tokenize(std::string_view text,
                             const TokenizerOptions& options = {});
 
 /// Buffer-reuse variant of Tokenize for hot paths: overwrites `*out`
 /// in place, reusing both the vector capacity and each slot's string
-/// buffers, so steady-state tokenization of similar-sized documents
+/// buffer, so steady-state tokenization of similar-sized documents
 /// performs no heap allocations.
 void TokenizeInto(std::string_view text, std::vector<Token>* out,
                   const TokenizerOptions& options = {});

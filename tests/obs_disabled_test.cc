@@ -7,7 +7,10 @@
 // fingerprint test below measures library behavior. scripts/check_all.sh
 // runs it in both the default and the obs-off build and diffs the
 // fingerprints to prove ranked outputs are bit-identical either way.
-#ifndef CKR_OBS_DISABLED  // Already defined build-wide in the obs-off preset.
+#ifdef CKR_OBS_DISABLED  // Defined build-wide in the obs-off preset.
+#define CKR_OBS_LIBRARY_DISABLED 1
+#else
+#define CKR_OBS_LIBRARY_DISABLED 0
 #define CKR_OBS_DISABLED
 #endif
 #include "obs/hooks.h"
@@ -75,6 +78,42 @@ TEST(ObsDisabledTest, ScopedTimerNestsWithoutCollisions) {
     CKR_OBS_SCOPED_TIMER("z");
   }
   SUCCEED();
+}
+
+// The runtime Stemmer's memo counters follow the library's build: they
+// never reach the registry from an obs-off library, and they count in the
+// default one.
+TEST(ObsDisabledTest, StemMemoCountersFollowTheLibraryBuild) {
+  EntityDetector detector({{"brown cats", EntityType::kConcept, 0}}, nullptr);
+  QuantizedInterestingnessStore interest;
+  interest.Finalize();
+  GlobalTidTable tids;
+  tids.Intern("cat");
+  PackedRelevanceStore relevance(&tids);
+  relevance.Finalize();
+  RuntimeRanker a(detector, interest, relevance, tids, RankSvmModel());
+  RuntimeRanker b(detector, interest, relevance, tids, RankSvmModel());
+  RankerScratch scratch;
+  const std::string doc = "The cats chased the brown cats.";
+  a.ProcessDocument(doc, &scratch, nullptr);
+  a.ProcessDocument(doc, &scratch, nullptr);
+  b.ProcessDocument(doc, &scratch, nullptr);
+
+  const std::string json = obs::MetricRegistry::Global().SnapshotJson();
+  for (const char* name :
+       {"ckr.runtime.stem_memo_hits", "ckr.runtime.stem_memo_misses",
+        "ckr.runtime.stem_memo_resets"}) {
+    const bool registered = json.find(name) != std::string::npos;
+    const uint64_t value =
+        obs::MetricRegistry::Global().GetCounter(name)->Value();
+    if (CKR_OBS_LIBRARY_DISABLED) {
+      EXPECT_FALSE(registered) << name;
+      EXPECT_EQ(value, 0u) << name;
+    } else {
+      EXPECT_TRUE(registered) << name;
+      EXPECT_GT(value, 0u) << name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "detect/entity_detector.h"
+#include "framework/runtime_ranker.h"
 #include "gtest/gtest.h"
 #include "obs/clock.h"
 #include "obs/hooks.h"
@@ -351,6 +353,45 @@ TEST(ObsHooksTest, ScopedTimerMacroRecords) {
     CKR_OBS_SCOPED_TIMER("obs_test.scoped");
   }
   EXPECT_EQ(reg.GetHistogram("obs_test.scoped")->Count(), before + 1);
+}
+
+// The runtime Stemmer's memo counters: one hit or miss per token, a reset
+// whenever a non-empty memo is dropped, all added once per document.
+TEST(ObsHooksTest, StemMemoCountersPerDocument) {
+  EntityDetector detector({{"brown cats", EntityType::kConcept, 0}}, nullptr);
+  QuantizedInterestingnessStore interest;
+  interest.Finalize();
+  GlobalTidTable tids;
+  tids.Intern("cat");
+  PackedRelevanceStore relevance(&tids);
+  relevance.Finalize();
+  RuntimeRanker a(detector, interest, relevance, tids, RankSvmModel());
+  RuntimeRanker b(detector, interest, relevance, tids, RankSvmModel());
+
+  MetricRegistry& reg = MetricRegistry::Global();
+  Counter* hits = reg.GetCounter("ckr.runtime.stem_memo_hits");
+  Counter* misses = reg.GetCounter("ckr.runtime.stem_memo_misses");
+  Counter* resets = reg.GetCounter("ckr.runtime.stem_memo_resets");
+  uint64_t h = hits->Value(), m = misses->Value(), r = resets->Value();
+  auto expect_delta = [&](uint64_t dh, uint64_t dm, uint64_t dr) {
+    EXPECT_EQ(hits->Value() - h, dh);
+    EXPECT_EQ(misses->Value() - m, dm);
+    EXPECT_EQ(resets->Value() - r, dr);
+    h = hits->Value(), m = misses->Value(), r = resets->Value();
+  };
+
+  // 6 tokens, 4 distinct forms ("the" twice, "cats" twice).
+  const std::string doc = "The cats chased the brown cats.";
+  RankerScratch scratch;
+  a.ProcessDocument(doc, &scratch, nullptr);
+  expect_delta(2, 4, 0);
+  a.ProcessDocument(doc, &scratch, nullptr);
+  expect_delta(6, 0, 0);
+  b.ProcessDocument(doc, &scratch, nullptr);  // Another ranker: dropped.
+  expect_delta(2, 4, 1);
+  tids.Intern("chase");  // The table grew: dropped again.
+  b.ProcessDocument(doc, &scratch, nullptr);
+  expect_delta(2, 4, 1);
 }
 
 }  // namespace

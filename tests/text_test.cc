@@ -2,6 +2,14 @@
 // sentence/paragraph/window detection.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <clocale>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "text/html.h"
 #include "text/porter_stemmer.h"
 #include "text/sentence.h"
@@ -139,7 +147,7 @@ TEST(TokenizerTest, OffsetsPointIntoSource) {
   EXPECT_EQ(text.substr(toks[0].begin, toks[0].end - toks[0].begin), "Hello");
   EXPECT_EQ(text.substr(toks[1].begin, toks[1].end - toks[1].begin), "world");
   EXPECT_EQ(toks[0].text, "hello");
-  EXPECT_EQ(toks[1].raw, "world");
+  EXPECT_EQ(toks[1].text, "world");
 }
 
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
@@ -277,6 +285,100 @@ TEST(TokenizeIntoTest, MatchesTokenizeAndReusesBuffer) {
   TokenizeInto("one two three four five six", &reused);
   TokenizeInto("tiny", &reused);
   EXPECT_EQ(reused, Tokenize("tiny"));
+}
+
+// The tokenizer's inline byte classifiers must agree with <cctype> in the
+// C locale on every byte value, and the tokenizer built on them must agree
+// with one built on <cctype> over arbitrary bytes.
+TEST(AsciiClassifierTest, AgreeWithCctypeOnEveryByte) {
+  ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const unsigned char u = static_cast<unsigned char>(b);
+    EXPECT_EQ(IsAsciiSpace(c), std::isspace(u) != 0) << "byte " << b;
+    EXPECT_EQ(IsAsciiPunct(c), std::ispunct(u) != 0) << "byte " << b;
+    EXPECT_EQ(AsciiToLower(c), static_cast<char>(std::tolower(u)))
+        << "byte " << b;
+  }
+}
+
+// The tokenizer as specified through <cctype>: split on isspace, strip
+// surrounding ispunct, drop empties (and all-digit pieces without
+// keep_numbers), tolower, strip a possessive "'s".
+std::vector<Token> CctypeTokenize(std::string_view text,
+                                  const TokenizerOptions& options) {
+  auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  auto punct = [](char c) {
+    return std::ispunct(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<Token> out;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && space(text[i])) ++i;
+    size_t b = i;
+    while (i < text.size() && !space(text[i])) ++i;
+    size_t e = i;
+    if (options.strip_punct) {
+      while (b < e && punct(text[b])) ++b;
+      while (e > b && punct(text[e - 1])) --e;
+    }
+    if (b == e) continue;
+    bool all_digits = true;
+    for (size_t k = b; k < e; ++k) {
+      all_digits =
+          all_digits && std::isdigit(static_cast<unsigned char>(text[k]));
+    }
+    if (!options.keep_numbers && all_digits) continue;
+    Token tok;
+    for (size_t k = b; k < e; ++k) {
+      const unsigned char u = static_cast<unsigned char>(text[k]);
+      tok.text.push_back(
+          static_cast<char>(options.lowercase ? std::tolower(u) : u));
+    }
+    if (tok.text.size() > 2 && tok.text.substr(tok.text.size() - 2) == "'s") {
+      tok.text.resize(tok.text.size() - 2);
+    }
+    tok.begin = b;
+    tok.end = e;
+    out.push_back(std::move(tok));
+  }
+  return out;
+}
+
+TEST(TokenizeIntoTest, MatchesCctypeReferenceOnRandomBytes) {
+  // Bytes that differ between "ASCII" and some locales, or sit at class
+  // boundaries, are drawn often; the rest of the 256 values fill in.
+  const std::string special =
+      std::string("\t\n\v\f\r \x85\xA0\xFF\x80'sS") + std::string(1, '\0') +
+      "!/:@[`{~09AZaz";
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    std::vector<Token> reused;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string text;
+      const size_t len = rng.NextBounded(120);
+      for (size_t i = 0; i < len; ++i) {
+        text.push_back(rng.NextBounded(2) == 0
+                           ? special[rng.NextBounded(special.size())]
+                           : static_cast<char>(rng.NextBounded(256)));
+      }
+      for (bool lowercase : {true, false}) {
+        for (bool strip_punct : {true, false}) {
+          for (bool keep_numbers : {true, false}) {
+            TokenizerOptions options;
+            options.lowercase = lowercase;
+            options.strip_punct = strip_punct;
+            options.keep_numbers = keep_numbers;
+            TokenizeInto(text, &reused, options);
+            ASSERT_EQ(reused, CctypeTokenize(text, options))
+                << "seed " << seed << " trial " << trial;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PorterStemIntoTest, MatchesPorterStem) {
