@@ -25,7 +25,6 @@
 #include "clicks/click_log.h"
 #include "core/pipeline.h"
 #include "corpus/corpus_stream.h"
-#include "detect/pattern_detector.h"
 #include "features/offline_miner.h"
 #include "index/inverted_index.h"
 #include "index/legacy_index.h"
@@ -450,21 +449,11 @@ struct SignatureLeg {
   double ungated_seconds = 0.0;     ///< Same pass, prefilter off.
   uint64_t docs_tested = 0;         ///< ckr.sig.docs_tested delta.
   uint64_t docs_rejected = 0;       ///< ckr.sig.docs_rejected delta.
-  bool patterns_identical = true;   ///< Pattern spans, on vs off.
-  double pattern_gated_seconds = 0.0;
-  double pattern_ungated_seconds = 0.0;
-  uint64_t windows_tested = 0;      ///< ckr.sig.windows_tested delta.
-  uint64_t windows_rejected = 0;    ///< ckr.sig.windows_rejected delta.
   size_t signature_bytes = 0;       ///< SignatureMatrix pool footprint.
   double DocRejectionRate() const {
     return docs_tested > 0 ? static_cast<double>(docs_rejected) /
                                  static_cast<double>(docs_tested)
                            : 0.0;
-  }
-  double WindowRejectionRate() const {
-    return windows_tested > 0 ? static_cast<double>(windows_rejected) /
-                                    static_cast<double>(windows_tested)
-                              : 0.0;
   }
   double Speedup() const {
     return gated_seconds > 0 ? ungated_seconds / gated_seconds : 0.0;
@@ -476,11 +465,9 @@ struct SignatureLeg {
 /// phrase count and phrase hit bit-identical across the pair (the
 /// zero-false-negative contract, also property-tested at small scale),
 /// then time the phrase-count workload on both and read the rejection
-/// counters around the gated pass. The pattern-window gate gets the same
-/// treatment inline during streaming: each document's text is scanned
-/// with the window prefilter on and off, timed separately, spans
-/// compared. Counter fields are zero under CKR_OBS_DISABLED; the
-/// wall-clock and bit-identity columns do not depend on obs.
+/// counters around the gated pass. Counter fields are zero under
+/// CKR_OBS_DISABLED; the wall-clock and bit-identity columns do not
+/// depend on obs.
 SignatureLeg RunSignatureLeg(size_t target_docs) {
   SignatureLeg leg;
   leg.target_docs = target_docs;
@@ -501,43 +488,16 @@ SignatureLeg RunSignatureLeg(size_t target_docs) {
   InvertedIndex gated(gated_opts);
   InvertedIndex ungated(ungated_opts);
 
-  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-  obs::Counter* c_wtested = reg.GetCounter("ckr.sig.windows_tested");
-  obs::Counter* c_wrejected = reg.GetCounter("ckr.sig.windows_rejected");
-  const uint64_t wtested0 = c_wtested->Value();
-  const uint64_t wrejected0 = c_wrejected->Value();
-
-  std::vector<PatternMatch> pat_on, pat_off;
-  Status s = streamer.Stream(
-      Document::Kind::kWeb, target_docs, CorpusStreamConfig{},
-      [&](Document&& doc) {
-        auto t0 = std::chrono::steady_clock::now();
-        DetectPatternsInto(doc.text, &pat_on, /*signature_prefilter=*/true);
-        leg.pattern_gated_seconds += WallSeconds(t0);
-        t0 = std::chrono::steady_clock::now();
-        DetectPatternsInto(doc.text, &pat_off, /*signature_prefilter=*/false);
-        leg.pattern_ungated_seconds += WallSeconds(t0);
-        if (pat_on.size() != pat_off.size()) {
-          leg.patterns_identical = false;
-        } else {
-          for (size_t i = 0; i < pat_on.size(); ++i) {
-            if (pat_on[i].begin != pat_off[i].begin ||
-                pat_on[i].end != pat_off[i].end) {
-              leg.patterns_identical = false;
-            }
-          }
-        }
-        gated.Add(doc);
-        ungated.Add(doc);
-      });
+  Status s = streamer.Stream(Document::Kind::kWeb, target_docs,
+                             CorpusStreamConfig{}, [&](Document&& doc) {
+                               gated.Add(doc);
+                               ungated.Add(doc);
+                             });
   if (!s.ok()) {
     std::fprintf(stderr, "signature leg %zu: %s\n", target_docs,
                  s.ToString().c_str());
     std::exit(1);
   }
-  leg.windows_tested = c_wtested->Value() - wtested0;
-  leg.windows_rejected = c_wrejected->Value() - wrejected0;
-
   gated.Finalize();
   ungated.Finalize();
   leg.docs = gated.NumDocs();
@@ -562,6 +522,7 @@ SignatureLeg RunSignatureLeg(size_t target_docs) {
         SameResults(gated.PhraseSearch(q, 10), ungated.PhraseSearch(q, 10));
   }
 
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   obs::Counter* c_tested = reg.GetCounter("ckr.sig.docs_tested");
   obs::Counter* c_rejected = reg.GetCounter("ckr.sig.docs_rejected");
   leg.repeats = target_docs <= 10000 ? 10 : 3;
@@ -601,22 +562,16 @@ void PrintSignatureLegs(const std::vector<SignatureLeg>& legs) {
   std::printf("signature prefilter (phrase-count workload, counts and hits "
               "bit-identical on/off):\n");
   for (const SignatureLeg& leg : legs) {
-    std::printf("  %8zu docs  bit-identical: %s  patterns identical: %s\n",
-                leg.docs, leg.bit_identical ? "yes" : "NO",
-                leg.patterns_identical ? "yes" : "NO");
+    std::printf("  %8zu docs  bit-identical: %s\n", leg.docs,
+                leg.bit_identical ? "yes" : "NO");
     std::printf("    phrase pass (%zu queries x%d): gated %.3fs, ungated "
-                "%.3fs (%.2fx); docs rejected %llu/%llu (%.1f%%)\n",
+                "%.3fs (%.2fx); docs rejected %llu/%llu (%.1f%%); "
+                "signatures %.2f MB\n",
                 leg.queries, leg.repeats, leg.gated_seconds,
                 leg.ungated_seconds, leg.Speedup(),
                 static_cast<unsigned long long>(leg.docs_rejected),
                 static_cast<unsigned long long>(leg.docs_tested),
-                leg.DocRejectionRate() * 100.0);
-    std::printf("    pattern scan: gated %.3fs, ungated %.3fs; windows "
-                "rejected %llu/%llu (%.1f%%); signatures %.2f MB\n",
-                leg.pattern_gated_seconds, leg.pattern_ungated_seconds,
-                static_cast<unsigned long long>(leg.windows_rejected),
-                static_cast<unsigned long long>(leg.windows_tested),
-                leg.WindowRejectionRate() * 100.0,
+                leg.DocRejectionRate() * 100.0,
                 static_cast<double>(leg.signature_bytes) / 1e6);
   }
 }
@@ -1048,11 +1003,8 @@ void RunSummary() {
                  "      {\"target_docs\": %zu, \"documents\": %zu, "
                  "\"queries\": %zu, \"repeats\": %d,\n",
                  leg.target_docs, leg.docs, leg.queries, leg.repeats);
-    std::fprintf(f,
-                 "       \"results_bit_identical\": %s, "
-                 "\"patterns_bit_identical\": %s,\n",
-                 leg.bit_identical ? "true" : "false",
-                 leg.patterns_identical ? "true" : "false");
+    std::fprintf(f, "       \"results_bit_identical\": %s,\n",
+                 leg.bit_identical ? "true" : "false");
     std::fprintf(f,
                  "       \"phrase_count\": {\"gated_seconds\": %.6f, "
                  "\"ungated_seconds\": %.6f, \"speedup\": %.4f},\n",
@@ -1063,16 +1015,6 @@ void RunSummary() {
                  static_cast<unsigned long long>(leg.docs_tested),
                  static_cast<unsigned long long>(leg.docs_rejected),
                  leg.DocRejectionRate());
-    std::fprintf(f,
-                 "       \"pattern_scan\": {\"gated_seconds\": %.6f, "
-                 "\"ungated_seconds\": %.6f},\n",
-                 leg.pattern_gated_seconds, leg.pattern_ungated_seconds);
-    std::fprintf(f,
-                 "       \"windows_tested\": %llu, \"windows_rejected\": "
-                 "%llu, \"window_rejection_rate\": %.4f,\n",
-                 static_cast<unsigned long long>(leg.windows_tested),
-                 static_cast<unsigned long long>(leg.windows_rejected),
-                 leg.WindowRejectionRate());
     std::fprintf(f, "       \"signature_bytes\": %zu}%s\n",
                  leg.signature_bytes,
                  i + 1 < signature_legs.size() ? "," : "");
@@ -1107,13 +1049,13 @@ void RunSummary() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (std::getenv("CKR_BENCH_SIGNATURE_SMOKE") != nullptr) {
-    // The check_all.sh gate: one paper-scale signature leg, exact-safety
-    // enforced with a hard exit so a prefilter regression fails CI even
-    // though the full bench run is too slow for the gate.
+    // The check_all.sh gate: one paper-scale signature leg, phrase-gate
+    // exact-safety enforced with a hard exit so a prefilter regression
+    // fails CI even though the full bench run is too slow for the gate.
     const auto legs = RunSignatureLegs(/*smoke_only=*/true);
     PrintSignatureLegs(legs);
     for (const SignatureLeg& leg : legs) {
-      if (!leg.bit_identical || !leg.patterns_identical) {
+      if (!leg.bit_identical) {
         std::fprintf(stderr,
                      "signature smoke: prefilter changed results at %zu "
                      "docs\n",

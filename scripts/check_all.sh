@@ -32,12 +32,13 @@ echo "== corpus-scale smoke: 50k-doc streamed build + docid reorder =="
 # log. Plain ctest skips this test; the env flag arms it here.
 CKR_SCALE_SMOKE=1 ./build/tests/scale_smoke_test
 
-echo "== signature smoke: prefilter exact-safety + rejection rate at 6k docs =="
-# One paper-scale signature-prefilter leg from the offline bench: phrase
-# counts/hits and pattern spans must be bit-identical with the gate on and
-# off (exits non-zero on any divergence) and the rejection-rate/wall-clock
-# numbers are printed for the log. The full two-scale sweep lands in
-# BENCH_offline.json via a plain bench_offline_perf run.
+echo "== signature smoke: phrase-gate exact-safety + rejection rate at 6k docs =="
+# One paper-scale leg of the index's phrase-seed signature gate from the
+# offline bench: phrase counts and hits must be bit-identical between twin
+# indexes built with and without the signature filter (exits non-zero on
+# any divergence) and the rejection-rate/wall-clock numbers are printed
+# for the log. The full two-scale sweep lands in BENCH_offline.json via a
+# plain bench_offline_perf run.
 CKR_BENCH_SIGNATURE_SMOKE=1 ./build/bench/bench_offline_perf
 
 echo "== serving smoke: sharded oracle bit-identity, hot swap, shedding =="

@@ -53,29 +53,6 @@ EntityDetector::EntityDetector(const std::vector<DictionaryEntry>& dictionary,
     (void)s;
   }
   matcher_.Build();
-
-  // Signature prefilter rows: one per candidate entry, over the term ids
-  // the automaton itself interned (so the document-side TermId stream and
-  // the entry rows live in the same id space).
-  entry_sigs_.Reset(entries_.size());
-  std::vector<std::pair<uint32_t, uint32_t>> order;  // (term count, entry)
-  order.reserve(entries_.size());
-  for (uint32_t i = 0; i < entries_.size(); ++i) {
-    uint32_t terms = 0;
-    for (const Token& t : Tokenize(entries_[i].key)) {
-      const uint32_t tid = matcher_.TermId(t.text);
-      if (tid == PhraseMatcher::kUnknownTerm) continue;
-      entry_sigs_.AddTerm(i, tid);
-      ++terms;
-    }
-    order.emplace_back(terms, i);
-  }
-  std::sort(order.begin(), order.end());
-  gate_order_.reserve(order.size());
-  for (const auto& [terms, i] : order) {
-    (void)terms;
-    gate_order_.push_back(i);
-  }
 }
 
 EntityDetector EntityDetector::FromWorld(const World& world,
@@ -106,8 +83,7 @@ const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
   // matches overlapping a pattern are dropped below.
   scratch->patterns.clear();
   if (options_.detect_patterns) {
-    DetectPatternsInto(text, &scratch->patterns,
-                       options_.signature_prefilter);
+    DetectPatternsInto(text, &scratch->patterns);
     for (uint32_t pi = 0; pi < scratch->patterns.size(); ++pi) {
       const PatternMatch& p = scratch->patterns[pi];
       RawDetection d;
@@ -122,46 +98,15 @@ const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
   }
 
   // Stage 2: one Aho-Corasick pass over pre-interned term ids for
-  // dictionary entities and concepts — unless the signature gate proves
-  // no candidate entry can match. The document signature is folded from
-  // the same TermId stream the automaton would consume; any automaton hit
-  // implies all of one entry's terms (hence all of its signature bits)
-  // are present, so a document covering no entry row is a true negative.
+  // dictionary entities and concepts.
   scratch->token_tids.clear();
   scratch->token_tids.reserve(tokens.size());
-  const bool gate = options_.signature_prefilter && !entries_.empty();
-  bool any_known = false;
-  if (gate) scratch->doc_sig.assign(entry_sigs_.words_per_row(), 0);
   for (const Token& t : tokens) {
-    const uint32_t tid = matcher_.TermId(t.text);
-    scratch->token_tids.push_back(tid);
-    if (gate && tid != PhraseMatcher::kUnknownTerm) {
-      entry_sigs_.AddTermToSignature(tid, MakeSpan(scratch->doc_sig));
-      any_known = true;
-    }
-  }
-  bool may_match = true;
-  if (gate) {
-    CKR_OBS_COUNTER_INC("ckr.sig.docs_tested");
-    may_match = false;
-    if (any_known) {
-      // The document signature must contain *all* of some entry's bits
-      // (doc ⊇ entry) for that entry to possibly match.
-      for (const uint32_t e : gate_order_) {
-        if (SignatureMatrix::Covers(MakeSpan(scratch->doc_sig),
-                                    entry_sigs_.Row(e))) {
-          may_match = true;
-          break;
-        }
-      }
-    }
-    if (!may_match) CKR_OBS_COUNTER_INC("ckr.sig.docs_rejected");
+    scratch->token_tids.push_back(matcher_.TermId(t.text));
   }
   scratch->matches.clear();
-  if (may_match) {
-    matcher_.FindAllTids(scratch->token_tids.data(),
-                         scratch->token_tids.size(), &scratch->matches);
-  }
+  matcher_.FindAllTids(scratch->token_tids.data(), scratch->token_tids.size(),
+                       &scratch->matches);
 
   // Stage 3: filtering.
   std::vector<PhraseMatch>& kept = scratch->kept;

@@ -17,7 +17,6 @@
 #include "detect/aho_corasick.h"
 #include "detect/disambiguator.h"
 #include "detect/pattern_detector.h"
-#include "index/doc_signature.h"
 #include "text/tokenizer.h"
 #include "units/unit_extractor.h"
 
@@ -35,7 +34,10 @@ struct Detection {
   double unit_score = 0.0;       ///< Normalized unit score (concepts).
 };
 
-/// Pipeline switches.
+/// Pipeline switches. Every document takes the same path: the pattern
+/// scan, then one Aho-Corasick pass over its token ids. There is no
+/// prefilter in front of either stage: news documents all contain some
+/// dictionary entry, so a per-document gate would never skip the pass.
 struct DetectorOptions {
   bool detect_patterns = true;
   /// Resolve overlapping matches (longest-leftmost wins). Disabling keeps
@@ -43,13 +45,6 @@ struct DetectorOptions {
   bool resolve_collisions = true;
   /// Drop single-term concept matches shorter than this many characters.
   size_t min_concept_chars = 3;
-  /// Gate the Aho-Corasick scan (and the pattern scanners' windows)
-  /// behind bitwise term signatures: a document whose signature covers no
-  /// candidate entry completely provably contains no phrase match, so the
-  /// automaton pass is skipped. Exact-safe — detections are identical
-  /// with the prefilter on or off (property-tested); the off switch
-  /// exists for the equivalence tests and benchmarks.
-  bool signature_prefilter = true;
 };
 
 /// An id-keyed detection: the allocation-free core of the pipeline's
@@ -90,7 +85,6 @@ class EntityDetector {
     std::vector<PhraseMatch> kept;
     std::vector<RawDetection> raw;
     std::vector<uint8_t> taken;
-    std::vector<uint64_t> doc_sig;  ///< Signature-prefilter work buffer.
   };
 
   /// Builds a detector from explicit dictionary entries and (optionally)
@@ -154,18 +148,6 @@ class EntityDetector {
   DetectorOptions options_;
   size_t num_dictionary_entries_ = 0;
   size_t num_concept_entries_ = 0;
-
-  // ---- Signature prefilter (built at construction) ----
-  // Row e = the OR of entry e's term-probe bits. A document whose own
-  // signature (built from its known token ids) covers no entry row cannot
-  // contain any phrase match — an Aho-Corasick hit implies every term of
-  // that entry appears as a token, hence every entry bit is present in
-  // the document signature. The converse is false (hash collisions), but
-  // survivors run the real automaton, so detections never change.
-  SignatureMatrix entry_sigs_;
-  /// Entry ids ordered by ascending term count (then id): short entries
-  /// are covered most often, so the accept scan exits early.
-  std::vector<uint32_t> gate_order_;
 };
 
 }  // namespace ckr

@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "common/string_util.h"
-#include "obs/hooks.h"
 
 namespace ckr {
 namespace {
@@ -137,27 +136,7 @@ size_t MatchPhone(std::string_view text, size_t pos) {
   return pos;
 }
 
-uint64_t PatternWindowSignature(std::string_view window) {
-  uint64_t sig = 0;
-  char prev = '\0';
-  for (const char c : window) {
-    if (c == ':') {
-      sig |= kPatternClassUrlColon;
-    } else if (c == '@') {
-      sig |= kPatternClassAt;
-    } else if (c == '+' || c == '(' ||
-               std::isdigit(static_cast<unsigned char>(c))) {
-      sig |= kPatternClassPhoneStart;
-    } else if (c == 'w' && prev == 'w') {
-      sig |= kPatternClassUrlWww;
-    }
-    prev = c;
-  }
-  return sig;
-}
-
-void DetectPatternsInto(std::string_view text, std::vector<PatternMatch>* out,
-                        bool signature_prefilter) {
+void DetectPatternsInto(std::string_view text, std::vector<PatternMatch>* out) {
   size_t count = 0;  // Slots [0, count) are live; later slots keep their
                      // string capacity for reuse across documents.
   size_t i = 0;
@@ -167,33 +146,7 @@ void DetectPatternsInto(std::string_view text, std::vector<PatternMatch>* out,
   // on '@'-free documents (the common case).
   size_t next_at = text.find('@');
   bool prev_word = false;
-  size_t gate_end = 0;  // Text before this offset passed a window check.
   while (i < n) {
-    if (signature_prefilter && i >= gate_end) {
-      // Window prefilter: every URL needs a ':' (schemes) or "ww" digram
-      // ("www.") within the scheme-length margin of its start, and every
-      // phone starts on a digit/'+'/'(' — so a window whose extended
-      // signature has no start class, while no '@' remains ahead (emails
-      // impossible), provably contains no match start and is skipped
-      // without per-byte scanning. Matches never *start* behind the
-      // cursor, so skipping the window is exact.
-      const size_t window_end = std::min(i + kPatternWindowBytes, n);
-      const size_t scan_end = std::min(window_end + kPatternWindowMargin, n);
-      if (next_at != std::string_view::npos && next_at < i) {
-        next_at = text.find('@', i);
-      }
-      CKR_OBS_COUNTER_INC("ckr.sig.windows_tested");
-      const uint64_t sig = PatternWindowSignature(text.substr(i, scan_end - i));
-      if (next_at == std::string_view::npos &&
-          (sig & kPatternStartMask) == 0) {
-        CKR_OBS_COUNTER_INC("ckr.sig.windows_rejected");
-        prev_word = IsWordChar(text[window_end - 1]);
-        i = window_end;
-        gate_end = window_end;
-        continue;
-      }
-      gate_end = window_end;
-    }
     const char c = text[i];
     // Only try at token starts: beginning of text or after a non-word char.
     if (prev_word) {

@@ -26,42 +26,9 @@ struct PatternMatch {
 /// Scans text for all pattern entities, left to right, non-overlapping.
 std::vector<PatternMatch> DetectPatterns(std::string_view text);
 
-/// Byte-class bits of the window prefilter signature (see
-/// PatternWindowSignature). Each class marks a byte (or digram) some
-/// scanner *requires*, so a window whose signature lacks every start
-/// class cannot contain a match start and is skipped wholesale — an
-/// exact-safe AND-mask test like the doc_signature one (rejections are
-/// true negatives only; property-tested against the ungated scan).
-inline constexpr uint64_t kPatternClassUrlColon = uint64_t{1} << 0;  ///< ':'
-inline constexpr uint64_t kPatternClassUrlWww = uint64_t{1} << 1;  ///< "ww"
-inline constexpr uint64_t kPatternClassPhoneStart =
-    uint64_t{1} << 2;  ///< digit, '+', '('
-inline constexpr uint64_t kPatternClassAt = uint64_t{1} << 3;  ///< '@'
-
-/// Classes that can begin a URL or phone match. Emails are gated
-/// separately: the scanner tracks the next '@' position globally, which
-/// subsumes a per-window '@' class.
-inline constexpr uint64_t kPatternStartMask =
-    kPatternClassUrlColon | kPatternClassUrlWww | kPatternClassPhoneStart;
-
-/// Prefilter window width, and the lookahead margin appended to the
-/// signature scan so a match *starting* in the window is visible even
-/// when its witness bytes (the ':' of "https://", the second 'w' of
-/// "www.") fall just past the window edge. 8 covers the longest scheme
-/// prefix ("https://").
-inline constexpr size_t kPatternWindowBytes = 64;
-inline constexpr size_t kPatternWindowMargin = 8;
-
-/// Bitwise OR of the byte-class bits over `window` (digram classes fire
-/// on adjacent byte pairs). Deterministic; exposed for unit tests.
-uint64_t PatternWindowSignature(std::string_view window);
-
 /// Buffer-reuse variant for hot paths: overwrites `*out` in place, reusing
-/// vector capacity and slot string buffers. `signature_prefilter` arms the
-/// per-window class-signature gate; results are identical either way (the
-/// off switch exists for the equivalence tests and benchmarks).
-void DetectPatternsInto(std::string_view text, std::vector<PatternMatch>* out,
-                        bool signature_prefilter = true);
+/// vector capacity and slot string buffers.
+void DetectPatternsInto(std::string_view text, std::vector<PatternMatch>* out);
 
 /// Individual scanners (exposed for focused testing). Each tries to match
 /// at `pos` and returns the end offset, or `pos` if no match.

@@ -1,96 +1,51 @@
 #include "index/doc_signature.h"
 
-#include <bit>
-
 #include "common/hash.h"
 
 namespace ckr {
 
-uint32_t SignatureBitPosition(uint32_t tid, uint32_t probe, uint32_t bits) {
+uint32_t SignatureBitPosition(uint32_t tid, uint32_t probe) {
   // Mix64 over the combined (tid, probe) key gives independent, stable
-  // positions per probe; the modulo keeps every position in range for any
-  // width (bits is a power-of-64 multiple, not of two, so masking is out).
+  // positions per probe.
   const uint64_t h = Mix64(HashCombine(static_cast<uint64_t>(tid),
                                        static_cast<uint64_t>(probe)));
-  return static_cast<uint32_t>(h % bits);
-}
-
-SignatureMatrix::SignatureMatrix(const SignatureConfig& config)
-    : config_(config) {
-  CKR_CHECK(config_.bits > 0 && config_.bits % 64 == 0);
-  CKR_CHECK(config_.probes >= 1 && config_.probes <= config_.bits);
-  words_ = config_.bits / 64;
+  return static_cast<uint32_t>(h % kSignatureBits);
 }
 
 void SignatureMatrix::Reset(size_t num_rows) {
-  pool_.assign(num_rows * words_, 0);
-}
-
-void SignatureMatrix::AddTerm(size_t row, uint32_t tid) {
-  uint64_t* bits = pool_.data() + row * words_;
-  CKR_DCHECK_LE((row + 1) * words_, pool_.size());
-  for (uint32_t p = 0; p < config_.probes; ++p) {
-    const uint32_t pos = SignatureBitPosition(tid, p, config_.bits);
-    bits[pos >> 6] |= uint64_t{1} << (pos & 63);
-  }
+  pool_.assign(num_rows * kSignatureWords, 0);
 }
 
 void SignatureMatrix::AddTermToRows(uint32_t tid, Span<const uint32_t> rows) {
-  for (uint32_t p = 0; p < config_.probes; ++p) {
-    const uint32_t pos = SignatureBitPosition(tid, p, config_.bits);
+  for (uint32_t p = 0; p < kSignatureProbes; ++p) {
+    const uint32_t pos = SignatureBitPosition(tid, p);
     const uint32_t word = pos >> 6;
     const uint64_t mask = uint64_t{1} << (pos & 63);
     for (size_t i = 0; i < rows.size(); ++i) {
       const size_t row = rows[i];
-      CKR_DCHECK_LE((row + 1) * words_, pool_.size());
-      pool_[row * words_ + word] |= mask;
+      CKR_DCHECK_LE((row + 1) * kSignatureWords, pool_.size());
+      pool_[row * kSignatureWords + word] |= mask;
     }
   }
 }
 
-void SignatureMatrix::BuildSignature(Span<const uint32_t> tids,
-                                     std::vector<uint64_t>* out) const {
-  out->assign(words_, 0);
+Signature SignatureMatrix::BuildSignature(Span<const uint32_t> tids) {
+  Signature sig{};
   for (size_t i = 0; i < tids.size(); ++i) {
-    for (uint32_t p = 0; p < config_.probes; ++p) {
-      const uint32_t pos = SignatureBitPosition(tids[i], p, config_.bits);
-      (*out)[pos >> 6] |= uint64_t{1} << (pos & 63);
+    for (uint32_t p = 0; p < kSignatureProbes; ++p) {
+      const uint32_t pos = SignatureBitPosition(tids[i], p);
+      sig[pos >> 6] |= uint64_t{1} << (pos & 63);
     }
   }
+  return sig;
 }
 
-void SignatureMatrix::AddTermToSignature(uint32_t tid,
-                                         Span<uint64_t> sig) const {
-  CKR_DCHECK_EQ(sig.size(), words_);
-  for (uint32_t p = 0; p < config_.probes; ++p) {
-    const uint32_t pos = SignatureBitPosition(tid, p, config_.bits);
-    sig[pos >> 6] |= uint64_t{1} << (pos & 63);
-  }
-}
-
-bool SignatureMatrix::Covers(Span<const uint64_t> super,
-                             Span<const uint64_t> sub) {
-  CKR_DCHECK_EQ(super.size(), sub.size());
-  for (size_t w = 0; w < super.size(); ++w) {
-    if ((super[w] & sub[w]) != sub[w]) return false;
+bool SignatureMatrix::CoversAll(size_t row, const Signature& sig) const {
+  const Span<const uint64_t> bits = Row(row);
+  for (size_t w = 0; w < kSignatureWords; ++w) {
+    if ((bits[w] & sig[w]) != sig[w]) return false;
   }
   return true;
-}
-
-bool SignatureMatrix::CoversAll(size_t row, Span<const uint64_t> sig) const {
-  return Covers(Row(row), sig);
-}
-
-uint32_t SignatureMatrix::HammingSimilarity(size_t a, size_t b) const {
-  const uint64_t* ra = pool_.data() + a * words_;
-  const uint64_t* rb = pool_.data() + b * words_;
-  CKR_DCHECK_LE((a + 1) * words_, pool_.size());
-  CKR_DCHECK_LE((b + 1) * words_, pool_.size());
-  uint32_t distance = 0;
-  for (uint32_t w = 0; w < words_; ++w) {
-    distance += static_cast<uint32_t>(std::popcount(ra[w] ^ rb[w]));
-  }
-  return config_.bits - distance;
 }
 
 }  // namespace ckr

@@ -1,7 +1,7 @@
 // Bitwise term signatures for exact-safe candidate prefiltering (the
 // topsig idea): every document gets a fixed-width Bloom-style bit row in
-// which each contained term sets `probes` deterministic bit positions.
-// A conjunctive query (phrase terms, entity-entry terms) folds its own
+// which each contained term sets kSignatureProbes deterministic bit
+// positions. A conjunctive query (the terms of a phrase) folds its own
 // terms into a query signature the same way; a document whose row does
 // not contain *all* query bits provably lacks at least one query term,
 // so the AND-mask test
@@ -11,23 +11,19 @@
 // rejects only true negatives. The converse does not hold (colliding
 // probes can make a row look like a superset), which is exactly the safe
 // direction for a prefilter in front of an exact path: survivors are
-// re-checked by the position pool / Aho-Corasick automaton, and results
-// stay bit-identical with the prefilter on or off (property-tested).
+// re-checked against the position pool, and results stay bit-identical
+// with the prefilter on or off (property-tested).
 //
 // Layout follows the repo's CSR discipline: one contiguous uint64_t pool,
-// row i at [i * words_per_row, (i+1) * words_per_row) — SIMD/prefetch
-// friendly, no per-row allocations. Bit positions come from Mix64 /
-// HashCombine (common/hash.h), which are stable across runs and
-// platforms, so signatures obey the determinism contract (lint rule R1)
-// and may be persisted or compared across processes.
-//
-// The same rows double as an approximate "related documents" scenario:
-// Hamming similarity (bits - popcount(row_a XOR row_b)) ranks documents
-// by term-set overlap; see SignatureMatrix::HammingSimilarity and
-// InvertedIndex::RelatedDocuments.
+// row i at [i * kSignatureWords, (i+1) * kSignatureWords) — no per-row
+// allocations. Bit positions come from Mix64 / HashCombine
+// (common/hash.h), which are stable across runs and platforms, so
+// signatures obey the determinism contract (lint rule R1) and may be
+// persisted or compared across processes.
 #ifndef CKR_INDEX_DOC_SIGNATURE_H_
 #define CKR_INDEX_DOC_SIGNATURE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -36,80 +32,53 @@
 
 namespace ckr {
 
-/// Shape of a signature matrix. Fixed at construction; both sides of an
-/// AND-mask test must use identical config (the matrix builds the query
-/// signature itself, so this cannot be violated through the public API).
-struct SignatureConfig {
-  /// Signature width in bits; must be a non-zero multiple of 64.
-  uint32_t bits = 256;
-  /// Bit positions set per term; must be in [1, bits].
-  uint32_t probes = 2;
-};
+/// Signature width in bits (a multiple of 64) and bit positions set per
+/// term. Fixed, so document rows and query signatures always share one
+/// shape.
+inline constexpr uint32_t kSignatureBits = 256;
+inline constexpr uint32_t kSignatureProbes = 2;
+inline constexpr uint32_t kSignatureWords = kSignatureBits / 64;
 
-/// The deterministic bit position of probe `probe` of term `tid` in a
-/// `bits`-wide signature. Exposed so tests can pin the packing layout.
-uint32_t SignatureBitPosition(uint32_t tid, uint32_t probe, uint32_t bits);
+/// A query-side signature: the OR of a term set's probe bits.
+using Signature = std::array<uint64_t, kSignatureWords>;
 
-/// A row-per-document (or row-per-entry) bit matrix of term signatures.
-/// Immutable once filled; thread-safe for concurrent reads.
+/// The deterministic bit position of probe `probe` of term `tid`.
+/// Exposed so tests can pin the packing layout.
+uint32_t SignatureBitPosition(uint32_t tid, uint32_t probe);
+
+/// A row-per-document bit matrix of term signatures. Immutable once
+/// filled; thread-safe for concurrent reads.
 class SignatureMatrix {
  public:
-  SignatureMatrix() : SignatureMatrix(SignatureConfig{}) {}
-  explicit SignatureMatrix(const SignatureConfig& config);
-
-  uint32_t bits() const { return config_.bits; }
-  uint32_t probes() const { return config_.probes; }
-  /// uint64_t words per row (bits / 64).
-  uint32_t words_per_row() const { return words_; }
-  size_t num_rows() const { return words_ == 0 ? 0 : pool_.size() / words_; }
+  size_t num_rows() const { return pool_.size() / kSignatureWords; }
 
   /// Resizes to `num_rows` zeroed rows, discarding previous contents.
   void Reset(size_t num_rows);
-
-  /// ORs term `tid`'s probe bits into row `row`.
-  void AddTerm(size_t row, uint32_t tid);
 
   /// ORs term `tid`'s probe bits into every row in `rows` — the CSR
   /// posting-list form of the build (bit positions hashed once per term,
   /// not once per posting).
   void AddTermToRows(uint32_t tid, Span<const uint32_t> rows);
 
-  /// Row `row` as a bounds-checked span of `words_per_row()` words.
+  /// Row `row` as a bounds-checked span of kSignatureWords words.
   Span<const uint64_t> Row(size_t row) const {
-    return MakeSpan(pool_).subspan(row * words_, words_);
+    return MakeSpan(pool_).subspan(row * kSignatureWords, kSignatureWords);
   }
 
-  /// Builds the signature of a term set into `*out` (resized to
-  /// `words_per_row()`, zeroed first). An empty term set yields the
-  /// all-zero signature, which every row covers — degenerate queries can
-  /// never be falsely rejected.
-  void BuildSignature(Span<const uint32_t> tids,
-                      std::vector<uint64_t>* out) const;
-
-  /// ORs term `tid`'s probe bits into signature buffer `sig` (the
-  /// incremental form of BuildSignature — callers that stream token ids
-  /// fold them in one at a time). `sig` must have words_per_row() words.
-  void AddTermToSignature(uint32_t tid, Span<uint64_t> sig) const;
-
-  /// True iff `super` contains every bit of `sub` — the exact-safe
-  /// AND-mask test over two equal-length signature buffers.
-  static bool Covers(Span<const uint64_t> super, Span<const uint64_t> sub);
+  /// The signature of a term set. An empty term set yields the all-zero
+  /// signature, which every row covers — degenerate queries can never be
+  /// falsely rejected.
+  static Signature BuildSignature(Span<const uint32_t> tids);
 
   /// True iff `row` contains every bit of `sig`: the exact-safe AND-mask
-  /// test. `sig` must have words_per_row() words (same config).
-  bool CoversAll(size_t row, Span<const uint64_t> sig) const;
-
-  /// Hamming similarity between two rows: bits() - popcount(a XOR b).
-  /// Symmetric; equals bits() iff the rows are identical.
-  uint32_t HammingSimilarity(size_t a, size_t b) const;
+  /// test.
+  bool CoversAll(size_t row, const Signature& sig) const;
 
   /// Heap footprint of the signature pool.
   size_t MemoryBytes() const { return pool_.capacity() * sizeof(uint64_t); }
 
  private:
-  SignatureConfig config_;
-  uint32_t words_ = 0;
-  std::vector<uint64_t> pool_;  ///< num_rows * words_, row-major.
+  std::vector<uint64_t> pool_;  ///< num_rows * kSignatureWords, row-major.
 };
 
 }  // namespace ckr

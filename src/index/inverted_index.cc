@@ -219,7 +219,6 @@ void InvertedIndex::Finalize() {
   if (options_.build_signature_filter) {
     // Term-major over the freshly built CSR postings: each term's probe
     // bits are hashed once and OR-ed into every posting's doc row.
-    signatures_ = SignatureMatrix(options_.signature);
     signatures_.Reset(num_docs);
     for (size_t t = 0; t < num_terms; ++t) {
       signatures_.AddTermToRows(static_cast<uint32_t>(t),
@@ -566,9 +565,9 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
   // every phrase term provably lacks one of them, so the positional check
   // cannot succeed — skipping it never changes the count (exact-safe;
   // duplicate phrase terms just OR the same bits twice).
-  std::vector<uint64_t> qsig;
   const bool gated = has_signatures_;
-  if (gated) signatures_.BuildSignature(MakeSpan(tids), &qsig);
+  const Signature qsig =
+      gated ? SignatureMatrix::BuildSignature(MakeSpan(tids)) : Signature{};
 
   std::vector<uint32_t> pos_buf;
   uint64_t count = 0;
@@ -578,7 +577,7 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
     const uint32_t d = post_doc_[seed];
     if (gated) {
       CKR_OBS_COUNTER_INC("ckr.sig.docs_tested");
-      if (!signatures_.CoversAll(d, MakeSpan(qsig))) {
+      if (!signatures_.CoversAll(d, qsig)) {
         CKR_OBS_COUNTER_INC("ckr.sig.docs_rejected");
         continue;
       }
@@ -608,9 +607,9 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
 
   // Same exact-safe prefilter as PhraseResultCount. Single-term phrases
   // skip it: every seed trivially covers its own term's bits.
-  std::vector<uint64_t> qsig;
   const bool gated = has_signatures_ && tids.size() > 1;
-  if (gated) signatures_.BuildSignature(MakeSpan(tids), &qsig);
+  const Signature qsig =
+      gated ? SignatureMatrix::BuildSignature(MakeSpan(tids)) : Signature{};
 
   TopKHeap heap(k);
   std::vector<uint32_t> pos_buf;
@@ -618,7 +617,7 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
     uint32_t d = post_doc_[seed];
     if (gated) {
       CKR_OBS_COUNTER_INC("ckr.sig.docs_tested");
-      if (!signatures_.CoversAll(d, MakeSpan(qsig))) {
+      if (!signatures_.CoversAll(d, qsig)) {
         CKR_OBS_COUNTER_INC("ckr.sig.docs_rejected");
         continue;
       }
@@ -633,28 +632,6 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
     double score =
         idf * static_cast<double>(starts) / (1.0 + 0.002 * dl);
     heap.Push({docs_[d].id, score});
-  }
-  return heap.Take();
-}
-
-std::vector<SearchResult> InvertedIndex::RelatedDocuments(DocId doc,
-                                                          size_t k) const {
-  CKR_DCHECK(finalized_);
-  if (!has_signatures_ || k == 0) return {};
-  const int32_t di = FindDocIndex(doc);
-  if (di < 0) return {};
-  const size_t src = static_cast<size_t>(di);
-  CKR_OBS_COUNTER_INC("ckr.sig.related_queries");
-  // One popcount sweep over the contiguous signature pool; the bounded
-  // heap keeps the Search ranking contract (descending similarity, ties
-  // by ascending external id), so the top-k is unique and docid-order
-  // invariant.
-  TopKHeap heap(k);
-  for (size_t d = 0; d < docs_.size(); ++d) {
-    if (d == src) continue;
-    const uint32_t sim =
-        signatures_.HammingSimilarity(src, d);
-    heap.Push({docs_[d].id, static_cast<double>(sim)});
   }
   return heap.Take();
 }

@@ -88,14 +88,13 @@ struct IndexBuildOptions {
   bool build_block_index = true;
   /// Build the per-document term-signature matrix inside Finalize() and
   /// gate the multi-term phrase paths (PhraseResultCount, PhraseSearch)
-  /// behind its exact-safe AND-mask prefilter (doc_signature.h). The
-  /// prefilter only ever skips documents that provably lack a phrase
-  /// term, so results are bit-identical with it on or off
-  /// (property-tested); switching it off saves bits()/8 bytes per doc
-  /// and disables RelatedDocuments().
+  /// behind its exact-safe AND-mask prefilter (doc_signature.h; the
+  /// signature shape is fixed at kSignatureBits bits, kSignatureProbes
+  /// probes per term). The prefilter only ever skips documents that
+  /// provably lack a phrase term, so results are bit-identical with it on
+  /// or off (property-tested); switching it off saves kSignatureBits / 8
+  /// bytes per doc.
   bool build_signature_filter = true;
-  /// Shape of the signature matrix (width, probes per term).
-  SignatureConfig signature;
   BlockCodec block_codec = BlockCodec::kVarintGB;
   DocidOrder docid_order = DocidOrder::kAddOrder;
   /// For kExplicit: `explicit_order[i]` = Add()-order doc index placed at
@@ -186,15 +185,6 @@ class InvertedIndex {
   /// phrase's terms, restricted to phrase matches).
   std::vector<SearchResult> PhraseSearch(std::string_view phrase,
                                          size_t k) const;
-
-  /// Approximate "related documents": the top-k other documents ranked by
-  /// Hamming similarity between term signatures (bits - popcount(XOR) —
-  /// high when the documents share most of their vocabulary). Ranking
-  /// contract matches Search: descending similarity, ties by ascending
-  /// external doc id, so the result is unique and docid-order invariant.
-  /// Returns empty if `doc` is unknown or the index was built with
-  /// build_signature_filter=false.
-  std::vector<SearchResult> RelatedDocuments(DocId doc, size_t k) const;
 
   /// True once Finalize() built the signature matrix.
   bool has_signatures() const { return has_signatures_; }

@@ -41,20 +41,26 @@ class BoundedMpmcQueue {
 
   /// Enqueues unless the queue is full or shut down; never blocks.
   /// Returns false when the item was rejected (the shed signal) — then
-  /// `*item` is left untouched, so the caller can still answer it.
-  [[nodiscard]] bool TryPush(T* item) CKR_EXCLUDES(queue_mu_) {
+  /// `*item` is left untouched, so the caller can still answer it. On
+  /// success `*depth` (if non-null) gets the depth after the push, read
+  /// inside the same critical section.
+  [[nodiscard]] bool TryPush(T* item, size_t* depth = nullptr)
+      CKR_EXCLUDES(queue_mu_) {
     {
       MutexLock lock(&queue_mu_);
       if (shutdown_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(*item));
+      if (depth != nullptr) *depth = items_.size();
     }
     not_empty_.notify_one();
     return true;
   }
 
   /// Blocks until an item is available or the queue is shut down *and*
-  /// drained; returns false only in the latter case.
-  [[nodiscard]] bool Pop(T* out) CKR_EXCLUDES(queue_mu_) {
+  /// drained; returns false only in the latter case. On success `*depth`
+  /// (if non-null) gets the depth after the pop.
+  [[nodiscard]] bool Pop(T* out, size_t* depth = nullptr)
+      CKR_EXCLUDES(queue_mu_) {
     MutexLock lock(&queue_mu_);
     // condition_variable_any releases and re-acquires queue_mu_ through
     // its BasicLockable face; net-held across the wait, like any condvar
@@ -63,6 +69,7 @@ class BoundedMpmcQueue {
     if (items_.empty()) return false;  // Shut down and drained.
     *out = std::move(items_.front());
     items_.pop_front();
+    if (depth != nullptr) *depth = items_.size();
     return true;
   }
 
@@ -76,7 +83,7 @@ class BoundedMpmcQueue {
     not_empty_.notify_all();
   }
 
-  /// Instantaneous depth (the queue-depth gauge's sample).
+  /// Instantaneous depth.
   size_t Size() const CKR_EXCLUDES(queue_mu_) {
     MutexLock lock(&queue_mu_);
     return items_.size();

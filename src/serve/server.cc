@@ -78,7 +78,8 @@ bool ServeDaemon::Submit(ServeRequest&& request) {
   request.admit_nanos = clock_->NowNanos();
   // TryPush moves from `request` only on success; on rejection it is
   // untouched and still owns its callback.
-  if (!queue_.TryPush(&request)) {
+  size_t depth = 0;
+  if (!queue_.TryPush(&request, &depth)) {
     ServeResponse response;
     response.outcome = ServeOutcome::kShedQueueFull;
     shed_queue_full_->Increment();
@@ -86,13 +87,16 @@ bool ServeDaemon::Submit(ServeRequest&& request) {
     return false;
   }
   admitted_->Increment();
-  queue_depth_->Set(static_cast<double>(queue_.Size()));
+  queue_depth_->Set(static_cast<double>(depth));
   return true;
 }
 
 void ServeDaemon::WorkerLoop() {
   ServeRequest request;
-  while (queue_.Pop(&request)) {
+  size_t depth = 0;
+  while (queue_.Pop(&request, &depth)) {
+    // Both sides set the gauge, so it falls as the workers drain.
+    queue_depth_->Set(static_cast<double>(depth));
     const int64_t picked_up = clock_->NowNanos();
     const double queue_seconds =
         static_cast<double>(picked_up - request.admit_nanos) / 1e9;

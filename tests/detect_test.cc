@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "corpus/doc_generator.h"
 #include "detect/aho_corasick.h"
 #include "detect/entity_detector.h"
@@ -181,6 +186,41 @@ TEST(PatternTest, OffsetsPointIntoSource) {
             matches[0].text);
 }
 
+TEST(PatternTest, BoundaryStraddlersReportAbsoluteSpans) {
+  // Matches that start a few bytes before offset 64 and end past it, so
+  // their spans cross a 64-byte boundary, next to texts with no match.
+  const std::string pad(60, 'x');
+  struct Case {
+    std::string text;
+    std::vector<std::pair<size_t, size_t>> spans;
+    std::vector<PatternKind> kinds;
+  };
+  const Case cases[] = {
+      {pad + " www.example.com and tail words here", {{61, 76}},
+       {PatternKind::kUrl}},
+      {pad + " https://site.org/path more", {{61, 82}}, {PatternKind::kUrl}},
+      {pad + " 555-123-4567 trailing", {{61, 73}}, {PatternKind::kPhone}},
+      {pad + " bob.smith@mail.example.com end", {{61, 87}},
+       {PatternKind::kEmail}},
+      {pad + "  " + pad + " nothing at all", {}, {}},
+      {"", {}, {}},
+      {"short", {}, {}},
+      {std::string(200, 'a'), {}, {}},
+  };
+  for (const Case& c : cases) {
+    const auto matches = DetectPatterns(c.text);
+    ASSERT_EQ(matches.size(), c.spans.size()) << "text: " << c.text;
+    for (size_t i = 0; i < matches.size(); ++i) {
+      EXPECT_EQ(matches[i].begin, c.spans[i].first) << "text: " << c.text;
+      EXPECT_EQ(matches[i].end, c.spans[i].second) << "text: " << c.text;
+      EXPECT_EQ(matches[i].kind, c.kinds[i]) << "text: " << c.text;
+      EXPECT_EQ(matches[i].text,
+                c.text.substr(matches[i].begin,
+                              matches[i].end - matches[i].begin));
+    }
+  }
+}
+
 class DetectorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -308,6 +348,15 @@ TEST_F(DetectorTest, DetectRawAgreesWithDetect) {
   }
 }
 
+TEST_F(DetectorTest, EntryFreeDocStillReportsPatterns) {
+  // No dictionary or unit term appears, so the phrase stage finds
+  // nothing; the pattern stage is independent and must still fire.
+  const auto dets = detector_->Detect("reach me at bob@example.com please");
+  ASSERT_EQ(dets.size(), 1u);
+  EXPECT_EQ(dets[0].type, EntityType::kPattern);
+  EXPECT_EQ(dets[0].surface, "bob@example.com");
+}
+
 TEST(DetectorWorldTest, FromWorldDetectsPlantedMentions) {
   WorldConfig cfg;
   cfg.num_topics = 6;
@@ -344,6 +393,111 @@ TEST(DetectorWorldTest, FromWorldDetectsPlantedMentions) {
   // to longest-match collisions with overlapping entities).
   EXPECT_GT(static_cast<double>(found) / static_cast<double>(planted_dict),
             0.9);
+}
+
+// ---------------------------------------------------------------------
+// Golden detection fingerprint. FNV-1a over the key, surface, byte span
+// and type of every Detect() output, entities and patterns alike, across
+// randomized documents that mix entry phrases, entry prefixes, pattern
+// entities and out-of-vocabulary noise (3 seeds x 120 docs), plus a
+// generated news batch over a world dictionary. The constant was
+// recorded from the detector before its term-signature and
+// pattern-window prefilters were removed; any change to detection
+// output changes it.
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t FoldString(uint64_t h, const std::string& s) {
+  const uint64_t size = s.size();
+  h = Fnv1a(h, &size, sizeof(size));
+  return Fnv1a(h, s.data(), s.size());
+}
+
+uint64_t FoldDetections(const std::vector<Detection>& dets, uint64_t h) {
+  const uint64_t count = dets.size();
+  h = Fnv1a(h, &count, sizeof(count));
+  for (const Detection& d : dets) {
+    h = FoldString(h, d.key);
+    h = FoldString(h, d.surface);
+    const uint64_t begin = d.begin, end = d.end;
+    const int32_t type = static_cast<int32_t>(d.type);
+    h = Fnv1a(h, &begin, sizeof(begin));
+    h = Fnv1a(h, &end, sizeof(end));
+    h = Fnv1a(h, &type, sizeof(type));
+  }
+  return h;
+}
+
+TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
+  uint64_t h = 14695981039346656037ull;
+  size_t patterns = 0, entities = 0;
+  auto fold = [&](const std::vector<Detection>& dets) {
+    for (const Detection& d : dets) {
+      (d.type == EntityType::kPattern ? patterns : entities) += 1;
+    }
+    h = FoldDetections(dets, h);
+  };
+
+  std::vector<EntityDetector::DictionaryEntry> dict;
+  for (int e = 0; e < 12; ++e) {
+    std::string key = "e" + std::to_string(e);
+    if (e % 3 != 0) key += " f" + std::to_string(e);  // Multi-term entries.
+    if (e % 5 == 0) key += " g" + std::to_string(e);
+    dict.push_back({key, EntityType::kConcept, 0});
+  }
+  const EntityDetector synthetic(dict, nullptr, DetectorOptions{});
+  const char* pattern_bits[] = {"bob@mail.example.com", "www.example.com",
+                                "https://x.org/a", "555-123-4567"};
+  for (const uint64_t seed : {19u, 43u, 67u}) {
+    Rng rng(seed);
+    for (int doc = 0; doc < 120; ++doc) {
+      std::string text;
+      const size_t len = rng.NextBounded(60);
+      for (size_t i = 0; i < len; ++i) {
+        const uint64_t u = rng.NextBounded(100);
+        if (u < 20) {
+          // An entry phrase or its first term only (a partial match).
+          const auto& key = dict[rng.NextBounded(dict.size())].key;
+          text += rng.NextBernoulli(0.5) ? key
+                                         : key.substr(0, key.find(' '));
+          text += " ";
+        } else if (u < 24) {
+          text += std::string(pattern_bits[rng.NextBounded(4)]) + " ";
+        } else {
+          text += "n" + std::to_string(rng.NextBounded(400)) + " ";
+        }
+      }
+      fold(synthetic.Detect(text));
+    }
+  }
+
+  WorldConfig cfg;
+  cfg.num_topics = 6;
+  cfg.background_vocab = 600;
+  cfg.words_per_topic = 40;
+  cfg.num_named_entities = 150;
+  cfg.num_concepts = 80;
+  cfg.num_generic_concepts = 10;
+  auto world_or = World::Create(cfg);
+  ASSERT_TRUE(world_or.ok());
+  const World& world = **world_or;
+  const EntityDetector news = EntityDetector::FromWorld(world, nullptr, {});
+  DocGenerator gen(world);
+  for (DocId id = 0; id < 40; ++id) {
+    fold(news.Detect(gen.Generate(Document::Kind::kNews, id).text));
+  }
+
+  // Both halves must contribute, or the pin would not cover them.
+  EXPECT_GT(patterns, 100u);
+  EXPECT_GT(entities, 500u);
+  EXPECT_EQ(h, 0x522ac38c1bdb03d9ull) << "fingerprint: " << std::hex << h;
 }
 
 }  // namespace

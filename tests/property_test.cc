@@ -16,8 +16,6 @@
 #include "common/string_util.h"
 #include "corpus/document.h"
 #include "detect/aho_corasick.h"
-#include "detect/entity_detector.h"
-#include "detect/pattern_detector.h"
 #include "index/block_codecs.h"
 #include "index/inverted_index.h"
 #include "eval/metrics.h"
@@ -797,24 +795,6 @@ TEST_P(SignatureSweep, PrefilterOnAndOffAreBitIdentical) {
       }
     }
   }
-
-  // Related-documents determinism: same result on repeated calls, never
-  // contains the probe document, respects the ranking contract.
-  for (int q = 0; q < 5; ++q) {
-    const DocId probe = static_cast<DocId>(rng.NextBounded(num_docs) * 3 + 1);
-    const auto a = gated.RelatedDocuments(probe, 10);
-    const auto b = gated.RelatedDocuments(probe, 10);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].doc, b[i].doc);
-      ASSERT_EQ(a[i].score, b[i].score);
-      ASSERT_NE(a[i].doc, probe);
-      if (i > 0) {
-        ASSERT_TRUE(a[i - 1].score > a[i].score ||
-                    (a[i - 1].score == a[i].score && a[i - 1].doc < a[i].doc));
-      }
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -827,74 +807,6 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(pinfo.param) == BlockCodec::kVarintGB ? "VarintGB"
                                                                 : "Simple8b");
     });
-
-// The detector-side gates obey the same contract: detections (entities
-// and patterns) are identical with the signature prefilter on and off,
-// over random documents that mix entry phrases, entry fragments, pattern
-// entities, and out-of-vocabulary noise.
-
-class DetectorSignatureSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(DetectorSignatureSweep, GatedDetectionsMatchUngated) {
-  Rng rng(GetParam());
-  std::vector<EntityDetector::DictionaryEntry> dict;
-  for (int e = 0; e < 12; ++e) {
-    std::string key = "e" + std::to_string(e);
-    if (e % 3 != 0) key += " f" + std::to_string(e);  // Multi-term entries.
-    if (e % 5 == 0) key += " g" + std::to_string(e);
-    dict.push_back({key, EntityType::kConcept, 0});
-  }
-  DetectorOptions off;
-  off.signature_prefilter = false;
-  const EntityDetector gated(dict, nullptr, DetectorOptions{});
-  const EntityDetector plain(dict, nullptr, off);
-
-  const char* pattern_bits[] = {"bob@mail.example.com", "www.example.com",
-                                "https://x.org/a", "555-123-4567"};
-  for (int doc = 0; doc < 120; ++doc) {
-    std::string text;
-    const size_t len = rng.NextBounded(60);
-    for (size_t i = 0; i < len; ++i) {
-      const uint64_t u = rng.NextBounded(100);
-      if (u < 20) {
-        // An entry phrase or a fragment of one (prefix only: tests the
-        // automaton's partial-match handling under the gate).
-        const auto& key = dict[rng.NextBounded(dict.size())].key;
-        text += rng.NextBernoulli(0.5) ? key
-                                       : key.substr(0, key.find(' '));
-        text += " ";
-      } else if (u < 24) {
-        text += std::string(pattern_bits[rng.NextBounded(4)]) + " ";
-      } else {
-        text += "n" + std::to_string(rng.NextBounded(400)) + " ";
-      }
-    }
-    const auto a = gated.Detect(text);
-    const auto b = plain.Detect(text);
-    ASSERT_EQ(a.size(), b.size()) << "text='" << text << "'";
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].key, b[i].key);
-      ASSERT_EQ(a[i].surface, b[i].surface);
-      ASSERT_EQ(a[i].begin, b[i].begin);
-      ASSERT_EQ(a[i].end, b[i].end);
-      ASSERT_EQ(static_cast<int>(a[i].type), static_cast<int>(b[i].type));
-    }
-    // The raw pattern scan obeys the same on/off identity.
-    std::vector<PatternMatch> pa;
-    std::vector<PatternMatch> pb;
-    DetectPatternsInto(text, &pa, true);
-    DetectPatternsInto(text, &pb, false);
-    ASSERT_EQ(pa.size(), pb.size()) << "text='" << text << "'";
-    for (size_t i = 0; i < pa.size(); ++i) {
-      ASSERT_EQ(pa[i].begin, pb[i].begin);
-      ASSERT_EQ(pa[i].end, pb[i].end);
-      ASSERT_EQ(pa[i].text, pb[i].text);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DetectorSignatureSweep,
-                         ::testing::Values(19u, 43u, 67u));
 
 TEST(ShardedEdgeCases, DuplicateExternalIdsAcrossShardsAreRejected) {
   std::vector<std::unique_ptr<InvertedIndex>> shards;

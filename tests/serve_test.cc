@@ -426,6 +426,42 @@ TEST(ServeDaemonTest, QueueFullShedsAtAdmission) {
   EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.completed")->Value(), 2u);
 }
 
+TEST(ServeDaemonTest, QueueDepthGaugeFallsAsWorkersDrain) {
+  ServeDaemonConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 4;
+  DaemonFixture fix(config);
+  fix.daemon.Publish(MakeTestSnapshot());
+  ASSERT_TRUE(fix.daemon.Start().ok());
+  const obs::Gauge* depth = fix.metrics.GetGauge("ckr.serve.queue_depth");
+
+  // Park the single worker so the queue fills to capacity.
+  std::promise<void> worker_parked;
+  std::promise<void> release_worker;
+  std::future<void> release = release_worker.get_future();
+  ServeRequest blocker;
+  blocker.query = "quick";
+  blocker.done = [&](ServeResponse&&) {
+    worker_parked.set_value();
+    release.wait();
+  };
+  ASSERT_TRUE(fix.daemon.Submit(std::move(blocker)));
+  worker_parked.get_future().wait();
+  for (size_t i = 0; i < config.queue_capacity; ++i) {
+    ServeRequest request;
+    request.query = "quick";
+    ASSERT_TRUE(fix.daemon.Submit(std::move(request)));
+  }
+  EXPECT_EQ(depth->Value(), static_cast<double>(config.queue_capacity));
+
+  // One worker drains the backlog; the gauge must follow it down.
+  release_worker.set_value();
+  fix.daemon.Stop();
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.completed")->Value(),
+            config.queue_capacity + 1);
+  EXPECT_EQ(depth->Value(), 0.0);
+}
+
 TEST(ServeDaemonTest, HotSwapChangesGenerationMidStream) {
   DaemonFixture fix;
   fix.daemon.Publish(MakeTestSnapshot());

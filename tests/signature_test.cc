@@ -1,17 +1,13 @@
 // Unit tests for the exact-safe signature prefilter: bit packing,
-// AND-mask cover semantics, the InvertedIndex phrase-path gate, Hamming
-// top-k related documents (tie-breaks), the pattern-window class
-// signatures, and the EntityDetector gate. The randomized bit-identity
-// sweeps live in property_test.cc; these pin the layout and the edge
-// cases directly.
+// AND-mask cover semantics and the InvertedIndex phrase-path gate. The
+// randomized bit-identity sweep lives in property_test.cc; these pin the
+// layout and the edge cases directly.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "corpus/document.h"
-#include "detect/entity_detector.h"
-#include "detect/pattern_detector.h"
 #include "index/doc_signature.h"
 #include "index/inverted_index.h"
 
@@ -30,23 +26,24 @@ Document MakeDoc(DocId id, std::string text) {
 TEST(SignatureMatrixTest, BitPositionsDeterministicAndInRange) {
   for (uint32_t tid : {0u, 1u, 17u, 123456u}) {
     for (uint32_t probe = 0; probe < 4; ++probe) {
-      const uint32_t pos = SignatureBitPosition(tid, probe, 256);
-      EXPECT_LT(pos, 256u);
+      const uint32_t pos = SignatureBitPosition(tid, probe);
+      EXPECT_LT(pos, kSignatureBits);
       // Stable: the layout is part of the determinism contract.
-      EXPECT_EQ(pos, SignatureBitPosition(tid, probe, 256));
+      EXPECT_EQ(pos, SignatureBitPosition(tid, probe));
     }
   }
   // Sanity: different tids do not all land on one position.
-  EXPECT_NE(SignatureBitPosition(1, 0, 256), SignatureBitPosition(2, 0, 256));
+  EXPECT_NE(SignatureBitPosition(1, 0), SignatureBitPosition(2, 0));
 }
 
 TEST(SignatureMatrixTest, AddTermSetsExactlyTheProbeBits) {
-  SignatureMatrix m(SignatureConfig{256, 2});
+  SignatureMatrix m;
   m.Reset(1);
-  m.AddTerm(0, 42);
-  std::vector<uint64_t> expected(m.words_per_row(), 0);
-  for (uint32_t p = 0; p < m.probes(); ++p) {
-    const uint32_t pos = SignatureBitPosition(42, p, m.bits());
+  const std::vector<uint32_t> row0 = {0};
+  m.AddTermToRows(42, MakeSpan(row0));
+  std::vector<uint64_t> expected(kSignatureWords, 0);
+  for (uint32_t p = 0; p < kSignatureProbes; ++p) {
+    const uint32_t pos = SignatureBitPosition(42, p);
     expected[pos >> 6] |= uint64_t{1} << (pos & 63);
   }
   const Span<const uint64_t> row = m.Row(0);
@@ -56,69 +53,43 @@ TEST(SignatureMatrixTest, AddTermSetsExactlyTheProbeBits) {
 
 TEST(SignatureMatrixTest, BuildersAgree) {
   const std::vector<uint32_t> tids = {3, 9, 9, 77, 1024};
-  SignatureMatrix a(SignatureConfig{192, 3});
-  a.Reset(2);
-  for (uint32_t t : tids) a.AddTerm(1, t);
-
-  // CSR-style term-major build of the same row.
-  SignatureMatrix b(SignatureConfig{192, 3});
-  b.Reset(2);
+  // CSR-style term-major build of one row, next to an untouched one.
+  SignatureMatrix m;
+  m.Reset(2);
   const std::vector<uint32_t> row1 = {1};
-  for (uint32_t t : tids) b.AddTermToRows(t, MakeSpan(row1));
+  for (uint32_t t : tids) m.AddTermToRows(t, MakeSpan(row1));
 
-  // Query-side builders.
-  std::vector<uint64_t> sig;
-  a.BuildSignature(MakeSpan(tids), &sig);
-  std::vector<uint64_t> inc(a.words_per_row(), 0);
-  for (uint32_t t : tids) a.AddTermToSignature(t, MakeSpan(inc));
-
-  for (size_t w = 0; w < a.words_per_row(); ++w) {
-    EXPECT_EQ(a.Row(1)[w], b.Row(1)[w]);
-    EXPECT_EQ(a.Row(1)[w], sig[w]);
-    EXPECT_EQ(sig[w], inc[w]);
+  // The query-side builder sets the same bits.
+  const Signature sig = SignatureMatrix::BuildSignature(MakeSpan(tids));
+  for (size_t w = 0; w < kSignatureWords; ++w) {
+    EXPECT_EQ(m.Row(1)[w], sig[w]);
   }
-  // Row 0 was never touched.
-  for (uint64_t w : a.Row(0)) EXPECT_EQ(w, 0u);
+  for (uint64_t w : m.Row(0)) EXPECT_EQ(w, 0u);
 }
 
 TEST(SignatureMatrixTest, CoversAllIsSupersetTest) {
-  SignatureMatrix m(SignatureConfig{256, 2});
+  SignatureMatrix m;
   m.Reset(1);
-  for (uint32_t t : {1u, 2u, 3u}) m.AddTerm(0, t);
+  const std::vector<uint32_t> row0 = {0};
+  for (uint32_t t : {1u, 2u, 3u}) m.AddTermToRows(t, MakeSpan(row0));
+  auto sig_of = [](std::vector<uint32_t> tids) {
+    return SignatureMatrix::BuildSignature(MakeSpan(tids));
+  };
 
-  std::vector<uint64_t> sig;
-  m.BuildSignature(MakeSpan(std::vector<uint32_t>{1, 3}), &sig);
-  EXPECT_TRUE(m.CoversAll(0, MakeSpan(sig)));
+  EXPECT_TRUE(m.CoversAll(0, sig_of({1, 3})));
   // Duplicate terms OR the same bits: still covered.
-  m.BuildSignature(MakeSpan(std::vector<uint32_t>{1, 1, 2, 2}), &sig);
-  EXPECT_TRUE(m.CoversAll(0, MakeSpan(sig)));
+  EXPECT_TRUE(m.CoversAll(0, sig_of({1, 1, 2, 2})));
   // The empty signature is covered by every row (degenerate queries can
   // never be falsely rejected).
-  m.BuildSignature(MakeSpan(std::vector<uint32_t>{}), &sig);
-  EXPECT_TRUE(m.CoversAll(0, MakeSpan(sig)));
+  EXPECT_TRUE(m.CoversAll(0, sig_of({})));
 
   // Some absent term must be rejected: with 2 probes over 256 bits and
   // only 6 bits set, not every candidate can collide into the row.
   bool rejected_any = false;
   for (uint32_t t = 100; t < 140 && !rejected_any; ++t) {
-    m.BuildSignature(MakeSpan(std::vector<uint32_t>{t}), &sig);
-    rejected_any = !m.CoversAll(0, MakeSpan(sig));
+    rejected_any = !m.CoversAll(0, sig_of({t}));
   }
   EXPECT_TRUE(rejected_any);
-}
-
-TEST(SignatureMatrixTest, HammingSimilarityBasics) {
-  SignatureMatrix m(SignatureConfig{128, 2});
-  m.Reset(3);
-  for (uint32_t t : {5u, 6u, 7u}) {
-    m.AddTerm(0, t);
-    m.AddTerm(1, t);
-  }
-  m.AddTerm(2, 900);
-  // Identical rows score the full width; symmetric in its arguments.
-  EXPECT_EQ(m.HammingSimilarity(0, 1), m.bits());
-  EXPECT_EQ(m.HammingSimilarity(0, 2), m.HammingSimilarity(2, 0));
-  EXPECT_LT(m.HammingSimilarity(0, 2), m.bits());
 }
 
 // ---- InvertedIndex integration ----
@@ -200,152 +171,6 @@ TEST_F(SignatureIndexTest, DegenerateQueriesAreSafe) {
   // Out-of-vocabulary phrase terms early-exit to zero.
   EXPECT_EQ(index_.PhraseResultCount("quick zzzz"), 0u);
   EXPECT_TRUE(index_.PhraseSearch("zzzz quick", 5).empty());
-}
-
-TEST_F(SignatureIndexTest, RelatedDocumentsExcludesSelfAndClampsK) {
-  const auto related = index_.RelatedDocuments(10, 100);
-  ASSERT_EQ(related.size(), index_.NumDocs() - 1);
-  for (const auto& r : related) EXPECT_NE(r.doc, 10u);
-  EXPECT_EQ(index_.RelatedDocuments(10, 2).size(), 2u);
-  EXPECT_TRUE(index_.RelatedDocuments(10, 0).empty());
-  // Unknown doc and signature-less index both return empty.
-  EXPECT_TRUE(index_.RelatedDocuments(999, 5).empty());
-  EXPECT_TRUE(ungated_.RelatedDocuments(10, 5).empty());
-}
-
-TEST(SignatureRelatedTest, RanksSharedVocabularyFirstAndBreaksTiesById) {
-  InvertedIndex index;
-  // Docs 7 and 3 are token-identical to doc 5; doc 1 shares nothing.
-  index.Add(MakeDoc(5, "alpha beta gamma"));
-  index.Add(MakeDoc(7, "alpha beta gamma"));
-  index.Add(MakeDoc(3, "alpha beta gamma"));
-  index.Add(MakeDoc(1, "delta epsilon zeta"));
-  index.Finalize();
-
-  const auto related = index.RelatedDocuments(5, 4);
-  ASSERT_EQ(related.size(), 3u);
-  // Identical token sets tie at full-width similarity; ties break on
-  // ascending external id (the Search ranking contract).
-  EXPECT_EQ(related[0].doc, 3u);
-  EXPECT_EQ(related[1].doc, 7u);
-  EXPECT_EQ(related[0].score, related[1].score);
-  EXPECT_EQ(related[0].score,
-            static_cast<double>(index.signatures().bits()));
-  EXPECT_EQ(related[2].doc, 1u);
-  EXPECT_LT(related[2].score, related[1].score);
-}
-
-TEST(SignatureConfigTest, CustomWidthRoundTrips) {
-  IndexBuildOptions opts;
-  opts.signature = SignatureConfig{512, 3};
-  InvertedIndex index(opts);
-  index.Add(MakeDoc(1, "one two three"));
-  index.Add(MakeDoc(2, "two three four"));
-  index.Finalize();
-  EXPECT_TRUE(index.has_signatures());
-  EXPECT_EQ(index.signatures().bits(), 512u);
-  EXPECT_EQ(index.signatures().words_per_row(), 8u);
-  EXPECT_EQ(index.PhraseResultCount("two three"), 2u);
-  EXPECT_EQ(index.PhraseResultCount("three two"), 0u);
-}
-
-// ---- Pattern window signatures ----
-
-TEST(PatternWindowTest, ClassBits) {
-  EXPECT_EQ(PatternWindowSignature(""), 0u);
-  EXPECT_EQ(PatternWindowSignature("plain words only"), 0u);
-  EXPECT_EQ(PatternWindowSignature("a:b"), kPatternClassUrlColon);
-  EXPECT_EQ(PatternWindowSignature("tel 555"), kPatternClassPhoneStart);
-  EXPECT_EQ(PatternWindowSignature("+x"), kPatternClassPhoneStart);
-  EXPECT_EQ(PatternWindowSignature("(x"), kPatternClassPhoneStart);
-  EXPECT_EQ(PatternWindowSignature("a@b"), kPatternClassAt);
-  // The "ww" digram must be adjacent; "w.w" is not a www witness.
-  EXPECT_EQ(PatternWindowSignature("www"), kPatternClassUrlWww);
-  EXPECT_EQ(PatternWindowSignature("w.w"), 0u);
-  EXPECT_EQ(PatternWindowSignature("wow wow"), 0u);
-  EXPECT_EQ(PatternWindowSignature("http://x.com 555-123-4567"),
-            kPatternClassUrlColon | kPatternClassPhoneStart);
-}
-
-TEST(PatternWindowTest, GatedScanIdenticalOnBoundaryStraddlers) {
-  // Matches placed so their witness bytes straddle the 64-byte window
-  // edges: the margin scan must keep those windows.
-  const std::string pad(60, 'x');
-  const std::string texts[] = {
-      pad + " www.example.com and tail words here",
-      pad + " https://site.org/path more",
-      pad + " 555-123-4567 trailing",
-      pad + " bob.smith@mail.example.com end",
-      pad + "  " + pad + " nothing at all",
-      "",
-      "short",
-      std::string(200, 'a'),
-  };
-  for (const std::string& text : texts) {
-    std::vector<PatternMatch> gated;
-    std::vector<PatternMatch> plain;
-    DetectPatternsInto(text, &gated, true);
-    DetectPatternsInto(text, &plain, false);
-    ASSERT_EQ(gated.size(), plain.size()) << "text: " << text;
-    for (size_t i = 0; i < gated.size(); ++i) {
-      EXPECT_EQ(gated[i].begin, plain[i].begin);
-      EXPECT_EQ(gated[i].end, plain[i].end);
-      EXPECT_EQ(static_cast<int>(gated[i].kind),
-                static_cast<int>(plain[i].kind));
-      EXPECT_EQ(gated[i].text, plain[i].text);
-    }
-  }
-}
-
-// ---- EntityDetector gate ----
-
-TEST(SignatureDetectorTest, GateMatchesUngatedPipeline) {
-  std::vector<EntityDetector::DictionaryEntry> dict = {
-      {"new york", EntityType::kPlace, 0},
-      {"jaguar", EntityType::kConcept, 0},
-      {"machine learning", EntityType::kConcept, 0},
-  };
-  DetectorOptions on;
-  DetectorOptions off;
-  off.signature_prefilter = false;
-  EntityDetector gated(dict, nullptr, on);
-  EntityDetector plain(dict, nullptr, off);
-
-  const char* texts[] = {
-      "i love new york in the spring",
-      "the jaguar prowls",
-      "machine learning with a jaguar in new york",
-      // Terms present but never forming an entry: the gate may pass the
-      // doc, the automaton must still find nothing.
-      "york new machine jaguar learning",
-      "totally unrelated words about turtles",
-      "",
-  };
-  for (const char* text : texts) {
-    const auto a = gated.Detect(text);
-    const auto b = plain.Detect(text);
-    ASSERT_EQ(a.size(), b.size()) << "text: " << text;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].key, b[i].key);
-      EXPECT_EQ(a[i].begin, b[i].begin);
-      EXPECT_EQ(a[i].end, b[i].end);
-      EXPECT_EQ(static_cast<int>(a[i].type), static_cast<int>(b[i].type));
-    }
-  }
-}
-
-TEST(SignatureDetectorTest, RejectedDocStillReportsPatterns) {
-  std::vector<EntityDetector::DictionaryEntry> dict = {
-      {"new york", EntityType::kPlace, 0},
-  };
-  EntityDetector detector(dict, nullptr, DetectorOptions{});
-  // No dictionary terms at all — the AC gate rejects the doc — but the
-  // pattern stage is independent and must still fire.
-  const auto detections =
-      detector.Detect("reach me at bob@example.com please");
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].type, EntityType::kPattern);
-  EXPECT_EQ(detections[0].surface, "bob@example.com");
 }
 
 }  // namespace
