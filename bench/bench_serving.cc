@@ -1,6 +1,8 @@
 // Serving-daemon benchmark: drives ckr_serve with the deterministic
 // million-user load generator and reports the latency distribution,
-// throughput, and shed accounting the daemon's telemetry captures.
+// offered load and goodput, and shed accounting the daemon's telemetry
+// captures. Offered rate = requests submitted / wall seconds; goodput =
+// kOk responses / wall seconds. They differ once a leg sheds.
 //
 // Legs, each on a fresh daemon + metric registry:
 //  * closed loop  — N clients submit-and-wait; measures service capacity
@@ -49,9 +51,10 @@ struct LegResult {
   const char* name = "";
   const char* mode = "";
   uint64_t offered = 0;
-  double offered_qps = 0.0;  // 0 for closed-loop legs.
+  double target_qps = 0.0;  // Open-loop arrival rate; 0 for closed loop.
   double seconds = 0.0;
-  double throughput_qps = 0.0;
+  double offered_qps = 0.0;  // offered / seconds.
+  double goodput_qps = 0.0;  // completed (kOk) / seconds.
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
@@ -92,6 +95,8 @@ void FillFromMetrics(obs::MetricRegistry& metrics, LegResult* leg) {
   leg->queue_p50_us = queued->Percentile(0.5) * 1e6;
   leg->queue_p99_us = queued->Percentile(0.99) * 1e6;
   leg->completed = metrics.GetCounter("ckr.serve.completed")->Value();
+  leg->offered_qps = static_cast<double>(leg->offered) / leg->seconds;
+  leg->goodput_qps = static_cast<double>(leg->completed) / leg->seconds;
   leg->partial = metrics.GetCounter("ckr.serve.partial")->Value();
   leg->shed_queue_full =
       metrics.GetCounter("ckr.serve.shed_queue_full")->Value();
@@ -165,7 +170,6 @@ LegResult RunClosedLoop(const char* name, const World& world,
   leg.seconds = wall.SecondsSince(start);
   daemon.Stop();
 
-  leg.throughput_qps = static_cast<double>(kRequestsPerLeg) / leg.seconds;
   leg.all_answered =
       answered.load() == kRequestsPerLeg && failed.load() == 0;
   FillFromMetrics(metrics, &leg);
@@ -173,16 +177,16 @@ LegResult RunClosedLoop(const char* name, const World& world,
 }
 
 /// Open loop: one dispatcher fires requests on the Poisson schedule at
-/// `offered_qps`, regardless of completions. Small queue + per-request
+/// `target_qps`, regardless of completions. Small queue + per-request
 /// deadline make overload shed instead of queue without bound.
 LegResult RunOpenLoop(const char* name, const World& world,
-                      const LoadGenerator& gen, double offered_qps,
+                      const LoadGenerator& gen, double target_qps,
                       int64_t deadline_budget_nanos) {
   LegResult leg;
   leg.name = name;
   leg.mode = "open";
   leg.offered = kRequestsPerLeg;
-  leg.offered_qps = offered_qps;
+  leg.target_qps = target_qps;
 
   obs::MetricRegistry metrics;
   ServeDaemonConfig config;
@@ -195,7 +199,7 @@ LegResult RunOpenLoop(const char* name, const World& world,
   obs::Gauge* depth_gauge = metrics.GetGauge("ckr.serve.queue_depth");
 
   const std::vector<int64_t> arrivals =
-      gen.ArrivalNanos(kRequestsPerLeg, offered_qps);
+      gen.ArrivalNanos(kRequestsPerLeg, target_qps);
   std::atomic<uint64_t> answered{0};
   const Clock& wall = RealClock();
   const int64_t start = wall.NowNanos();
@@ -220,7 +224,6 @@ LegResult RunOpenLoop(const char* name, const World& world,
   daemon.Stop();  // Drains the backlog; every admitted request answers.
   leg.seconds = wall.SecondsSince(start);
   leg.max_queue_depth = max_depth;
-  leg.throughput_qps = static_cast<double>(kRequestsPerLeg) / leg.seconds;
   leg.all_answered = answered.load() == kRequestsPerLeg;
   FillFromMetrics(metrics, &leg);
   return leg;
@@ -228,10 +231,12 @@ LegResult RunOpenLoop(const char* name, const World& world,
 
 void PrintLeg(const LegResult& leg) {
   std::printf(
-      "%-14s %6s %7.0f qps  lat p50/p99/p999 %8.1f/%9.1f/%9.1f us  "
-      "shed %5.1f%%  swaps %llu  %s\n",
-      leg.name, leg.mode, leg.throughput_qps, leg.latency_p50_us,
-      leg.latency_p99_us, leg.latency_p999_us, leg.shed_rate * 100.0,
+      "%-14s %6s offered %7.0f qps  goodput %7.0f qps  "
+      "lat p50/p99/p999 %8.1f/%9.1f/%9.1f us  shed %5.1f%%  swaps %llu  "
+      "%s\n",
+      leg.name, leg.mode, leg.offered_qps, leg.goodput_qps,
+      leg.latency_p50_us, leg.latency_p99_us, leg.latency_p999_us,
+      leg.shed_rate * 100.0,
       static_cast<unsigned long long>(leg.swaps),
       leg.all_answered ? "all answered" : "LOST REQUESTS");
 }
@@ -240,7 +245,8 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
   std::fprintf(
       f,
       "    {\"name\": \"%s\", \"mode\": \"%s\", \"offered\": %llu, "
-      "\"offered_qps\": %.1f, \"seconds\": %.4f, \"throughput_qps\": %.1f,\n"
+      "\"target_qps\": %.1f, \"seconds\": %.4f, \"offered_qps\": %.1f, "
+      "\"goodput_qps\": %.1f,\n"
       "     \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, \"p999\": %.1f}, "
       "\"queue_us\": {\"p50\": %.1f, \"p99\": %.1f},\n"
       "     \"completed\": %llu, \"partial\": %llu, \"shed_queue_full\": "
@@ -248,9 +254,10 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
       "     \"max_queue_depth\": %.0f, \"snapshot_swaps\": %llu, "
       "\"all_answered\": %s}%s\n",
       leg.name, leg.mode, static_cast<unsigned long long>(leg.offered),
-      leg.offered_qps, leg.seconds, leg.throughput_qps, leg.latency_p50_us,
-      leg.latency_p99_us, leg.latency_p999_us, leg.queue_p50_us,
-      leg.queue_p99_us, static_cast<unsigned long long>(leg.completed),
+      leg.target_qps, leg.seconds, leg.offered_qps, leg.goodput_qps,
+      leg.latency_p50_us, leg.latency_p99_us, leg.latency_p999_us,
+      leg.queue_p50_us, leg.queue_p99_us,
+      static_cast<unsigned long long>(leg.completed),
       static_cast<unsigned long long>(leg.partial),
       static_cast<unsigned long long>(leg.shed_queue_full),
       static_cast<unsigned long long>(leg.shed_deadline), leg.shed_rate,
@@ -278,7 +285,9 @@ void Run() {
 
   std::vector<LegResult> legs;
   legs.push_back(RunClosedLoop("closed_loop", *world, gen, nullptr));
-  const double capacity_qps = legs[0].throughput_qps;
+  // Closed loop offers only what it completes, so its goodput is the
+  // daemon's capacity.
+  const double capacity_qps = legs[0].goodput_qps;
   // Near capacity the open loop mostly completes; at 3x it must shed.
   legs.push_back(RunOpenLoop("open_0.7x", *world, gen, 0.7 * capacity_qps,
                              /*deadline_budget_nanos=*/200'000'000));
@@ -307,6 +316,7 @@ void Run() {
   std::fprintf(f, "  \"shards\": %zu,\n", kShards);
   std::fprintf(f, "  \"workers\": %u,\n", kWorkers);
   std::fprintf(f, "  \"clients\": %u,\n", kClients);
+  std::fprintf(f, "  \"capacity_qps\": %.1f,\n", capacity_qps);
   std::fprintf(f, "  \"load\": {\"users\": %u, \"user_zipf\": %.2f, "
                "\"hot_entity_prob\": %.2f, \"hot_set_size\": %zu, "
                "\"burst_period\": %llu, \"seed\": %llu},\n",

@@ -6,7 +6,9 @@
 # clean run here is the memory-safety gate for the term-id layout, the
 # block index, and the equivalence suites that compare them to the legacy
 # index byte for byte. The Stemmer's memo (offsets into a shared key
-# buffer, linear probing) and the tokenizer run here too.
+# buffer, linear probing) and the tokenizer run here too, and so does the
+# Aho-Corasick matcher, whose dense root row is indexed by term id without
+# a bounds check.
 #
 # Usage: scripts/asan_check.sh [extra ctest args]
 set -euo pipefail
@@ -15,6 +17,6 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target \
   index_test index_equiv_test block_index_test offline_parallel_test \
-  stem_memo_test text_test
+  stem_memo_test text_test detect_test
 ctest --test-dir build-asan --output-on-failure "$@" \
-  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax|StemMemo|Tokeniz|AsciiClassifier)'
+  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector)'

@@ -3,8 +3,9 @@
 # and runs them. The flat trainer does manual pointer arithmetic over the
 # pre-transformed matrix and the pair-difference rows, and the v2 model
 # format round-trips raw little-endian doubles, so a clean run here is the
-# UB gate for the contiguous training engine. The Stemmer's memo and the
-# tokenizer's byte classifiers (signed char comparisons) run here too.
+# UB gate for the contiguous training engine. The Stemmer's memo, the
+# tokenizer's byte classifiers (signed char comparisons) and the
+# Aho-Corasick matcher's id arithmetic run here too.
 #
 # Usage: scripts/ubsan_check.sh [extra ctest args]
 set -euo pipefail
@@ -13,6 +14,6 @@ cd "$(dirname "$0")/.."
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$(nproc)" --target \
   ranksvm_test training_parallel_test eval_test core_test stem_memo_test \
-  text_test
+  text_test detect_test
 ctest --test-dir build-ubsan --output-on-failure "$@" \
-  -R '(RankSvm|TrainingParallel|Bootstrap|Core|StemMemo|Tokeniz|AsciiClassifier)'
+  -R '(RankSvm|TrainingParallel|Bootstrap|Core|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector)'

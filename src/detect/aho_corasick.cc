@@ -80,8 +80,13 @@ void PhraseMatcher::Build() {
     }
   }
 
-  // Freeze into the CSR layout: per-node transition spans sorted by term
-  // id, output lists flattened, construction maps discarded.
+  // Freeze into the CSR layout: the root's transitions into a dense row
+  // indexed by term id, every other node's into a span sorted by term id,
+  // output lists flattened, construction maps discarded.
+  root_next_.assign(term_ids_.size(), -1);
+  for (const auto& [tid, target] : nodes_[kRoot].next) {
+    root_next_[tid] = static_cast<int32_t>(target);
+  }
   flat_.resize(nodes_.size());
   size_t total_trans = 0;
   size_t total_outs = 0;
@@ -89,6 +94,7 @@ void PhraseMatcher::Build() {
     total_trans += n.next.size();
     total_outs += n.outputs.size();
   }
+  total_trans -= nodes_[kRoot].next.size();
   trans_terms_.reserve(total_trans);
   trans_targets_.reserve(total_trans);
   outputs_.reserve(total_outs);
@@ -98,7 +104,10 @@ void PhraseMatcher::Build() {
     FlatNode& f = flat_[i];
     f.fail = static_cast<int32_t>(n.fail);
     f.trans_begin = static_cast<uint32_t>(trans_terms_.size());
-    sorted.assign(n.next.begin(), n.next.end());
+    sorted.clear();
+    if (i != static_cast<size_t>(kRoot)) {  // The root's are in root_next_.
+      sorted.assign(n.next.begin(), n.next.end());
+    }
     std::sort(sorted.begin(), sorted.end());
     for (const auto& [tid, target] : sorted) {
       trans_terms_.push_back(tid);
@@ -127,19 +136,28 @@ void PhraseMatcher::Build() {
     CKR_DCHECK_GT(target, 0);
     CKR_DCHECK_LT(static_cast<size_t>(target), flat_.size());
   }
+  CKR_DCHECK_EQ(flat_[kRoot].trans_begin, flat_[kRoot].trans_end);
+  for (int32_t target : root_next_) {
+    CKR_DCHECK_GE(target, -1);
+    CKR_DCHECK_NE(target, 0);
+    CKR_DCHECK_LT(target, static_cast<int32_t>(flat_.size()));
+  }
 #endif
   built_ = true;
 }
 
 int32_t PhraseMatcher::FlatStep(int32_t node, uint32_t tid) const {
   CKR_DCHECK_LT(static_cast<size_t>(node), flat_.size());
+  if (node == kRoot) {
+    return tid < root_next_.size() ? root_next_[tid] : -1;
+  }
   const FlatNode& f = flat_[static_cast<size_t>(node)];
   const size_t lo = f.trans_begin;
   const Span<const uint32_t> terms(trans_terms_.data() + lo,
                                    f.trans_end - f.trans_begin);
   const Span<const int32_t> targets(trans_targets_.data() + lo, terms.size());
-  // Short spans (the overwhelming majority outside the root) probe
-  // linearly; the root's wide fan-out binary-searches.
+  // Short spans (the overwhelming majority) probe linearly; wide ones
+  // binary-search.
   if (terms.size() <= 8) {
     for (size_t i = 0; i < terms.size(); ++i) {
       if (terms[i] == tid) return targets[i];

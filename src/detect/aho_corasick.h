@@ -9,9 +9,11 @@
 // Build() freezes the trie into a flat CSR-style automaton: one contiguous
 // node array, transitions stored as sorted (term, target) spans probed
 // with a linear/binary scan, and output lists flattened into one array.
-// The per-node hash maps used during construction are discarded, so the
-// matching loop touches only three contiguous arrays — the index-layout
-// discipline of PISA-style engines applied to the matcher.
+// The root, which every unmatched token and every fail chain returns to,
+// gets a dense row instead: one target per term id, so its step is a
+// single load. The per-node hash maps used during construction are
+// discarded, so the matching loop touches only contiguous arrays — the
+// index-layout discipline of PISA-style engines applied to the matcher.
 #ifndef CKR_DETECT_AHO_CORASICK_H_
 #define CKR_DETECT_AHO_CORASICK_H_
 
@@ -65,7 +67,8 @@ class PhraseMatcher {
 
   /// Allocation-free variant over pre-interned term ids (from TermId);
   /// kUnknownTerm entries reset the automaton, exactly like tokens that
-  /// appear in no phrase. Clears and fills `*out`.
+  /// appear in no phrase, and so do ids >= NumTerms(). Clears and fills
+  /// `*out`.
   void FindAllTids(const uint32_t* tids, size_t n,
                    std::vector<PhraseMatch>* out) const;
 
@@ -80,7 +83,7 @@ class PhraseMatcher {
   };
 
   /// Frozen node: half-open spans into trans_terms_/trans_targets_ and
-  /// outputs_.
+  /// outputs_. The root's transition span is empty; root_next_ holds them.
   struct FlatNode {
     uint32_t trans_begin = 0;
     uint32_t trans_end = 0;
@@ -103,6 +106,7 @@ class PhraseMatcher {
   std::vector<FlatNode> flat_;
   std::vector<uint32_t> trans_terms_;    ///< Sorted within each node span.
   std::vector<int32_t> trans_targets_;   ///< Parallel to trans_terms_.
+  std::vector<int32_t> root_next_;  ///< Root target per term id, -1 = none.
   std::vector<std::pair<uint32_t, uint32_t>> outputs_;  ///< (payload, len).
 };
 

@@ -70,12 +70,17 @@ EntityDetector EntityDetector::FromWorld(const World& world,
 const std::vector<RawDetection>& EntityDetector::DetectRaw(
     std::string_view text, Scratch* scratch) const {
   TokenizeInto(text, &scratch->tokens);
-  return DetectRawPreTokenized(text, scratch);
+  scratch->token_tids.clear();
+  for (const Token& t : scratch->tokens) {
+    scratch->token_tids.push_back(matcher_.TermId(t.text));
+  }
+  return DetectRawInterned(text, scratch);
 }
 
-const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
+const std::vector<RawDetection>& EntityDetector::DetectRawInterned(
     std::string_view text, Scratch* scratch) const {
   const std::vector<Token>& tokens = scratch->tokens;
+  CKR_DCHECK_EQ(tokens.size(), scratch->token_tids.size());
   scratch->raw.clear();
 
   // Stage 1: pattern detectors (regex-equivalent scanners). Patterns are
@@ -97,14 +102,8 @@ const std::vector<RawDetection>& EntityDetector::DetectRawPreTokenized(
     }
   }
 
-  // Stage 2: one Aho-Corasick pass over pre-interned term ids for
+  // Stage 2: one Aho-Corasick pass over the pre-interned term ids for
   // dictionary entities and concepts.
-  scratch->token_tids.clear();
-  scratch->token_tids.reserve(tokens.size());
-  for (const Token& t : tokens) {
-    scratch->token_tids.push_back(matcher_.TermId(t.text));
-  }
-  scratch->matches.clear();
   matcher_.FindAllTids(scratch->token_tids.data(), scratch->token_tids.size(),
                        &scratch->matches);
 

@@ -112,17 +112,27 @@ class EntityDetector {
   /// offset; overlaps resolved per options.
   std::vector<Detection> Detect(std::string_view text) const;
 
-  /// Allocation-free pipeline core: tokenizes into `scratch->tokens` and
-  /// fills `scratch->raw` with id-keyed detections in the same order
-  /// Detect() returns them. The returned reference aliases scratch->raw.
+  /// Allocation-free pipeline: tokenizes into `scratch->tokens`, interns
+  /// them into `scratch->token_tids` and runs DetectRawInterned.
   const std::vector<RawDetection>& DetectRaw(std::string_view text,
                                              Scratch* scratch) const;
 
-  /// Like DetectRaw but trusts the caller-provided `scratch->tokens`
-  /// (must be Tokenize(text) with default options); lets the runtime
-  /// ranker tokenize once for both stemming and detection.
-  const std::vector<RawDetection>& DetectRawPreTokenized(
-      std::string_view text, Scratch* scratch) const;
+  /// The pipeline core. Trusts the caller-provided `scratch->tokens`
+  /// (must be Tokenize(text) with default options) and
+  /// `scratch->token_tids` (must be TermId of each token's text), which
+  /// lets the runtime ranker tokenize and hash each token once for both
+  /// stemming and detection. Fills `scratch->raw` with id-keyed
+  /// detections in the same order Detect() returns them; the returned
+  /// reference aliases scratch->raw.
+  const std::vector<RawDetection>& DetectRawInterned(std::string_view text,
+                                                     Scratch* scratch) const;
+
+  /// Matcher term id of a normalized token: what DetectRawInterned expects
+  /// in `token_tids`. PhraseMatcher::kUnknownTerm if the token appears in
+  /// no entry.
+  uint32_t TermId(std::string_view token) const {
+    return matcher_.TermId(token);
+  }
 
   size_t NumDictionaryEntries() const { return num_dictionary_entries_; }
   size_t NumConceptEntries() const { return num_concept_entries_; }

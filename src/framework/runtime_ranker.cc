@@ -451,22 +451,33 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
   // Stemmer component: tokenize once (shared with detection below) and
-  // resolve every token to its context TID through the scratch's memo,
-  // which runs the stop-word -> Porter -> TID chain only on forms it has
-  // not seen (kMaxTid: stop word or unknown stem).
+  // resolve every token through the scratch's memo to its context TID and
+  // its detector term id. The memo runs the stop-word -> Porter -> TID
+  // chain and the detector's term lookup only on forms it has not seen
+  // (kMaxTid: stop word or unknown stem).
   int64_t t0 = clock_->NowNanos();
-  TokenizeInto(text, &scratch->detect.tokens);
+  std::vector<Token>& tokens = scratch->detect.tokens;
+  std::vector<uint32_t>& token_tids = scratch->detect.token_tids;
+  TokenizeInto(text, &tokens);
+  token_tids.resize(tokens.size());
   scratch->context.Reset(tids_.size());
   StemMemo& memo = scratch->stem_memo;
   memo.Bind(id_, tids_.size());
-  const auto stem_to_tid = [&](std::string_view form) {
-    if (IsStopWord(form)) return GlobalTidTable::kMaxTid;
-    PorterStemInto(form, &scratch->stem_buf);
-    return tids_.Lookup(scratch->stem_buf);
+  const auto resolve = [&](std::string_view form) {
+    StemMemo::Ids ids;
+    ids.term = detector_.TermId(form);
+    if (IsStopWord(form)) {
+      ids.tid = GlobalTidTable::kMaxTid;
+    } else {
+      PorterStemInto(form, &scratch->stem_buf);
+      ids.tid = tids_.Lookup(scratch->stem_buf);
+    }
+    return ids;
   };
-  for (const Token& tok : scratch->detect.tokens) {
-    uint32_t tid = memo.Resolve(tok.text, stem_to_tid);
-    if (tid != GlobalTidTable::kMaxTid) scratch->context.Insert(tid);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const StemMemo::Ids ids = memo.Resolve(tokens[i].text, resolve);
+    token_tids[i] = ids.term;
+    if (ids.tid != GlobalTidTable::kMaxTid) scratch->context.Insert(ids.tid);
   }
   const StemMemo::Tally memo_tally = memo.TakeTally();
   double stem_s = clock_->SecondsSince(t0);
@@ -474,7 +485,7 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
   // Ranker component, stage 1: candidate detection on the flat automaton.
   int64_t t1 = clock_->NowNanos();
   const std::vector<RawDetection>& raw =
-      detector_.DetectRawPreTokenized(text, &scratch->detect);
+      detector_.DetectRawInterned(text, &scratch->detect);
   double match_s = clock_->SecondsSince(t1);
 
   // Ranker component, stage 2: id-keyed feature assembly + model scoring.

@@ -3,8 +3,9 @@
 // All mining is offline; the online path must run under tight latency and
 // memory budgets. The components mirror the paper:
 //  * Stemmer — stems the incoming document once and caches the result
-//    (the per-scratch StemMemo also carries token -> TID across
-//    documents, so Porter runs once per distinct surface form);
+//    (the per-scratch StemMemo also carries token -> TID and detector
+//    term id across documents, so Porter and both lookups run once per
+//    distinct surface form);
 //  * quantized interestingness store — each of the vector's fields fits in
 //    two bytes ("this causes a minor decrease in granularity"), 18 MB per
 //    million concepts;
@@ -244,7 +245,7 @@ struct RankerScratch {
   EntityDetector::Scratch detect;
   EpochSet context;       ///< Stemmed context TIDs (universe: TID table).
   EpochSet seen_entries;  ///< Detector entries already emitted.
-  StemMemo stem_memo;     ///< Token text -> TID, kept across documents.
+  StemMemo stem_memo;  ///< Token text -> TID + term id, kept across docs.
   std::string stem_buf;
   std::vector<double> features;
 };

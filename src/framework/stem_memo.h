@@ -1,15 +1,17 @@
-// Surface-form -> TID memo for the runtime Stemmer component (Section VI).
+// Surface-form -> ids memo for the runtime Stemmer component (Section VI).
 //
 // News text repeats itself: over a run of ~1,400 documents fewer than 2%
 // of the tokens are new surface forms. The Stemmer's per-token chain
 // (stop-word check, Porter, TID lookup) is a pure function of the
-// normalized token given the TID table, so its result can be cached
-// exactly. StemMemo is that cache: a flat open-addressing table keyed by
-// the token text, living in the per-thread RankerScratch.
+// normalized token given the TID table, and so is the detector's matcher
+// term id given the detector, so both can be cached exactly. StemMemo is
+// that cache: a flat open-addressing table keyed by the token text,
+// living in the per-thread RankerScratch, that hands out both ids with
+// one hash of the token.
 //
 // Contract:
 //  * Exact. A hit returns what the chain returned for the same text; a
-//    miss runs the chain itself. The memo never changes a TID.
+//    miss runs the chain itself. The memo never changes an id.
 //  * Bounded, with no knob. The table has kSlots slots and holds at most
 //    kMaxEntries = kSlots / 2 forms; inserting into a full memo clears it
 //    first. Forms longer than kMaxFormBytes are resolved but not stored,
@@ -18,7 +20,9 @@
 //    the caller's ranker id or the TID table's size differs from the last
 //    call: a thread's scratch may serve several rankers, and an Intern()
 //    into the table can turn a cached "unknown" into a real TID. The table
-//    is append-only, so an unchanged size means unchanged contents.
+//    is append-only, so an unchanged size means unchanged contents. A
+//    ranker's detector is fixed and immutable, so the ranker id also
+//    covers the cached term ids.
 #ifndef CKR_FRAMEWORK_STEM_MEMO_H_
 #define CKR_FRAMEWORK_STEM_MEMO_H_
 
@@ -39,6 +43,13 @@ class StemMemo {
   static constexpr size_t kMaxEntries = kSlots / 2;
   static constexpr size_t kMaxFormBytes = 64;
 
+  /// The two ids cached per form.
+  struct Ids {
+    uint32_t tid = 0;   ///< Context TID (the Stemmer's chain).
+    uint32_t term = 0;  ///< The detector's matcher term id.
+    bool operator==(const Ids&) const = default;
+  };
+
   /// Hit/miss/reset counts since the last TakeTally().
   struct Tally {
     uint64_t hits = 0;
@@ -57,10 +68,10 @@ class StemMemo {
     table_size_ = table_size;
   }
 
-  /// Returns the TID of `form`: the cached one on a hit, else
+  /// Returns the ids of `form`: the cached ones on a hit, else
   /// `compute(form)`, which is then cached.
   template <typename Compute>
-  uint32_t Resolve(std::string_view form, Compute&& compute) {
+  Ids Resolve(std::string_view form, Compute&& compute) {
     if (form.size() > kMaxFormBytes) {
       ++tally_.misses;
       return compute(form);
@@ -74,20 +85,20 @@ class StemMemo {
           std::memcmp(keys_.data() + s.offset, form.data(), form.size()) ==
               0) {
         ++tally_.hits;
-        return s.tid;
+        return s.ids;
       }
     }
     ++tally_.misses;
-    const uint32_t tid = compute(form);
+    const Ids ids = compute(form);
     if (entries_ == kMaxEntries) {
       Clear();
       i = static_cast<size_t>(h) & (kSlots - 1);
     }
     slots_[i] = Slot{tag, static_cast<uint32_t>(keys_.size()),
-                     static_cast<uint32_t>(form.size()), tid};
+                     static_cast<uint32_t>(form.size()), ids};
     keys_.append(form);
     ++entries_;
-    return tid;
+    return ids;
   }
 
   /// Returns the counts accumulated since the previous call and zeroes
@@ -106,7 +117,7 @@ class StemMemo {
     uint32_t tag = 0;  ///< High hash bits with the low bit set; 0 = empty.
     uint32_t offset = 0;  ///< Start of the form in keys_.
     uint32_t length = 0;
-    uint32_t tid = 0;
+    Ids ids;
   };
 
   void Clear() {

@@ -393,6 +393,12 @@ std::vector<SearchResult> InvertedIndex::Search(
     CKR_OBS_COUNTER_ADD("ckr.index.search_terms", terms.size());
     return block_index_.TopK(MakeSpan(tids), k, evaluator);
   }
+  if (evaluator != QueryEvaluator::kExhaustive) {
+    // A pruned evaluator cannot run here: its max-score metadata holds
+    // only for the default parameters, or there is no block index. The
+    // exhaustive scorer answers instead, with the same result.
+    CKR_OBS_COUNTER_INC("ckr.index.evaluator_fallbacks");
+  }
   const double n = score_num_docs_;
   std::vector<double> acc(docs_.size(), 0.0);
   std::vector<uint8_t> seen(docs_.size(), 0);

@@ -158,9 +158,11 @@ class InvertedIndex {
   /// `evaluator` selects the top-k algorithm (top_k.h). The pruned
   /// evaluators (MaxScore, Block-Max-WAND) run on the block-compressed
   /// index and return the exact exhaustive result — same documents,
-  /// bit-identical scores — but their max-score metadata is precomputed
-  /// for the default Bm25Params, so a query with non-default parameters
-  /// silently falls back to the exhaustive scorer.
+  /// bit-identical scores. Their max-score metadata is precomputed for
+  /// the default Bm25Params, so a pruned evaluator asked for with
+  /// non-default parameters, or on an index without a block index
+  /// (has_block_index()), runs the exhaustive scorer instead and counts
+  /// it in `ckr.index.evaluator_fallbacks`. The result is the same.
   std::vector<SearchResult> Search(
       std::string_view query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
@@ -214,7 +216,7 @@ class InvertedIndex {
 
   /// True once a block index exists (eager Finalize build, explicit
   /// RebuildBlockIndex, or LoadBlockIndex). While false, Search() routes
-  /// pruned evaluators through the exhaustive scorer.
+  /// pruned evaluators through the exhaustive scorer (a counted fallback).
   bool has_block_index() const { return has_block_index_; }
 
   /// Build options this index was constructed with.

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -124,6 +127,152 @@ TEST(AhoCorasickTest, TermIdAndPreInternedFindAll) {
   std::vector<uint32_t> broken = {t_new, PhraseMatcher::kUnknownTerm, t_york};
   m.FindAllTids(broken.data(), broken.size(), &got);
   EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(m.FindAll({"new", "boston", "york"}).empty());
+}
+
+using MatchTuple = std::tuple<uint32_t, uint32_t, uint32_t>;
+
+std::vector<MatchTuple> AsTuples(const std::vector<PhraseMatch>& matches) {
+  std::vector<MatchTuple> out;
+  for (const PhraseMatch& m : matches) {
+    out.emplace_back(m.token_begin, m.token_count, m.payload);
+  }
+  return out;
+}
+
+// Brute-force reference for FindAllTids: at every end position, every
+// registered phrase that ends there, longest first — the automaton reports
+// a node's own phrase before the ones it inherits along its fail chain.
+// `phrases` holds (term ids, payload) with duplicates already dropped.
+std::vector<MatchTuple> BruteForceMatches(
+    const std::vector<std::pair<std::vector<uint32_t>, uint32_t>>& phrases,
+    const std::vector<uint32_t>& tids) {
+  std::vector<MatchTuple> out;
+  for (size_t end = 1; end <= tids.size(); ++end) {
+    std::vector<MatchTuple> here;
+    for (const auto& [terms, payload] : phrases) {
+      if (terms.size() > end) continue;
+      const size_t begin = end - terms.size();
+      if (std::equal(terms.begin(), terms.end(), tids.begin() + begin)) {
+        here.emplace_back(static_cast<uint32_t>(begin),
+                          static_cast<uint32_t>(terms.size()), payload);
+      }
+    }
+    std::sort(here.begin(), here.end(),
+              [](const MatchTuple& a, const MatchTuple& b) {
+                return std::get<1>(a) > std::get<1>(b);
+              });
+    out.insert(out.end(), here.begin(), here.end());
+  }
+  return out;
+}
+
+// Seeded sweep of the frozen automaton against the brute-force reference.
+// Phrase sets alternate between narrow vocabularies (every node's fan-out
+// is at most 8: the linear-probe spans) and wide ones (the root's dense
+// row is wider than 8, and so are inner nodes, which binary-search).
+// Streams mix phrase occurrences, terms of no phrase (kUnknownTerm) and
+// raw ids >= NumTerms(), which must behave exactly like unknown terms:
+// the string path, where those positions hold a word of no phrase, must
+// report the same matches.
+TEST(AhoCorasickTest, MatchesBruteForceOnRandomPhraseSets) {
+  size_t narrow_sets = 0, wide_root_sets = 0, wide_inner_sets = 0;
+  size_t total_matches = 0, out_of_range_ids = 0, unknown_ids = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const bool narrow = seed % 2 == 0;
+    const size_t vocab = narrow ? 3 + rng.NextBounded(6)     // 3..8
+                                : 12 + rng.NextBounded(29);  // 12..40
+    auto word = [](size_t k) { return "w" + std::to_string(k); };
+
+    PhraseMatcher m;
+    std::vector<std::pair<std::vector<std::string>, uint32_t>> phrases;
+    std::map<std::vector<std::string>, std::set<std::string>> fan_out;
+    const size_t num_phrases = 1 + rng.NextBounded(60);
+    for (uint32_t p = 0; p < num_phrases; ++p) {
+      std::vector<std::string> terms;
+      const size_t len = 1 + rng.NextBounded(4);
+      for (size_t t = 0; t < len; ++t) {
+        // A shared first term grows one wide inner node.
+        terms.push_back(t == 0 && rng.NextBernoulli(0.5)
+                            ? word(0)
+                            : word(rng.NextBounded(vocab)));
+      }
+      std::string text;
+      for (const std::string& t : terms) text += t + " ";
+      ASSERT_TRUE(m.AddPhrase(text, p).ok());
+      bool duplicate = false;
+      for (const auto& [seen, payload] : phrases) duplicate |= seen == terms;
+      if (!duplicate) phrases.emplace_back(terms, p);
+      for (size_t t = 0; t < terms.size(); ++t) {
+        fan_out[std::vector<std::string>(terms.begin(), terms.begin() + t)]
+            .insert(terms[t]);
+      }
+    }
+    m.Build();
+    size_t widest_inner = 0;
+    for (const auto& [prefix, next] : fan_out) {
+      if (!prefix.empty()) widest_inner = std::max(widest_inner, next.size());
+    }
+    const size_t root_fan_out = fan_out[{}].size();
+    if (narrow) {
+      ASSERT_LE(root_fan_out, 8u);
+      ++narrow_sets;
+    } else {
+      wide_root_sets += root_fan_out > 8;
+      wide_inner_sets += widest_inner > 8;
+    }
+
+    std::vector<std::pair<std::vector<uint32_t>, uint32_t>> ref;
+    for (const auto& [terms, payload] : phrases) {
+      std::vector<uint32_t> ids;
+      for (const std::string& t : terms) ids.push_back(m.TermId(t));
+      ref.emplace_back(ids, payload);
+    }
+
+    for (int stream = 0; stream < 20; ++stream) {
+      std::vector<std::string> words;
+      std::vector<uint32_t> tids;
+      const size_t len = rng.NextBounded(200);
+      while (words.size() < len) {
+        const uint64_t u = rng.NextBounded(100);
+        if (u < 40) {
+          for (const std::string& t :
+               phrases[rng.NextBounded(phrases.size())].first) {
+            words.push_back(t);
+            tids.push_back(m.TermId(t));
+          }
+        } else if (u < 85) {
+          // Vocabulary words; the last few are in no phrase.
+          words.push_back(word(rng.NextBounded(vocab + 3)));
+          tids.push_back(m.TermId(words.back()));
+        } else {
+          words.push_back("oov");
+          const uint32_t big[] = {static_cast<uint32_t>(m.NumTerms()),
+                                  static_cast<uint32_t>(m.NumTerms()) + 7,
+                                  PhraseMatcher::kUnknownTerm - 1};
+          tids.push_back(big[rng.NextBounded(3)]);
+          ++out_of_range_ids;
+        }
+      }
+      for (uint32_t tid : tids) unknown_ids += tid == PhraseMatcher::kUnknownTerm;
+
+      std::vector<PhraseMatch> got;
+      m.FindAllTids(tids.data(), tids.size(), &got);
+      const std::vector<MatchTuple> want = BruteForceMatches(ref, tids);
+      ASSERT_EQ(AsTuples(got), want) << "seed " << seed << " stream " << stream;
+      ASSERT_EQ(AsTuples(m.FindAll(words)), want)
+          << "seed " << seed << " stream " << stream;
+      total_matches += want.size();
+    }
+  }
+  // Every branch of the sweep was exercised.
+  EXPECT_EQ(narrow_sets, 20u);
+  EXPECT_GT(wide_root_sets, 10u);
+  EXPECT_GT(wide_inner_sets, 0u);
+  EXPECT_GT(out_of_range_ids, 1000u);
+  EXPECT_GT(unknown_ids, 1000u);
+  EXPECT_GT(total_matches, 10000u);
 }
 
 // Email literals are assembled at runtime so the source file contains no

@@ -3,6 +3,8 @@
 
 #include "corpus/document.h"
 #include "index/inverted_index.h"
+#include "obs/hooks.h"
+#include "obs/metrics.h"
 
 namespace ckr {
 namespace {
@@ -252,6 +254,59 @@ TEST(IndexOptionsTest, PhraseContractHoldsWithDeferredBlockIndex) {
   ASSERT_TRUE(deferred.has_block_index());
   expect_phrases_match(deferred);
 }
+
+#if CKR_OBS_ENABLED
+// A pruned evaluator that cannot run falls back to the exhaustive scorer
+// loudly: one ckr.index.evaluator_fallbacks per search, for each of the two
+// causes, and none on the default paths.
+TEST(IndexOptionsTest, EvaluatorFallbacksAreCounted) {
+  IndexBuildOptions no_block_opts;
+  no_block_opts.build_block_index = false;
+  InvertedIndex no_block(no_block_opts);
+  InvertedIndex eager;
+  const char* texts[] = {"alpha beta gamma", "beta gamma delta",
+                         "gamma alpha beta"};
+  for (DocId d = 0; d < 3; ++d) {
+    no_block.Add(MakeDoc(d, texts[d]));
+    eager.Add(MakeDoc(d, texts[d]));
+  }
+  no_block.Finalize();
+  eager.Finalize();
+  ASSERT_FALSE(no_block.has_block_index());
+  ASSERT_TRUE(eager.has_block_index());
+
+  const obs::Counter* fallbacks = obs::MetricRegistry::Global().GetCounter(
+      "ckr.index.evaluator_fallbacks");
+  const auto count = [&](auto&& search) {
+    const uint64_t before = fallbacks->Value();
+    EXPECT_FALSE(search().empty());
+    return fallbacks->Value() - before;
+  };
+  Bm25Params tuned;
+  tuned.k1 = 2.0;
+  for (QueryEvaluator pruned :
+       {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
+    // Default paths: nothing falls back.
+    EXPECT_EQ(count([&] { return eager.Search("beta gamma", 5); }), 0u);
+    EXPECT_EQ(count([&] {
+                return eager.Search("beta gamma", 5, Bm25Params{}, pruned);
+              }),
+              0u);
+    EXPECT_EQ(count([&] { return no_block.Search("beta gamma", 5, tuned); }),
+              0u);
+    // Non-default parameters.
+    EXPECT_EQ(count([&] {
+                return eager.Search("beta gamma", 5, tuned, pruned);
+              }),
+              1u);
+    // No block index.
+    EXPECT_EQ(count([&] {
+                return no_block.Search("beta gamma", 5, Bm25Params{}, pruned);
+              }),
+              1u);
+  }
+}
+#endif
 
 TEST(IndexOptionsTest, PhraseEarlyExitsOnEmptyAndOovInput) {
   // The ResolvePhrase early exits (inverted_index.cc): empty input,

@@ -1,11 +1,13 @@
-// StemMemo: the per-scratch surface-form -> TID memo of the runtime
-// Stemmer. Unit tests pin its bounds and reset rules; the ranker tests pin
-// exactness — ProcessDocument, which resolves every token through the
-// memo, must stay bit-identical to ProcessDocumentLegacy, which never
-// touches it, across seeds, rankers sharing a scratch, mid-document
-// clears and a TID table that grows between calls.
+// StemMemo: the per-scratch surface-form -> (TID, term id) memo of the
+// runtime Stemmer. Unit tests pin its bounds and reset rules; the ranker
+// tests pin exactness — ProcessDocument, which resolves every token
+// through the memo, must stay bit-identical to ProcessDocumentLegacy,
+// which never touches it, across seeds, rankers sharing a scratch,
+// mid-document clears and a TID table that grows between calls — and pin
+// that the term ids it hands the detector are the detector's own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,6 +17,8 @@
 #include "common/rng.h"
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
+#include "detect/aho_corasick.h"
+#include "detect/entity_detector.h"
 #include "framework/stem_memo.h"
 #include "obs/hooks.h"
 #include "text/porter_stemmer.h"
@@ -34,13 +38,14 @@ std::string SyntheticForm(size_t n) {
   return s;
 }
 
-// Stand-in for the stemming chain: a value that differs per form, plus a
-// call count.
+// Stand-in for the stemming chain and the term lookup: two values that
+// differ per form, plus a call count.
 struct CountingCompute {
   size_t* calls;
-  uint32_t operator()(std::string_view form) const {
+  StemMemo::Ids operator()(std::string_view form) const {
     ++*calls;
-    return static_cast<uint32_t>(std::hash<std::string_view>{}(form) >> 40);
+    const uint64_t h = std::hash<std::string_view>{}(form);
+    return {static_cast<uint32_t>(h >> 40), static_cast<uint32_t>(h)};
   }
 };
 
@@ -48,7 +53,7 @@ TEST(StemMemoTest, MissThenHit) {
   StemMemo memo;
   size_t calls = 0;
   memo.Bind(1, 10);
-  const uint32_t first = memo.Resolve("cats", CountingCompute{&calls});
+  const StemMemo::Ids first = memo.Resolve("cats", CountingCompute{&calls});
   EXPECT_EQ(memo.Resolve("cats", CountingCompute{&calls}), first);
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(memo.size(), 1u);
@@ -185,16 +190,47 @@ class StemMemoRankerTest : public ::testing::Test {
     ranker_ = nullptr;
   }
 
-  static std::vector<std::string> Docs(uint64_t seed, size_t n) {
+  // `n` generated documents; every third is a web page unless
+  // `news_only`.
+  static std::vector<std::string> Docs(uint64_t seed, size_t n,
+                                       bool news_only = false) {
     DocGenerator gen(ranker_->pipeline().world());
     std::vector<std::string> docs;
     const DocId first = 720000 + static_cast<DocId>(seed) * 1000;
     for (size_t i = 0; i < n; ++i) {
-      const auto kind =
-          i % 3 == 2 ? Document::Kind::kWeb : Document::Kind::kNews;
+      const auto kind = !news_only && i % 3 == 2 ? Document::Kind::kWeb
+                                                 : Document::Kind::kNews;
       docs.push_back(gen.Generate(kind, first + static_cast<DocId>(i)).text);
     }
     return docs;
+  }
+
+  // A form the memo resolves but never stores.
+  static std::string LongForm() {
+    return std::string(StemMemo::kMaxFormBytes + 16, 'q');
+  }
+
+  // Another detector over the trained pipeline's dictionary and units:
+  // the dictionary in reverse order, so shared terms get other matcher
+  // term ids, plus an entry whose first term is LongForm().
+  static std::unique_ptr<EntityDetector> ReversedDetector() {
+    const Pipeline& pipeline = ranker_->pipeline();
+    std::vector<EntityDetector::DictionaryEntry> dict;
+    for (const Entity& e : pipeline.world().entities()) {
+      if (e.in_dictionary) dict.push_back({e.key, e.type, e.subtype});
+    }
+    std::reverse(dict.begin(), dict.end());
+    dict.push_back({LongForm() + " harbor", EntityType::kConcept, 0});
+    return std::make_unique<EntityDetector>(dict, &pipeline.units(),
+                                            pipeline.config().detector);
+  }
+
+  // A ranker over the trained stores, model and TID table but `detector`.
+  static std::unique_ptr<RuntimeRanker> WithDetector(
+      const EntityDetector& detector) {
+    return std::make_unique<RuntimeRanker>(
+        detector, ranker_->interestingness_store(), ranker_->relevance_store(),
+        ranker_->tid_table(), ranker_->model());
   }
 
   // A ranker over the trained detector, stores and model but another TID
@@ -323,6 +359,81 @@ TEST_F(StemMemoRankerTest, InternAfterCachedUnknownIsSeen) {
   EXPECT_TRUE(scratch.context.Contains(tid));
   ExpectContext(scratch, doc, tids);
   EXPECT_TRUE(SameRanking(after, runtime->ProcessDocumentLegacy(doc)));
+}
+
+// After ProcessDocument the scratch's term ids are the detector's own
+// TermId of every token, whether the memo was cold, warm, or skipped the
+// form for its length. Returns how many tokens had a known term id.
+size_t ExpectTermIds(const RankerScratch& scratch,
+                     const EntityDetector& detector) {
+  const EntityDetector::Scratch& d = scratch.detect;
+  EXPECT_EQ(d.token_tids.size(), d.tokens.size());
+  size_t known = 0;
+  for (size_t i = 0; i < d.tokens.size() && i < d.token_tids.size(); ++i) {
+    const uint32_t want = detector.TermId(d.tokens[i].text);
+    EXPECT_EQ(d.token_tids[i], want) << "token " << i << " '"
+                                     << d.tokens[i].text << "'";
+    known += want != PhraseMatcher::kUnknownTerm;
+  }
+  return known;
+}
+
+TEST_F(StemMemoRankerTest, TokenTermIdsEqualTheDetectorsOnColdAndWarmMemo) {
+  const std::unique_ptr<EntityDetector> reversed = ReversedDetector();
+  const std::unique_ptr<RuntimeRanker> other = WithDetector(*reversed);
+  const RuntimeRanker* rankers[] = {&ranker_->runtime(), other.get()};
+  const EntityDetector* detectors[] = {&ranker_->pipeline().detector(),
+                                       reversed.get()};
+  std::vector<std::string> docs = Docs(8, 200, /*news_only=*/true);
+  for (size_t i = 0; i < docs.size(); i += 10) {
+    docs[i] += " " + LongForm() + " harbor.";
+  }
+  for (size_t r = 0; r < 2; ++r) {
+    RankerScratch warm;
+    size_t known = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& doc : docs) {
+        RankerScratch cold;
+        rankers[r]->ProcessDocument(doc, &cold, nullptr);
+        known += ExpectTermIds(cold, *detectors[r]);
+        rankers[r]->ProcessDocument(doc, &warm, nullptr);
+        known += ExpectTermIds(warm, *detectors[r]);
+      }
+    }
+    EXPECT_GT(known, 4 * docs.size()) << "ranker " << r;  // Not vacuous.
+  }
+  // The long form is a real term of the reversed detector only.
+  EXPECT_EQ(detectors[0]->TermId(LongForm()), PhraseMatcher::kUnknownTerm);
+  EXPECT_NE(detectors[1]->TermId(LongForm()), PhraseMatcher::kUnknownTerm);
+}
+
+TEST_F(StemMemoRankerTest, OneScratchAlternatesBetweenDetectors) {
+  const std::unique_ptr<EntityDetector> reversed = ReversedDetector();
+  const std::unique_ptr<RuntimeRanker> other = WithDetector(*reversed);
+  // Same TID table, so only the ranker id tells the two memos apart.
+  const RuntimeRanker* rankers[] = {&ranker_->runtime(), other.get()};
+  const std::vector<std::string> docs = Docs(9, 40, /*news_only=*/true);
+  RankerScratch shared;
+  RankerScratch separate[2];
+  size_t nonempty = 0;
+  size_t differing_term_ids = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < docs.size(); ++i) {
+      std::vector<uint32_t> term_ids[2];
+      for (size_t r = 0; r < 2; ++r) {
+        auto got = rankers[r]->ProcessDocument(docs[i], &shared, nullptr);
+        term_ids[r] = shared.detect.token_tids;
+        auto want =
+            rankers[r]->ProcessDocument(docs[i], &separate[r], nullptr);
+        EXPECT_TRUE(SameRanking(got, want))
+            << "ranker " << r << " doc " << i << " pass " << pass;
+        if (!got.empty()) ++nonempty;
+      }
+      differing_term_ids += term_ids[0] != term_ids[1];
+    }
+  }
+  EXPECT_GT(nonempty, docs.size());
+  EXPECT_GT(differing_term_ids, docs.size());  // The detectors disagree.
 }
 
 }  // namespace
