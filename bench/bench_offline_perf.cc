@@ -283,18 +283,16 @@ EvaluatorLeg TimeEvaluator(OfflineLab* lab, const char* name,
   return leg;
 }
 
-// ---- corpus-scale legs: streaming build, docid reorder, click log ----
+// ---- corpus-scale legs: streaming build, evaluators, click log ----
 
 struct ScaleLeg {
   size_t target_docs = 0;
   size_t docs = 0;
   size_t terms = 0;
   uint64_t postings = 0;
-  double stream_build_seconds = 0.0;   ///< Generate + Add, both indexes.
-  double finalize_seconds = 0.0;       ///< Add-order Finalize.
-  double reorder_finalize_seconds = 0.0;  ///< Bisection Finalize.
-  size_t posting_bytes_add_order = 0;
-  size_t posting_bytes_bisection = 0;
+  double stream_build_seconds = 0.0;   ///< Generate + Add.
+  double finalize_seconds = 0.0;
+  size_t posting_bytes = 0;            ///< Compressed block postings.
   ClickLogStats clicks;
   double click_seconds = 0.0;
   bool bit_identical = true;
@@ -311,12 +309,10 @@ constexpr const char* kScaleEvaluatorNames[3] = {"exhaustive", "maxscore",
 constexpr size_t kScaleTopK = 10;
 
 /// One leg of the 100x sweep: stream-generate `target_docs` web documents
-/// once into two out-of-core index builds (Add order vs bisection
-/// reorder), compare compressed posting bytes, assert every evaluator on
-/// the reordered index returns the add-order exhaustive results
-/// bit-identically (external ids make the comparison layout-free), then
-/// time the three evaluators over an entity-key query workload and stream
-/// an ORCAS-shaped click log over the same corpus.
+/// into one out-of-core index build, assert the pruned evaluators return
+/// the exhaustive results bit-identically, then time the three evaluators
+/// over an entity-key query workload and stream an ORCAS-shaped click log
+/// over the same corpus.
 ScaleLeg RunScaleLeg(size_t target_docs) {
   ScaleLeg leg;
   leg.target_docs = target_docs;
@@ -332,17 +328,12 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   IndexBuildOptions stream_opts;
   stream_opts.store_text = false;
   stream_opts.build_block_index = false;
-  InvertedIndex add_order(stream_opts);
-  IndexBuildOptions reorder_opts = stream_opts;
-  reorder_opts.docid_order = DocidOrder::kBisection;
-  InvertedIndex reordered(reorder_opts);
+  InvertedIndex index(stream_opts);
 
   auto t0 = std::chrono::steady_clock::now();
   Status s = streamer.Stream(Document::Kind::kWeb, target_docs,
-                             CorpusStreamConfig{}, [&](Document&& doc) {
-                               add_order.Add(doc);
-                               reordered.Add(doc);
-                             });
+                             CorpusStreamConfig{},
+                             [&](Document&& doc) { index.Add(doc); });
   if (!s.ok()) {
     std::fprintf(stderr, "scale leg %zu: %s\n", target_docs,
                  s.ToString().c_str());
@@ -351,21 +342,14 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   leg.stream_build_seconds = WallSeconds(t0);
 
   t0 = std::chrono::steady_clock::now();
-  add_order.Finalize();
+  index.Finalize();
   leg.finalize_seconds = WallSeconds(t0);
-  t0 = std::chrono::steady_clock::now();
-  reordered.Finalize();
-  leg.reorder_finalize_seconds = WallSeconds(t0);
 
-  add_order.RebuildBlockIndex(BlockCodec::kVarintGB);
-  reordered.RebuildBlockIndex(BlockCodec::kVarintGB);
-  leg.docs = add_order.NumDocs();
-  leg.terms = add_order.NumTerms();
-  leg.postings = add_order.block_index().store().NumPostings();
-  leg.posting_bytes_add_order =
-      add_order.block_index().store().CompressedPostingBytes();
-  leg.posting_bytes_bisection =
-      reordered.block_index().store().CompressedPostingBytes();
+  index.RebuildBlockIndex();
+  leg.docs = index.NumDocs();
+  leg.terms = index.NumTerms();
+  leg.postings = index.block_index().store().NumPostings();
+  leg.posting_bytes = index.block_index().store().CompressedPostingBytes();
 
   // Entity-key workload, ~250 queries regardless of scale.
   std::vector<std::string> queries;
@@ -375,18 +359,16 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   }
   leg.queries = queries.size();
 
-  // Bit-identity across layout and evaluator for every workload query, at
-  // both the deep (top-50) and serving (top-10) depths.
+  // Bit-identity across evaluators for every workload query, at both the
+  // deep (top-50) and serving (top-10) depths.
   for (const std::string& q : queries) {
     for (size_t k : {size_t{50}, kScaleTopK}) {
-      const auto oracle = add_order.Search(q, k);
+      const auto oracle = index.Search(q, k);
       for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
+           {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
         leg.bit_identical =
             leg.bit_identical &&
-            SameResults(oracle,
-                        reordered.Search(q, k, Bm25Params{}, evaluator));
+            SameResults(oracle, index.Search(q, k, Bm25Params{}, evaluator));
       }
     }
   }
@@ -403,7 +385,7 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
     for (int r = 0; r < leg.repeats; ++r) {
       for (const std::string& q : queries) {
         benchmark::DoNotOptimize(
-            reordered.Search(q, kScaleTopK, Bm25Params{}, evaluators[e]));
+            index.Search(q, kScaleTopK, Bm25Params{}, evaluators[e]));
       }
     }
     leg.evaluator_seconds[e] = WallSeconds(t0);
@@ -435,145 +417,6 @@ std::vector<ScaleLeg> RunScaleLegs() {
     legs.push_back(RunScaleLeg(t));
   }
   return legs;
-}
-
-// ---- signature-prefilter legs: rejection rate + wall-clock delta ----
-
-struct SignatureLeg {
-  size_t target_docs = 0;
-  size_t docs = 0;
-  size_t queries = 0;
-  int repeats = 0;
-  bool bit_identical = true;        ///< Phrase counts + hits, on vs off.
-  double gated_seconds = 0.0;       ///< Phrase-count pass, prefilter on.
-  double ungated_seconds = 0.0;     ///< Same pass, prefilter off.
-  uint64_t docs_tested = 0;         ///< ckr.sig.docs_tested delta.
-  uint64_t docs_rejected = 0;       ///< ckr.sig.docs_rejected delta.
-  size_t signature_bytes = 0;       ///< SignatureMatrix pool footprint.
-  double DocRejectionRate() const {
-    return docs_tested > 0 ? static_cast<double>(docs_rejected) /
-                                 static_cast<double>(docs_tested)
-                           : 0.0;
-  }
-  double Speedup() const {
-    return gated_seconds > 0 ? ungated_seconds / gated_seconds : 0.0;
-  }
-};
-
-/// One signature leg: stream-generate `target_docs` web documents into
-/// twin indexes differing only in build_signature_filter, prove every
-/// phrase count and phrase hit bit-identical across the pair (the
-/// zero-false-negative contract, also property-tested at small scale),
-/// then time the phrase-count workload on both and read the rejection
-/// counters around the gated pass. Counter fields are zero under
-/// CKR_OBS_DISABLED; the wall-clock and bit-identity columns do not
-/// depend on obs.
-SignatureLeg RunSignatureLeg(size_t target_docs) {
-  SignatureLeg leg;
-  leg.target_docs = target_docs;
-  auto world_or = World::Create(ScaledWorldConfig(target_docs, 20090331));
-  if (!world_or.ok()) {
-    std::fprintf(stderr, "signature leg %zu: %s\n", target_docs,
-                 world_or.status().ToString().c_str());
-    std::exit(1);
-  }
-  const World& world = *world_or.value();
-  CorpusStreamer streamer(world);
-
-  IndexBuildOptions gated_opts;
-  gated_opts.store_text = false;
-  gated_opts.build_block_index = false;
-  IndexBuildOptions ungated_opts = gated_opts;
-  ungated_opts.build_signature_filter = false;
-  InvertedIndex gated(gated_opts);
-  InvertedIndex ungated(ungated_opts);
-
-  Status s = streamer.Stream(Document::Kind::kWeb, target_docs,
-                             CorpusStreamConfig{}, [&](Document&& doc) {
-                               gated.Add(doc);
-                               ungated.Add(doc);
-                             });
-  if (!s.ok()) {
-    std::fprintf(stderr, "signature leg %zu: %s\n", target_docs,
-                 s.ToString().c_str());
-    std::exit(1);
-  }
-  gated.Finalize();
-  ungated.Finalize();
-  leg.docs = gated.NumDocs();
-  leg.signature_bytes = gated.signatures().MemoryBytes();
-
-  // Entity-key phrase workload (the feature-(4) query shape), ~250
-  // queries regardless of scale.
-  std::vector<std::string> queries;
-  const size_t step = std::max<size_t>(1, world.NumEntities() / 250);
-  for (size_t i = 0; i < world.NumEntities(); i += step) {
-    queries.push_back(world.entity(static_cast<EntityId>(i)).key);
-  }
-  leg.queries = queries.size();
-
-  // Exact-safety before timing: the rejection-rate claim is void if the
-  // prefilter ever changes a count or a hit list.
-  for (const std::string& q : queries) {
-    leg.bit_identical = leg.bit_identical && gated.PhraseResultCount(q) ==
-                                                 ungated.PhraseResultCount(q);
-    leg.bit_identical =
-        leg.bit_identical &&
-        SameResults(gated.PhraseSearch(q, 10), ungated.PhraseSearch(q, 10));
-  }
-
-  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-  obs::Counter* c_tested = reg.GetCounter("ckr.sig.docs_tested");
-  obs::Counter* c_rejected = reg.GetCounter("ckr.sig.docs_rejected");
-  leg.repeats = target_docs <= 10000 ? 10 : 3;
-  const uint64_t tested0 = c_tested->Value();
-  const uint64_t rejected0 = c_rejected->Value();
-  auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < leg.repeats; ++r) {
-    for (const std::string& q : queries) {
-      benchmark::DoNotOptimize(gated.PhraseResultCount(q));
-    }
-  }
-  leg.gated_seconds = WallSeconds(t0);
-  leg.docs_tested = c_tested->Value() - tested0;
-  leg.docs_rejected = c_rejected->Value() - rejected0;
-  t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < leg.repeats; ++r) {
-    for (const std::string& q : queries) {
-      benchmark::DoNotOptimize(ungated.PhraseResultCount(q));
-    }
-  }
-  leg.ungated_seconds = WallSeconds(t0);
-  return leg;
-}
-
-std::vector<SignatureLeg> RunSignatureLegs(bool smoke_only) {
-  std::vector<size_t> targets = {6000};
-  if (!smoke_only) targets.push_back(100000);
-  std::vector<SignatureLeg> legs;
-  for (size_t t : targets) {
-    std::printf("signature leg: %zu docs...\n", t);
-    legs.push_back(RunSignatureLeg(t));
-  }
-  return legs;
-}
-
-void PrintSignatureLegs(const std::vector<SignatureLeg>& legs) {
-  std::printf("signature prefilter (phrase-count workload, counts and hits "
-              "bit-identical on/off):\n");
-  for (const SignatureLeg& leg : legs) {
-    std::printf("  %8zu docs  bit-identical: %s\n", leg.docs,
-                leg.bit_identical ? "yes" : "NO");
-    std::printf("    phrase pass (%zu queries x%d): gated %.3fs, ungated "
-                "%.3fs (%.2fx); docs rejected %llu/%llu (%.1f%%); "
-                "signatures %.2f MB\n",
-                leg.queries, leg.repeats, leg.gated_seconds,
-                leg.ungated_seconds, leg.Speedup(),
-                static_cast<unsigned long long>(leg.docs_rejected),
-                static_cast<unsigned long long>(leg.docs_tested),
-                leg.DocRejectionRate() * 100.0,
-                static_cast<double>(leg.signature_bytes) / 1e6);
-  }
 }
 
 void RunSummary() {
@@ -665,9 +508,7 @@ void RunSummary() {
 
   // ---- block-index legs: pruned top-50 vs the exhaustive oracle ----
 
-  // Equivalence first (the latency table is void if any evaluator strays),
-  // for both codecs: VarintGB is the Finalize() default; Simple8b gets the
-  // same sweep after a rebuild, which also yields its compressed size.
+  // Equivalence first (the latency table is void if any evaluator strays).
   bool pruned_identical = true;
   for (const std::string& q : lab->regular_queries) {
     const auto oracle = lab->flat.Search(q, 50);
@@ -684,19 +525,6 @@ void RunSummary() {
   const uint64_t csr_posting_bytes = block_postings * 8;
   const size_t varint_bytes =
       lab->flat.block_index().store().CompressedPostingBytes();
-  lab->flat.RebuildBlockIndex(BlockCodec::kSimple8b);
-  const size_t simple8b_bytes =
-      lab->flat.block_index().store().CompressedPostingBytes();
-  for (const std::string& q : lab->regular_queries) {
-    const auto oracle = lab->flat.Search(q, 50);
-    pruned_identical =
-        pruned_identical &&
-        SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kMaxScore)) &&
-        SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
-                                             QueryEvaluator::kBlockMaxWand));
-  }
-  lab->flat.RebuildBlockIndex(BlockCodec::kVarintGB);
 
   const EvaluatorLeg legs[] = {
       TimeEvaluator(lab, "exhaustive", QueryEvaluator::kExhaustive),
@@ -740,10 +568,6 @@ void RunSummary() {
   // 100x corpus-scale legs (1M docs only under CKR_BENCH_MILLION).
   const std::vector<ScaleLeg> scale_legs = RunScaleLegs();
 
-  // Signature-prefilter legs at the same two scales.
-  const std::vector<SignatureLeg> signature_legs =
-      RunSignatureLegs(/*smoke_only=*/false);
-
   size_t legacy_bytes = lab->legacy.MemoryBytes();
   size_t flat_bytes = lab->flat.MemoryBytes();
 
@@ -773,20 +597,15 @@ void RunSummary() {
                         static_cast<double>(flat_bytes)
                   : 0.0,
               static_cast<double>(lab->flat.PositionPoolBytes()) / 1e6);
-  std::printf("block index: pruned top-50 bit-identical to exhaustive "
-              "(both codecs): %s\n",
+  std::printf("block index: pruned top-50 bit-identical to exhaustive: "
+              "%s\n",
               pruned_identical ? "yes" : "NO");
-  std::printf("posting bytes: csr %.2f MB, varint-gb %.2f MB (%.2fx), "
-              "simple8b %.2f MB (%.2fx)\n",
+  std::printf("posting bytes: csr %.2f MB, varint-gb %.2f MB (%.2fx)\n",
               static_cast<double>(csr_posting_bytes) / 1e6,
               static_cast<double>(varint_bytes) / 1e6,
               varint_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
                                      static_cast<double>(varint_bytes)
-                               : 0.0,
-              static_cast<double>(simple8b_bytes) / 1e6,
-              simple8b_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
-                                       static_cast<double>(simple8b_bytes)
-                                 : 0.0);
+                               : 0.0);
   std::printf("evaluator          p50 us    p99 us   postings scored  "
               "reduction   blocks dec/skip\n");
   for (const EvaluatorLeg& leg : legs) {
@@ -797,8 +616,8 @@ void RunSummary() {
                 static_cast<unsigned long long>(leg.blocks_decoded),
                 static_cast<unsigned long long>(leg.blocks_skipped));
   }
-  std::printf("corpus-scale legs (streamed build, no stored text; bisection "
-              "vs add-order postings; top-%zu evaluator wall-clock):\n",
+  std::printf("corpus-scale legs (streamed build, no stored text; top-%zu "
+              "evaluator wall-clock):\n",
               kScaleTopK);
   for (const ScaleLeg& leg : scale_legs) {
     std::printf("  %8zu docs  %8zu terms  %10llu postings  "
@@ -806,19 +625,9 @@ void RunSummary() {
                 leg.docs, leg.terms,
                 static_cast<unsigned long long>(leg.postings),
                 leg.bit_identical ? "yes" : "NO");
-    std::printf("    build %.1fs, finalize %.1fs, reorder finalize %.1fs; "
-                "postings %.2f MB -> %.2f MB (%.2f%% smaller)\n",
+    std::printf("    build %.1fs, finalize %.1fs; postings %.2f MB\n",
                 leg.stream_build_seconds, leg.finalize_seconds,
-                leg.reorder_finalize_seconds,
-                static_cast<double>(leg.posting_bytes_add_order) / 1e6,
-                static_cast<double>(leg.posting_bytes_bisection) / 1e6,
-                leg.posting_bytes_add_order > 0
-                    ? 100.0 * (1.0 -
-                               static_cast<double>(
-                                   leg.posting_bytes_bisection) /
-                                   static_cast<double>(
-                                       leg.posting_bytes_add_order))
-                    : 0.0);
+                static_cast<double>(leg.posting_bytes) / 1e6);
     std::printf("    clicks: %llu pairs (%llu distinct q-d, %llu queries, "
                 "%llu docs, %llu users) in %.1fs\n",
                 static_cast<unsigned long long>(leg.clicks.pairs),
@@ -836,7 +645,6 @@ void RunSummary() {
     }
     std::printf("\n");
   }
-  PrintSignatureLegs(signature_legs);
   std::printf("mining fan-out (%zu concepts, %u hardware threads), outputs "
               "identical across worker counts: %s\n",
               lab->concepts.size(), std::thread::hardware_concurrency(),
@@ -912,18 +720,14 @@ void RunSummary() {
                "    \"pruned_results_bit_identical\": %s,\n"
                "    \"postings\": %llu,\n"
                "    \"posting_bytes\": {\"csr_baseline\": %llu, "
-               "\"varint_gb\": %zu, \"simple8b\": %zu, "
-               "\"csr_over_varint_gb\": %.4f, \"csr_over_simple8b\": %.4f},\n",
+               "\"varint_gb\": %zu, \"csr_over_varint_gb\": %.4f},\n",
                pruned_identical ? "true" : "false",
                static_cast<unsigned long long>(block_postings),
                static_cast<unsigned long long>(csr_posting_bytes),
-               varint_bytes, simple8b_bytes,
+               varint_bytes,
                varint_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
                                       static_cast<double>(varint_bytes)
-                                : 0.0,
-               simple8b_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
-                                        static_cast<double>(simple8b_bytes)
-                                  : 0.0);
+                                : 0.0);
   std::fprintf(f, "    \"evaluators\": [\n");
   for (size_t i = 0; i < 3; ++i) {
     const EvaluatorLeg& leg = legs[i];
@@ -941,8 +745,8 @@ void RunSummary() {
   }
   std::fprintf(f, "    ]\n  },\n");
   // Corpus-scale legs: streamed out-of-core builds at paper scale and
-  // 100x (plus 1M docs under CKR_BENCH_MILLION), with the reordering size
-  // delta and per-evaluator wall-clock at each scale.
+  // 100x (plus 1M docs under CKR_BENCH_MILLION), with the compressed
+  // posting size and per-evaluator wall-clock at each scale.
   std::fprintf(f, "  \"scale_legs\": [\n");
   for (size_t i = 0; i < scale_legs.size(); ++i) {
     const ScaleLeg& leg = scale_legs[i];
@@ -953,19 +757,9 @@ void RunSummary() {
                  static_cast<unsigned long long>(leg.postings));
     std::fprintf(f,
                  "     \"stream_build_seconds\": %.3f, "
-                 "\"finalize_seconds\": %.3f, "
-                 "\"reorder_finalize_seconds\": %.3f,\n",
+                 "\"finalize_seconds\": %.3f, \"posting_bytes\": %zu,\n",
                  leg.stream_build_seconds, leg.finalize_seconds,
-                 leg.reorder_finalize_seconds);
-    std::fprintf(f,
-                 "     \"posting_bytes\": {\"add_order\": %zu, "
-                 "\"bisection\": %zu, \"reorder_saving\": %.4f},\n",
-                 leg.posting_bytes_add_order, leg.posting_bytes_bisection,
-                 leg.posting_bytes_add_order > 0
-                     ? 1.0 - static_cast<double>(leg.posting_bytes_bisection) /
-                                 static_cast<double>(
-                                     leg.posting_bytes_add_order)
-                     : 0.0);
+                 leg.posting_bytes);
     std::fprintf(f,
                  "     \"click_log\": {\"pairs\": %llu, "
                  "\"distinct_query_doc_pairs\": %llu, "
@@ -992,34 +786,6 @@ void RunSummary() {
     std::fprintf(f, "]}%s\n", i + 1 < scale_legs.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Signature-prefilter legs: the exact-safety bit (counts and hits
-  // bit-identical with the gate on and off), the rejection rates from the
-  // ckr.sig.* counters (zero under CKR_OBS_DISABLED), and the wall-clock
-  // delta of the phrase-count workload at each scale.
-  std::fprintf(f, "  \"signature\": {\n    \"legs\": [\n");
-  for (size_t i = 0; i < signature_legs.size(); ++i) {
-    const SignatureLeg& leg = signature_legs[i];
-    std::fprintf(f,
-                 "      {\"target_docs\": %zu, \"documents\": %zu, "
-                 "\"queries\": %zu, \"repeats\": %d,\n",
-                 leg.target_docs, leg.docs, leg.queries, leg.repeats);
-    std::fprintf(f, "       \"results_bit_identical\": %s,\n",
-                 leg.bit_identical ? "true" : "false");
-    std::fprintf(f,
-                 "       \"phrase_count\": {\"gated_seconds\": %.6f, "
-                 "\"ungated_seconds\": %.6f, \"speedup\": %.4f},\n",
-                 leg.gated_seconds, leg.ungated_seconds, leg.Speedup());
-    std::fprintf(f,
-                 "       \"docs_tested\": %llu, \"docs_rejected\": %llu, "
-                 "\"doc_rejection_rate\": %.4f,\n",
-                 static_cast<unsigned long long>(leg.docs_tested),
-                 static_cast<unsigned long long>(leg.docs_rejected),
-                 leg.DocRejectionRate());
-    std::fprintf(f, "       \"signature_bytes\": %zu}%s\n",
-                 leg.signature_bytes,
-                 i + 1 < signature_legs.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f, "  \"mining_concepts\": %zu,\n", lab->concepts.size());
   // Mining scaling is bounded by the physical cores available; record them
   // so consumers can judge the speedup_vs_1 column.
@@ -1048,24 +814,6 @@ void RunSummary() {
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (std::getenv("CKR_BENCH_SIGNATURE_SMOKE") != nullptr) {
-    // The check_all.sh gate: one paper-scale signature leg, phrase-gate
-    // exact-safety enforced with a hard exit so a prefilter regression
-    // fails CI even though the full bench run is too slow for the gate.
-    const auto legs = RunSignatureLegs(/*smoke_only=*/true);
-    PrintSignatureLegs(legs);
-    for (const SignatureLeg& leg : legs) {
-      if (!leg.bit_identical) {
-        std::fprintf(stderr,
-                     "signature smoke: prefilter changed results at %zu "
-                     "docs\n",
-                     leg.target_docs);
-        return 1;
-      }
-    }
-    benchmark::Shutdown();
-    return 0;
-  }
   RunSummary();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

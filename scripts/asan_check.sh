@@ -5,10 +5,12 @@
 # codec blobs into fixed stack arrays through hand-rolled cursors, so a
 # clean run here is the memory-safety gate for the term-id layout, the
 # block index, and the equivalence suites that compare them to the legacy
-# index byte for byte. The Stemmer's memo (offsets into a shared key
-# buffer, linear probing) and the tokenizer run here too, and so does the
-# Aho-Corasick matcher, whose dense root row is indexed by term id without
-# a bounds check.
+# index byte for byte. BlockIndexMutationTest (matched by BlockIndex)
+# feeds the block-index loader byte-flipped, truncated and spliced blobs,
+# so the decoders' bounds checks run under the sanitizer. The Stemmer's
+# memo (offsets into a shared key buffer, linear probing) and the
+# tokenizer run here too, and so does the Aho-Corasick matcher, whose
+# dense root row is indexed by term id without a bounds check.
 #
 # Usage: scripts/asan_check.sh [extra ctest args]
 set -euo pipefail

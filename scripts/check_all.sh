@@ -25,21 +25,12 @@ cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build .bench_build -j "$(nproc)" --target perfbench_tests
 ./.bench_build/perfbench_tests
 
-echo "== corpus-scale smoke: 50k-doc streamed build + docid reorder =="
+echo "== corpus-scale smoke: 50k-doc streamed build + click log =="
 # Streams a ~50k-doc scaled world through the out-of-core index build,
-# checks bisection reordering shrinks the compressed postings while every
-# evaluator stays bit-identical, and sanity-checks the ORCAS-shaped click
-# log. Plain ctest skips this test; the env flag arms it here.
+# checks the pruned evaluators stay bit-identical to the exhaustive
+# scorer on it, and sanity-checks the ORCAS-shaped click log. Plain ctest
+# skips this test; the env flag arms it here.
 CKR_SCALE_SMOKE=1 ./build/tests/scale_smoke_test
-
-echo "== signature smoke: phrase-gate exact-safety + rejection rate at 6k docs =="
-# One paper-scale leg of the index's phrase-seed signature gate from the
-# offline bench: phrase counts and hits must be bit-identical between twin
-# indexes built with and without the signature filter (exits non-zero on
-# any divergence) and the rejection-rate/wall-clock numbers are printed
-# for the log. The full two-scale sweep lands in BENCH_offline.json via a
-# plain bench_offline_perf run.
-CKR_BENCH_SIGNATURE_SMOKE=1 ./build/bench/bench_offline_perf
 
 echo "== serving smoke: sharded oracle bit-identity, hot swap, shedding =="
 # Ungated (also part of plain ctest); re-run standalone here so a serving

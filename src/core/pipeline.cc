@@ -55,7 +55,7 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
   p->search_ = std::make_unique<SearchService>(p->index_, p->query_log_,
                                                p->term_dict_);
   p->detector_ = std::make_unique<EntityDetector>(
-      EntityDetector::FromWorld(*p->world_, &p->units_, config.detector));
+      EntityDetector::FromWorld(*p->world_, &p->units_));
   p->conceptvec_ = std::make_unique<ConceptVectorGenerator>(
       p->term_dict_, p->units_, config.conceptvec);
   p->interestingness_ = std::make_unique<InterestingnessExtractor>(

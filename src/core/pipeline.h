@@ -38,7 +38,6 @@ struct PipelineConfig {
   WorldConfig world;
   QueryGeneratorConfig querylog;
   UnitExtractorConfig units;
-  DetectorOptions detector;
   ConceptVectorConfig conceptvec;
   ClickModelConfig clicks;
 

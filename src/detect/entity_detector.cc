@@ -8,11 +8,16 @@
 #include "text/tokenizer.h"
 
 namespace ckr {
+namespace {
+
+/// Single-term concept matches shorter than this many characters are
+/// dropped (too noisy to annotate).
+constexpr size_t kMinConceptChars = 3;
+
+}  // namespace
 
 EntityDetector::EntityDetector(const std::vector<DictionaryEntry>& dictionary,
-                               const UnitDictionary* units,
-                               const DetectorOptions& options)
-    : options_(options) {
+                               const UnitDictionary* units) {
   std::unordered_map<std::string, size_t> by_key;
   for (const DictionaryEntry& d : dictionary) {
     if (d.key.empty()) continue;
@@ -56,15 +61,14 @@ EntityDetector::EntityDetector(const std::vector<DictionaryEntry>& dictionary,
 }
 
 EntityDetector EntityDetector::FromWorld(const World& world,
-                                         const UnitDictionary* units,
-                                         const DetectorOptions& options) {
+                                         const UnitDictionary* units) {
   std::vector<DictionaryEntry> dict;
   dict.reserve(world.NumEntities());
   for (const Entity& e : world.entities()) {
     if (!e.in_dictionary) continue;
     dict.push_back({e.key, e.type, e.subtype});
   }
-  return EntityDetector(dict, units, options);
+  return EntityDetector(dict, units);
 }
 
 const std::vector<RawDetection>& EntityDetector::DetectRaw(
@@ -86,20 +90,17 @@ const std::vector<RawDetection>& EntityDetector::DetectRawInterned(
   // Stage 1: pattern detectors (regex-equivalent scanners). Patterns are
   // never subject to collision pruning by phrase matches; instead phrase
   // matches overlapping a pattern are dropped below.
-  scratch->patterns.clear();
-  if (options_.detect_patterns) {
-    DetectPatternsInto(text, &scratch->patterns);
-    for (uint32_t pi = 0; pi < scratch->patterns.size(); ++pi) {
-      const PatternMatch& p = scratch->patterns[pi];
-      RawDetection d;
-      d.entry_id = kPatternEntry;
-      d.pattern_idx = pi;
-      d.type = EntityType::kPattern;
-      d.subtype = static_cast<int>(p.kind);
-      d.begin = p.begin;
-      d.end = p.end;
-      scratch->raw.push_back(d);
-    }
+  DetectPatternsInto(text, &scratch->patterns);
+  for (uint32_t pi = 0; pi < scratch->patterns.size(); ++pi) {
+    const PatternMatch& p = scratch->patterns[pi];
+    RawDetection d;
+    d.entry_id = kPatternEntry;
+    d.pattern_idx = pi;
+    d.type = EntityType::kPattern;
+    d.subtype = static_cast<int>(p.kind);
+    d.begin = p.begin;
+    d.end = p.end;
+    scratch->raw.push_back(d);
   }
 
   // Stage 2: one Aho-Corasick pass over the pre-interned term ids for
@@ -114,7 +115,7 @@ const std::vector<RawDetection>& EntityDetector::DetectRawInterned(
     const CandidateEntry& e = entries_[m.payload];
     if (!e.from_dictionary) {
       if (m.token_count == 1 &&
-          (e.key.size() < options_.min_concept_chars || IsStopWord(e.key))) {
+          (e.key.size() < kMinConceptChars || IsStopWord(e.key))) {
         continue;
       }
     }
@@ -144,28 +145,22 @@ const std::vector<RawDetection>& EntityDetector::DetectRawInterned(
               return entries_[a.payload].from_dictionary &&
                      !entries_[b.payload].from_dictionary;
             });
-  size_t num_kept = kept.size();
-  if (options_.resolve_collisions) {
-    scratch->taken.assign(tokens.size(), 0);
-    size_t out = 0;
-    for (size_t ki = 0; ki < kept.size(); ++ki) {
-      const PhraseMatch& m = kept[ki];
-      bool clash = false;
-      for (uint32_t t = m.token_begin; t < m.token_begin + m.token_count;
-           ++t) {
-        if (scratch->taken[t] != 0) {
-          clash = true;
-          break;
-        }
+  scratch->taken.assign(tokens.size(), 0);
+  size_t num_kept = 0;
+  for (size_t ki = 0; ki < kept.size(); ++ki) {
+    const PhraseMatch& m = kept[ki];
+    bool clash = false;
+    for (uint32_t t = m.token_begin; t < m.token_begin + m.token_count; ++t) {
+      if (scratch->taken[t] != 0) {
+        clash = true;
+        break;
       }
-      if (clash) continue;
-      for (uint32_t t = m.token_begin; t < m.token_begin + m.token_count;
-           ++t) {
-        scratch->taken[t] = 1;
-      }
-      kept[out++] = m;
     }
-    num_kept = out;
+    if (clash) continue;
+    for (uint32_t t = m.token_begin; t < m.token_begin + m.token_count; ++t) {
+      scratch->taken[t] = 1;
+    }
+    kept[num_kept++] = m;
   }
 
   bool token_texts_ready = false;

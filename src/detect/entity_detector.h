@@ -34,19 +34,6 @@ struct Detection {
   double unit_score = 0.0;       ///< Normalized unit score (concepts).
 };
 
-/// Pipeline switches. Every document takes the same path: the pattern
-/// scan, then one Aho-Corasick pass over its token ids. There is no
-/// prefilter in front of either stage: news documents all contain some
-/// dictionary entry, so a per-document gate would never skip the pass.
-struct DetectorOptions {
-  bool detect_patterns = true;
-  /// Resolve overlapping matches (longest-leftmost wins). Disabling keeps
-  /// every raw match; used by the collision ablation.
-  bool resolve_collisions = true;
-  /// Drop single-term concept matches shorter than this many characters.
-  size_t min_concept_chars = 3;
-};
-
 /// An id-keyed detection: the allocation-free core of the pipeline's
 /// output. `entry_id` indexes the detector's candidate table (EntryKey()
 /// recovers the normalized phrase); pattern hits carry kPatternEntry and
@@ -93,13 +80,11 @@ class EntityDetector {
   /// units colliding with dictionary keys (dictionary identity wins —
   /// the platform's disambiguation step).
   EntityDetector(const std::vector<DictionaryEntry>& dictionary,
-                 const UnitDictionary* units,
-                 const DetectorOptions& options = {});
+                 const UnitDictionary* units);
 
   /// Convenience: dictionary = the world's editorial entities.
   static EntityDetector FromWorld(const World& world,
-                                  const UnitDictionary* units,
-                                  const DetectorOptions& options = {});
+                                  const UnitDictionary* units);
 
   /// Attaches a sense disambiguator for ambiguous surfaces (e.g.
   /// "jaguar"); resolved matches get their type/subtype overridden by the
@@ -108,8 +93,10 @@ class EntityDetector {
     disambiguator_ = disambiguator;
   }
 
-  /// Runs the full pipeline over plain text. Output is sorted by begin
-  /// offset; overlaps resolved per options.
+  /// Runs the full pipeline over plain text: the pattern scan, then one
+  /// Aho-Corasick pass over the token ids, then filtering and collision
+  /// resolution (longest-leftmost wins). Every document takes this path.
+  /// Output is sorted by begin offset.
   std::vector<Detection> Detect(std::string_view text) const;
 
   /// Allocation-free pipeline: tokenizes into `scratch->tokens`, interns
@@ -118,12 +105,11 @@ class EntityDetector {
                                              Scratch* scratch) const;
 
   /// The pipeline core. Trusts the caller-provided `scratch->tokens`
-  /// (must be Tokenize(text) with default options) and
-  /// `scratch->token_tids` (must be TermId of each token's text), which
-  /// lets the runtime ranker tokenize and hash each token once for both
-  /// stemming and detection. Fills `scratch->raw` with id-keyed
-  /// detections in the same order Detect() returns them; the returned
-  /// reference aliases scratch->raw.
+  /// (must be Tokenize(text)) and `scratch->token_tids` (must be TermId
+  /// of each token's text), which lets the runtime ranker tokenize and
+  /// hash each token once for both stemming and detection. Fills
+  /// `scratch->raw` with id-keyed detections in the same order Detect()
+  /// returns them; the returned reference aliases scratch->raw.
   const std::vector<RawDetection>& DetectRawInterned(std::string_view text,
                                                      Scratch* scratch) const;
 
@@ -155,7 +141,6 @@ class EntityDetector {
   std::vector<CandidateEntry> entries_;
   const SenseDisambiguator* disambiguator_ = nullptr;
   PhraseMatcher matcher_;
-  DetectorOptions options_;
   size_t num_dictionary_entries_ = 0;
   size_t num_concept_entries_ = 0;
 };

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace ckr {
 namespace {
-
-// ---- varint-GB ----
 
 inline uint32_t VarintByteLen(uint32_t v) {
   if (v < (1u << 8)) return 1;
@@ -16,8 +12,10 @@ inline uint32_t VarintByteLen(uint32_t v) {
   return 4;
 }
 
-void EncodeVarintGb(const uint32_t* values, size_t count,
-                    std::vector<uint8_t>* out) {
+}  // namespace
+
+void EncodeBlock(const uint32_t* values, size_t count,
+                 std::vector<uint8_t>* out) {
   for (size_t i = 0; i < count; i += 4) {
     const size_t group = std::min<size_t>(4, count - i);
     uint8_t control = 0;
@@ -37,8 +35,8 @@ void EncodeVarintGb(const uint32_t* values, size_t count,
   }
 }
 
-Status DecodeVarintGb(const uint8_t* data, size_t size, size_t count,
-                      uint32_t* out) {
+Status DecodeBlock(const uint8_t* data, size_t size, size_t count,
+                   uint32_t* out) {
   size_t pos = 0;
   size_t produced = 0;
   while (produced < count) {
@@ -69,154 +67,6 @@ Status DecodeVarintGb(const uint8_t* data, size_t size, size_t count,
     return Status::InvalidArgument("varint-gb block has trailing bytes");
   }
   return Status::OK();
-}
-
-// ---- Simple8b ----
-
-struct Simple8bSelector {
-  uint32_t count;  ///< Values per word.
-  uint32_t bits;   ///< Width of each.
-};
-
-// Classic Simple8b table: 4-bit selector, 60 payload bits. Selectors 0/1
-// are the zero-run forms (240/120 zeros, no payload).
-constexpr Simple8bSelector kSelectors[16] = {
-    {240, 0}, {120, 0}, {60, 1}, {30, 2}, {20, 3}, {15, 4},
-    {12, 5},  {10, 6},  {8, 7},  {7, 8},  {6, 10}, {5, 12},
-    {4, 15},  {3, 20},  {2, 30}, {1, 60},
-};
-
-constexpr uint64_t kPayloadMask = (uint64_t{1} << 60) - 1;
-
-inline bool FitsWidth(uint32_t v, uint32_t bits) {
-  if (bits >= 32) return true;
-  if (bits == 0) return v == 0;
-  return v < (uint32_t{1} << bits);
-}
-
-void EncodeSimple8b(const uint32_t* values, size_t count,
-                    std::vector<uint8_t>* out) {
-  size_t i = 0;
-  while (i < count) {
-    // First selector whose whole window fits wins — the table is ordered
-    // by decreasing density, and selector 15 (1 x 60 bits) always fits.
-    uint32_t sel = 0;
-    size_t packed = 0;
-    for (; sel < 16; ++sel) {
-      packed = std::min<size_t>(kSelectors[sel].count, count - i);
-      bool fits = true;
-      for (size_t j = 0; j < packed; ++j) {
-        if (!FitsWidth(values[i + j], kSelectors[sel].bits)) {
-          fits = false;
-          break;
-        }
-      }
-      if (fits) break;
-    }
-    CKR_DCHECK_LT(sel, 16u);
-    uint64_t word = static_cast<uint64_t>(sel) << 60;
-    const uint32_t bits = kSelectors[sel].bits;
-    for (size_t j = 0; j < packed; ++j) {
-      word |= static_cast<uint64_t>(values[i + j])
-              << (static_cast<uint32_t>(j) * bits);
-    }
-    for (int b = 0; b < 8; ++b) {
-      out->push_back(static_cast<uint8_t>((word >> (8 * b)) & 0xffu));
-    }
-    i += packed;
-  }
-}
-
-Status DecodeSimple8b(const uint8_t* data, size_t size, size_t count,
-                      uint32_t* out) {
-  size_t pos = 0;
-  size_t produced = 0;
-  while (produced < count) {
-    if (pos + 8 > size) {
-      return Status::InvalidArgument("simple8b block truncated");
-    }
-    uint64_t word = 0;
-    for (int b = 0; b < 8; ++b) {
-      word |= static_cast<uint64_t>(data[pos + b]) << (8 * b);
-    }
-    pos += 8;
-    const uint32_t sel = static_cast<uint32_t>(word >> 60);
-    const uint32_t bits = kSelectors[sel].bits;
-    const uint64_t payload = word & kPayloadMask;
-    const size_t n = std::min<size_t>(kSelectors[sel].count, count - produced);
-    if (bits == 0) {
-      if (payload != 0) {
-        return Status::InvalidArgument("simple8b zero-run word has payload");
-      }
-      for (size_t j = 0; j < n; ++j) out[produced++] = 0;
-      continue;
-    }
-    const uint64_t value_mask =
-        bits >= 60 ? kPayloadMask : (uint64_t{1} << bits) - 1;
-    for (size_t j = 0; j < n; ++j) {
-      const uint64_t v =
-          (payload >> (static_cast<uint32_t>(j) * bits)) & value_mask;
-      if (v > 0xffffffffull) {
-        return Status::InvalidArgument("simple8b value exceeds 32 bits");
-      }
-      out[produced++] = static_cast<uint32_t>(v);
-    }
-    // The encoder zero-pads unused tail slots of the final word.
-    const uint32_t used_bits = static_cast<uint32_t>(n) * bits;
-    if (used_bits < 60 && (payload >> used_bits) != 0) {
-      return Status::InvalidArgument("simple8b tail padding not zero");
-    }
-  }
-  if (pos != size) {
-    return Status::InvalidArgument("simple8b block has trailing bytes");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string_view BlockCodecName(BlockCodec codec) {
-  switch (codec) {
-    case BlockCodec::kVarintGB:
-      return "varint-gb";
-    case BlockCodec::kSimple8b:
-      return "simple8b";
-  }
-  return "unknown";
-}
-
-bool IsValidBlockCodec(uint8_t raw) {
-  return raw == static_cast<uint8_t>(BlockCodec::kVarintGB) ||
-         raw == static_cast<uint8_t>(BlockCodec::kSimple8b);
-}
-
-void EncodeBlock(BlockCodec codec, const uint32_t* values, size_t count,
-                 std::vector<uint8_t>* out) {
-  if (count == 0) return;
-  switch (codec) {
-    case BlockCodec::kVarintGB:
-      EncodeVarintGb(values, count, out);
-      return;
-    case BlockCodec::kSimple8b:
-      EncodeSimple8b(values, count, out);
-      return;
-  }
-  CKR_CHECK(false && "unreachable codec");
-}
-
-Status DecodeBlock(BlockCodec codec, const uint8_t* data, size_t size,
-                   size_t count, uint32_t* out) {
-  if (count == 0) {
-    return size == 0 ? Status::OK()
-                     : Status::InvalidArgument("empty block has bytes");
-  }
-  switch (codec) {
-    case BlockCodec::kVarintGB:
-      return DecodeVarintGb(data, size, count, out);
-    case BlockCodec::kSimple8b:
-      return DecodeSimple8b(data, size, count, out);
-  }
-  return Status::InvalidArgument("unknown block codec");
 }
 
 }  // namespace ckr

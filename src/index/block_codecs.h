@@ -1,57 +1,38 @@
-// Integer codecs for fixed-size posting blocks: each 128-entry block of
+// Integer codec for fixed-size posting blocks: each 128-entry block of
 // doc-id gaps / term frequencies is encoded independently so a cursor can
 // decode exactly the blocks a query touches and skip the rest.
 //
-// Two codecs, both byte-aligned per block:
-//  * varint-GB (group varint): values in groups of four behind one control
-//    byte holding four 2-bit byte-lengths — branch-light byte-at-a-time
-//    decoding, 1..4 bytes per value plus 1/4 byte of control;
-//  * Simple8b: 64-bit words, a 4-bit selector choosing how many
-//    equal-width values share the word's 60 payload bits (240/120
-//    zero-run selectors included) — word-packed decoding that shines on
-//    the small gaps dense posting lists produce.
-//
-// Both are self-terminating given the value count, which block metadata
-// always records, and both decoders are bounds-checked: a truncated or
+// The codec is varint-GB (group varint): values in groups of four behind
+// one control byte holding four 2-bit byte-lengths — branch-light
+// byte-at-a-time decoding, 1..4 bytes per value plus 1/4 byte of control.
+// It is self-terminating given the value count, which block metadata
+// always records, and the decoder is bounds-checked: a truncated or
 // oversized blob is an error, never an out-of-bounds read (the store-pack
 // deserialization discipline).
 #ifndef CKR_INDEX_BLOCK_CODECS_H_
 #define CKR_INDEX_BLOCK_CODECS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace ckr {
 
-/// Codec for the doc/tf columns of a block-compressed posting list. The
-/// enumerator values are the on-disk codec ids of the serialized index —
-/// append-only, never renumber.
-enum class BlockCodec : uint8_t {
-  kVarintGB = 0,
-  kSimple8b = 1,
-};
-
-/// Human-readable codec name ("varint-gb" / "simple8b").
-std::string_view BlockCodecName(BlockCodec codec);
-
-/// True for a codec id the deserializer understands.
-bool IsValidBlockCodec(uint8_t raw);
-
 /// Appends the encoding of `values[0..count)` to `*out`. Values are
 /// arbitrary uint32s (the block builder feeds doc-id gaps minus one and
 /// tf minus one, so zeros are common and small values dominate).
-void EncodeBlock(BlockCodec codec, const uint32_t* values, size_t count,
+void EncodeBlock(const uint32_t* values, size_t count,
                  std::vector<uint8_t>* out);
 
 /// Decodes exactly `count` values from the `size`-byte blob at `data`
 /// into `out[0..count)` (caller provides the room). Fails on truncated
-/// input, on trailing bytes beyond the encoding's end, and on malformed
-/// words — the blob must be exactly one EncodeBlock output for `count`.
-[[nodiscard]] Status DecodeBlock(BlockCodec codec, const uint8_t* data,
-                                 size_t size, size_t count, uint32_t* out);
+/// input, on trailing bytes beyond the encoding's end, and on nonzero
+/// control bits for absent tail slots — the blob must be exactly one
+/// EncodeBlock output for `count`.
+[[nodiscard]] Status DecodeBlock(const uint8_t* data, size_t size,
+                                 size_t count, uint32_t* out);
 
 }  // namespace ckr
 

@@ -53,9 +53,8 @@ void PushCounted(TopKHeap* heap, const SearchResult& r) {
 
 // ---- Builder ----
 
-BlockMaxIndex::Builder::Builder(BlockCodec codec, std::vector<DocId> ext_ids,
-                                std::vector<double> default_norm)
-    : store_builder_(codec) {
+BlockMaxIndex::Builder::Builder(std::vector<DocId> ext_ids,
+                                std::vector<double> default_norm) {
   CKR_CHECK_EQ(ext_ids.size(), default_norm.size());
   index_.ext_id_ = std::move(ext_ids);
   index_.default_norm_ = std::move(default_norm);
@@ -406,7 +405,7 @@ std::string BlockMaxIndex::SerializeVersion(uint16_t version) const {
   BinaryWriter writer;
   writer.U32(kBlockIndexMagic);
   writer.U16(version);
-  writer.U16(static_cast<uint16_t>(codec()));
+  writer.U16(kBlockIndexCodecVarintGB);
   writer.U64(static_cast<uint64_t>(ext_id_.size()));
   writer.U64(static_cast<uint64_t>(store_.NumTerms()));
   for (DocId id : ext_id_) writer.U32(id);
@@ -424,12 +423,9 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
   if (version < 1 || version > kBlockIndexVersion) {
     return Status::InvalidArgument("block index: unsupported version");
   }
-  const uint16_t codec_raw = reader.U16();
-  if (codec_raw > 0xff ||
-      !IsValidBlockCodec(static_cast<uint8_t>(codec_raw))) {
+  if (reader.U16() != kBlockIndexCodecVarintGB) {
     return Status::InvalidArgument("block index: unknown codec");
   }
-  const BlockCodec codec = static_cast<BlockCodec>(codec_raw);
   const uint64_t num_docs = reader.U64();
   const uint64_t num_terms = reader.U64();
   if (!reader.ok()) {
@@ -456,8 +452,7 @@ StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
     return Status::InvalidArgument("block index: truncated doc columns");
   }
   StatusOr<BlockPostingsStore> store_or =
-      BlockPostingsStore::ReadFrom(&reader, codec, /*expect_maxes=*/
-                                   version >= 2);
+      BlockPostingsStore::ReadFrom(&reader, /*expect_maxes=*/version >= 2);
   if (!store_or.ok()) return store_or.status();
   index.store_ = std::move(store_or).value();
   if (!reader.AtEnd()) {

@@ -45,6 +45,9 @@ inline constexpr uint32_t kBlockIndexMagic = 0x434b5258;
 /// loader rebuilds the maxima from the postings, bit-identically, since
 /// they are pure functions of (df, tf, norm).
 inline constexpr uint16_t kBlockIndexVersion = 2;
+/// The header's u16 codec field. Varint-GB (block_codecs.h) is the only
+/// codec, so it is always 0; the loader rejects any other value.
+inline constexpr uint16_t kBlockIndexCodecVarintGB = 0;
 
 /// Immutable after Builder::Finish() / Deserialize(); thread-safe for
 /// concurrent reads (TopK shares no mutable state).
@@ -61,7 +64,6 @@ class BlockMaxIndex {
 
   size_t NumDocs() const { return ext_id_.size(); }
   size_t NumTerms() const { return store_.NumTerms(); }
-  BlockCodec codec() const { return store_.codec(); }
   const BlockPostingsStore& store() const { return store_; }
   /// External id of internal doc `d` (the id results rank by).
   DocId ExternalId(uint32_t d) const { return ext_id_[d]; }
@@ -123,8 +125,7 @@ class BlockMaxIndex {
 
 class BlockMaxIndex::Builder {
  public:
-  Builder(BlockCodec codec, std::vector<DocId> ext_ids,
-          std::vector<double> default_norm);
+  Builder(std::vector<DocId> ext_ids, std::vector<double> default_norm);
 
   /// Appends the postings of the next term id. Per-posting exact BM25
   /// contributions (default parameters) are computed here and folded

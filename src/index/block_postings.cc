@@ -4,6 +4,7 @@
 #include <string_view>
 
 #include "common/binary_io.h"
+#include "index/block_codecs.h"
 #include "index/top_k.h"
 #include "obs/hooks.h"
 
@@ -27,7 +28,6 @@ void BlockPostingsStore::Builder::AddTerm(Span<const uint32_t> docs,
   CKR_DCHECK_EQ(docs.size(), scores.size());
   BlockPostingsStore& s = store_;
   if (s.term_block_offset_.empty()) {
-    s.codec_ = codec_;
     s.term_block_offset_.push_back(0);
     s.block_doc_offset_.push_back(0);
     s.block_tf_offset_.push_back(0);
@@ -49,14 +49,14 @@ void BlockPostingsStore::Builder::AddTerm(Span<const uint32_t> docs,
       CKR_DCHECK_LT(docs[begin + j - 1], docs[begin + j]);
       scratch_[j] = docs[begin + j] - docs[begin + j - 1] - 1;
     }
-    EncodeBlock(codec_, scratch_.data(), count, &s.doc_pool_);
+    EncodeBlock(scratch_.data(), count, &s.doc_pool_);
     s.block_doc_offset_.push_back(s.doc_pool_.size());
     // Tf column: tf minus one (every posting has tf >= 1).
     for (uint32_t j = 0; j < count; ++j) {
       CKR_DCHECK_GE(tfs[begin + j], 1u);
       scratch_[j] = tfs[begin + j] - 1;
     }
-    EncodeBlock(codec_, scratch_.data(), count, &s.tf_pool_);
+    EncodeBlock(scratch_.data(), count, &s.tf_pool_);
     s.block_tf_offset_.push_back(s.tf_pool_.size());
 
     s.block_last_doc_.push_back(docs[begin + count - 1]);
@@ -77,7 +77,6 @@ BlockPostingsStore BlockPostingsStore::Builder::Finish() {
   finished_ = true;
   BlockPostingsStore& s = store_;
   if (s.term_block_offset_.empty()) {
-    s.codec_ = codec_;
     s.term_block_offset_.push_back(0);
     s.block_doc_offset_.push_back(0);
     s.block_tf_offset_.push_back(0);
@@ -104,12 +103,12 @@ Status BlockPostingsStore::DecodeBlockInto(uint32_t tid, uint32_t block,
                                            uint32_t* tfs) const {
   const uint32_t count = BlockDocCount(tid, block);
   const size_t doc_begin = block_doc_offset_[block];
-  Status s = DecodeBlock(codec_, doc_pool_.data() + doc_begin,
+  Status s = DecodeBlock(doc_pool_.data() + doc_begin,
                          block_doc_offset_[block + 1] - doc_begin, count,
                          docs);
   if (!s.ok()) return s;
   const size_t tf_begin = block_tf_offset_[block];
-  s = DecodeBlock(codec_, tf_pool_.data() + tf_begin,
+  s = DecodeBlock(tf_pool_.data() + tf_begin,
                   block_tf_offset_[block + 1] - tf_begin, count, tfs);
   if (!s.ok()) return s;
   const uint32_t base =
@@ -291,9 +290,8 @@ Status BlockPostingsStore::ValidateAfterLoad(bool expect_maxes) {
 }
 
 StatusOr<BlockPostingsStore> BlockPostingsStore::ReadFrom(
-    BinaryReader* reader, BlockCodec codec, bool expect_maxes) {
+    BinaryReader* reader, bool expect_maxes) {
   BlockPostingsStore store;
-  store.codec_ = codec;
   Status s = store.LoadColumns(reader, expect_maxes);
   if (!s.ok()) return s;
   s = store.ValidateAfterLoad(expect_maxes);

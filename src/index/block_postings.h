@@ -5,8 +5,8 @@
 // Layout (all CSR, frozen by the builder):
 //  * each term's postings are cut into fixed 128-entry blocks; every block
 //    encodes its doc-id gaps (minus one) and tf values (minus one)
-//    independently through a pluggable integer codec (block_codecs.h),
-//    so a cursor decodes only the blocks a query actually visits;
+//    independently through the varint-GB codec (block_codecs.h), so a
+//    cursor decodes only the blocks a query actually visits;
 //  * per block the store keeps the last doc id (the skip pointer NextGEQ
 //    binary-searches / scans), the byte offsets of its two blobs, and the
 //    maximum exact BM25 contribution of any posting in the block (the
@@ -27,7 +27,6 @@
 
 #include "common/check.h"
 #include "common/status.h"
-#include "index/block_codecs.h"
 
 namespace ckr {
 
@@ -49,7 +48,6 @@ class BlockPostingsStore {
 
   BlockPostingsStore() = default;
 
-  BlockCodec codec() const { return codec_; }
   size_t NumTerms() const {
     return term_block_offset_.empty() ? 0 : term_block_offset_.size() - 1;
   }
@@ -82,7 +80,7 @@ class BlockPostingsStore {
   /// (a v1 blob), the max columns come back empty; call
   /// RecomputeMaxScores before handing the store to a cursor.
   [[nodiscard]] static StatusOr<BlockPostingsStore> ReadFrom(
-      BinaryReader* reader, BlockCodec codec, bool expect_maxes);
+      BinaryReader* reader, bool expect_maxes);
 
   /// Rebuilds the per-block / per-term max-score columns by decoding
   /// every block and evaluating the exact default-parameter contribution
@@ -120,7 +118,6 @@ class BlockPostingsStore {
   [[nodiscard]] Status LoadColumns(BinaryReader* reader, bool expect_maxes);
   [[nodiscard]] Status ValidateAfterLoad(bool expect_maxes);
 
-  BlockCodec codec_ = BlockCodec::kVarintGB;
   uint64_t num_postings_ = 0;
   std::vector<uint32_t> term_block_offset_;  ///< terms+1, global block CSR.
   std::vector<uint32_t> term_postings_;      ///< Postings per term.
@@ -135,8 +132,6 @@ class BlockPostingsStore {
 
 class BlockPostingsStore::Builder {
  public:
-  explicit Builder(BlockCodec codec) : codec_(codec) {}
-
   /// Appends term `tid` (== number of AddTerm calls so far). `scores[i]`
   /// is the exact BM25 contribution of posting i (default parameters);
   /// the builder folds these into per-block and per-term maxima.
@@ -146,7 +141,6 @@ class BlockPostingsStore::Builder {
   BlockPostingsStore Finish();
 
  private:
-  BlockCodec codec_;
   BlockPostingsStore store_;
   std::vector<uint32_t> scratch_;
   bool finished_ = false;

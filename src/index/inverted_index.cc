@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "framework/golomb.h"
-#include "index/docid_reorder.h"
 #include "obs/hooks.h"
 #include "text/tokenizer.h"
 
@@ -49,71 +48,10 @@ void InvertedIndex::Add(const Document& doc) {
   docs_.push_back({doc.id, options_.store_text ? doc.text : std::string()});
 }
 
-void InvertedIndex::ApplyDocidOrder() {
-  const size_t num_docs = docs_.size();
-  std::vector<uint32_t> order;
-  if (options_.docid_order == DocidOrder::kBisection) {
-    order = ComputeBisectionOrder(MakeSpan(tok_tid_), MakeSpan(doc_tok_offset_),
-                                  term_ids_.size());
-  } else if (options_.docid_order == DocidOrder::kExplicit) {
-    order = options_.explicit_order;
-    CKR_CHECK_EQ(order.size(), num_docs);
-    std::vector<uint8_t> hit(num_docs, 0);
-    for (uint32_t o : order) {
-      CKR_CHECK_LT(o, num_docs);
-      CKR_CHECK(!hit[o]);
-      hit[o] = 1;
-    }
-  }
-  bool identity = true;
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (order[i] != i) {
-      identity = false;
-      break;
-    }
-  }
-  if (order.empty() || identity) return;
-
-  std::vector<StoredDoc> new_docs(num_docs);
-  std::vector<size_t> new_offset;
-  new_offset.reserve(num_docs + 1);
-  new_offset.push_back(0);
-  std::vector<uint32_t> new_tid;
-  new_tid.reserve(tok_tid_.size());
-  std::vector<uint32_t> new_begin;
-  std::vector<uint32_t> new_end;
-  const bool has_offsets = !tok_begin_.empty();
-  if (has_offsets) {
-    new_begin.reserve(tok_begin_.size());
-    new_end.reserve(tok_end_.size());
-  }
-  for (size_t i = 0; i < num_docs; ++i) {
-    const uint32_t od = order[i];
-    new_docs[i] = std::move(docs_[od]);
-    for (size_t j = doc_tok_offset_[od]; j < doc_tok_offset_[od + 1]; ++j) {
-      new_tid.push_back(tok_tid_[j]);
-      if (has_offsets) {
-        new_begin.push_back(tok_begin_[j]);
-        new_end.push_back(tok_end_[j]);
-      }
-    }
-    new_offset.push_back(new_tid.size());
-  }
-  docs_ = std::move(new_docs);
-  doc_tok_offset_ = std::move(new_offset);
-  tok_tid_ = std::move(new_tid);
-  tok_begin_ = std::move(new_begin);
-  tok_end_ = std::move(new_end);
-  for (size_t d = 0; d < num_docs; ++d) {
-    doc_index_[docs_[d].id] = static_cast<uint32_t>(d);
-  }
-}
-
 void InvertedIndex::Finalize() {
   const size_t num_docs = docs_.size();
   const size_t num_terms = term_ids_.size();
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
-  ApplyDocidOrder();
 
   doc_len_.resize(num_docs);
   uint64_t total_len = 0;
@@ -216,25 +154,15 @@ void InvertedIndex::Finalize() {
   for (uint32_t tid : tok_tid_) CKR_DCHECK_LT(tid, num_terms);
 #endif
   finalized_ = true;
-  if (options_.build_signature_filter) {
-    // Term-major over the freshly built CSR postings: each term's probe
-    // bits are hashed once and OR-ed into every posting's doc row.
-    signatures_.Reset(num_docs);
-    for (size_t t = 0; t < num_terms; ++t) {
-      signatures_.AddTermToRows(static_cast<uint32_t>(t),
-                                CsrRow(post_doc_, post_offset_, t));
-    }
-    has_signatures_ = true;
-  }
-  if (options_.build_block_index) RebuildBlockIndex(options_.block_codec);
+  if (options_.build_block_index) RebuildBlockIndex();
 }
 
-void InvertedIndex::RebuildBlockIndex(BlockCodec codec) {
+void InvertedIndex::RebuildBlockIndex() {
   CKR_DCHECK(finalized_);
   std::vector<DocId> ext_ids;
   ext_ids.reserve(docs_.size());
   for (const StoredDoc& d : docs_) ext_ids.push_back(d.id);
-  BlockMaxIndex::Builder builder(codec, std::move(ext_ids), default_norm_);
+  BlockMaxIndex::Builder builder(std::move(ext_ids), default_norm_);
   const size_t num_terms = term_ids_.size();
   for (size_t t = 0; t < num_terms; ++t) {
     if (stats_overridden_) {
@@ -355,7 +283,7 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
     default_norm_[d] =
         defaults.k1 * (1.0 - defaults.b + defaults.b * dl / avg_doc_len_);
   }
-  if (has_block_index_) RebuildBlockIndex(block_index_.codec());
+  if (has_block_index_) RebuildBlockIndex();
   return Status::OK();
 }
 
@@ -567,28 +495,12 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
     return post_offset_[tids[0] + 1] - post_offset_[tids[0]];
   }
 
-  // Signature prefilter: a seed document whose signature does not cover
-  // every phrase term provably lacks one of them, so the positional check
-  // cannot succeed — skipping it never changes the count (exact-safe;
-  // duplicate phrase terms just OR the same bits twice).
-  const bool gated = has_signatures_;
-  const Signature qsig =
-      gated ? SignatureMatrix::BuildSignature(MakeSpan(tids)) : Signature{};
-
   std::vector<uint32_t> pos_buf;
   uint64_t count = 0;
   const size_t rb = post_offset_[tids[rarest]];
   const size_t re = post_offset_[tids[rarest] + 1];
   for (size_t seed = rb; seed < re; ++seed) {
-    const uint32_t d = post_doc_[seed];
-    if (gated) {
-      CKR_OBS_COUNTER_INC("ckr.sig.docs_tested");
-      if (!signatures_.CoversAll(d, qsig)) {
-        CKR_OBS_COUNTER_INC("ckr.sig.docs_rejected");
-        continue;
-      }
-    }
-    if (PhraseInDoc(d, tids, rarest, seed, &pos_buf, nullptr)) {
+    if (PhraseInDoc(post_doc_[seed], tids, rarest, seed, &pos_buf, nullptr)) {
       ++count;
     }
   }
@@ -611,23 +523,10 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
   // Loop-invariant in the legacy code; identical expression, same bits.
   const double idf = std::log(1.0 + (n - dfr + 0.5) / (dfr + 0.5));
 
-  // Same exact-safe prefilter as PhraseResultCount. Single-term phrases
-  // skip it: every seed trivially covers its own term's bits.
-  const bool gated = has_signatures_ && tids.size() > 1;
-  const Signature qsig =
-      gated ? SignatureMatrix::BuildSignature(MakeSpan(tids)) : Signature{};
-
   TopKHeap heap(k);
   std::vector<uint32_t> pos_buf;
   for (size_t seed = rb; seed < re; ++seed) {
     uint32_t d = post_doc_[seed];
-    if (gated) {
-      CKR_OBS_COUNTER_INC("ckr.sig.docs_tested");
-      if (!signatures_.CoversAll(d, qsig)) {
-        CKR_OBS_COUNTER_INC("ckr.sig.docs_rejected");
-        continue;
-      }
-    }
     uint32_t starts = 0;
     if (tids.size() == 1) {
       starts = post_tf_[seed];  // Every occurrence is a phrase start.
@@ -744,7 +643,6 @@ size_t InvertedIndex::MemoryBytes() const {
   bytes += default_norm_.capacity() * sizeof(double);
   bytes += score_df_.capacity() * sizeof(double);
   bytes += block_index_.MemoryBytes();
-  bytes += signatures_.MemoryBytes();
   return bytes;
 }
 

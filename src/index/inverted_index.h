@@ -32,19 +32,9 @@
 #include "common/status.h"
 #include "corpus/document.h"
 #include "index/block_max_index.h"
-#include "index/doc_signature.h"
 #include "index/top_k.h"
 
 namespace ckr {
-
-/// How Finalize() assigns internal doc ids. External ids always ride
-/// along, so ranked results are identical under every order; only the
-/// compressed layout (delta gaps, block composition) changes.
-enum class DocidOrder : uint8_t {
-  kAddOrder = 0,   ///< Internal ids follow Add() order (the default).
-  kBisection = 1,  ///< Recursive graph bisection (docid_reorder.h).
-  kExplicit = 2,   ///< Caller-supplied permutation (tests, cluster hints).
-};
 
 /// Collection-level scoring statistics: everything BM25 takes from the
 /// corpus as a whole rather than from one document. A sharded deployment
@@ -67,8 +57,8 @@ struct CollectionStats {
 };
 
 /// Build-time knobs for million-doc, out-of-core-friendly index builds.
-/// Must be fixed at construction (Add() consults store_text). The default
-/// state is byte-for-byte the historical behaviour.
+/// Must be fixed at construction (Add() consults store_text). Neither
+/// changes a Search or phrase result.
 struct IndexBuildOptions {
   /// Keep raw document text and per-token byte offsets. Required by
   /// Snippet()/DocText(); at corpus scale the text dominates peak memory,
@@ -86,20 +76,6 @@ struct IndexBuildOptions {
   /// RebuildBlockIndex() later, or leave it off — pruned evaluators fall
   /// back to the exhaustive scorer (identical results) until it exists.
   bool build_block_index = true;
-  /// Build the per-document term-signature matrix inside Finalize() and
-  /// gate the multi-term phrase paths (PhraseResultCount, PhraseSearch)
-  /// behind its exact-safe AND-mask prefilter (doc_signature.h; the
-  /// signature shape is fixed at kSignatureBits bits, kSignatureProbes
-  /// probes per term). The prefilter only ever skips documents that
-  /// provably lack a phrase term, so results are bit-identical with it on
-  /// or off (property-tested); switching it off saves kSignatureBits / 8
-  /// bytes per doc.
-  bool build_signature_filter = true;
-  BlockCodec block_codec = BlockCodec::kVarintGB;
-  DocidOrder docid_order = DocidOrder::kAddOrder;
-  /// For kExplicit: `explicit_order[i]` = Add()-order doc index placed at
-  /// internal position i. Must be a permutation of [0, NumDocs()).
-  std::vector<uint32_t> explicit_order;
 };
 
 /// Immutable after Finalize(); thread-safe for concurrent reads.
@@ -113,10 +89,7 @@ class InvertedIndex {
   void Add(const Document& doc);
 
   /// Builds postings and collection statistics; call once after all Add()s.
-  /// Applies the configured docid order first (the permutation/remap
-  /// contract: every Search/count result is identical under any order
-  /// because scores depend only on per-doc statistics and ties break on
-  /// external ids — property-tested in tests/property_test.cc).
+  /// Internal doc ids follow Add() order.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -140,10 +113,9 @@ class InvertedIndex {
   /// least as many docs/tokens, and every local term present with df >=
   /// its local df); nothing is mutated on failure. On success the
   /// default-parameter norms are recomputed and, when a block index
-  /// exists, it is rebuilt under the same codec so the pruned evaluators
-  /// score with the same statistics. Serialized block indexes do not
-  /// carry the override: LoadBlockIndex() refuses while one is active
-  /// (rebuild instead).
+  /// exists, it is rebuilt so the pruned evaluators score with the same
+  /// statistics. Serialized block indexes do not carry the override:
+  /// LoadBlockIndex() refuses while one is active (rebuild instead).
   [[nodiscard]] Status OverrideCollectionStats(const CollectionStats& stats);
 
   /// True after a successful OverrideCollectionStats().
@@ -178,21 +150,12 @@ class InvertedIndex {
   ///
   /// An empty/whitespace-only phrase or one containing an
   /// out-of-vocabulary term returns 0 (no document can contain it).
-  /// When the index carries signatures, multi-term counting first rejects
-  /// seed documents whose signature cannot cover every phrase term
-  /// (exact-safe: the count is identical with the prefilter on or off).
   uint64_t PhraseResultCount(std::string_view phrase) const;
 
   /// Ranked documents containing the phrase contiguously (BM25 over the
   /// phrase's terms, restricted to phrase matches).
   std::vector<SearchResult> PhraseSearch(std::string_view phrase,
                                          size_t k) const;
-
-  /// True once Finalize() built the signature matrix.
-  bool has_signatures() const { return has_signatures_; }
-
-  /// The per-document signature matrix (requires has_signatures()).
-  const SignatureMatrix& signatures() const { return signatures_; }
 
   /// Builds a query-biased snippet for a result: a window of
   /// `context_tokens` tokens centered on the first query-term hit.
@@ -210,8 +173,8 @@ class InvertedIndex {
   size_t PositionPoolBytes() const { return pos_pool_.size(); }
 
   /// The block-compressed pruning index backing the MaxScore /
-  /// Block-Max-WAND evaluators. Finalize() builds it (with the configured
-  /// codec) unless options.build_block_index is false.
+  /// Block-Max-WAND evaluators. Finalize() builds it unless
+  /// options.build_block_index is false.
   const BlockMaxIndex& block_index() const { return block_index_; }
 
   /// True once a block index exists (eager Finalize build, explicit
@@ -222,9 +185,10 @@ class InvertedIndex {
   /// Build options this index was constructed with.
   const IndexBuildOptions& build_options() const { return options_; }
 
-  /// Rebuilds the block index under a different codec (the evaluators and
-  /// results are codec-independent; only the compressed size changes).
-  void RebuildBlockIndex(BlockCodec codec);
+  /// Builds (or rebuilds) the block index from the postings and the
+  /// current scoring statistics — the deferred half of a
+  /// build_block_index=false build.
+  void RebuildBlockIndex();
 
   /// Serialized block index (current format version).
   std::string SerializeBlockIndex() const { return block_index_.Serialize(); }
@@ -241,11 +205,6 @@ class InvertedIndex {
     DocId id = 0;
     std::string text;
   };
-
-  /// Permutes docs_ and the CSR token streams into the configured docid
-  /// order (no-op for kAddOrder / identity orders). Runs first in
-  /// Finalize(), so every downstream structure sees the final order.
-  void ApplyDocidOrder();
 
   /// Interns `token`, assigning the next dense id on first sight.
   uint32_t InternTerm(std::string_view token);
@@ -307,10 +266,6 @@ class InvertedIndex {
   // ---- Block-compressed pruning index (built by Finalize) ----
   BlockMaxIndex block_index_;
   bool has_block_index_ = false;
-
-  // ---- Per-document term signatures (built by Finalize) ----
-  SignatureMatrix signatures_;
-  bool has_signatures_ = false;
 
   IndexBuildOptions options_;
 };

@@ -24,6 +24,8 @@ ServeDaemon::ServeDaemon(const ServeDaemonConfig& config)
   queue_depth_ = reg.GetGauge("ckr.serve.queue_depth");
   queue_seconds_ = reg.GetHistogram("ckr.serve.queue_seconds");
   latency_seconds_ = reg.GetHistogram("ckr.serve.latency_seconds");
+  rejected_latency_seconds_ =
+      reg.GetHistogram("ckr.serve.rejected_latency_seconds");
 }
 
 ServeDaemon::~ServeDaemon() { Stop(); }
@@ -111,7 +113,7 @@ void ServeDaemon::WorkerLoop() {
       shed_deadline_->Increment();
       response.outcome = ServeOutcome::kShedDeadline;
       response.total_seconds = clock_->SecondsSince(request.admit_nanos);
-      latency_seconds_->Record(response.total_seconds);
+      rejected_latency_seconds_->Record(response.total_seconds);
       Respond(request, std::move(response));
       continue;
     }
@@ -121,7 +123,7 @@ void ServeDaemon::WorkerLoop() {
       no_snapshot_->Increment();
       response.outcome = ServeOutcome::kNoSnapshot;
       response.total_seconds = clock_->SecondsSince(request.admit_nanos);
-      latency_seconds_->Record(response.total_seconds);
+      rejected_latency_seconds_->Record(response.total_seconds);
       Respond(request, std::move(response));
       continue;
     }

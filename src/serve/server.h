@@ -18,7 +18,11 @@
 // obs::MetricRegistry (default: the process-global one) under
 // "ckr.serve.*": admitted/completed/partial counters, the three shed
 // classes, queue-depth gauge, and queue/latency histograms the bench
-// turns into p50/p99/p999. These are direct registry writes, not
+// turns into p50/p99/p999. Latency is split by outcome:
+// ckr.serve.latency_seconds holds served answers (kOk, kPartial) only;
+// deadline-shed and no-snapshot answers go to
+// ckr.serve.rejected_latency_seconds, so fast rejections never pull the
+// served percentiles down. These are direct registry writes, not
 // CKR_OBS_* hooks: shed accounting is behaviour, not optional
 // observability, so the CKR_OBS_DISABLED kill switch (which guards the
 // library's hot-path hooks) does not apply here.
@@ -160,7 +164,8 @@ class ServeDaemon {
   obs::Counter* swaps_;
   obs::Gauge* queue_depth_;
   obs::Histogram* queue_seconds_;
-  obs::Histogram* latency_seconds_;
+  obs::Histogram* latency_seconds_;           ///< kOk and kPartial.
+  obs::Histogram* rejected_latency_seconds_;  ///< Worker-side rejections.
 };
 
 }  // namespace ckr

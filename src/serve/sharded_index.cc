@@ -90,9 +90,7 @@ StatusOr<ShardedIndex> ShardedIndex::Build(const World& world,
   }
   for (auto& shard : shards) {
     CKR_RETURN_IF_ERROR(shard->OverrideCollectionStats(merged));
-    if (config.build.build_block_index) {
-      shard->RebuildBlockIndex(config.build.block_codec);
-    }
+    if (config.build.build_block_index) shard->RebuildBlockIndex();
   }
   return ShardedIndex(std::move(shards));
 }

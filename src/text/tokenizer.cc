@@ -4,20 +4,8 @@
 #include "text/porter_stemmer.h"
 
 namespace ckr {
-namespace {
 
-bool AllDigits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void TokenizeInto(std::string_view text, std::vector<Token>* out,
-                  const TokenizerOptions& options) {
+void TokenizeInto(std::string_view text, std::vector<Token>* out) {
   size_t count = 0;  // Slots [0, count) of *out are live; the rest reuse
                      // their string capacity from earlier documents.
   size_t i = 0;
@@ -27,16 +15,13 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out,
     if (i >= n) break;
     size_t start = i;
     while (i < n && !IsAsciiSpace(text[i])) ++i;
-    std::string_view piece = text.substr(start, i - start);
-    if (options.strip_punct) piece = StripSurroundingPunct(piece);
+    const std::string_view piece =
+        StripSurroundingPunct(text.substr(start, i - start));
     if (piece.empty()) continue;
-    if (!options.keep_numbers && AllDigits(piece)) continue;
     if (count == out->size()) out->emplace_back();
     Token& tok = (*out)[count++];
     tok.text.assign(piece);
-    if (options.lowercase) {
-      for (char& c : tok.text) c = AsciiToLower(c);
-    }
+    for (char& c : tok.text) c = AsciiToLower(c);
     // Possessive normalization: "obama's" matches the entity "obama" (the
     // offsets keep the full surface).
     if (tok.text.size() > 2 && EndsWith(tok.text, "'s")) {
@@ -48,17 +33,15 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out,
   out->resize(count);
 }
 
-std::vector<Token> Tokenize(std::string_view text,
-                            const TokenizerOptions& options) {
+std::vector<Token> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
-  TokenizeInto(text, &tokens, options);
+  TokenizeInto(text, &tokens);
   return tokens;
 }
 
-std::vector<std::string> TokenizeToStrings(std::string_view text,
-                                           const TokenizerOptions& options) {
+std::vector<std::string> TokenizeToStrings(std::string_view text) {
   std::vector<std::string> out;
-  for (auto& tok : Tokenize(text, options)) out.push_back(std::move(tok.text));
+  for (auto& tok : Tokenize(text)) out.push_back(std::move(tok.text));
   return out;
 }
 

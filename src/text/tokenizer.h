@@ -21,31 +21,21 @@ struct Token {
   bool operator==(const Token& other) const = default;
 };
 
-/// Options controlling token normalization.
-struct TokenizerOptions {
-  bool lowercase = true;
-  /// Strip surrounding punctuation from each token ("(Obama," -> "obama").
-  bool strip_punct = true;
-  /// Keep tokens that are purely numeric.
-  bool keep_numbers = true;
-};
-
-/// Splits text on whitespace and normalizes each token. Tokens that become
-/// empty after normalization are dropped. Spaces, punctuation and case
-/// follow <cctype> in the C locale, so bytes >= 0x80 are word characters.
-std::vector<Token> Tokenize(std::string_view text,
-                            const TokenizerOptions& options = {});
+/// Splits text on whitespace and normalizes each token: surrounding
+/// punctuation is stripped ("(Obama," -> "obama"), letters are
+/// lower-cased and a trailing "'s" is dropped. Tokens that become empty
+/// are dropped; numbers are kept. Spaces, punctuation and case follow
+/// <cctype> in the C locale, so bytes >= 0x80 are word characters.
+std::vector<Token> Tokenize(std::string_view text);
 
 /// Buffer-reuse variant of Tokenize for hot paths: overwrites `*out`
 /// in place, reusing both the vector capacity and each slot's string
 /// buffer, so steady-state tokenization of similar-sized documents
 /// performs no heap allocations.
-void TokenizeInto(std::string_view text, std::vector<Token>* out,
-                  const TokenizerOptions& options = {});
+void TokenizeInto(std::string_view text, std::vector<Token>* out);
 
 /// Convenience: normalized token strings only.
-std::vector<std::string> TokenizeToStrings(std::string_view text,
-                                           const TokenizerOptions& options = {});
+std::vector<std::string> TokenizeToStrings(std::string_view text);
 
 /// Normalizes a free-text phrase into the canonical form used for concept
 /// keys: lower-cased, punctuation-stripped tokens joined by single spaces.

@@ -1,12 +1,14 @@
-// Tests for the block-compressed postings layer: integer codec round-trip
+// Tests for the block-compressed postings layer: varint-GB round-trip
 // fuzzing (including block-boundary and single-element edge cases and
 // truncated-blob rejection), skip-cursor traversal, block-max index
-// evaluator equivalence, and the versioned serialization format.
+// evaluator equivalence, the versioned serialization format, and a seeded
+// mutation sweep over serialized blobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -29,20 +31,16 @@ Document MakeDoc(DocId id, std::string text) {
 
 // ---------- Codec round-trip fuzzing ----------
 
-class CodecTest : public ::testing::TestWithParam<BlockCodec> {};
-
-std::vector<uint32_t> DecodeOrDie(BlockCodec codec,
-                                  const std::vector<uint8_t>& blob,
+std::vector<uint32_t> DecodeOrDie(const std::vector<uint8_t>& blob,
                                   size_t count) {
   std::vector<uint32_t> out(count);
-  Status s = DecodeBlock(codec, blob.data(), blob.size(), count, out.data());
+  Status s = DecodeBlock(blob.data(), blob.size(), count, out.data());
   EXPECT_TRUE(s.ok()) << s.ToString();
   return out;
 }
 
-TEST_P(CodecTest, RoundTripEdgeCounts) {
-  const BlockCodec codec = GetParam();
-  // Counts around group (4), word (up to 240) and block (128) boundaries.
+TEST(CodecTest, RoundTripEdgeCounts) {
+  // Counts around group (4) and block (128) boundaries.
   const size_t counts[] = {1, 2, 3, 4, 5, 7, 8, 59, 60, 61, 63, 64, 127, 128};
   Rng rng(42);
   for (size_t count : counts) {
@@ -57,16 +55,14 @@ TEST_P(CodecTest, RoundTripEdgeCounts) {
         }
       }
       std::vector<uint8_t> blob;
-      EncodeBlock(codec, values.data(), count, &blob);
-      EXPECT_EQ(DecodeOrDie(codec, blob, count), values)
-          << BlockCodecName(codec) << " count=" << count
-          << " style=" << style;
+      EncodeBlock(values.data(), count, &blob);
+      EXPECT_EQ(DecodeOrDie(blob, count), values)
+          << "count=" << count << " style=" << style;
     }
   }
 }
 
-TEST_P(CodecTest, RoundTripRandomFuzz) {
-  const BlockCodec codec = GetParam();
+TEST(CodecTest, RoundTripRandomFuzz) {
   Rng rng(7);
   for (int iter = 0; iter < 300; ++iter) {
     const size_t count = 1 + rng.NextBounded(kPostingBlockSize);
@@ -79,52 +75,41 @@ TEST_P(CodecTest, RoundTripRandomFuzz) {
                                              (32 + (32 - width)));
     }
     std::vector<uint8_t> blob;
-    EncodeBlock(codec, values.data(), count, &blob);
-    ASSERT_EQ(DecodeOrDie(codec, blob, count), values) << "iter=" << iter;
+    EncodeBlock(values.data(), count, &blob);
+    ASSERT_EQ(DecodeOrDie(blob, count), values) << "iter=" << iter;
   }
 }
 
-TEST_P(CodecTest, EveryTruncationRejected) {
-  const BlockCodec codec = GetParam();
+TEST(CodecTest, EveryTruncationRejected) {
   Rng rng(11);
   std::vector<uint32_t> values(100);
   for (uint32_t& v : values) {
     v = static_cast<uint32_t>(rng.NextBounded(1u << 17));
   }
   std::vector<uint8_t> blob;
-  EncodeBlock(codec, values.data(), values.size(), &blob);
+  EncodeBlock(values.data(), values.size(), &blob);
   std::vector<uint32_t> out(values.size());
   // Every strict prefix must fail: the decoder demands exactly `count`
   // values from exactly the blob's bytes.
   for (size_t cut = 0; cut < blob.size(); ++cut) {
-    Status s = DecodeBlock(codec, blob.data(), cut, values.size(), out.data());
+    Status s = DecodeBlock(blob.data(), cut, values.size(), out.data());
     EXPECT_FALSE(s.ok()) << "prefix " << cut << " accepted";
   }
   // Trailing bytes beyond the encoding must fail too.
   std::vector<uint8_t> padded = blob;
   padded.resize(blob.size() + 8, 0);
-  Status s =
-      DecodeBlock(codec, padded.data(), padded.size(), values.size(),
-                  out.data());
+  Status s = DecodeBlock(padded.data(), padded.size(), values.size(),
+                         out.data());
   EXPECT_FALSE(s.ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Codecs, CodecTest,
-                         ::testing::Values(BlockCodec::kVarintGB,
-                                           BlockCodec::kSimple8b),
-                         [](const auto& pinfo) {
-                           return pinfo.param == BlockCodec::kVarintGB
-                                      ? "VarintGB"
-                                      : "Simple8b";
-                         });
-
 TEST(CodecEdge, EmptyBlock) {
   std::vector<uint8_t> blob;
-  EncodeBlock(BlockCodec::kVarintGB, nullptr, 0, &blob);
+  EncodeBlock(nullptr, 0, &blob);
   EXPECT_TRUE(blob.empty());
-  EXPECT_TRUE(DecodeBlock(BlockCodec::kVarintGB, nullptr, 0, 0, nullptr).ok());
+  EXPECT_TRUE(DecodeBlock(nullptr, 0, 0, nullptr).ok());
   uint8_t junk = 0;
-  EXPECT_FALSE(DecodeBlock(BlockCodec::kVarintGB, &junk, 1, 0, nullptr).ok());
+  EXPECT_FALSE(DecodeBlock(&junk, 1, 0, nullptr).ok());
 }
 
 TEST(CodecEdge, VarintGbTailControlBitsChecked) {
@@ -132,38 +117,10 @@ TEST(CodecEdge, VarintGbTailControlBitsChecked) {
   // zeroes them, so a nonzero tail is corruption.
   const uint32_t values[] = {5, 9};
   std::vector<uint8_t> blob;
-  EncodeBlock(BlockCodec::kVarintGB, values, 2, &blob);
+  EncodeBlock(values, 2, &blob);
   blob[0] |= 0x10;  // Set a tail control bit.
   uint32_t out[2];
-  EXPECT_FALSE(
-      DecodeBlock(BlockCodec::kVarintGB, blob.data(), blob.size(), 2, out)
-          .ok());
-}
-
-TEST(CodecEdge, Simple8bZeroRunPayloadChecked) {
-  // 240 zeros pack into a single selector-0 word with an all-zero payload.
-  std::vector<uint32_t> zeros(128, 0);
-  std::vector<uint8_t> blob;
-  EncodeBlock(BlockCodec::kSimple8b, zeros.data(), zeros.size(), &blob);
-  ASSERT_EQ(blob.size(), 8u);
-  blob[2] = 0xff;  // Corrupt the (must-be-zero) payload.
-  std::vector<uint32_t> out(zeros.size());
-  EXPECT_FALSE(DecodeBlock(BlockCodec::kSimple8b, blob.data(), blob.size(),
-                           zeros.size(), out.data())
-                   .ok());
-}
-
-TEST(CodecEdge, Simple8bTailPaddingChecked) {
-  // One 1-bit value uses selector 2 (60 x 1 bit); tail slots must be zero.
-  const uint32_t values[] = {1, 1, 1};
-  std::vector<uint8_t> blob;
-  EncodeBlock(BlockCodec::kSimple8b, values, 3, &blob);
-  ASSERT_EQ(blob.size(), 8u);
-  blob[4] = 0x01;  // A bit beyond the three used slots.
-  uint32_t out[3];
-  EXPECT_FALSE(
-      DecodeBlock(BlockCodec::kSimple8b, blob.data(), blob.size(), 3, out)
-          .ok());
+  EXPECT_FALSE(DecodeBlock(blob.data(), blob.size(), 2, out).ok());
 }
 
 // ---------- Posting store + cursor ----------
@@ -184,9 +141,8 @@ TermList RandomTermList(Rng* rng, uint32_t num_docs, size_t target_size) {
   return list;
 }
 
-BlockPostingsStore MakeStore(BlockCodec codec,
-                             const std::vector<TermList>& terms) {
-  BlockPostingsStore::Builder builder(codec);
+BlockPostingsStore MakeStore(const std::vector<TermList>& terms) {
+  BlockPostingsStore::Builder builder;
   std::vector<double> scores;
   for (const TermList& t : terms) {
     scores.assign(t.tfs.size(), 0.0);
@@ -198,16 +154,14 @@ BlockPostingsStore MakeStore(BlockCodec codec,
   return builder.Finish();
 }
 
-class StoreTest : public ::testing::TestWithParam<BlockCodec> {};
-
-TEST_P(StoreTest, BlockGeometry) {
+TEST(StoreTest, BlockGeometry) {
   // 129 postings: one full 128-doc block plus a 1-doc tail block.
   TermList t;
   for (uint32_t d = 0; d < 129; ++d) {
     t.docs.push_back(d * 2);
     t.tfs.push_back(1 + d % 3);
   }
-  BlockPostingsStore store = MakeStore(GetParam(), {t});
+  BlockPostingsStore store = MakeStore({t});
   EXPECT_EQ(store.NumTerms(), 1u);
   EXPECT_EQ(store.NumBlocks(), 2u);
   EXPECT_EQ(store.TermBlocks(0), 2u);
@@ -218,13 +172,13 @@ TEST_P(StoreTest, BlockGeometry) {
   EXPECT_EQ(store.BlockLastDoc(1), 128u * 2);
 }
 
-TEST_P(StoreTest, CursorWalksExactPostings) {
+TEST(StoreTest, CursorWalksExactPostings) {
   Rng rng(3);
   std::vector<TermList> terms;
   for (size_t size : {1u, 2u, 127u, 128u, 129u, 300u, 1000u}) {
     terms.push_back(RandomTermList(&rng, 1u << 20, size));
   }
-  BlockPostingsStore store = MakeStore(GetParam(), terms);
+  BlockPostingsStore store = MakeStore(terms);
   for (uint32_t tid = 0; tid < terms.size(); ++tid) {
     PostingCursor cur(&store, tid);
     for (size_t i = 0; i < terms[tid].docs.size(); ++i) {
@@ -237,10 +191,10 @@ TEST_P(StoreTest, CursorWalksExactPostings) {
   }
 }
 
-TEST_P(StoreTest, NextGeqMatchesLowerBound) {
+TEST(StoreTest, NextGeqMatchesLowerBound) {
   Rng rng(5);
   TermList t = RandomTermList(&rng, 1u << 18, 700);
-  BlockPostingsStore store = MakeStore(GetParam(), {t});
+  BlockPostingsStore store = MakeStore({t});
   for (int iter = 0; iter < 500; ++iter) {
     PostingCursor cur(&store, 0);
     uint32_t target = 0;
@@ -260,10 +214,10 @@ TEST_P(StoreTest, NextGeqMatchesLowerBound) {
   }
 }
 
-TEST_P(StoreTest, ShallowBoundMatchesContainingBlock) {
+TEST(StoreTest, ShallowBoundMatchesContainingBlock) {
   Rng rng(9);
   TermList t = RandomTermList(&rng, 1u << 18, 900);
-  BlockPostingsStore store = MakeStore(GetParam(), {t});
+  BlockPostingsStore store = MakeStore({t});
   PostingCursor cur(&store, 0);
   for (uint32_t target = 0; target < (1u << 18) && !cur.AtEnd();
        target += 997) {
@@ -282,15 +236,6 @@ TEST_P(StoreTest, ShallowBoundMatchesContainingBlock) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Codecs, StoreTest,
-                         ::testing::Values(BlockCodec::kVarintGB,
-                                           BlockCodec::kSimple8b),
-                         [](const auto& pinfo) {
-                           return pinfo.param == BlockCodec::kVarintGB
-                                      ? "VarintGB"
-                                      : "Simple8b";
-                         });
 
 // ---------- Block-max index: evaluators + serialization ----------
 
@@ -397,7 +342,7 @@ TEST(BlockMaxIndexTest, DeferredBuildMatchesEagerExactly) {
           std::string("deferred q=") + q);
     }
   }
-  deferred.RebuildBlockIndex(BlockCodec::kVarintGB);
+  deferred.RebuildBlockIndex();
   EXPECT_TRUE(deferred.has_block_index());
   EXPECT_EQ(eager.SerializeBlockIndex(), deferred.SerializeBlockIndex());
   for (const char* q : queries) {
@@ -424,24 +369,20 @@ TEST(BlockMaxIndexTest, DirectBuilderArbitraryQueryOrder) {
   for (size_t size : {400u, 350u, 120u, 40u, 7u, 1u}) {
     terms.push_back(RandomTermList(&rng, num_docs, size));
   }
-  for (BlockCodec codec : {BlockCodec::kVarintGB, BlockCodec::kSimple8b}) {
-    BlockMaxIndex::Builder builder(codec, ext, norms);
-    for (const TermList& t : terms) {
-      builder.AddTerm(MakeSpan(t.docs), MakeSpan(t.tfs));
-    }
-    BlockMaxIndex idx = builder.Finish();
-    const std::vector<std::vector<uint32_t>> queries = {
-        {0}, {5, 0, 2}, {3, 1}, {5, 4, 3, 2, 1, 0}, {2, 5}};
-    for (const auto& tids : queries) {
-      for (size_t k : {1u, 10u, 50u}) {
-        auto oracle =
-            idx.TopK(MakeSpan(tids), k, QueryEvaluator::kExhaustive);
-        auto ms = idx.TopK(MakeSpan(tids), k, QueryEvaluator::kMaxScore);
-        auto bmw =
-            idx.TopK(MakeSpan(tids), k, QueryEvaluator::kBlockMaxWand);
-        ExpectIdenticalResults(oracle, ms, "direct maxscore");
-        ExpectIdenticalResults(oracle, bmw, "direct bmw");
-      }
+  BlockMaxIndex::Builder builder(ext, norms);
+  for (const TermList& t : terms) {
+    builder.AddTerm(MakeSpan(t.docs), MakeSpan(t.tfs));
+  }
+  BlockMaxIndex idx = builder.Finish();
+  const std::vector<std::vector<uint32_t>> queries = {
+      {0}, {5, 0, 2}, {3, 1}, {5, 4, 3, 2, 1, 0}, {2, 5}};
+  for (const auto& tids : queries) {
+    for (size_t k : {1u, 10u, 50u}) {
+      auto oracle = idx.TopK(MakeSpan(tids), k, QueryEvaluator::kExhaustive);
+      auto ms = idx.TopK(MakeSpan(tids), k, QueryEvaluator::kMaxScore);
+      auto bmw = idx.TopK(MakeSpan(tids), k, QueryEvaluator::kBlockMaxWand);
+      ExpectIdenticalResults(oracle, ms, "direct maxscore");
+      ExpectIdenticalResults(oracle, bmw, "direct bmw");
     }
   }
 }
@@ -455,18 +396,6 @@ TEST(BlockMaxIndexTest, NonDefaultParamsFallBackToExhaustive) {
   ExpectIdenticalResults(a, b, "non-default fallback");
 }
 
-TEST(BlockMaxIndexTest, RebuildWithSimple8bIsEquivalent) {
-  InvertedIndex index = BuildSyntheticIndex(321, 350);
-  auto oracle = index.Search("w0 w2 w40", 20);
-  index.RebuildBlockIndex(BlockCodec::kSimple8b);
-  EXPECT_EQ(index.block_index().codec(), BlockCodec::kSimple8b);
-  for (QueryEvaluator ev :
-       {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
-    auto got = index.Search("w0 w2 w40", 20, Bm25Params{}, ev);
-    ExpectIdenticalResults(oracle, got, "simple8b");
-  }
-}
-
 TEST(BlockMaxIndexTest, CompressionBeatsCsrColumns) {
   InvertedIndex index = BuildSyntheticIndex(999, 800);
   const size_t postings = index.block_index().store().NumPostings();
@@ -477,17 +406,13 @@ TEST(BlockMaxIndexTest, CompressionBeatsCsrColumns) {
       << "block compression below the 2x acceptance floor";
 }
 
-class BlockIndexSerdeTest : public ::testing::TestWithParam<BlockCodec> {};
-
-TEST_P(BlockIndexSerdeTest, RoundTripCurrentVersion) {
+TEST(BlockIndexSerdeTest, RoundTripCurrentVersion) {
   InvertedIndex index = BuildSyntheticIndex(17, 250);
-  index.RebuildBlockIndex(GetParam());
   auto before =
       index.Search("w0 w5 w33", 15, Bm25Params{}, QueryEvaluator::kMaxScore);
   const std::string blob = index.SerializeBlockIndex();
   Status s = index.LoadBlockIndex(blob);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(index.block_index().codec(), GetParam());
   auto after =
       index.Search("w0 w5 w33", 15, Bm25Params{}, QueryEvaluator::kMaxScore);
   ExpectIdenticalResults(before, after, "serde round trip");
@@ -496,9 +421,8 @@ TEST_P(BlockIndexSerdeTest, RoundTripCurrentVersion) {
   ExpectIdenticalResults(before, bmw, "serde round trip bmw");
 }
 
-TEST_P(BlockIndexSerdeTest, V1BlobLoadsAndRebuildsMaxima) {
+TEST(BlockIndexSerdeTest, V1BlobLoadsAndRebuildsMaxima) {
   InvertedIndex index = BuildSyntheticIndex(29, 250);
-  index.RebuildBlockIndex(GetParam());
   auto before =
       index.Search("w1 w8 w50", 15, Bm25Params{}, QueryEvaluator::kBlockMaxWand);
   // A v1 blob predates the max-score columns; the loader recomputes them
@@ -512,15 +436,6 @@ TEST_P(BlockIndexSerdeTest, V1BlobLoadsAndRebuildsMaxima) {
                             QueryEvaluator::kBlockMaxWand);
   ExpectIdenticalResults(before, after, "v1 upgrade");
 }
-
-INSTANTIATE_TEST_SUITE_P(Codecs, BlockIndexSerdeTest,
-                         ::testing::Values(BlockCodec::kVarintGB,
-                                           BlockCodec::kSimple8b),
-                         [](const auto& pinfo) {
-                           return pinfo.param == BlockCodec::kVarintGB
-                                      ? "VarintGB"
-                                      : "Simple8b";
-                         });
 
 TEST(BlockIndexSerdeRejects, EveryTruncationFailsCleanly) {
   InvertedIndex index = BuildSyntheticIndex(31, 60);
@@ -565,6 +480,182 @@ TEST(BlockIndexSerdeRejects, MismatchedIndexRefused) {
   const std::string blob_a = a.SerializeBlockIndex();
   Status s = b.LoadBlockIndex(blob_a);
   EXPECT_FALSE(s.ok());
+}
+
+// ---------- Format compatibility ----------
+
+// SerializeBlockIndex() of GoldenIndex(), written by the format's earlier
+// writer (the one that could also emit Simple8b, codec id 1). Codec field
+// 0 = varint-GB, at byte offset 6.
+constexpr char kGoldenBlobHex[] =
+    "58524b430200000003000000000000000400000000000000030000000a000000"
+    "07000000c2f5285c8fc2f13f14ae47e17a14f63fc2f5285c8fc2f13f04000000"
+    "0000000004000000000000000800000000000000000000000100000002000000"
+    "0300000004000000020000000200000003000000010000000200000001000000"
+    "0200000001000000000000000000000003000000000000000600000000000000"
+    "0a000000000000000c0000000000000000000000000000000300000000000000"
+    "06000000000000000a000000000000000c000000000000000c00000000000100"
+    "00000000000000010c00000000000100000100000000000005d303b35347e53f"
+    "bf178b792f94e33f66c74c1931d2c13f893e15884403ed3f05d303b35347e53f"
+    "bf178b792f94e33f66c74c1931d2c13f893e15884403ed3f";
+
+InvertedIndex GoldenIndex() {
+  InvertedIndex index;
+  index.Add(MakeDoc(3, "alpha beta gamma"));
+  index.Add(MakeDoc(10, "beta gamma delta beta"));
+  index.Add(MakeDoc(7, "gamma alpha alpha"));
+  index.Finalize();
+  return index;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(BlockIndexSerdeTest, EarlierVarintGbBlobLoadsUnchanged) {
+  const std::string golden = FromHex(kGoldenBlobHex);
+  ASSERT_EQ(golden.size(), 312u);
+  InvertedIndex index = GoldenIndex();
+  // The writer still emits these exact bytes, codec field included.
+  EXPECT_EQ(index.SerializeBlockIndex(), golden);
+  Status s = index.LoadBlockIndex(golden);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (const char* q : {"alpha", "beta gamma", "alpha gamma delta"}) {
+    const auto oracle = index.Search(q, 3);
+    for (QueryEvaluator ev :
+         {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
+      ExpectIdenticalResults(oracle, index.Search(q, 3, Bm25Params{}, ev),
+                             std::string("golden q=") + q);
+    }
+  }
+}
+
+TEST(BlockIndexSerdeRejects, Simple8bCodecIdIsRejected) {
+  std::string blob = FromHex(kGoldenBlobHex);
+  ASSERT_EQ(blob[6], 0);
+  blob[6] = 1;  // Codec id 1 was Simple8b; no reader for it remains.
+  StatusOr<BlockMaxIndex> loaded = BlockMaxIndex::Deserialize(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("unknown codec"),
+            std::string::npos)
+      << loaded.status().message();
+  InvertedIndex index = GoldenIndex();
+  EXPECT_FALSE(index.LoadBlockIndex(blob).ok());
+}
+
+// ---------- Mutation sweep over serialized blobs ----------
+//
+// A serialized block index is untrusted input. Every mutant of a valid
+// blob — random byte flips, truncations, splices of two blobs, and
+// extreme values planted over count/offset fields — must either be
+// rejected with a Status or load into an index that answers queries
+// without faulting. Seeded and bounded, so the asan and ubsan scripts
+// run it as-is.
+
+/// A loaded index may carry corrupted score maxima (they are stored, not
+/// recomputed), so pruned results may differ from exhaustive ones; what
+/// must hold is the shape: at most k results, in ranking order.
+void ExpectRankingShape(const std::vector<SearchResult>& results, size_t k,
+                        const std::string& label) {
+  ASSERT_LE(results.size(), k) << label;
+  for (size_t i = 1; i < results.size(); ++i) {
+    const SearchResult& a = results[i - 1];
+    const SearchResult& b = results[i];
+    ASSERT_TRUE(a.score > b.score || (a.score == b.score && a.doc < b.doc))
+        << label << " rank " << i;
+  }
+}
+
+std::string Mutate(Rng* rng, const std::string& blob,
+                   const std::string& other) {
+  std::string m = blob;
+  switch (rng->NextBounded(4)) {
+    case 0: {  // Flip one to four bytes.
+      const uint64_t flips = 1 + rng->NextBounded(4);
+      for (uint64_t f = 0; f < flips; ++f) {
+        m[rng->NextBounded(m.size())] ^=
+            static_cast<char>(1 + rng->NextBounded(255));
+      }
+      break;
+    }
+    case 1:  // Truncate.
+      m.resize(rng->NextBounded(m.size()));
+      break;
+    case 2: {  // Splice: a prefix of one blob onto a suffix of another.
+      const std::string& tail = rng->NextBounded(2) == 0 ? blob : other;
+      m = blob.substr(0, rng->NextBounded(blob.size() + 1)) +
+          tail.substr(rng->NextBounded(tail.size() + 1));
+      break;
+    }
+    default: {  // Plant an extreme little-endian u32 at any offset.
+      const uint32_t values[] = {0u, 1u, 0x7fffffffu, 0xfffffffeu,
+                                 0xffffffffu};
+      const uint32_t v = values[rng->NextBounded(5)];
+      const size_t at = rng->NextBounded(m.size() - 3);
+      for (size_t b = 0; b < 4; ++b) {
+        m[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
+      }
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(BlockIndexMutationTest, MutantsAreRejectedOrServeSafely) {
+  InvertedIndex index = BuildSyntheticIndex(47, 160);
+  const std::string blob = index.SerializeBlockIndex();
+  const std::string v1 = index.block_index().SerializeVersion(1);
+  const std::string other = BuildSyntheticIndex(53, 90).SerializeBlockIndex();
+  const char* queries[] = {"w0", "w1 w9", "w0 w3 w17 w60 w200"};
+  Rng rng(20090331);
+  size_t rejected = 0;
+  size_t served = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const std::string label = "mutant " + std::to_string(i);
+    const std::string mutant = Mutate(&rng, i % 5 == 0 ? v1 : blob, other);
+    StatusOr<BlockMaxIndex> loaded = BlockMaxIndex::Deserialize(mutant);
+    if (!loaded.ok()) {
+      EXPECT_FALSE(index.LoadBlockIndex(mutant).ok()) << label;
+      ++rejected;
+      continue;
+    }
+    ++served;
+    std::vector<uint32_t> tids;
+    for (uint32_t t = 0; t < loaded->NumTerms() && t < 6; ++t) {
+      tids.push_back(t);
+    }
+    for (QueryEvaluator ev :
+         {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
+          QueryEvaluator::kBlockMaxWand}) {
+      ExpectRankingShape(loaded->TopK(MakeSpan(tids), 10, ev), 10, label);
+    }
+    // Through the owning index too: a blob that disagrees with it is
+    // refused; one that agrees serves every evaluator.
+    if (index.LoadBlockIndex(mutant).ok()) {
+      for (const char* q : queries) {
+        for (QueryEvaluator ev :
+             {QueryEvaluator::kMaxScore, QueryEvaluator::kBlockMaxWand}) {
+          ExpectRankingShape(index.Search(q, 10, Bm25Params{}, ev), 10,
+                             label + " q=" + q);
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the sweep reaches past the header checks.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(served, 0u);
+  // The untouched blob still loads and serves the exhaustive answer.
+  ASSERT_TRUE(index.LoadBlockIndex(blob).ok());
+  for (const char* q : queries) {
+    ExpectIdenticalResults(
+        index.Search(q, 10),
+        index.Search(q, 10, Bm25Params{}, QueryEvaluator::kBlockMaxWand), q);
+  }
 }
 
 }  // namespace

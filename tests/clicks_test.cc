@@ -28,7 +28,7 @@ class ClicksTest : public ::testing::Test {
     world_ = std::move(*world_or);
     gen_ = std::make_unique<DocGenerator>(*world_);
     detector_ = std::make_unique<EntityDetector>(
-        EntityDetector::FromWorld(*world_, nullptr, {}));
+        EntityDetector::FromWorld(*world_, nullptr));
   }
 
   StoryReport SimulateStory(DocId id, const ClickModelConfig& cfg = {}) {

@@ -1,5 +1,5 @@
 // Focused edge-case coverage for paths not exercised elsewhere:
-// detector options, query-mix extremes, unit-extractor caps, store-pack
+// detector filtering, query-mix extremes, unit-extractor caps, store-pack
 // corruption, sentence-boundary details, runtime stats bookkeeping.
 #include <gtest/gtest.h>
 
@@ -18,9 +18,7 @@ TEST(DetectorOptionsTest, MinConceptCharsFiltersShortSingles) {
   UnitDictionary units;
   units.Add({"ab", 1, 100, 0.0, 0.9});       // 2 chars, single-term.
   units.Add({"abcdef", 1, 100, 0.0, 0.9});   // Long single-term.
-  DetectorOptions opts;
-  opts.min_concept_chars = 3;
-  EntityDetector detector({}, &units, opts);
+  EntityDetector detector({}, &units);
   // Single-term units are always ignored as concept candidates; only
   // multi-term units enter the candidate set.
   EXPECT_EQ(detector.NumConceptEntries(), 0u);
@@ -29,7 +27,7 @@ TEST(DetectorOptionsTest, MinConceptCharsFiltersShortSingles) {
 TEST(DetectorOptionsTest, MultiTermUnitsBecomeCandidates) {
   UnitDictionary units;
   units.Add({"ab cd", 2, 100, 1.0, 0.9});
-  EntityDetector detector({}, &units, {});
+  EntityDetector detector({}, &units);
   EXPECT_EQ(detector.NumConceptEntries(), 1u);
   auto dets = detector.Detect("ab cd appears here");
   ASSERT_EQ(dets.size(), 1u);
@@ -37,7 +35,7 @@ TEST(DetectorOptionsTest, MultiTermUnitsBecomeCandidates) {
 }
 
 TEST(DetectorOptionsTest, EmptyDictionaryDetectsNothing) {
-  EntityDetector detector({}, nullptr, {});
+  EntityDetector detector({}, nullptr);
   EXPECT_TRUE(detector.Detect("any text at all").empty());
   EXPECT_EQ(detector.NumDictionaryEntries(), 0u);
 }

@@ -384,8 +384,7 @@ class DetectorTest : public ::testing::Test {
     units.Add({"insurance", 1, 400, 0.0, 0.5});   // Single-term: ignored.
     units.Add({"new york", 2, 900, 3.0, 0.95});   // Collides with dict.
     units_ = std::move(units);
-    detector_ = std::make_unique<EntityDetector>(dict, &units_,
-                                                 DetectorOptions{});
+    detector_ = std::make_unique<EntityDetector>(dict, &units_);
   }
   UnitDictionary units_;
   std::unique_ptr<EntityDetector> detector_;
@@ -427,18 +426,6 @@ TEST_F(DetectorTest, LongestMatchWinsCollision) {
   EXPECT_EQ(dets[0].type, EntityType::kOrganization);
 }
 
-TEST_F(DetectorTest, CollisionResolutionCanBeDisabled) {
-  DetectorOptions opts;
-  opts.resolve_collisions = false;
-  std::vector<EntityDetector::DictionaryEntry> dict = {
-      {"new york", EntityType::kPlace, 0},
-      {"new york times", EntityType::kOrganization, 1},
-  };
-  EntityDetector raw(dict, nullptr, opts);
-  auto dets = raw.Detect("the New York Times reported");
-  EXPECT_EQ(dets.size(), 2u);
-}
-
 TEST_F(DetectorTest, PatternsCoexistWithEntities) {
   auto dets = detector_->Detect(
       "Barack Obama's office: call 555-123-4567 or visit "
@@ -447,15 +434,6 @@ TEST_F(DetectorTest, PatternsCoexistWithEntities) {
   EXPECT_EQ(dets[0].type, EntityType::kPerson);
   EXPECT_EQ(dets[1].type, EntityType::kPattern);
   EXPECT_EQ(dets[2].type, EntityType::kPattern);
-}
-
-TEST_F(DetectorTest, PatternsCanBeDisabled) {
-  DetectorOptions opts;
-  opts.detect_patterns = false;
-  EntityDetector d({{"texas", EntityType::kPlace, 0}}, nullptr, opts);
-  auto dets = d.Detect("texas hotline 555-123-4567");
-  ASSERT_EQ(dets.size(), 1u);
-  EXPECT_EQ(dets[0].key, "texas");
 }
 
 TEST_F(DetectorTest, OffsetsAreByteAccurate) {
@@ -517,7 +495,7 @@ TEST(DetectorWorldTest, FromWorldDetectsPlantedMentions) {
   auto world_or = World::Create(cfg);
   ASSERT_TRUE(world_or.ok());
   const World& world = **world_or;
-  EntityDetector detector = EntityDetector::FromWorld(world, nullptr, {});
+  EntityDetector detector = EntityDetector::FromWorld(world, nullptr);
   EXPECT_GT(detector.NumDictionaryEntries(), 100u);
 
   DocGenerator gen(world);
@@ -601,7 +579,7 @@ TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
     if (e % 5 == 0) key += " g" + std::to_string(e);
     dict.push_back({key, EntityType::kConcept, 0});
   }
-  const EntityDetector synthetic(dict, nullptr, DetectorOptions{});
+  const EntityDetector synthetic(dict, nullptr);
   const char* pattern_bits[] = {"bob@mail.example.com", "www.example.com",
                                 "https://x.org/a", "555-123-4567"};
   for (const uint64_t seed : {19u, 43u, 67u}) {
@@ -637,7 +615,7 @@ TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
   auto world_or = World::Create(cfg);
   ASSERT_TRUE(world_or.ok());
   const World& world = **world_or;
-  const EntityDetector news = EntityDetector::FromWorld(world, nullptr, {});
+  const EntityDetector news = EntityDetector::FromWorld(world, nullptr);
   DocGenerator gen(world);
   for (DocId id = 0; id < 40; ++id) {
     fold(news.Detect(gen.Generate(Document::Kind::kNews, id).text));

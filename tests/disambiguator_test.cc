@@ -91,7 +91,7 @@ TEST(DetectorDisambiguationTest, EndToEndTypeOverride) {
   std::vector<EntityDetector::DictionaryEntry> dict = {
       {"jaguar", EntityType::kAnimal, 0},
   };
-  EntityDetector detector(dict, nullptr, {});
+  EntityDetector detector(dict, nullptr);
   SenseDisambiguator d = MakeJaguar();
   detector.SetDisambiguator(&d);
 

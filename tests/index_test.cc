@@ -1,8 +1,14 @@
 // Unit tests for ckr_index: postings, BM25 search, phrase search, snippets.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "corpus/document.h"
 #include "index/inverted_index.h"
+#include "index/legacy_index.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 
@@ -161,6 +167,68 @@ TEST(IndexLargeTest, DeterministicTieBreak) {
   }
 }
 
+TEST(IndexLargeTest, AddOrderDoesNotChangeResults) {
+  // Internal doc ids follow Add() order, but no public read depends on
+  // it: scores use per-document statistics only and equal scores break on
+  // the external id. Two indexes over the same documents, one added in
+  // external-id order and one shuffled, must answer identically. Every
+  // fourth document repeats one text, so the tied band (75 docs) is wider
+  // than k and its members sit in different 128-doc blocks of the
+  // shuffled index.
+  Rng rng(61);
+  std::vector<Document> docs;
+  for (DocId d = 0; d < 300; ++d) {
+    std::string text = "tie band";
+    if (d % 4 != 0) {
+      for (int i = 0; i < 6; ++i) {
+        text += " w" + std::to_string(rng.NextBounded(40));
+      }
+    }
+    docs.push_back(MakeDoc(d * 3 + 1, text));
+  }
+  InvertedIndex sorted;
+  for (const Document& doc : docs) sorted.Add(doc);
+  for (size_t i = docs.size(); i > 1; --i) {
+    std::swap(docs[i - 1], docs[static_cast<size_t>(rng.NextBounded(i))]);
+  }
+  InvertedIndex shuffled;
+  for (const Document& doc : docs) shuffled.Add(doc);
+  sorted.Finalize();
+  shuffled.Finalize();
+
+  auto expect_same = [](const std::vector<SearchResult>& want,
+                        const std::vector<SearchResult>& got,
+                        const std::string& label) {
+    ASSERT_EQ(want.size(), got.size()) << label;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].doc, got[i].doc) << label << " rank " << i;
+      EXPECT_EQ(want[i].score, got[i].score) << label << " rank " << i;
+    }
+  };
+  for (const char* q : {"tie band", "tie", "w3 tie", "w1 w2 w7", "band w39"}) {
+    for (size_t k : {1u, 10u, 100u}) {
+      const auto want = sorted.Search(q, k);
+      // The tied band comes out in ascending external id.
+      for (size_t i = 1; i < want.size(); ++i) {
+        if (want[i - 1].score == want[i].score) {
+          EXPECT_LT(want[i - 1].doc, want[i].doc) << q << " rank " << i;
+        }
+      }
+      for (QueryEvaluator ev :
+           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
+            QueryEvaluator::kBlockMaxWand}) {
+        expect_same(want, shuffled.Search(q, k, Bm25Params{}, ev),
+                    std::string(q) + " k=" + std::to_string(k));
+      }
+    }
+    EXPECT_EQ(sorted.RegularResultCount(q), shuffled.RegularResultCount(q))
+        << q;
+    EXPECT_EQ(sorted.PhraseResultCount(q), shuffled.PhraseResultCount(q))
+        << q;
+    expect_same(sorted.PhraseSearch(q, 20), shuffled.PhraseSearch(q, 20), q);
+  }
+}
+
 TEST(IndexOptionsTest, PhraseContractHoldsWithoutStoredText) {
   // store_text=false drops raw text and offsets only; token streams and
   // the position pool are always retained, so every phrase and search
@@ -250,7 +318,7 @@ TEST(IndexOptionsTest, PhraseContractHoldsWithDeferredBlockIndex) {
     for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].doc, b[i].doc);
   }
 
-  deferred.RebuildBlockIndex(deferred_opts.block_codec);
+  deferred.RebuildBlockIndex();
   ASSERT_TRUE(deferred.has_block_index());
   expect_phrases_match(deferred);
 }
@@ -311,22 +379,84 @@ TEST(IndexOptionsTest, EvaluatorFallbacksAreCounted) {
 TEST(IndexOptionsTest, PhraseEarlyExitsOnEmptyAndOovInput) {
   // The ResolvePhrase early exits (inverted_index.cc): empty input,
   // whitespace-only input, and any out-of-vocabulary term resolve to "no
-  // results" across both phrase entry points — with or without the
-  // signature prefilter in front of them.
-  for (bool with_signatures : {true, false}) {
-    IndexBuildOptions opts;
-    opts.build_signature_filter = with_signatures;
-    InvertedIndex index(opts);
-    index.Add(MakeDoc(7, "only one document here"));
-    index.Finalize();
-    for (const char* phrase : {"", "   ", "\t\n", "missing", "one missing"}) {
-      EXPECT_EQ(index.PhraseResultCount(phrase), 0u)
-          << "sig=" << with_signatures << " phrase='" << phrase << "'";
-      EXPECT_TRUE(index.PhraseSearch(phrase, 10).empty())
-          << "sig=" << with_signatures << " phrase='" << phrase << "'";
-    }
-    EXPECT_EQ(index.PhraseResultCount("one document"), 1u);
+  // results" across both phrase entry points.
+  InvertedIndex index;
+  index.Add(MakeDoc(7, "only one document here"));
+  index.Finalize();
+  for (const char* phrase : {"", "   ", "\t\n", "missing", "one missing"}) {
+    EXPECT_EQ(index.PhraseResultCount(phrase), 0u)
+        << "phrase='" << phrase << "'";
+    EXPECT_TRUE(index.PhraseSearch(phrase, 10).empty())
+        << "phrase='" << phrase << "'";
   }
+  EXPECT_EQ(index.PhraseResultCount("one document"), 1u);
+}
+
+// Docs 12 and 13 contain "quick" and "brown" but not adjacently, so the
+// phrase seed loop must verify positions rather than trust term presence.
+class PhraseIndexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const auto& [id, text] : kDocs) {
+      index_.Add(MakeDoc(id, text));
+      legacy_.Add(MakeDoc(id, text));
+    }
+    index_.Finalize();
+    legacy_.Finalize();
+  }
+  static constexpr std::pair<DocId, const char*> kDocs[] = {
+      {10, "the quick brown fox jumps"},
+      {11, "quick brown foxes are quick"},
+      {12, "quick dogs and brown cats"},
+      {13, "brown bread with quick jam"},
+      {14, "nothing relevant in here"},
+  };
+  InvertedIndex index_;
+  LegacyInvertedIndex legacy_;
+};
+
+TEST_F(PhraseIndexTest, PhraseCountsMatchLegacyIndex) {
+  const char* phrases[] = {"quick brown",  "brown fox",   "quick",
+                           "quick dogs",   "brown cats",  "fox jumps",
+                           "quick jam",    "dogs quick",  "the quick brown",
+                           "quick quick",  "zzz",         "quick zzz",
+                           "",             "   ",         "quick quick brown"};
+  for (const char* p : phrases) {
+    EXPECT_EQ(index_.PhraseResultCount(p), legacy_.PhraseResultCount(p))
+        << "phrase: '" << p << "'";
+    const auto got = index_.PhraseSearch(p, 10);
+    const auto want = legacy_.PhraseSearch(p, 10);
+    ASSERT_EQ(got.size(), want.size()) << "phrase: '" << p << "'";
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc);
+      EXPECT_EQ(got[i].score, want[i].score);
+    }
+  }
+}
+
+TEST_F(PhraseIndexTest, DegenerateQueriesAreSafe) {
+  // Empty/whitespace-only queries: no terms, nothing matches.
+  EXPECT_EQ(index_.PhraseResultCount(""), 0u);
+  EXPECT_EQ(index_.PhraseResultCount("   \t  "), 0u);
+  EXPECT_TRUE(index_.PhraseSearch("", 10).empty());
+  EXPECT_EQ(index_.RegularResultCount(""), 0u);
+  EXPECT_EQ(index_.RegularResultCount("  \t "), 0u);
+  EXPECT_TRUE(index_.Search("", 10).empty());
+  EXPECT_TRUE(index_.Search("   ", 10).empty());
+  // Duplicate terms collapse to one: same count as the single term.
+  EXPECT_EQ(index_.RegularResultCount("quick quick quick"),
+            index_.RegularResultCount("quick"));
+  EXPECT_EQ(index_.PhraseResultCount("quick quick"), 0u);  // Not adjacent.
+  auto dup = index_.Search("quick quick", 10);
+  auto single = index_.Search("quick", 10);
+  ASSERT_EQ(dup.size(), single.size());
+  for (size_t i = 0; i < dup.size(); ++i) {
+    EXPECT_EQ(dup[i].doc, single[i].doc);
+    EXPECT_EQ(dup[i].score, single[i].score);
+  }
+  // Out-of-vocabulary phrase terms early-exit to zero.
+  EXPECT_EQ(index_.PhraseResultCount("quick zzzz"), 0u);
+  EXPECT_TRUE(index_.PhraseSearch("zzzz quick", 5).empty());
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST_F(DatasetVariantsTest, ThreadCountDoesNotChangeResults) {
 TEST(RuntimeEdgeTest, EmptyStoresProduceNoAnnotations) {
   std::vector<EntityDetector::DictionaryEntry> dict = {
       {"something", EntityType::kPlace, 0}};
-  EntityDetector detector(dict, nullptr, {});
+  EntityDetector detector(dict, nullptr);
   QuantizedInterestingnessStore interest;
   interest.Finalize();
   GlobalTidTable tids;
@@ -135,7 +135,7 @@ TEST(RuntimeEdgeTest, EmptyStoresProduceNoAnnotations) {
 TEST(RuntimeEdgeTest, EmptyDocument) {
   std::vector<EntityDetector::DictionaryEntry> dict = {
       {"x y", EntityType::kPlace, 0}};
-  EntityDetector detector(dict, nullptr, {});
+  EntityDetector detector(dict, nullptr);
   QuantizedInterestingnessStore interest;
   interest.Finalize();
   GlobalTidTable tids;

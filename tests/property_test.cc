@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "corpus/document.h"
 #include "detect/aho_corasick.h"
-#include "index/block_codecs.h"
 #include "index/inverted_index.h"
 #include "eval/metrics.h"
 #include "framework/bitstream.h"
@@ -346,20 +345,18 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 3u, 8u, 17u),
                        ::testing::Values(2u, 5u, 10u)));
 
-// ---------- Top-k evaluator equivalence over (seed, codec) ----------
+// ---------- Top-k evaluator equivalence over random corpora ----------
 //
 // MaxScore and Block-Max-WAND prune with bounds that dominate the exact
 // scores with zero slack (index/block_max_index.h), so on ANY corpus and
 // query they must return exactly the exhaustive top-k — same docs, same
 // order, bit-identical doubles. This sweep hammers that claim with random
-// Zipf-ish corpora and random multi-term queries for both codecs.
+// Zipf-ish corpora and random multi-term queries.
 
-class EvaluatorSweep
-    : public ::testing::TestWithParam<std::tuple<uint64_t, BlockCodec>> {};
+class EvaluatorSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EvaluatorSweep, PrunedTopKIsBitIdenticalToExhaustive) {
-  auto [seed, codec] = GetParam();
-  Rng rng(seed);
+  Rng rng(GetParam());
   InvertedIndex index;
   const size_t num_docs = 150 + rng.NextBounded(250);
   for (size_t d = 0; d < num_docs; ++d) {
@@ -380,7 +377,6 @@ TEST_P(EvaluatorSweep, PrunedTopKIsBitIdenticalToExhaustive) {
     index.Add(std::move(doc));
   }
   index.Finalize();
-  index.RebuildBlockIndex(codec);
 
   for (int q = 0; q < 40; ++q) {
     std::string query;
@@ -408,134 +404,11 @@ TEST_P(EvaluatorSweep, PrunedTopKIsBitIdenticalToExhaustive) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndCodecs, EvaluatorSweep,
-    ::testing::Combine(::testing::Values(11u, 23u, 37u, 51u),
-                       ::testing::Values(BlockCodec::kVarintGB,
-                                         BlockCodec::kSimple8b)),
-    [](const auto& pinfo) {
-      return "Seed" + std::to_string(std::get<0>(pinfo.param)) +
-             (std::get<1>(pinfo.param) == BlockCodec::kVarintGB ? "VarintGB"
-                                                                : "Simple8b");
-    });
-
-// ---------- Docid-order invariance (the permutation/remap contract) ------
-//
-// Internal docid assignment is a private layout choice: BM25 depends only
-// on per-document statistics (tf, df, doc length, average length), all of
-// which are permutation-invariant, and the ranking order is total (score
-// descending, external id ascending). So every public read — ranked
-// search under all three evaluators, disjunctive result counts, phrase
-// counts — must be bit-identical under ANY permutation of the internal
-// order, under every codec. This contract is what makes bisection
-// reordering safe to apply inside Finalize().
-
-class DocidOrderSweep
-    : public ::testing::TestWithParam<std::tuple<uint64_t, BlockCodec>> {};
-
-TEST_P(DocidOrderSweep, PublicReadsInvariantUnderPermutation) {
-  auto [seed, codec] = GetParam();
-  Rng rng(seed);
-  std::vector<Document> corpus;
-  const size_t num_docs = 120 + rng.NextBounded(180);
-  for (size_t d = 0; d < num_docs; ++d) {
-    std::string text;
-    const size_t len = 3 + rng.NextBounded(50);
-    for (size_t i = 0; i < len; ++i) {
-      const uint64_t u = rng.NextBounded(100);
-      const uint64_t term = u < 55   ? rng.NextBounded(6)
-                            : u < 85 ? 6 + rng.NextBounded(30)
-                                     : 36 + rng.NextBounded(300);
-      text += "w" + std::to_string(term) + " ";
-    }
-    Document doc;
-    doc.id = static_cast<DocId>(d * 3 + 1);
-    doc.text = std::move(text);
-    corpus.push_back(std::move(doc));
-  }
-
-  auto build = [&corpus](IndexBuildOptions opts) {
-    InvertedIndex idx(std::move(opts));
-    for (const Document& d : corpus) idx.Add(d);
-    idx.Finalize();
-    return idx;
-  };
-  IndexBuildOptions base_opts;
-  base_opts.block_codec = codec;
-  const InvertedIndex base = build(base_opts);
-
-  // A uniformly random permutation (Fisher-Yates off the sweep's rng) and
-  // the bisection order — one adversarial layout, one production layout.
-  std::vector<uint32_t> perm(corpus.size());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
-  for (size_t i = perm.size(); i > 1; --i) {
-    std::swap(perm[i - 1], perm[static_cast<size_t>(rng.NextBounded(i))]);
-  }
-  IndexBuildOptions perm_opts = base_opts;
-  perm_opts.docid_order = DocidOrder::kExplicit;
-  perm_opts.explicit_order = perm;
-  const InvertedIndex shuffled = build(std::move(perm_opts));
-  IndexBuildOptions bis_opts = base_opts;
-  bis_opts.docid_order = DocidOrder::kBisection;
-  const InvertedIndex clustered = build(std::move(bis_opts));
-  const InvertedIndex* variants[] = {&shuffled, &clustered};
-
-  auto expect_same = [](const std::vector<SearchResult>& a,
-                        const std::vector<SearchResult>& b,
-                        const std::string& query) {
-    ASSERT_EQ(a.size(), b.size()) << "query=" << query;
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].doc, b[i].doc) << "query=" << query << " rank=" << i;
-      ASSERT_EQ(a[i].score, b[i].score) << "query=" << query << " rank=" << i;
-    }
-  };
-  for (int q = 0; q < 30; ++q) {
-    std::string query;
-    const size_t terms = 1 + rng.NextBounded(5);
-    for (size_t t = 0; t < terms; ++t) {
-      query += "w" + std::to_string(rng.NextBounded(340)) + " ";
-    }
-    for (const InvertedIndex* other : variants) {
-      ASSERT_EQ(base.RegularResultCount(query),
-                other->RegularResultCount(query))
-          << "query=" << query;
-      for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
-        expect_same(base.Search(query, 15, Bm25Params{}, evaluator),
-                    other->Search(query, 15, Bm25Params{}, evaluator), query);
-      }
-    }
-  }
-  // Phrases sampled as adjacent token pairs of real documents, so a good
-  // fraction actually match somewhere.
-  for (int p = 0; p < 20; ++p) {
-    const Document& d =
-        corpus[static_cast<size_t>(rng.NextBounded(corpus.size()))];
-    std::vector<Token> toks = Tokenize(d.text);
-    if (toks.size() < 2) continue;
-    const size_t at = static_cast<size_t>(rng.NextBounded(toks.size() - 1));
-    const std::string phrase =
-        std::string(toks[at].text) + " " + std::string(toks[at + 1].text);
-    for (const InvertedIndex* other : variants) {
-      ASSERT_EQ(base.PhraseResultCount(phrase), other->PhraseResultCount(phrase))
-          << "phrase=" << phrase;
-      expect_same(base.PhraseSearch(phrase, 10), other->PhraseSearch(phrase, 10),
-                  phrase);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndCodecs, DocidOrderSweep,
-    ::testing::Combine(::testing::Values(5u, 19u, 43u),
-                       ::testing::Values(BlockCodec::kVarintGB,
-                                         BlockCodec::kSimple8b)),
-    [](const auto& pinfo) {
-      return "Seed" + std::to_string(std::get<0>(pinfo.param)) +
-             (std::get<1>(pinfo.param) == BlockCodec::kVarintGB ? "VarintGB"
-                                                                : "Simple8b");
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, EvaluatorSweep,
+                         ::testing::Values(11u, 23u, 37u, 51u),
+                         [](const auto& pinfo) {
+                           return "Seed" + std::to_string(pinfo.param);
+                         });
 
 // ---------- Sharded scatter/gather exactness (the serving contract) -----
 //
@@ -586,13 +459,13 @@ TEST_P(ShardedSweep, TopKIsBitIdenticalToSingleIndexOracle) {
     }
   }
   oracle.Finalize();
-  oracle.RebuildBlockIndex(BlockCodec::kVarintGB);
+  oracle.RebuildBlockIndex();
   for (auto& shard : shards) {
     shard->Finalize();
     // Built BEFORE the stats override: FromShards must rebuild it with
     // the merged (global) idf, or the pruned evaluators' maxima would
     // reflect shard-local stats and the sweep below would diverge.
-    shard->RebuildBlockIndex(BlockCodec::kVarintGB);
+    shard->RebuildBlockIndex();
   }
   auto sharded_or = ShardedIndex::FromShards(std::move(shards));
   ASSERT_TRUE(sharded_or.ok()) << sharded_or.status().message();
@@ -666,147 +539,6 @@ TEST(ShardedEdgeCases, EmptyShardsAreValidAndInvisible) {
     EXPECT_EQ(got[i].score, expected[i].score);
   }
 }
-
-// ---------- Signature prefilter exact-safety (zero false negatives) ------
-//
-// The AND-mask prefilter (index/doc_signature.h) may only ever skip true
-// negatives: a rejected document provably lacks a query term. Collisions
-// can let non-matching documents *through* (they fail the real positional
-// check), but no matching document may be rejected — so every public read
-// must be bit-identical with the prefilter on and off, on any corpus,
-// under both codecs, across all three evaluators. This sweep builds twin
-// indexes over random Zipf-ish corpora and hammers phrase counts, phrase
-// search, ranked search, and disjunctive counts with queries drawn both
-// from inside documents (guaranteed-present phrases) and at random
-// (mostly-absent and partially-out-of-vocabulary phrases).
-
-class SignatureSweep
-    : public ::testing::TestWithParam<std::tuple<uint64_t, BlockCodec>> {};
-
-TEST_P(SignatureSweep, PrefilterOnAndOffAreBitIdentical) {
-  auto [seed, codec] = GetParam();
-  Rng rng(seed);
-  std::vector<Document> corpus;
-  std::vector<std::vector<std::string>> doc_terms;
-  const size_t num_docs = 120 + rng.NextBounded(180);
-  for (size_t d = 0; d < num_docs; ++d) {
-    std::vector<std::string> terms;
-    const size_t len = 3 + rng.NextBounded(50);
-    std::string text;
-    for (size_t i = 0; i < len; ++i) {
-      const uint64_t u = rng.NextBounded(100);
-      const uint64_t term = u < 55   ? rng.NextBounded(6)
-                            : u < 85 ? 6 + rng.NextBounded(30)
-                                     : 36 + rng.NextBounded(300);
-      terms.push_back("w" + std::to_string(term));
-      text += terms.back() + " ";
-    }
-    Document doc;
-    doc.id = static_cast<DocId>(d * 3 + 1);
-    doc.text = std::move(text);
-    corpus.push_back(std::move(doc));
-    doc_terms.push_back(std::move(terms));
-  }
-
-  auto build = [&corpus](IndexBuildOptions opts) {
-    InvertedIndex idx(std::move(opts));
-    for (const Document& d : corpus) idx.Add(d);
-    idx.Finalize();
-    return idx;
-  };
-  IndexBuildOptions on_opts;
-  on_opts.block_codec = codec;
-  IndexBuildOptions off_opts;
-  off_opts.block_codec = codec;
-  off_opts.build_signature_filter = false;
-  const InvertedIndex gated = build(on_opts);
-  const InvertedIndex plain = build(off_opts);
-  ASSERT_TRUE(gated.has_signatures());
-  ASSERT_FALSE(plain.has_signatures());
-
-  // Phrase workload: in-document windows (always present), random windows
-  // with one term swapped (the adversarial terms-present-but-not-adjacent
-  // shape), fully random short phrases, and degenerate inputs.
-  std::vector<std::string> phrases = {"", "   ", "w0 w0", "zzz", "w0 zzz"};
-  for (int q = 0; q < 30; ++q) {
-    const size_t d = rng.NextBounded(num_docs);
-    const std::vector<std::string>& terms = doc_terms[d];
-    const size_t width = 1 + rng.NextBounded(3);
-    if (terms.size() < width) continue;
-    const size_t start = rng.NextBounded(terms.size() - width + 1);
-    std::string phrase;
-    for (size_t i = 0; i < width; ++i) phrase += terms[start + i] + " ";
-    phrases.push_back(phrase);
-    if (width > 1) {
-      // Swap in a random term: both terms usually exist somewhere, the
-      // exact window usually does not.
-      std::string swapped = phrase;
-      swapped += "w" + std::to_string(rng.NextBounded(340));
-      phrases.push_back(swapped);
-    }
-  }
-  for (int q = 0; q < 15; ++q) {
-    std::string phrase;
-    const size_t width = 2 + rng.NextBounded(3);
-    for (size_t i = 0; i < width; ++i) {
-      phrase += "w" + std::to_string(rng.NextBounded(340)) + " ";
-    }
-    phrases.push_back(phrase);
-  }
-
-  for (const std::string& phrase : phrases) {
-    ASSERT_EQ(gated.PhraseResultCount(phrase), plain.PhraseResultCount(phrase))
-        << "phrase='" << phrase << "'";
-    for (size_t k : {1u, 10u, 50u}) {
-      const auto a = gated.PhraseSearch(phrase, k);
-      const auto b = plain.PhraseSearch(phrase, k);
-      ASSERT_EQ(a.size(), b.size()) << "phrase='" << phrase << "' k=" << k;
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].doc, b[i].doc) << "phrase='" << phrase << "' k=" << k;
-        ASSERT_EQ(a[i].score, b[i].score)
-            << "phrase='" << phrase << "' k=" << k;
-      }
-    }
-    // Disjunctive count over the same term bag.
-    ASSERT_EQ(gated.RegularResultCount(phrase),
-              plain.RegularResultCount(phrase))
-        << "phrase='" << phrase << "'";
-  }
-
-  // Ranked search: the signature option must not perturb any evaluator.
-  for (int q = 0; q < 15; ++q) {
-    std::string query;
-    const size_t terms = 1 + rng.NextBounded(6);
-    for (size_t t = 0; t < terms; ++t) {
-      query += "w" + std::to_string(rng.NextBounded(340)) + " ";
-    }
-    for (size_t k : {1u, 10u, 50u}) {
-      for (QueryEvaluator evaluator :
-           {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
-            QueryEvaluator::kBlockMaxWand}) {
-        const auto a = gated.Search(query, k, Bm25Params{}, evaluator);
-        const auto b = plain.Search(query, k, Bm25Params{}, evaluator);
-        ASSERT_EQ(a.size(), b.size()) << "query='" << query << "' k=" << k;
-        for (size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i].doc, b[i].doc) << "query='" << query << "' k=" << k;
-          ASSERT_EQ(a[i].score, b[i].score)
-              << "query='" << query << "' k=" << k;
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndCodecs, SignatureSweep,
-    ::testing::Combine(::testing::Values(11u, 23u, 37u, 51u),
-                       ::testing::Values(BlockCodec::kVarintGB,
-                                         BlockCodec::kSimple8b)),
-    [](const auto& pinfo) {
-      return "Seed" + std::to_string(std::get<0>(pinfo.param)) +
-             (std::get<1>(pinfo.param) == BlockCodec::kVarintGB ? "VarintGB"
-                                                                : "Simple8b");
-    });
 
 TEST(ShardedEdgeCases, DuplicateExternalIdsAcrossShardsAreRejected) {
   std::vector<std::unique_ptr<InvertedIndex>> shards;

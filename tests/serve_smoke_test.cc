@@ -85,7 +85,7 @@ TEST_F(ServeSmokeTest, ShardedBuildMatchesSingleIndexOracle) {
                              [&](Document&& doc) { oracle.Add(doc); });
   ASSERT_TRUE(s.ok()) << s.message();
   oracle.Finalize();
-  oracle.RebuildBlockIndex(BlockCodec::kVarintGB);
+  oracle.RebuildBlockIndex();
 
   LoadGenConfig load_cfg;
   const LoadGenerator gen(*world_, load_cfg);

@@ -382,6 +382,35 @@ TEST(ServeDaemonTest, ExpiredDeadlineIsShedWithoutTouchingTheIndex) {
   EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.completed")->Value(), 0u);
 }
 
+TEST(ServeDaemonTest, LatencyHistogramCountsServedAnswersOnly) {
+  // Worker-side rejections answer in microseconds; recording them beside
+  // served answers would drag the served percentiles down. They go to
+  // their own histogram instead.
+  DaemonFixture fix;
+  fix.clock.Set(1000);
+  ASSERT_TRUE(fix.daemon.Start().ok());
+  ServeRequest before_publish;
+  before_publish.query = "quick";
+  EXPECT_EQ(SubmitAndWait(fix.daemon, std::move(before_publish)).outcome,
+            ServeOutcome::kNoSnapshot);
+  fix.daemon.Publish(MakeTestSnapshot());
+  ServeRequest expired;
+  expired.query = "quick";
+  expired.deadline_nanos = 500;  // Already past at admission.
+  EXPECT_EQ(SubmitAndWait(fix.daemon, std::move(expired)).outcome,
+            ServeOutcome::kShedDeadline);
+  ServeRequest served;
+  served.query = "quick";
+  EXPECT_EQ(SubmitAndWait(fix.daemon, std::move(served)).outcome,
+            ServeOutcome::kOk);
+  fix.daemon.Stop();
+  EXPECT_EQ(fix.metrics.GetHistogram("ckr.serve.latency_seconds")->Count(),
+            1u);
+  EXPECT_EQ(
+      fix.metrics.GetHistogram("ckr.serve.rejected_latency_seconds")->Count(),
+      2u);
+}
+
 TEST(ServeDaemonTest, QueueFullShedsAtAdmission) {
   ServeDaemonConfig config;
   config.num_workers = 1;

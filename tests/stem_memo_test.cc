@@ -221,8 +221,7 @@ class StemMemoRankerTest : public ::testing::Test {
     }
     std::reverse(dict.begin(), dict.end());
     dict.push_back({LongForm() + " harbor", EntityType::kConcept, 0});
-    return std::make_unique<EntityDetector>(dict, &pipeline.units(),
-                                            pipeline.config().detector);
+    return std::make_unique<EntityDetector>(dict, &pipeline.units());
   }
 
   // A ranker over the trained stores, model and TID table but `detector`.

@@ -157,11 +157,9 @@ TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
 }
 
 TEST(TokenizerTest, NumberFiltering) {
-  TokenizerOptions keep;
-  TokenizerOptions drop;
-  drop.keep_numbers = false;
-  EXPECT_EQ(TokenizeToStrings("room 42 ready", keep).size(), 3u);
-  EXPECT_EQ(TokenizeToStrings("room 42 ready", drop).size(), 2u);
+  // Purely numeric tokens are kept.
+  EXPECT_EQ(TokenizeToStrings("room 42 ready"),
+            (std::vector<std::string>{"room", "42", "ready"}));
 }
 
 TEST(TokenizerTest, NormalizePhrase) {
@@ -303,10 +301,8 @@ TEST(AsciiClassifierTest, AgreeWithCctypeOnEveryByte) {
 }
 
 // The tokenizer as specified through <cctype>: split on isspace, strip
-// surrounding ispunct, drop empties (and all-digit pieces without
-// keep_numbers), tolower, strip a possessive "'s".
-std::vector<Token> CctypeTokenize(std::string_view text,
-                                  const TokenizerOptions& options) {
+// surrounding ispunct, drop empties, tolower, strip a possessive "'s".
+std::vector<Token> CctypeTokenize(std::string_view text) {
   auto space = [](char c) {
     return std::isspace(static_cast<unsigned char>(c)) != 0;
   };
@@ -320,22 +316,13 @@ std::vector<Token> CctypeTokenize(std::string_view text,
     size_t b = i;
     while (i < text.size() && !space(text[i])) ++i;
     size_t e = i;
-    if (options.strip_punct) {
-      while (b < e && punct(text[b])) ++b;
-      while (e > b && punct(text[e - 1])) --e;
-    }
+    while (b < e && punct(text[b])) ++b;
+    while (e > b && punct(text[e - 1])) --e;
     if (b == e) continue;
-    bool all_digits = true;
-    for (size_t k = b; k < e; ++k) {
-      all_digits =
-          all_digits && std::isdigit(static_cast<unsigned char>(text[k]));
-    }
-    if (!options.keep_numbers && all_digits) continue;
     Token tok;
     for (size_t k = b; k < e; ++k) {
       const unsigned char u = static_cast<unsigned char>(text[k]);
-      tok.text.push_back(
-          static_cast<char>(options.lowercase ? std::tolower(u) : u));
+      tok.text.push_back(static_cast<char>(std::tolower(u)));
     }
     if (tok.text.size() > 2 && tok.text.substr(tok.text.size() - 2) == "'s") {
       tok.text.resize(tok.text.size() - 2);
@@ -364,19 +351,9 @@ TEST(TokenizeIntoTest, MatchesCctypeReferenceOnRandomBytes) {
                            ? special[rng.NextBounded(special.size())]
                            : static_cast<char>(rng.NextBounded(256)));
       }
-      for (bool lowercase : {true, false}) {
-        for (bool strip_punct : {true, false}) {
-          for (bool keep_numbers : {true, false}) {
-            TokenizerOptions options;
-            options.lowercase = lowercase;
-            options.strip_punct = strip_punct;
-            options.keep_numbers = keep_numbers;
-            TokenizeInto(text, &reused, options);
-            ASSERT_EQ(reused, CctypeTokenize(text, options))
-                << "seed " << seed << " trial " << trial;
-          }
-        }
-      }
+      TokenizeInto(text, &reused);
+      ASSERT_EQ(reused, CctypeTokenize(text))
+          << "seed " << seed << " trial " << trial;
     }
   }
 }

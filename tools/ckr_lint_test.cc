@@ -152,11 +152,11 @@ TEST(CkrLintTest, R7FlagsImplicitSeqCstOps) {
 }
 
 TEST(CkrLintTest, SignatureModulePathIsCoveredByR1R6R7) {
-  // The signature prefilter's contract hinges on deterministic bit
-  // positions (R1) and cleanly-disciplined rejection counters (R6/R7);
-  // this fixture plants the canonical violation of each under the
-  // module's own virtual path, proving the rules bind there. The
-  // whole-tree lint test covers the real doc_signature sources.
+  // A hashed prefilter's contract hinges on deterministic bit positions
+  // (R1) and cleanly-disciplined rejection counters (R6/R7); this fixture
+  // plants the canonical violation of each under a virtual src/index/
+  // path, proving the rules bind in that directory. The whole-tree lint
+  // test covers the real src/index/ sources.
   const std::string content = ReadFixture("sig_prefilter_bad.cc");
   auto vs = LintContent("src/index/doc_signature_bad.cc", content);
   EXPECT_EQ(RuleLines(vs), (std::multiset<RuleLine>{
