@@ -10,7 +10,9 @@
 # so the decoders' bounds checks run under the sanitizer. The Stemmer's
 # memo (offsets into a shared key buffer, linear probing) and the
 # tokenizer run here too, and so does the Aho-Corasick matcher, whose
-# dense root row is indexed by term id without a bounds check.
+# dense root row is indexed by term id without a bounds check. Prisma
+# feedback (SearchTest) indexes its dense per-call accumulators and the
+# service's per-term tables by the index's term ids the same way.
 #
 # Usage: scripts/asan_check.sh [extra ctest args]
 set -euo pipefail
@@ -19,6 +21,6 @@ cd "$(dirname "$0")/.."
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target \
   index_test index_equiv_test block_index_test offline_parallel_test \
-  stem_memo_test text_test detect_test
+  stem_memo_test text_test detect_test search_wiki_test
 ctest --test-dir build-asan --output-on-failure "$@" \
-  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector)'
+  -R '(Index|Snippet|ParallelMining|Codec|Store|BlockIndex|BlockMax|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector|SearchTest)'

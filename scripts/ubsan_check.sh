@@ -7,7 +7,8 @@
 # tokenizer's byte classifiers (signed char comparisons), the
 # Aho-Corasick matcher's id arithmetic, and the block-index loader under
 # BlockIndexMutationTest's mutated blobs (shifts and offset arithmetic
-# over untrusted counts) run here too.
+# over untrusted counts) run here too, as does Prisma feedback
+# (SearchTest), which indexes dense arrays by the index's term ids.
 #
 # Usage: scripts/ubsan_check.sh [extra ctest args]
 set -euo pipefail
@@ -16,6 +17,6 @@ cd "$(dirname "$0")/.."
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$(nproc)" --target \
   ranksvm_test training_parallel_test eval_test core_test stem_memo_test \
-  text_test detect_test block_index_test
+  text_test detect_test block_index_test search_wiki_test
 ctest --test-dir build-ubsan --output-on-failure "$@" \
-  -R '(RankSvm|TrainingParallel|Bootstrap|Core|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector|BlockIndexMutation)'
+  -R '(RankSvm|TrainingParallel|Bootstrap|Core|StemMemo|Tokeniz|AsciiClassifier|AhoCorasick|Detector|BlockIndexMutation|SearchTest)'

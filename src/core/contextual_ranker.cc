@@ -1,9 +1,12 @@
 #include "core/contextual_ranker.h"
 
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.h"
+#include "obs/hooks.h"
 
 namespace ckr {
 
@@ -17,7 +20,8 @@ StatusOr<std::unique_ptr<ContextualRanker>> ContextualRanker::Train(
   const Pipeline& p = *ranker->pipeline_;
 
   DatasetBuilder builder(p, options.dataset);
-  auto dataset_or = builder.Build();
+  MinedConceptCache dataset_mined;
+  auto dataset_or = builder.Build(&dataset_mined);
   if (!dataset_or.ok()) return dataset_or.status();
   ranker->dataset_ = std::move(*dataset_or);
 
@@ -37,6 +41,7 @@ StatusOr<std::unique_ptr<ContextualRanker>> ContextualRanker::Train(
 
   // Offline store population: every candidate the detector can emit (the
   // editorial dictionaries plus all multi-term units).
+  CKR_OBS_SCOPED_TIMER("ckr.offline.stage.store_population_seconds");
   std::vector<std::pair<std::string, EntityType>> candidates;
   for (const Entity& e : p.world().entities()) {
     if (e.in_dictionary) candidates.emplace_back(e.key, e.type);
@@ -47,21 +52,46 @@ StatusOr<std::unique_ptr<ContextualRanker>> ContextualRanker::Train(
     candidates.emplace_back(u->phrase, EntityType::kConcept);
   }
 
-  ranker->relevance_store_ =
-      std::make_unique<PackedRelevanceStore>(&ranker->tids_);
-  // Parallel extraction into per-candidate slots; the store insertions
-  // stay sequential (TID interning is order-sensitive).
+  // A candidate the dataset already mined under the same key and type
+  // takes that result (mining is a pure function of key and type); only
+  // the others are mined here, in parallel into per-candidate slots.
   std::vector<InterestingnessVector> ivecs(candidates.size());
   std::vector<std::vector<RelevantTerm>> mined(candidates.size());
+  std::unordered_map<std::string_view, size_t> dataset_slot;
+  for (size_t c = 0; c < dataset_mined.concepts.size(); ++c) {
+    dataset_slot.emplace(dataset_mined.concepts[c].key, c);
+  }
+  const size_t resource = static_cast<size_t>(options.relevance_resource);
+  std::vector<size_t> to_mine;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const auto& [key, type] = candidates[i];
+    auto it = dataset_slot.find(key);
+    if (it == dataset_slot.end() ||
+        dataset_mined.concepts[it->second].type != type) {
+      to_mine.push_back(i);
+      continue;
+    }
+    MinedConcept& m = dataset_mined.mined[it->second];
+    ivecs[i] = m.interestingness;
+    mined[i] = std::move(m.relevance[resource]);
+    dataset_slot.erase(it);  // Moved from: a repeated key mines afresh.
+  }
   unsigned workers = options.dataset.num_threads == 0
                          ? DefaultWorkerCount()
                          : options.dataset.num_threads;
-  ParallelFor(candidates.size(), workers, [&](size_t i) {
+  ParallelFor(to_mine.size(), workers, [&](size_t j) {
+    const size_t i = to_mine[j];
     const auto& [key, type] = candidates[i];
     ivecs[i] = p.interestingness().Extract(key, type);
     mined[i] = p.relevance_miner().Mine(key, options.relevance_resource,
                                         options.dataset.relevance_terms);
   });
+  dataset_slot.clear();
+  dataset_mined = MinedConceptCache();
+
+  // Store insertions stay sequential (TID interning is order-sensitive).
+  ranker->relevance_store_ =
+      std::make_unique<PackedRelevanceStore>(&ranker->tids_);
   for (size_t i = 0; i < candidates.size(); ++i) {
     ranker->interestingness_store_.Add(candidates[i].first, ivecs[i]);
     ranker->relevance_store_->Add(candidates[i].first, std::move(mined[i]));

@@ -39,8 +39,11 @@ struct ContextualRankerOptions {
 /// accumulation aside).
 class ContextualRanker {
  public:
-  /// Builds + trains the whole system (offline phase). Minutes at paper
-  /// scale, seconds at test scale.
+  /// Builds + trains the whole system (offline phase): about 5 s at paper
+  /// scale on 2 training threads, under a second at test scale. Each stage
+  /// records into a `ckr.offline.stage.*` histogram (pipeline build and
+  /// its parts, dataset build, RankSVM fit, store population), and the
+  /// stages add up to the wall time.
   [[nodiscard]] static StatusOr<std::unique_ptr<ContextualRanker>> Train(
       const ContextualRankerOptions& options);
 

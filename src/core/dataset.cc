@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "common/parallel.h"
-#include "features/offline_miner.h"
 #include "obs/hooks.h"
 
 namespace ckr {
@@ -38,7 +37,8 @@ DatasetBuilder::DatasetBuilder(const Pipeline& pipeline,
                                const DatasetConfig& config)
     : pipeline_(pipeline), config_(config) {}
 
-StatusOr<ClickDataset> DatasetBuilder::Build() const {
+StatusOr<ClickDataset> DatasetBuilder::Build(
+    MinedConceptCache* mined) const {
   CKR_OBS_SCOPED_TIMER("ckr.offline.stage.dataset_build_seconds");
   CKR_OBS_COUNTER_INC("ckr.offline.dataset_builds");
   const auto& stories = pipeline_.news_stories();
@@ -184,6 +184,10 @@ StatusOr<ClickDataset> DatasetBuilder::Build() const {
   CKR_OBS_COUNTER_ADD("ckr.offline.distinct_concepts", concepts.size());
   ds.story_fold = KFoldAssignment(ds.surviving_stories.size(),
                                   config_.cv_folds, config_.cv_seed);
+  if (mined != nullptr) {
+    mined->concepts = std::move(concepts);
+    mined->mined = std::move(cache);
+  }
   return ds;
 }
 

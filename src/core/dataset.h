@@ -18,6 +18,7 @@
 #include "core/pipeline.h"
 #include "eval/cross_validation.h"
 #include "features/interestingness.h"
+#include "features/offline_miner.h"
 #include "features/relevance.h"
 #include "text/sentence.h"
 
@@ -74,13 +75,25 @@ struct ClickDataset {
   std::vector<std::vector<size_t>> GroupByWindow() const;
 };
 
+/// The per-concept mining Build() did: slot c of `mined` holds what was
+/// mined for `concepts[c]` (the dataset's distinct concepts, in first-seen
+/// order).
+struct MinedConceptCache {
+  std::vector<ConceptKey> concepts;
+  std::vector<MinedConcept> mined;
+};
+
 /// Builds the dataset from a pipeline. Mining results are cached per
 /// concept, so the cost is O(distinct concepts) resource calls.
 class DatasetBuilder {
  public:
   DatasetBuilder(const Pipeline& pipeline, const DatasetConfig& config = {});
 
-  [[nodiscard]] StatusOr<ClickDataset> Build() const;
+  /// When `mined` is non-null it receives the mining cache, so a caller
+  /// that needs the same concepts mined again (Train's store population)
+  /// can take them instead.
+  [[nodiscard]] StatusOr<ClickDataset> Build(
+      MinedConceptCache* mined = nullptr) const;
 
  private:
   const Pipeline& pipeline_;

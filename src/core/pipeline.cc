@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include "obs/hooks.h"
+
 namespace ckr {
 
 PipelineConfig PipelineConfig::SmallForTests() {
@@ -21,6 +23,10 @@ PipelineConfig PipelineConfig::SmallForTests() {
 
 StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
     const PipelineConfig& config) {
+  // One histogram per stage, so Train's set-up time is explained by its
+  // parts; the stages not timed separately (world, wiki and the
+  // substrates built over the others) are the rest of pipeline_build.
+  CKR_OBS_SCOPED_TIMER("ckr.offline.stage.pipeline_build_seconds");
   std::unique_ptr<Pipeline> p(new Pipeline());
   p->config_ = config;
 
@@ -28,27 +34,41 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
   if (!world_or.ok()) return world_or.status();
   p->world_ = std::move(*world_or);
 
-  DocGenerator gen(*p->world_);
-  p->web_corpus_ =
-      gen.GenerateCorpus(Document::Kind::kWeb, config.world.num_web_docs);
-  p->news_stories_ =
-      gen.GenerateCorpus(Document::Kind::kNews, config.world.num_news_stories);
-  p->answers_snippets_ = gen.GenerateCorpus(
-      Document::Kind::kAnswers, config.world.num_answers_snippets);
-
-  p->term_dict_.Build(p->web_corpus_);
-  p->stemmed_term_dict_.Build(p->web_corpus_, /*stemmed=*/true);
-
-  for (const Document& doc : p->web_corpus_) p->index_.Add(doc);
-  p->index_.Finalize();
-
-  QueryGenerator qgen(*p->world_, config.querylog);
-  p->query_log_ = qgen.Generate();
-
-  UnitExtractor extractor(config.units);
-  auto units_or = extractor.Extract(p->query_log_);
-  if (!units_or.ok()) return units_or.status();
-  p->units_ = std::move(*units_or);
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.corpora_seconds");
+    DocGenerator gen(*p->world_);
+    p->web_corpus_ =
+        gen.GenerateCorpus(Document::Kind::kWeb, config.world.num_web_docs);
+    p->news_stories_ = gen.GenerateCorpus(Document::Kind::kNews,
+                                          config.world.num_news_stories);
+    p->answers_snippets_ = gen.GenerateCorpus(
+        Document::Kind::kAnswers, config.world.num_answers_snippets);
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.term_dictionary_seconds");
+    p->term_dict_.Build(p->web_corpus_);
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.stemmed_term_dictionary_seconds");
+    p->stemmed_term_dict_.Build(p->web_corpus_, /*stemmed=*/true);
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.index_seconds");
+    for (const Document& doc : p->web_corpus_) p->index_.Add(doc);
+    p->index_.Finalize();
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.query_log_seconds");
+    QueryGenerator qgen(*p->world_, config.querylog);
+    p->query_log_ = qgen.Generate();
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.units_seconds");
+    UnitExtractor extractor(config.units);
+    auto units_or = extractor.Extract(p->query_log_);
+    if (!units_or.ok()) return units_or.status();
+    p->units_ = std::move(*units_or);
+  }
 
   p->wiki_ = WikiStore::Build(*p->world_, config.world.seed ^ 0x817ac1e);
 

@@ -552,6 +552,22 @@ const std::string& InvertedIndex::DocText(DocId doc) const {
   return d < 0 ? *kEmpty : docs_[static_cast<size_t>(d)].text;
 }
 
+std::span<const uint32_t> InvertedIndex::DocTokenIds(DocId doc) const {
+  if (!options_.store_text) return {};
+  int32_t di = FindDocIndex(doc);
+  if (di < 0) return {};
+  const size_t d = static_cast<size_t>(di);
+  return std::span<const uint32_t>(tok_tid_).subspan(
+      doc_tok_offset_[d], doc_tok_offset_[d + 1] - doc_tok_offset_[d]);
+}
+
+std::vector<std::string_view> InvertedIndex::TermsById() const {
+  std::vector<std::string_view> terms(term_ids_.size());
+  // ckr-lint: ordered(written by tid slot, so hash order cannot leak)
+  for (const auto& [term, tid] : term_ids_) terms[tid] = term;
+  return terms;
+}
+
 std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
                                    size_t context_tokens) const {
   if (!options_.store_text) return "";  // No text/offsets to slice.

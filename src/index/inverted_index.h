@@ -23,6 +23,7 @@
 #define CKR_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -164,6 +165,17 @@ class InvertedIndex {
 
   /// Raw text of an indexed document.
   const std::string& DocText(DocId doc) const;
+
+  /// Term ids of an indexed document's tokens, in text order — the stream
+  /// the postings were built from. Empty for an unknown document, and
+  /// empty when the index was built with store_text=false, so text-derived
+  /// consumers degrade exactly as with DocText().
+  std::span<const uint32_t> DocTokenIds(DocId doc) const;
+
+  /// Every indexed term by id: slot `tid` holds that term's text, for all
+  /// NumTerms() ids. The views point into this index and stay valid while
+  /// it lives and takes no more Add()s.
+  std::vector<std::string_view> TermsById() const;
 
   /// Approximate heap footprint of the index structures — the memory row
   /// of bench_offline_perf.

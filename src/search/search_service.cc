@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
 
@@ -21,7 +21,14 @@ SearchService::SearchService(const InvertedIndex& index, const QueryLog& log,
     : index_(index),
       log_(log),
       term_dict_(term_dict),
-      evaluator_(ChooseEvaluator(index.NumDocs(), index.has_block_index())) {}
+      evaluator_(ChooseEvaluator(index.NumDocs(), index.has_block_index())),
+      terms_(index.TermsById()) {
+  CKR_DCHECK(index.finalized());
+  feedback_idf_.reserve(terms_.size());
+  for (std::string_view term : terms_) {
+    feedback_idf_.push_back(IsStopWord(term) ? 0.0 : term_dict_.Idf(term));
+  }
+}
 
 std::vector<std::string> SearchService::Snippets(std::string_view concept_phrase,
                                                  size_t k) const {
@@ -59,36 +66,44 @@ std::vector<std::string> SearchService::PrismaFeedbackTerms(
   std::vector<SearchResult> hits =
       index_.Search(concept_phrase, feedback_docs, Bm25Params{}, evaluator_);
 
-  std::vector<std::string> concept_terms = TokenizeToStrings(concept_phrase);
-  std::unordered_set<std::string> exclude(concept_terms.begin(),
-                                          concept_terms.end());
-
-  std::unordered_map<std::string, double> scores;
+  // Dense accumulators indexed by term id, local to the call. A term's
+  // score gathers its per-document contributions in rank order, so every
+  // sum is the same double whatever order the terms are visited in.
+  std::vector<uint32_t> tf(terms_.size(), 0);
+  std::vector<double> scores(terms_.size(), 0.0);
+  std::vector<uint32_t> doc_terms;
+  std::vector<uint32_t> scored;  // Every tid with a nonzero score.
   for (size_t rank = 0; rank < hits.size(); ++rank) {
-    const std::string& text = index_.DocText(hits[rank].doc);
-    std::unordered_map<std::string, uint32_t> tf;
-    for (std::string& tok : TokenizeToStrings(text)) {
-      if (IsStopWord(tok) || exclude.count(tok) > 0) continue;
-      ++tf[tok];
+    doc_terms.clear();
+    for (uint32_t tid : index_.DocTokenIds(hits[rank].doc)) {
+      if (feedback_idf_[tid] == 0.0) continue;  // Stop word.
+      if (tf[tid]++ == 0) doc_terms.push_back(tid);
     }
     double rank_discount = 1.0 / std::log(2.0 + static_cast<double>(rank));
-    for (const auto& [term, count] : tf) {
-      scores[term] += static_cast<double>(count) * term_dict_.Idf(term) *
-                      rank_discount;
+    for (uint32_t tid : doc_terms) {
+      if (scores[tid] == 0.0) scored.push_back(tid);
+      scores[tid] += static_cast<double>(tf[tid]) * feedback_idf_[tid] *
+                     rank_discount;
+      tf[tid] = 0;
     }
   }
-  std::vector<std::pair<std::string, double>> ordered(scores.begin(),
-                                                      scores.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
+
+  // The concept's own terms are never feedback.
+  const std::vector<std::string> concept_terms =
+      TokenizeToStrings(concept_phrase);
+  std::erase_if(scored, [&](uint32_t tid) {
+    return std::find(concept_terms.begin(), concept_terms.end(),
+                     terms_[tid]) != concept_terms.end();
+  });
+  const size_t n = std::min(max_terms, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + n, scored.end(),
+                    [&](uint32_t a, uint32_t b) {
+                      if (scores[a] != scores[b]) return scores[a] > scores[b];
+                      return terms_[a] < terms_[b];
+                    });
   std::vector<std::string> out;
-  for (const auto& [term, score] : ordered) {
-    if (out.size() >= max_terms) break;
-    out.push_back(term);
-  }
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.emplace_back(terms_[scored[i]]);
   return out;
 }
 

@@ -40,7 +40,8 @@ inline constexpr size_t kEvaluatorCrossoverDocs = 100000;
 QueryEvaluator ChooseEvaluator(size_t num_docs, bool has_block_index);
 
 /// Read-only facade over the index, the query log and the term dictionary.
-/// All referenced objects must outlive the service.
+/// All referenced objects must outlive the service, and the index must be
+/// finalized before the service is built.
 class SearchService {
  public:
   SearchService(const InvertedIndex& index, const QueryLog& log,
@@ -59,7 +60,10 @@ class SearchService {
   uint64_t RegularResultCount(std::string_view concept_phrase) const;
 
   /// Prisma feedback terms: pseudo-relevance feedback over the top
-  /// `feedback_docs` results, returning at most `max_terms` terms.
+  /// `feedback_docs` results, returning at most `max_terms` terms, best
+  /// first (equal scores by ascending term text). Stop words and the
+  /// concept's own terms are never returned. Reads the documents' token-id
+  /// streams, so an index built with store_text=false yields no terms.
   std::vector<std::string> PrismaFeedbackTerms(std::string_view concept_phrase,
                                                size_t max_terms = 20,
                                                size_t feedback_docs = 50) const;
@@ -86,6 +90,12 @@ class SearchService {
   const QueryLog& log_;
   const TermDictionary& term_dict_;
   QueryEvaluator evaluator_;
+  // Per-tid tables for Prisma feedback, built once from the index's
+  // vocabulary: each term's text, and its idf from term_dict_ — 0 for a
+  // stop word, which marks it as never a feedback term (idf is otherwise
+  // always positive).
+  std::vector<std::string_view> terms_;
+  std::vector<double> feedback_idf_;
 };
 
 }  // namespace ckr

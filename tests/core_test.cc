@@ -10,6 +10,9 @@
 #include "core/experiment.h"
 #include "core/pipeline.h"
 #include "corpus/doc_generator.h"
+#include "fnv_fold.h"
+#include "obs/clock.h"
+#include "obs/hooks.h"
 
 namespace ckr {
 namespace {
@@ -144,6 +147,144 @@ TEST_F(CoreTest, TrainFullModelProducesServingScores) {
   const WindowInstance& inst = dataset_->instances.front();
   double s = model_or->Score(ExperimentRunner::Features(inst, spec));
   EXPECT_TRUE(std::isfinite(s));
+}
+
+// ---------------------------------------------------------------------
+// Golden mining fingerprints at PipelineConfig::SmallForTests. The
+// constants were recorded before Prisma feedback moved onto the index's
+// term-id streams and before Train began reusing the dataset's mined
+// concepts; any change to what the offline phase mines changes them.
+
+using testing_fnv::FoldString;
+using testing_fnv::FoldValue;
+using testing_fnv::kFnvOffsetBasis;
+
+uint64_t FoldInterestingness(uint64_t h, const InterestingnessVector& v) {
+  for (double x : {v.freq_exact, v.freq_phrase_contained, v.unit_score,
+                   v.searchengine_phrase, v.concept_size, v.number_of_chars,
+                   v.subconcepts, v.wiki_word_count}) {
+    h = FoldValue(h, x);
+  }
+  for (double x : v.high_level_type) h = FoldValue(h, x);
+  return h;
+}
+
+// Every detector candidate Train stores: the dictionary entities, then
+// the multi-term units that are not dictionary entities.
+std::vector<std::string> StoreCandidateKeys(const Pipeline& p) {
+  std::vector<std::string> keys;
+  for (const Entity& e : p.world().entities()) {
+    if (e.in_dictionary) keys.push_back(e.key);
+  }
+  for (const UnitInfo* u : p.units().MultiTermUnits()) {
+    EntityId id = p.world().FindByKey(u->phrase);
+    if (id != kInvalidEntity && p.world().entity(id).in_dictionary) continue;
+    keys.push_back(u->phrase);
+  }
+  return keys;
+}
+
+TEST_F(CoreTest, DatasetFingerprintIsPinned) {
+  uint64_t h = kFnvOffsetBasis;
+  h = FoldValue(h, static_cast<uint64_t>(dataset_->instances.size()));
+  for (const WindowInstance& inst : dataset_->instances) {
+    h = FoldString(h, inst.key);
+    h = FoldValue(h, static_cast<int32_t>(inst.type));
+    h = FoldValue(h, inst.window_group);
+    h = FoldValue(h, inst.views);
+    h = FoldValue(h, inst.clicks);
+    h = FoldValue(h, inst.ctr);
+    h = FoldValue(h, inst.baseline_score);
+    h = FoldInterestingness(h, inst.interestingness);
+    for (double r : inst.relevance) h = FoldValue(h, r);
+  }
+  EXPECT_EQ(h, 0xbaaef7b6d05c68bdull) << "fingerprint: " << std::hex << h;
+}
+
+TEST_F(CoreTest, PrismaFingerprintIsPinned) {
+  const std::vector<std::string> keys = StoreCandidateKeys(*pipeline_);
+  ASSERT_GT(keys.size(), 300u);
+  uint64_t h = kFnvOffsetBasis;
+  size_t terms = 0;
+  for (const std::string& key : keys) {
+    std::vector<std::string> feedback =
+        pipeline_->search().PrismaFeedbackTerms(key);
+    terms += feedback.size();
+    h = FoldString(h, key);
+    h = FoldValue(h, static_cast<uint64_t>(feedback.size()));
+    for (const std::string& t : feedback) h = FoldString(h, t);
+  }
+  EXPECT_GT(terms, 10 * keys.size());
+  EXPECT_EQ(h, 0x0b920375b3159110ull) << "fingerprint: " << std::hex << h;
+}
+
+TEST(ContextualRankerTest, PackFingerprintIsPinned) {
+  ContextualRankerOptions options;
+  options.pipeline = PipelineConfig::SmallForTests();
+  auto ranker_or = ContextualRanker::Train(options);
+  ASSERT_TRUE(ranker_or.ok()) << ranker_or.status().ToString();
+  const std::string pack = (*ranker_or)->SerializePack();
+  const uint64_t h = FoldString(kFnvOffsetBasis, pack);
+  EXPECT_EQ(h, 0x1da97ec06db24cf9ull) << "fingerprint: " << std::hex << h;
+}
+
+TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
+  if (!CKR_OBS_ENABLED) GTEST_SKIP() << "observability hooks compiled out";
+  // Train's top-level stages, which run one after another...
+  const std::vector<std::string> train_stages = {
+      "ckr.offline.stage.pipeline_build_seconds",
+      "ckr.offline.stage.dataset_build_seconds",
+      "ckr.ranksvm.stage.train_seconds",
+      "ckr.offline.stage.store_population_seconds"};
+  // ...and the parts of Pipeline::Build timed inside the first.
+  const std::vector<std::string> pipeline_parts = {
+      "ckr.offline.stage.corpora_seconds",
+      "ckr.offline.stage.term_dictionary_seconds",
+      "ckr.offline.stage.stemmed_term_dictionary_seconds",
+      "ckr.offline.stage.index_seconds",
+      "ckr.offline.stage.query_log_seconds",
+      "ckr.offline.stage.units_seconds"};
+  struct Reading {
+    uint64_t count;
+    double sum;
+  };
+  auto read = [](const std::vector<std::string>& names) {
+    std::vector<Reading> out;
+    for (const std::string& name : names) {
+      const obs::Histogram* h =
+          obs::MetricRegistry::Global().GetHistogram(name);
+      out.push_back({h->Count(), h->Sum()});
+    }
+    return out;
+  };
+  const std::vector<Reading> stages_before = read(train_stages);
+  const std::vector<Reading> parts_before = read(pipeline_parts);
+
+  ContextualRankerOptions options;
+  options.pipeline = PipelineConfig::SmallForTests();
+  const int64_t start = RealClock().NowNanos();
+  auto ranker_or = ContextualRanker::Train(options);
+  const double wall_s = RealClock().SecondsSince(start);
+  ASSERT_TRUE(ranker_or.ok()) << ranker_or.status().ToString();
+
+  const std::vector<Reading> stages_after = read(train_stages);
+  const std::vector<Reading> parts_after = read(pipeline_parts);
+  double stages_s = 0.0;
+  for (size_t i = 0; i < train_stages.size(); ++i) {
+    EXPECT_EQ(stages_after[i].count - stages_before[i].count, 1u)
+        << train_stages[i];
+    stages_s += stages_after[i].sum - stages_before[i].sum;
+  }
+  double parts_s = 0.0;
+  for (size_t i = 0; i < pipeline_parts.size(); ++i) {
+    EXPECT_EQ(parts_after[i].count - parts_before[i].count, 1u)
+        << pipeline_parts[i];
+    parts_s += parts_after[i].sum - parts_before[i].sum;
+  }
+  const double pipeline_s = stages_after[0].sum - stages_before[0].sum;
+  EXPECT_GT(stages_s, 0.0);
+  EXPECT_LE(stages_s, wall_s);
+  EXPECT_LE(parts_s, pipeline_s);
 }
 
 TEST(ContextualRankerTest, EndToEndTrainAndRank) {

@@ -16,6 +16,7 @@
 #include "detect/aho_corasick.h"
 #include "detect/entity_detector.h"
 #include "detect/pattern_detector.h"
+#include "fnv_fold.h"
 #include "text/tokenizer.h"
 
 namespace ckr {
@@ -532,20 +533,8 @@ TEST(DetectorWorldTest, FromWorldDetectsPlantedMentions) {
 // pattern-window prefilters were removed; any change to detection
 // output changes it.
 
-uint64_t Fnv1a(uint64_t h, const void* data, size_t size) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t FoldString(uint64_t h, const std::string& s) {
-  const uint64_t size = s.size();
-  h = Fnv1a(h, &size, sizeof(size));
-  return Fnv1a(h, s.data(), s.size());
-}
+using testing_fnv::Fnv1a;
+using testing_fnv::FoldString;
 
 uint64_t FoldDetections(const std::vector<Detection>& dets, uint64_t h) {
   const uint64_t count = dets.size();
@@ -563,7 +552,7 @@ uint64_t FoldDetections(const std::vector<Detection>& dets, uint64_t h) {
 }
 
 TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = testing_fnv::kFnvOffsetBasis;
   size_t patterns = 0, entities = 0;
   auto fold = [&](const std::vector<Detection>& dets) {
     for (const Detection& d : dets) {

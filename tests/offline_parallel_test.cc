@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/pipeline.h"
 #include "features/offline_miner.h"
 
@@ -79,6 +81,43 @@ TEST_F(ParallelMiningTest, OutputIdenticalAcrossWorkerCounts) {
   for (unsigned workers : {2u, 4u}) {
     std::vector<MinedConcept> parallel = miner.MineAll(concepts, 25, workers);
     ExpectSameMined(serial, parallel);
+  }
+}
+
+TEST_F(ParallelMiningTest, PrismaIdenticalAcrossWorkerCounts) {
+  // Prisma feedback keeps its accumulators local to each call, so
+  // concurrent calls on one SearchService share no mutable state.
+  std::vector<ConceptKey> concepts = SampleConcepts(3);
+  ASSERT_GE(concepts.size(), 50u);
+  struct Slot {
+    std::vector<std::string> feedback;
+    std::vector<RelevantTerm> mined;
+  };
+  auto run = [&](unsigned workers) {
+    std::vector<Slot> out(concepts.size());
+    ParallelFor(concepts.size(), workers, [&](size_t c) {
+      const std::string& key = concepts[c].key;
+      out[c].feedback = pipeline_->search().PrismaFeedbackTerms(key);
+      out[c].mined = pipeline_->relevance_miner().Mine(
+          key, RelevanceResource::kPrisma, 25);
+    });
+    return out;
+  };
+  const std::vector<Slot> serial = run(1);
+  size_t with_feedback = 0;
+  for (const Slot& s : serial) with_feedback += s.feedback.empty() ? 0 : 1;
+  EXPECT_GT(with_feedback, concepts.size() / 2);
+  for (unsigned workers : {2u, 4u}) {
+    const std::vector<Slot> parallel = run(workers);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t c = 0; c < serial.size(); ++c) {
+      EXPECT_EQ(parallel[c].feedback, serial[c].feedback) << concepts[c].key;
+      ASSERT_EQ(parallel[c].mined.size(), serial[c].mined.size()) << c;
+      for (size_t t = 0; t < serial[c].mined.size(); ++t) {
+        EXPECT_EQ(parallel[c].mined[t].term, serial[c].mined[t].term);
+        EXPECT_EQ(parallel[c].mined[t].score, serial[c].mined[t].score);
+      }
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 #include "index/inverted_index.h"
 #include "querylog/query_generator.h"
 #include "search/search_service.h"
+#include "text/stopwords.h"
+#include "text/tokenizer.h"
 #include "wiki/wiki_store.h"
 
 namespace ckr {
@@ -134,6 +136,88 @@ TEST_F(SearchTest, PrismaReturnsAtMostTwenty) {
   for (const std::string& t : terms) {
     EXPECT_EQ(e.key.find(" " + t + " "), std::string::npos);
   }
+}
+
+TEST_F(SearchTest, PrismaNeverReturnsTheConceptsOwnTerms) {
+  size_t concepts_with_terms = 0;
+  for (const Entity& e : world_->entities()) {
+    const std::vector<std::string> own = TokenizeToStrings(e.key);
+    const std::vector<std::string> terms = search_->PrismaFeedbackTerms(e.key);
+    if (!terms.empty()) ++concepts_with_terms;
+    for (const std::string& t : terms) {
+      EXPECT_EQ(std::find(own.begin(), own.end(), t), own.end())
+          << e.key << " -> " << t;
+      EXPECT_FALSE(IsStopWord(t)) << e.key << " -> " << t;
+    }
+  }
+  EXPECT_GT(concepts_with_terms, 100u);
+}
+
+TEST_F(SearchTest, PrismaYieldsNothingForStopWordOrUnknownConcepts) {
+  // Stop words and out-of-vocabulary terms retrieve no feedback pool.
+  EXPECT_TRUE(search_->PrismaFeedbackTerms("the").empty());
+  EXPECT_TRUE(search_->PrismaFeedbackTerms("of the and").empty());
+  EXPECT_TRUE(search_->PrismaFeedbackTerms("zzzq yyyq").empty());
+  EXPECT_TRUE(search_->PrismaFeedbackTerms("").empty());
+}
+
+TEST_F(SearchTest, PrismaYieldsNothingWithoutStoredText) {
+  // store_text=false keeps the token streams for search but drops the
+  // text surface, and Prisma reads documents through that surface.
+  IndexBuildOptions options;
+  options.store_text = false;
+  InvertedIndex textless(options);
+  for (const Document& d : *docs_) textless.Add(d);
+  textless.Finalize();
+  SearchService service(textless, *log_, *dict_);
+  const Entity& e = PopularEntity();
+  EXPECT_FALSE(search_->PrismaFeedbackTerms(e.key).empty());
+  EXPECT_TRUE(service.PrismaFeedbackTerms(e.key).empty());
+  EXPECT_TRUE(textless.DocTokenIds(docs_->front().id).empty());
+  EXPECT_FALSE(index_->DocTokenIds(docs_->front().id).empty());
+}
+
+// A four-document index where the feedback pool of "alpha" is the first
+// document alone: "zeta" and "beta" each occur once there and in no other
+// document, so their scores are equal, while "the" and "of" are stop words.
+class PrismaTieSearchTest : public ::testing::Test {
+ protected:
+  PrismaTieSearchTest() {
+    const char* texts[] = {"alpha zeta the beta of", "gamma delta epsilon",
+                           "gamma delta epsilon", "delta epsilon"};
+    for (DocId id = 0; id < 4; ++id) {
+      Document d;
+      d.id = id + 1;
+      d.text = texts[id];
+      docs_.push_back(std::move(d));
+    }
+    dict_.Build(docs_);
+    for (const Document& d : docs_) index_.Add(d);
+    index_.Finalize();
+    log_.Finalize();
+  }
+
+  std::vector<Document> docs_;
+  TermDictionary dict_;
+  InvertedIndex index_;
+  QueryLog log_;
+};
+
+TEST_F(PrismaTieSearchTest, EqualScoresOrderByAscendingTermText) {
+  SearchService search(index_, log_, dict_);
+  // "zeta" is interned before "beta", so term-id order would put it first.
+  EXPECT_EQ(search.PrismaFeedbackTerms("alpha"),
+            (std::vector<std::string>{"beta", "zeta"}));
+  EXPECT_EQ(search.PrismaFeedbackTerms("alpha", 1),
+            (std::vector<std::string>{"beta"}));
+}
+
+TEST_F(PrismaTieSearchTest, MaxTermsAboveDistinctCountAndZeroFeedbackDocs) {
+  SearchService search(index_, log_, dict_);
+  EXPECT_EQ(search.PrismaFeedbackTerms("alpha", 1000),
+            (std::vector<std::string>{"beta", "zeta"}));
+  EXPECT_TRUE(search.PrismaFeedbackTerms("alpha", 20, 0).empty());
+  EXPECT_TRUE(search.PrismaFeedbackTerms("alpha", 0).empty());
 }
 
 TEST_F(SearchTest, SuggestionsShareTermsAndCarryFreqs) {
