@@ -153,4 +153,24 @@ double ZipfSampler::Pmf(size_t rank) const {
   return pmf_[rank - 1];
 }
 
+CategoricalSampler::CategoricalSampler(const std::vector<double>& weights) {
+  CKR_DCHECK(!weights.empty());
+  prefix_.reserve(weights.size());
+  double acc = 0.0;
+  for (double w : weights) {
+    CKR_DCHECK(w >= 0.0);
+    acc += w;
+    prefix_.push_back(acc);
+  }
+  CKR_DCHECK(acc > 0.0);
+}
+
+size_t CategoricalSampler::Sample(Rng& rng) const {
+  double x = rng.NextDouble() * prefix_.back();
+  // First index whose running sum exceeds x — NextCategorical's scan.
+  auto it = std::upper_bound(prefix_.begin(), prefix_.end(), x);
+  if (it == prefix_.end()) return prefix_.size() - 1;  // Same FP edge.
+  return static_cast<size_t>(it - prefix_.begin());
+}
+
 }  // namespace ckr

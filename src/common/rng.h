@@ -78,6 +78,23 @@ class ZipfSampler {
   std::vector<double> pmf_;
 };
 
+/// Repeated draws from one fixed unnormalized weight vector in O(log n).
+/// The prefix sums are accumulated once, in the order NextCategorical
+/// sums, so they equal its running total exactly: Sample(rng) consumes the
+/// same single NextDouble() and returns the same index as
+/// rng.NextCategorical(weights) would.
+class CategoricalSampler {
+ public:
+  /// Requires non-negative weights with a positive total.
+  explicit CategoricalSampler(const std::vector<double>& weights);
+
+  /// Returns an index into the weight vector.
+  size_t Sample(Rng& rng) const;
+
+ private:
+  std::vector<double> prefix_;
+};
+
 }  // namespace ckr
 
 #endif  // CKR_COMMON_RNG_H_

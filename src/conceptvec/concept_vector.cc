@@ -76,42 +76,52 @@ std::unordered_map<std::string, double> ConceptVectorGenerator::BuildUnitVector(
   return uv;
 }
 
+double ConceptVectorGenerator::MergedWeight(
+    const std::string& phrase,
+    const std::unordered_map<std::string, double>& term_vec,
+    const std::unordered_map<std::string, double>& unit_vec) const {
+  // Merge (Section II-B cases 1-3).
+  double w = 0.0;
+  auto t = term_vec.find(phrase);
+  auto u = unit_vec.find(phrase);
+  if (t != term_vec.end() && u == unit_vec.end()) {
+    w = t->second * config_.no_unit_punish_factor;  // Case 1.
+  } else if (t != term_vec.end()) {
+    w = t->second + u->second;  // Case 3.
+  } else if (u != unit_vec.end()) {
+    w = u->second;  // Case 2.
+  }
+
+  // Step (4): multi-term specificity bonus. It applies to a multi-term
+  // phrase absent from both vectors too (e.g. a dictionary entity that is
+  // not a query-log unit): its merged weight is zero, but the sum of its
+  // constituent terms' term- and unit-vector scores still counts.
+  if (config_.multi_term_bonus && phrase.find(' ') != std::string::npos) {
+    for (const std::string& part : SplitString(phrase, " ")) {
+      auto pt = term_vec.find(part);
+      if (pt != term_vec.end()) w += pt->second;
+      auto pu = unit_vec.find(part);
+      if (pu != unit_vec.end()) w += pu->second;
+    }
+  }
+  return w;
+}
+
 std::vector<ConceptScore> ConceptVectorGenerator::Generate(
     std::string_view text) const {
   std::vector<std::string> tokens = TokenizeToStrings(text);
   std::unordered_map<std::string, double> term_vec = BuildTermVector(tokens);
   std::unordered_map<std::string, double> unit_vec = BuildUnitVector(tokens);
 
-  // Merge (Section II-B cases 1-3).
-  std::unordered_map<std::string, double> merged;
-  for (const auto& [term, w] : term_vec) {
-    auto it = unit_vec.find(term);
-    if (it == unit_vec.end()) {
-      merged[term] = w * config_.no_unit_punish_factor;  // Case 1.
-    } else {
-      merged[term] = w + it->second;  // Case 3.
-    }
-  }
-  for (const auto& [unit, w] : unit_vec) {
-    if (merged.count(unit) == 0) merged[unit] = w;  // Case 2.
-  }
-
-  // Step (4): multi-term specificity bonus.
-  if (config_.multi_term_bonus) {
-    for (auto& [phrase, w] : merged) {
-      if (phrase.find(' ') == std::string::npos) continue;
-      for (const std::string& part : SplitString(phrase, " ")) {
-        auto t = term_vec.find(part);
-        if (t != term_vec.end()) w += t->second;
-        auto u = unit_vec.find(part);
-        if (u != unit_vec.end()) w += u->second;
-      }
-    }
-  }
-
   std::vector<ConceptScore> out;
-  out.reserve(merged.size());
-  for (auto& [phrase, w] : merged) out.push_back({phrase, w});
+  out.reserve(term_vec.size() + unit_vec.size());
+  for (const auto& term : term_vec) {
+    out.push_back({term.first, MergedWeight(term.first, term_vec, unit_vec)});
+  }
+  for (const auto& unit : unit_vec) {
+    if (term_vec.count(unit.first) > 0) continue;  // Merged above (case 3).
+    out.push_back({unit.first, MergedWeight(unit.first, term_vec, unit_vec)});
+  }
   std::sort(out.begin(), out.end(),
             [](const ConceptScore& a, const ConceptScore& b) {
               if (a.score != b.score) return a.score > b.score;
@@ -122,35 +132,15 @@ std::vector<ConceptScore> ConceptVectorGenerator::Generate(
 
 std::vector<double> ConceptVectorGenerator::ScoreCandidates(
     std::string_view text, const std::vector<std::string>& candidates) const {
+  // One pair of vectors per call: each candidate's weight is the entry
+  // Generate(text) would list for it, computed without the full merge.
   std::vector<std::string> tokens = TokenizeToStrings(text);
   std::unordered_map<std::string, double> term_vec = BuildTermVector(tokens);
   std::unordered_map<std::string, double> unit_vec = BuildUnitVector(tokens);
-  std::vector<ConceptScore> vec = Generate(text);
-  std::unordered_map<std::string, double> lookup;
-  for (const ConceptScore& c : vec) lookup[c.phrase] = c.score;
   std::vector<double> scores;
   scores.reserve(candidates.size());
   for (const std::string& c : candidates) {
-    std::string key = NormalizePhrase(c);
-    auto it = lookup.find(key);
-    if (it != lookup.end()) {
-      scores.push_back(it->second);
-      continue;
-    }
-    // Multi-term candidate absent from both vectors (e.g. a dictionary
-    // entity that is not a query-log unit): its step-two weight is zero,
-    // but the multi-term bonus of step (4) still applies — the sum of the
-    // constituent terms' term- and unit-vector scores.
-    double bonus = 0.0;
-    if (config_.multi_term_bonus && key.find(' ') != std::string::npos) {
-      for (const std::string& part : SplitString(key, " ")) {
-        auto t = term_vec.find(part);
-        if (t != term_vec.end()) bonus += t->second;
-        auto u = unit_vec.find(part);
-        if (u != unit_vec.end()) bonus += u->second;
-      }
-    }
-    scores.push_back(bonus);
+    scores.push_back(MergedWeight(NormalizePhrase(c), term_vec, unit_vec));
   }
   return scores;
 }

@@ -56,8 +56,9 @@ class ConceptVectorGenerator {
   std::vector<ConceptScore> Generate(std::string_view text) const;
 
   /// Scores an explicit candidate set against the document's concept
-  /// vector (0 for candidates absent from the vector). Order matches
-  /// `candidates`.
+  /// vector: each score is bit-equal to the candidate's Generate() entry.
+  /// A candidate absent from the vector scores 0, plus the step-(4) parts
+  /// bonus when it is multi-term. Order matches `candidates`.
   std::vector<double> ScoreCandidates(
       std::string_view text, const std::vector<std::string>& candidates) const;
 
@@ -66,6 +67,12 @@ class ConceptVectorGenerator {
       const std::vector<std::string>& tokens) const;
   std::unordered_map<std::string, double> BuildUnitVector(
       const std::vector<std::string>& tokens) const;
+  /// Merged weight of `phrase` (steps 3 and 4) given the document's two
+  /// vectors; 0 plus any parts bonus when neither vector holds it.
+  double MergedWeight(
+      const std::string& phrase,
+      const std::unordered_map<std::string, double>& term_vec,
+      const std::unordered_map<std::string, double>& unit_vec) const;
 
   const TermDictionary& term_dict_;
   const UnitDictionary& units_;

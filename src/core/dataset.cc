@@ -50,43 +50,46 @@ StatusOr<ClickDataset> DatasetBuilder::Build(
   // annotation cut, simulate traffic. Each story writes only its own slot,
   // so the result is independent of thread scheduling.
   std::vector<StoryReport> reports(stories.size());
-  ParallelFor(stories.size(), workers, [&](size_t s) {
-    const Document& story = stories[s];
-    std::vector<Detection> detections =
-        pipeline_.detector().Detect(story.text);
-    // The production baseline annotates only its top-ranked entities; the
-    // rest get no Shortcut and therefore produce no click data.
-    if (config_.max_annotations_per_story > 0) {
-      std::vector<std::string> keys;
-      std::unordered_set<std::string> seen;
-      for (const Detection& d : detections) {
-        if (d.type == EntityType::kPattern) continue;
-        if (seen.insert(d.key).second) keys.push_back(d.key);
-      }
-      if (keys.size() > config_.max_annotations_per_story) {
-        std::vector<double> scores =
-            pipeline_.concept_vectors().ScoreCandidates(story.text, keys);
-        std::vector<size_t> order(keys.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          if (scores[a] != scores[b]) return scores[a] > scores[b];
-          return keys[a] < keys[b];
-        });
-        std::unordered_set<std::string> kept_keys;
-        for (size_t i = 0; i < config_.max_annotations_per_story; ++i) {
-          kept_keys.insert(keys[order[i]]);
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.story_reports_seconds");
+    ParallelFor(stories.size(), workers, [&](size_t s) {
+      const Document& story = stories[s];
+      std::vector<Detection> detections =
+          pipeline_.detector().Detect(story.text);
+      // The production baseline annotates only its top-ranked entities; the
+      // rest get no Shortcut and therefore produce no click data.
+      if (config_.max_annotations_per_story > 0) {
+        std::vector<std::string> keys;
+        std::unordered_set<std::string> seen;
+        for (const Detection& d : detections) {
+          if (d.type == EntityType::kPattern) continue;
+          if (seen.insert(d.key).second) keys.push_back(d.key);
         }
-        std::vector<Detection> pruned;
-        for (Detection& d : detections) {
-          if (d.type == EntityType::kPattern || kept_keys.count(d.key) > 0) {
-            pruned.push_back(std::move(d));
+        if (keys.size() > config_.max_annotations_per_story) {
+          std::vector<double> scores =
+              pipeline_.concept_vectors().ScoreCandidates(story.text, keys);
+          std::vector<size_t> order(keys.size());
+          for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+          std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+            if (scores[a] != scores[b]) return scores[a] > scores[b];
+            return keys[a] < keys[b];
+          });
+          std::unordered_set<std::string> kept_keys;
+          for (size_t i = 0; i < config_.max_annotations_per_story; ++i) {
+            kept_keys.insert(keys[order[i]]);
           }
+          std::vector<Detection> pruned;
+          for (Detection& d : detections) {
+            if (d.type == EntityType::kPattern || kept_keys.count(d.key) > 0) {
+              pruned.push_back(std::move(d));
+            }
+          }
+          detections = std::move(pruned);
         }
-        detections = std::move(pruned);
       }
-    }
-    reports[s] = pipeline_.clicks().Simulate(story, detections);
-  });
+      reports[s] = pipeline_.clicks().Simulate(story, detections);
+    });
+  }
 
   // Stage 2: the cleaning rules of Section V-A.1.
   std::vector<StoryReport> kept = FilterReports(reports, config_.filter);
@@ -122,62 +125,95 @@ StatusOr<ClickDataset> DatasetBuilder::Build(
     }
   }
 
-  // Stage 5 (sequential): windowing + instance assembly.
+  // Stage 5 (parallel over kept stories): windowing + instance assembly.
+  // A sequential pass first counts each story's ranked windows and
+  // instances, so every story then writes only its own slice of one
+  // preallocated instance array, and window groups number the windows in
+  // story order exactly as a sequential assembly would.
   ClickDataset ds;
-  uint32_t next_window_group = 0;
-  for (uint32_t s = 0; s < kept.size(); ++s) {
-    const StoryReport& report = kept[s];
-    const Document& story = stories[report.story];
-    ds.surviving_stories.push_back(report.story);
-
-    std::vector<TextSpan> windows = PartitionIntoWindows(
-        story.text.size(), config_.window_size, config_.window_overlap);
-    for (const TextSpan& w : windows) {
-      // Annotations whose first occurrence falls inside the window.
-      std::vector<const AnnotationRecord*> in_window;
-      for (const AnnotationRecord& a : report.annotations) {
-        if (a.position >= w.begin && a.position < w.end) {
-          in_window.push_back(&a);
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.window_assembly_seconds");
+    using InWindow = std::vector<const AnnotationRecord*>;
+    // Calls fn(window, in_window) for each window of the story holding at
+    // least two annotations (fewer give no ranking signal), in text order;
+    // in_window lists the annotations whose first occurrence falls inside.
+    auto for_each_ranked_window = [&](const StoryReport& report, auto&& fn) {
+      InWindow in_window;
+      for (const TextSpan& w : PartitionIntoWindows(
+               stories[report.story].text.size(), config_.window_size,
+               config_.window_overlap)) {
+        in_window.clear();
+        for (const AnnotationRecord& a : report.annotations) {
+          if (a.position >= w.begin && a.position < w.end) {
+            in_window.push_back(&a);
+          }
         }
+        if (in_window.size() >= 2) fn(w, in_window);
       }
-      if (in_window.size() < 2) continue;  // No ranking signal.
+    };
 
-      std::string_view window_text(story.text.data() + w.begin, w.size());
-      auto stemmed = RelevanceScorer::StemContext(window_text);
-
-      // Baseline concept-vector scores for the window's candidates.
-      std::vector<std::string> keys;
-      keys.reserve(in_window.size());
-      for (const AnnotationRecord* a : in_window) keys.push_back(a->key);
-      std::vector<double> baseline =
-          pipeline_.concept_vectors().ScoreCandidates(window_text, keys);
-
-      uint32_t group = next_window_group++;
-      for (size_t i = 0; i < in_window.size(); ++i) {
-        const AnnotationRecord& a = *in_window[i];
-        const MinedConcept& entry = cache[concept_index.at(a.key)];
-
-        WindowInstance inst;
-        inst.key = a.key;
-        inst.type = a.type;
-        inst.window_group = group;
-        inst.story_index = s;
-        inst.position = a.position;
-        inst.views = a.views;
-        inst.clicks = a.clicks;
-        inst.ctr = a.Ctr();
-        inst.baseline_score = baseline[i];
-        inst.interestingness = entry.interestingness;
-        for (int r = 0; r < 3; ++r) {
-          inst.relevance[static_cast<size_t>(r)] =
-              scorers[r].Score(a.key, stemmed);
-        }
-        ds.instances.push_back(std::move(inst));
-        ds.total_clicks += a.clicks;
-      }
+    std::vector<size_t> first_instance(kept.size() + 1, 0);
+    std::vector<uint32_t> first_group(kept.size() + 1, 0);
+    for (size_t s = 0; s < kept.size(); ++s) {
+      first_instance[s + 1] = first_instance[s];
+      first_group[s + 1] = first_group[s];
+      for_each_ranked_window(kept[s], [&](const TextSpan&,
+                                          const InWindow& in_window) {
+        first_instance[s + 1] += in_window.size();
+        ++first_group[s + 1];
+      });
     }
+    ds.instances.resize(first_instance.back());
+
+    ParallelFor(kept.size(), workers, [&](size_t s) {
+      const std::string& text = stories[kept[s].story].text;
+      WindowInstance* inst = ds.instances.data() + first_instance[s];
+      uint32_t group = first_group[s];
+      for_each_ranked_window(kept[s], [&](const TextSpan& w,
+                                          const InWindow& in_window) {
+        std::string_view window_text(text.data() + w.begin, w.size());
+        auto stemmed = RelevanceScorer::StemContext(window_text);
+
+        // Baseline concept-vector scores for the window's candidates.
+        std::vector<std::string> keys;
+        keys.reserve(in_window.size());
+        for (const AnnotationRecord* a : in_window) keys.push_back(a->key);
+        std::vector<double> baseline =
+            pipeline_.concept_vectors().ScoreCandidates(window_text, keys);
+
+        for (size_t i = 0; i < in_window.size(); ++i, ++inst) {
+          const AnnotationRecord& a = *in_window[i];
+          const MinedConcept& entry = cache[concept_index.at(a.key)];
+          inst->key = a.key;
+          inst->type = a.type;
+          inst->window_group = group;
+          inst->story_index = static_cast<uint32_t>(s);
+          inst->position = a.position;
+          inst->views = a.views;
+          inst->clicks = a.clicks;
+          inst->ctr = a.Ctr();
+          inst->baseline_score = baseline[i];
+          inst->interestingness = entry.interestingness;
+          for (int r = 0; r < 3; ++r) {
+            inst->relevance[static_cast<size_t>(r)] =
+                scorers[r].Score(a.key, stemmed);
+          }
+        }
+        ++group;
+      });
+      CKR_DCHECK(inst == ds.instances.data() + first_instance[s + 1]);
+      CKR_DCHECK_EQ(group, first_group[s + 1]);
+    });
+
+    ds.surviving_stories.reserve(kept.size());
+    for (const StoryReport& report : kept) {
+      ds.surviving_stories.push_back(report.story);
+    }
+    for (const WindowInstance& inst : ds.instances) {
+      ds.total_clicks += inst.clicks;
+    }
+    ds.num_windows = first_group.back();
   }
-  ds.num_windows = next_window_group;
   ds.num_distinct_concepts = concepts.size();
   CKR_OBS_COUNTER_ADD("ckr.offline.windows", ds.num_windows);
   CKR_OBS_COUNTER_ADD("ckr.offline.instances", ds.instances.size());

@@ -1,8 +1,67 @@
 #include "core/pipeline.h"
 
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+
 #include "obs/hooks.h"
+#include "text/porter_stemmer.h"
 
 namespace ckr {
+namespace {
+
+// The paper's term dictionary holds web-corpus document frequencies
+// (Section II-B). The index counted exactly those while building its
+// postings, with the same tokenizer, so both dictionaries are read off it
+// rather than re-tokenizing the corpus.
+void FillTermDictionary(const InvertedIndex& index, TermDictionary* dict) {
+  const std::vector<std::string_view> terms = index.TermsById();
+  std::vector<std::pair<std::string_view, uint32_t>> doc_freqs;
+  doc_freqs.reserve(terms.size());
+  for (std::string_view term : terms) {
+    doc_freqs.emplace_back(term, index.DocFreq(term));
+  }
+  dict->Assign(index.NumDocs(), doc_freqs);
+}
+
+// The stemmed copy stems each distinct index term once, then counts the
+// documents containing each stem over the index's token-id streams; a
+// stem's last-counted document stands in for a per-document set.
+void FillStemmedTermDictionary(const InvertedIndex& index,
+                               TermDictionary* dict) {
+  const std::vector<std::string_view> terms = index.TermsById();
+  std::unordered_map<std::string, uint32_t> stem_ids;
+  std::vector<std::string_view> stems;  // Keys of stem_ids, by stem id.
+  std::vector<uint32_t> stem_of(terms.size());
+  for (size_t tid = 0; tid < terms.size(); ++tid) {
+    auto [it, inserted] = stem_ids.emplace(
+        PorterStem(terms[tid]), static_cast<uint32_t>(stems.size()));
+    if (inserted) stems.push_back(it->first);
+    stem_of[tid] = it->second;
+  }
+
+  constexpr uint32_t kNoDoc = 0xffffffffu;
+  std::vector<uint32_t> df(stems.size(), 0);
+  std::vector<uint32_t> last_doc(stems.size(), kNoDoc);
+  for (uint32_t d = 0; d < index.NumDocs(); ++d) {
+    for (uint32_t tid : index.DocTokenIds(index.ExternalDocId(d))) {
+      const uint32_t s = stem_of[tid];
+      if (last_doc[s] == d) continue;
+      last_doc[s] = d;
+      ++df[s];
+    }
+  }
+
+  std::vector<std::pair<std::string_view, uint32_t>> doc_freqs;
+  doc_freqs.reserve(stems.size());
+  for (size_t s = 0; s < stems.size(); ++s) {
+    doc_freqs.emplace_back(stems[s], df[s]);
+  }
+  dict->Assign(index.NumDocs(), doc_freqs);
+}
+
+}  // namespace
 
 PipelineConfig PipelineConfig::SmallForTests() {
   PipelineConfig cfg;
@@ -45,17 +104,17 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
         Document::Kind::kAnswers, config.world.num_answers_snippets);
   }
   {
-    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.term_dictionary_seconds");
-    p->term_dict_.Build(p->web_corpus_);
-  }
-  {
-    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.stemmed_term_dictionary_seconds");
-    p->stemmed_term_dict_.Build(p->web_corpus_, /*stemmed=*/true);
-  }
-  {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.index_seconds");
     for (const Document& doc : p->web_corpus_) p->index_.Add(doc);
     p->index_.Finalize();
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.term_dictionary_seconds");
+    FillTermDictionary(p->index_, &p->term_dict_);
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.offline.stage.stemmed_term_dictionary_seconds");
+    FillStemmedTermDictionary(p->index_, &p->stemmed_term_dict_);
   }
   {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.query_log_seconds");

@@ -3,11 +3,11 @@
 // paper's production system consumed its proprietary counterparts.
 //
 // Construction order (all offline in the paper):
-//   world -> corpora (web / news / answers) -> term dictionary ->
-//   inverted index -> query log -> unit dictionary -> search services ->
-//   wiki store -> entity detector -> concept-vector baseline ->
-//   interestingness extractor -> relevance miners/scorers -> click
-//   simulator.
+//   world -> corpora (web / news / answers) -> inverted index -> term
+//   dictionaries (read off the index) -> query log -> unit dictionary ->
+//   search services -> wiki store -> entity detector -> concept-vector
+//   baseline -> interestingness extractor -> relevance miners/scorers ->
+//   click simulator.
 #ifndef CKR_CORE_PIPELINE_H_
 #define CKR_CORE_PIPELINE_H_
 

@@ -3,15 +3,23 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/check.h"
 #include "text/porter_stemmer.h"
 #include "text/tokenizer.h"
 
 namespace ckr {
 
-void TermDictionary::Build(const std::vector<Document>& corpus, bool stemmed) {
+void TermDictionary::Assign(
+    size_t num_docs,
+    const std::vector<std::pair<std::string_view, uint32_t>>& doc_freqs) {
   doc_freq_.clear();
-  num_docs_ = 0;
-  for (const Document& doc : corpus) AddDocument(doc.text, stemmed);
+  doc_freq_.reserve(doc_freqs.size());
+  for (const auto& [term, df] : doc_freqs) {
+    bool inserted = doc_freq_.emplace(std::string(term), df).second;
+    CKR_DCHECK(inserted);
+    (void)inserted;
+  }
+  num_docs_ = num_docs;
 }
 
 void TermDictionary::AddDocument(std::string_view text, bool stemmed) {

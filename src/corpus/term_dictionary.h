@@ -10,25 +10,30 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
-#include "corpus/document.h"
 
 namespace ckr {
 
-/// Immutable after Build(); lookup is by normalized token.
+/// Immutable once filled; lookup is by normalized token.
 class TermDictionary {
  public:
   TermDictionary() = default;
 
-  /// Counts document frequencies over the corpus (tokens normalized by the
-  /// standard tokenizer; stop words are kept so callers can decide). With
+  /// Replaces the contents with document frequencies counted elsewhere:
+  /// `num_docs` documents, and one (term, df) pair per distinct term. The
+  /// pipeline fills its dictionaries this way from the inverted index,
+  /// which counted the same corpus with the same tokenizer.
+  void Assign(size_t num_docs,
+              const std::vector<std::pair<std::string_view, uint32_t>>&
+                  doc_freqs);
+
+  /// Adds one more document's tokens (normalized by the standard
+  /// tokenizer; stop words are kept so callers can decide). With
   /// `stemmed`, tokens are Porter-stemmed first — relevance mining needs a
   /// stemmed dictionary because its mined terms are stems.
-  void Build(const std::vector<Document>& corpus, bool stemmed = false);
-
-  /// Adds one more document's tokens (used for incremental construction).
   void AddDocument(std::string_view text, bool stemmed = false);
 
   /// Document-frequency ratio df(t)/N in [0, 1]; 0 for unseen terms.

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/string_util.h"
 
 namespace ckr {
@@ -23,12 +24,13 @@ QueryLog QueryGenerator::Generate() {
     // the log the heavy-tailed shape of real search demand.
     demand.push_back(0.01 + e.popularity * e.popularity);
   }
+  const CategoricalSampler entity_sampler(demand);
 
   const Vocabulary& vocab = world_.vocabulary();
   for (uint64_t i = 0; i < config_.num_submissions; ++i) {
     if (rng.NextBernoulli(config_.entity_query_prob)) {
       const Entity& e = world_.entity(
-          static_cast<EntityId>(rng.NextCategorical(demand)));
+          static_cast<EntityId>(entity_sampler.Sample(rng)));
       double kind = rng.NextDouble();
       if (kind < config_.exact_prob) {
         log.AddQuery(e.key);

@@ -161,6 +161,46 @@ TEST(RngTest, CategoricalRespectsWeights) {
   EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.02);
 }
 
+// The prefix-sum sampler must pick exactly the index the linear scan
+// picks, draw for draw, so swapping one for the other changes no output.
+TEST(CategoricalSamplerTest, SameIndexSequenceAsNextCategorical) {
+  Rng gen(2024);
+  std::vector<std::vector<double>> cases = {
+      {5.0},
+      {0.0, 0.0, 1.0},
+      {1.0, 0.0, 0.0},
+      {0.0, 2.5, 0.0, 0.0, 7.0, 0.0},
+      {1e-300, 1.0, 1e300},
+  };
+  for (size_t n : {2u, 7u, 64u, 1600u}) {
+    std::vector<double> w(n);
+    for (double& x : w) x = gen.NextDouble();
+    cases.push_back(w);
+    // Zeros sprinkled through, plus leading and trailing runs.
+    for (size_t i = 0; i < n; ++i) {
+      if (gen.NextBernoulli(0.3)) w[i] = 0.0;
+    }
+    w.front() = 0.0;
+    w.back() = 0.0;
+    if (n > 2) w[n / 2] = 1.0;  // Keep the total positive.
+    cases.push_back(w);
+    // The query generator's shape: a floor plus a squared popularity.
+    for (double& x : w) x = 0.01 + gen.NextDouble() * gen.NextDouble();
+    cases.push_back(w);
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const CategoricalSampler sampler(cases[c]);
+    Rng scan(c + 1);
+    Rng bisect(c + 1);
+    for (int draw = 0; draw < 20000; ++draw) {
+      const size_t want = scan.NextCategorical(cases[c]);
+      ASSERT_EQ(sampler.Sample(bisect), want)
+          << "case " << c << " draw " << draw;
+    }
+    EXPECT_EQ(scan.Next(), bisect.Next()) << "case " << c;
+  }
+}
+
 TEST(RngTest, PermutationIsAPermutation) {
   Rng rng(21);
   auto perm = rng.Permutation(50);

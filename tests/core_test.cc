@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include "core/contextual_ranker.h"
@@ -13,6 +15,8 @@
 #include "fnv_fold.h"
 #include "obs/clock.h"
 #include "obs/hooks.h"
+#include "text/porter_stemmer.h"
+#include "text/tokenizer.h"
 
 namespace ckr {
 namespace {
@@ -54,6 +58,32 @@ TEST_F(CoreTest, PipelineComponentsAreWired) {
   EXPECT_GT(pipeline_->detector().NumDictionaryEntries(), 100u);
   EXPECT_GT(pipeline_->term_dictionary().NumDocs(), 0u);
   EXPECT_GT(pipeline_->stemmed_term_dictionary().NumTerms(), 0u);
+}
+
+// The pipeline reads both term dictionaries off the inverted index. They
+// must equal what counting the web corpus directly gives: per document, the
+// set of its tokens (Porter-stemmed for the stemmed copy).
+TEST_F(CoreTest, TermDictionariesMatchCorpusCounts) {
+  for (bool stemmed : {false, true}) {
+    std::map<std::string, uint32_t> want;
+    for (const Document& doc : pipeline_->web_corpus()) {
+      std::set<std::string> seen;
+      for (std::string& tok : TokenizeToStrings(doc.text)) {
+        seen.insert(stemmed ? PorterStem(tok) : std::move(tok));
+      }
+      for (const std::string& t : seen) ++want[t];
+    }
+    const TermDictionary& dict = stemmed
+                                     ? pipeline_->stemmed_term_dictionary()
+                                     : pipeline_->term_dictionary();
+    SCOPED_TRACE(stemmed ? "stemmed" : "unstemmed");
+    EXPECT_EQ(dict.NumDocs(), pipeline_->web_corpus().size());
+    ASSERT_EQ(dict.NumTerms(), want.size());
+    ASSERT_GT(want.size(), 500u);
+    for (const auto& [term, df] : want) {
+      ASSERT_EQ(dict.DocFreq(term), df) << term;
+    }
+  }
 }
 
 TEST_F(CoreTest, PipelineRejectsBadConfig) {
@@ -236,14 +266,19 @@ TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
       "ckr.offline.stage.dataset_build_seconds",
       "ckr.ranksvm.stage.train_seconds",
       "ckr.offline.stage.store_population_seconds"};
-  // ...and the parts of Pipeline::Build timed inside the first.
+  // ...the parts of Pipeline::Build timed inside the first...
   const std::vector<std::string> pipeline_parts = {
       "ckr.offline.stage.corpora_seconds",
+      "ckr.offline.stage.index_seconds",
       "ckr.offline.stage.term_dictionary_seconds",
       "ckr.offline.stage.stemmed_term_dictionary_seconds",
-      "ckr.offline.stage.index_seconds",
       "ckr.offline.stage.query_log_seconds",
       "ckr.offline.stage.units_seconds"};
+  // ...and the parts of DatasetBuilder::Build timed inside the second.
+  const std::vector<std::string> dataset_parts = {
+      "ckr.offline.stage.story_reports_seconds",
+      "ckr.offline.stage.mine_all_seconds",
+      "ckr.offline.stage.window_assembly_seconds"};
   struct Reading {
     uint64_t count;
     double sum;
@@ -259,6 +294,7 @@ TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
   };
   const std::vector<Reading> stages_before = read(train_stages);
   const std::vector<Reading> parts_before = read(pipeline_parts);
+  const std::vector<Reading> dataset_before = read(dataset_parts);
 
   ContextualRankerOptions options;
   options.pipeline = PipelineConfig::SmallForTests();
@@ -269,6 +305,7 @@ TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
 
   const std::vector<Reading> stages_after = read(train_stages);
   const std::vector<Reading> parts_after = read(pipeline_parts);
+  const std::vector<Reading> dataset_after = read(dataset_parts);
   double stages_s = 0.0;
   for (size_t i = 0; i < train_stages.size(); ++i) {
     EXPECT_EQ(stages_after[i].count - stages_before[i].count, 1u)
@@ -281,10 +318,19 @@ TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
         << pipeline_parts[i];
     parts_s += parts_after[i].sum - parts_before[i].sum;
   }
+  double dataset_parts_s = 0.0;
+  for (size_t i = 0; i < dataset_parts.size(); ++i) {
+    EXPECT_EQ(dataset_after[i].count - dataset_before[i].count, 1u)
+        << dataset_parts[i];
+    dataset_parts_s += dataset_after[i].sum - dataset_before[i].sum;
+  }
   const double pipeline_s = stages_after[0].sum - stages_before[0].sum;
+  const double dataset_s = stages_after[1].sum - stages_before[1].sum;
   EXPECT_GT(stages_s, 0.0);
   EXPECT_LE(stages_s, wall_s);
   EXPECT_LE(parts_s, pipeline_s);
+  EXPECT_GT(dataset_parts_s, 0.0);
+  EXPECT_LE(dataset_parts_s, dataset_s);
 }
 
 TEST(ContextualRankerTest, EndToEndTrainAndRank) {

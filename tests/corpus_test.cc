@@ -313,7 +313,7 @@ TEST(TermDictionaryTest, BuildFromCorpus) {
   DocGenerator gen(**world_or);
   auto docs = gen.GenerateCorpus(Document::Kind::kWeb, 40);
   TermDictionary dict;
-  dict.Build(docs);
+  for (const Document& doc : docs) dict.AddDocument(doc.text);
   EXPECT_EQ(dict.NumDocs(), 40u);
   EXPECT_GT(dict.NumTerms(), 200u);
 }

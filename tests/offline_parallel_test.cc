@@ -1,5 +1,6 @@
 // Determinism of the parallel offline fan-out: OfflineConceptMiner must
-// produce exactly the same MinedConcept slots for any worker count.
+// produce exactly the same MinedConcept slots, and DatasetBuilder the same
+// ClickDataset, for any worker count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "core/dataset.h"
 #include "core/pipeline.h"
 #include "features/offline_miner.h"
 
@@ -81,6 +83,48 @@ TEST_F(ParallelMiningTest, OutputIdenticalAcrossWorkerCounts) {
   for (unsigned workers : {2u, 4u}) {
     std::vector<MinedConcept> parallel = miner.MineAll(concepts, 25, workers);
     ExpectSameMined(serial, parallel);
+  }
+}
+
+// DatasetBuilder::Build runs its story reports, mining and window
+// assembly on the workers; every field of the dataset — including the
+// story, position and window bookkeeping the core_test golden does not
+// hash — must come out the same for any worker count.
+TEST_F(ParallelMiningTest, DatasetIdenticalAcrossWorkerCounts) {
+  auto build = [](unsigned workers) {
+    DatasetConfig cfg;
+    cfg.num_threads = workers;
+    auto ds = DatasetBuilder(*pipeline_, cfg).Build();
+    EXPECT_TRUE(ds.ok()) << ds.status().message();
+    return ds.ok() ? std::move(*ds) : ClickDataset();
+  };
+  const ClickDataset serial = build(1);
+  ASSERT_GT(serial.instances.size(), 100u);
+  ASSERT_GT(serial.num_windows, 20u);
+  for (unsigned workers : {2u, 4u}) {
+    SCOPED_TRACE(workers);
+    const ClickDataset parallel = build(workers);
+    EXPECT_EQ(parallel.surviving_stories, serial.surviving_stories);
+    EXPECT_EQ(parallel.story_fold, serial.story_fold);
+    EXPECT_EQ(parallel.num_windows, serial.num_windows);
+    EXPECT_EQ(parallel.total_clicks, serial.total_clicks);
+    EXPECT_EQ(parallel.num_distinct_concepts, serial.num_distinct_concepts);
+    ASSERT_EQ(parallel.instances.size(), serial.instances.size());
+    for (size_t i = 0; i < serial.instances.size(); ++i) {
+      const WindowInstance& a = serial.instances[i];
+      const WindowInstance& b = parallel.instances[i];
+      EXPECT_EQ(b.key, a.key) << i;
+      EXPECT_EQ(b.type, a.type) << i;
+      EXPECT_EQ(b.window_group, a.window_group) << i;
+      EXPECT_EQ(b.story_index, a.story_index) << i;
+      EXPECT_EQ(b.position, a.position) << i;
+      EXPECT_EQ(b.views, a.views) << i;
+      EXPECT_EQ(b.clicks, a.clicks) << i;
+      EXPECT_EQ(b.ctr, a.ctr) << i;
+      EXPECT_EQ(b.baseline_score, a.baseline_score) << i;
+      ExpectSameVector(b.interestingness, a.interestingness, i);
+      EXPECT_EQ(b.relevance, a.relevance) << i;
+    }
   }
 }
 

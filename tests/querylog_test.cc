@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "core/pipeline.h"
 #include "corpus/world.h"
+#include "fnv_fold.h"
 #include "querylog/query_generator.h"
 #include "querylog/query_log.h"
 
@@ -170,6 +172,25 @@ TEST_F(QueryGeneratorTest, PhraseContainmentAtLeastExact) {
   for (const Entity& e : world_->entities()) {
     EXPECT_GE(log.PhraseContainedFreq(e.key), log.ExactFreq(e.key)) << e.key;
   }
+}
+
+// Golden log at the SmallForTests world and query-log config: an FNV-1a
+// fold of every (text, freq) entry. The constant was recorded before the
+// entity draw moved from Rng::NextCategorical to a prefix-sum sampler, so
+// it pins that every draw still picks the same entity.
+TEST(QueryGeneratorGoldenTest, SmallForTestsLogIsPinned) {
+  const PipelineConfig cfg = PipelineConfig::SmallForTests();
+  auto world_or = World::Create(cfg.world);
+  ASSERT_TRUE(world_or.ok());
+  const QueryLog log = QueryGenerator(**world_or, cfg.querylog).Generate();
+  ASSERT_EQ(log.TotalSubmissions(), cfg.querylog.num_submissions);
+  uint64_t h = testing_fnv::kFnvOffsetBasis;
+  h = testing_fnv::FoldValue(h, static_cast<uint64_t>(log.entries().size()));
+  for (const QueryEntry& e : log.entries()) {
+    h = testing_fnv::FoldString(h, e.text);
+    h = testing_fnv::FoldValue(h, e.freq);
+  }
+  EXPECT_EQ(h, 0xd9a19a54b7bf90edull) << "fingerprint: " << std::hex << h;
 }
 
 }  // namespace

@@ -33,9 +33,11 @@ class SearchTest : public ::testing::Test {
     docs_ = new std::vector<Document>(
         gen.GenerateCorpus(Document::Kind::kWeb, cfg.num_web_docs));
     dict_ = new TermDictionary();
-    dict_->Build(*docs_);
     index_ = new InvertedIndex();
-    for (const Document& d : *docs_) index_->Add(d);
+    for (const Document& d : *docs_) {
+      dict_->AddDocument(d.text);
+      index_->Add(d);
+    }
     index_->Finalize();
     QueryGeneratorConfig qcfg;
     qcfg.num_submissions = 30000;
@@ -191,8 +193,10 @@ class PrismaTieSearchTest : public ::testing::Test {
       d.text = texts[id];
       docs_.push_back(std::move(d));
     }
-    dict_.Build(docs_);
-    for (const Document& d : docs_) index_.Add(d);
+    for (const Document& d : docs_) {
+      dict_.AddDocument(d.text);
+      index_.Add(d);
+    }
     index_.Finalize();
     log_.Finalize();
   }
