@@ -1,6 +1,5 @@
 // Shared scaffolding for the experiment binaries: builds the paper-scale
-// pipeline + click dataset once and provides the result-printing helpers
-// used by the Table III/IV/V reproductions.
+// pipeline + click dataset and prints the dataset's summary line.
 #ifndef CKR_BENCH_BENCH_COMMON_H_
 #define CKR_BENCH_BENCH_COMMON_H_
 
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "core/dataset.h"
-#include "core/experiment.h"
 #include "core/pipeline.h"
 
 namespace ckr_bench {
@@ -50,42 +48,6 @@ inline void PrintDatasetHeader(const Lab& lab) {
               ds.surviving_stories.size(), ds.num_windows,
               ds.instances.size(),
               static_cast<unsigned long long>(ds.total_clicks));
-}
-
-/// Prints one technique's row: weighted error + NDCG@{1,2,3}.
-inline void PrintRow(const char* name, double paper_werr,
-                     const ckr::EvalResult& r) {
-  if (paper_werr > 0) {
-    std::printf("  %-34s %6.2f%%  [%5.2f, %5.2f]   (paper: %5.2f%%)\n", name,
-                100.0 * r.weighted_error_rate, 100.0 * r.weighted_error_ci.lo,
-                100.0 * r.weighted_error_ci.hi, paper_werr);
-  } else {
-    std::printf("  %-34s %6.2f%%  [%5.2f, %5.2f]\n", name,
-                100.0 * r.weighted_error_rate, 100.0 * r.weighted_error_ci.lo,
-                100.0 * r.weighted_error_ci.hi);
-  }
-}
-
-inline void PrintNdcg(const char* name, const ckr::EvalResult& r) {
-  std::printf("  %-34s ndcg@1=%.3f  ndcg@2=%.3f  ndcg@3=%.3f\n", name,
-              r.ndcg[0], r.ndcg[1], r.ndcg[2]);
-}
-
-/// The paper evaluates linear and RBF kernels with default parameters and
-/// reports the best result (Section V-A.3).
-inline ckr::EvalResult BestOfKernels(const ckr::ExperimentRunner& runner,
-                                     ckr::ModelSpec spec) {
-  spec.svm.kernel = ckr::SvmKernel::kLinear;
-  auto linear = runner.EvaluateModelCV(spec);
-  spec.svm.kernel = ckr::SvmKernel::kRbfFourier;
-  auto rbf = runner.EvaluateModelCV(spec);
-  if (!linear.ok()) {
-    std::fprintf(stderr, "model: %s\n", linear.status().ToString().c_str());
-    std::exit(1);
-  }
-  if (!rbf.ok()) return *linear;
-  return linear->weighted_error_rate <= rbf->weighted_error_rate ? *linear
-                                                                 : *rbf;
 }
 
 }  // namespace ckr_bench

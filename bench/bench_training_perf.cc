@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/experiment.h"
 #include "eval/metrics.h"
 #include "ranksvm/legacy_rank_svm.h"
 #include "ranksvm/rank_svm.h"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one gate: tier-1 tests, the perfbench package's own tests, the
-# three sanitizer suites (with
+# The one gate: tier-1 tests, the paper's numbers against the committed
+# BENCH_paper.json, the perfbench package's own tests, the three sanitizer
+# suites over every test (with
 # CKR_DCHECK invariants live — the presets set CKR_ENABLE_DCHECKS, which
 # also arms the runtime lock-order registry), the ckr_lint contract
 # linter over the tree, and the clang thread-safety-analysis build plus
@@ -10,11 +11,21 @@
 # Usage: scripts/check_all.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== tier-1: configure + build + ctest (default preset) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
+
+echo "== paper numbers: bench_paper vs the committed BENCH_paper.json =="
+# Regenerates every Section V table, the ablations and §VIII in a scratch
+# directory. A change that moves a paper number commits the new file, so
+# the move shows up in review.
+bench_paper="$PWD/build/bench/bench_paper"
+(cd "$tmp" && "$bench_paper" > /dev/null)
+diff BENCH_paper.json "$tmp/BENCH_paper.json"
 
 echo "== perfbench: the end-to-end benchmark's own arithmetic tests =="
 # perfbench/ is a CMake package of its own (perfbench/README.md) that
@@ -52,16 +63,14 @@ echo "== obs kill switch: CKR_OBS_DISABLED build + rank-fingerprint diff =="
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"
 ctest --preset obs-off -j "$(nproc)"
-fp_dir="$(mktemp -d)"
-trap 'rm -rf "$fp_dir"' EXIT
-CKR_RANK_FINGERPRINT_FILE="$fp_dir/default.fp" \
+CKR_RANK_FINGERPRINT_FILE="$tmp/default.fp" \
   ./build/tests/obs_disabled_test \
   --gtest_filter='ObsDisabledTest.RankerOutputFingerprint' > /dev/null
-CKR_RANK_FINGERPRINT_FILE="$fp_dir/obs_off.fp" \
+CKR_RANK_FINGERPRINT_FILE="$tmp/obs_off.fp" \
   ./build-obs-off/tests/obs_disabled_test \
   --gtest_filter='ObsDisabledTest.RankerOutputFingerprint' > /dev/null
-diff "$fp_dir/default.fp" "$fp_dir/obs_off.fp"
-echo "rank fingerprint identical across obs-on/obs-off: $(cat "$fp_dir/default.fp")"
+diff "$tmp/default.fp" "$tmp/obs_off.fp"
+echo "rank fingerprint identical across obs-on/obs-off: $(cat "$tmp/default.fp")"
 
 echo "== asan =="
 scripts/asan_check.sh

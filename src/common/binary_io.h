@@ -36,6 +36,9 @@ class BinaryWriter {
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
+  /// The reader keeps a view, so a temporary buffer would dangle once the
+  /// full expression ends; hold the blob in a named local instead.
+  BinaryReader(std::string&&) = delete;
 
   uint16_t U16();
   uint32_t U32();

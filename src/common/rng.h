@@ -42,8 +42,9 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  /// Samples from an unnormalized non-negative weight vector; returns the
-  /// chosen index. Requires a positive total weight.
+  /// Samples from an unnormalized weight vector; returns the chosen index.
+  /// Precondition (DCHECKed): the vector is non-empty, every weight is
+  /// non-negative, and not all weights are zero.
   size_t NextCategorical(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle of indices [0, n).
@@ -85,7 +86,8 @@ class ZipfSampler {
 /// rng.NextCategorical(weights) would.
 class CategoricalSampler {
  public:
-  /// Requires non-negative weights with a positive total.
+  /// Same precondition as Rng::NextCategorical (DCHECKed): non-empty,
+  /// every weight non-negative, and not all weights zero.
   explicit CategoricalSampler(const std::vector<double>& weights);
 
   /// Returns an index into the weight vector.

@@ -37,11 +37,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/epoch_set.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "detect/entity_detector.h"
-#include "framework/binary_io.h"
 #include "framework/stem_memo.h"
 #include "features/interestingness.h"
 #include "features/relevance.h"

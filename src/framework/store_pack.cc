@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "framework/binary_io.h"
+#include "common/binary_io.h"
 
 namespace ckr {
 namespace {

@@ -182,7 +182,7 @@ TEST(CategoricalSamplerTest, SameIndexSequenceAsNextCategorical) {
     }
     w.front() = 0.0;
     w.back() = 0.0;
-    if (n > 2) w[n / 2] = 1.0;  // Keep the total positive.
+    w[n / 2] = 1.0;  // Keep the total positive (at n = 2, the back).
     cases.push_back(w);
     // The query generator's shape: a floor plus a squared popularity.
     for (double& x : w) x = 0.01 + gen.NextDouble() * gen.NextDouble();

@@ -3,9 +3,9 @@
 // corruption, sentence-boundary details, runtime stats bookkeeping.
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "corpus/world.h"
 #include "detect/entity_detector.h"
-#include "framework/binary_io.h"
 #include "framework/store_pack.h"
 #include "querylog/query_generator.h"
 #include "text/sentence.h"

@@ -164,7 +164,7 @@ TEST_F(FeaturesTest, SnippetsMineCompanionWords) {
 TEST_F(FeaturesTest, SummationSeparatesSpecificFromGeneric) {
   // Table II's shape: the top of the summation ranking is occupied by
   // specific concepts, not junk units. (The full paper-scale gap is
-  // reproduced by bench_table2_keyword_summation; at this reduced test
+  // reproduced by bench_paper's Table II; at this reduced test
   // scale we assert the ordering of the extremes.)
   ASSERT_FALSE(pipeline_->world().GenericConcepts().empty());
   std::vector<double> specific_sums;

@@ -3,10 +3,10 @@
 
 #include <cstdio>
 
+#include "common/binary_io.h"
 #include "common/check.h"
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
-#include "framework/binary_io.h"
 #include "framework/store_pack.h"
 
 namespace ckr {
@@ -47,7 +47,8 @@ TEST(BinaryIoTest, OverReadSetsNotOk) {
 TEST(BinaryIoTest, CorruptStringLengthDetected) {
   BinaryWriter w;
   w.U32(1000);  // Claims a 1000-byte string with no payload.
-  BinaryReader r(w.Release());
+  std::string blob = w.Release();
+  BinaryReader r(blob);
   EXPECT_EQ(r.Str(), "");
   EXPECT_FALSE(r.ok());
 }

@@ -838,8 +838,8 @@ std::vector<Violation> LintContent(std::string_view path,
     lock_order = &local;
   }
 
-  // R4's precondition: serialization machinery is in scope. Matches both
-  // common/binary_io.h and framework/binary_io.h, plus the block-index
+  // R4's precondition: serialization machinery is in scope. Matches any
+  // include of a binary_io.h (common/binary_io.h), plus the block-index
   // serialization headers (block_postings.h / block_max_index.h expose
   // AppendTo/Serialize, so TUs including them can feed writers too).
   bool includes_binary_io = false;
