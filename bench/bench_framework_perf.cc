@@ -11,11 +11,13 @@
 //  * legacy — string-keyed map lookups and a hash-set context (the
 //    pre-flat-layout hot path, kept as ProcessDocumentLegacy);
 //  * flat — the id-keyed contiguous layout with a reused scratch.
-// Plus ProcessBatch scaling across worker threads. The summary run also
-// verifies the two layouts produce bit-identical rankings and writes all
-// measurements to BENCH_runtime.json for machine consumption.
+// Plus ProcessBatch scaling across worker threads, and the document scan
+// (ScanText: tokens plus pattern entities) timed on its own. The summary
+// run also verifies the two layouts produce bit-identical rankings and
+// writes all measurements to BENCH_runtime.json for machine consumption.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -26,6 +28,7 @@
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
 #include "obs/metrics.h"
+#include "text/tokenizer.h"
 
 namespace {
 
@@ -128,6 +131,23 @@ void BM_StemmerComponent(benchmark::State& state) {
 }
 BENCHMARK(BM_StemmerComponent)->Unit(benchmark::kMicrosecond);
 
+void BM_ScanText(benchmark::State& state) {
+  PerfLab* lab = GetLab();
+  std::vector<Token> tokens;
+  std::vector<PatternMatch> patterns;
+  size_t i = 0;
+  size_t bytes = 0;
+  for (auto _ : state) {
+    ScanText(lab->docs[i], &tokens, &patterns);
+    benchmark::DoNotOptimize(tokens.data());
+    benchmark::DoNotOptimize(patterns.data());
+    bytes += lab->docs[i].size();
+    i = (i + 1) % lab->docs.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_ScanText)->Unit(benchmark::kMicrosecond);
+
 void BM_ProcessBatch(benchmark::State& state) {
   PerfLab* lab = GetLab();
   unsigned threads = static_cast<unsigned>(state.range(0));
@@ -141,6 +161,43 @@ void BM_ProcessBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+/// The document scan on its own: ScanText (tokens plus pattern entities)
+/// over every document with reused buffers, as the runtime's stem stage
+/// runs it. Microseconds per document: median, min and max of the passes.
+struct ScanLeg {
+  static constexpr int kPasses = 11;
+  double median_us = 0.0, min_us = 0.0, max_us = 0.0;
+  double tokens_per_doc = 0.0, patterns_per_doc = 0.0;
+};
+
+ScanLeg MeasureScan(const PerfLab& lab) {
+  std::vector<Token> tokens;
+  std::vector<PatternMatch> patterns;
+  std::vector<double> us;
+  size_t num_tokens = 0, num_patterns = 0;
+  for (int pass = 0; pass < ScanLeg::kPasses; ++pass) {
+    num_tokens = 0;
+    num_patterns = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const std::string& text : lab.docs) {
+      ScanText(text, &tokens, &patterns);
+      num_tokens += tokens.size();
+      num_patterns += patterns.size();
+    }
+    us.push_back(WallSeconds(t0) * 1e6 /
+                 static_cast<double>(lab.docs.size()));
+  }
+  std::sort(us.begin(), us.end());
+  ScanLeg leg;
+  leg.median_us = us[us.size() / 2];
+  leg.min_us = us.front();
+  leg.max_us = us.back();
+  const double docs = static_cast<double>(lab.docs.size());
+  leg.tokens_per_doc = static_cast<double>(num_tokens) / docs;
+  leg.patterns_per_doc = static_cast<double>(num_patterns) / docs;
+  return leg;
+}
 
 struct BatchPoint {
   unsigned threads = 1;
@@ -219,6 +276,8 @@ void RunSummary() {
     detections += flat_out[i].size();
   }
 
+  const ScanLeg scan = MeasureScan(*lab);
+
   // Batch scaling (wall-clock, includes the fan-out overhead).
   std::vector<BatchPoint> batch;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -274,6 +333,11 @@ void RunSummary() {
                                     static_cast<double>(memo_tokens)
                               : 0.0,
               static_cast<unsigned long long>(memo[2].delta));
+  std::printf("scan leg (ScanText alone): %.2f us/doc, median of %d "
+              "passes (min %.2f, max %.2f); %.1f tokens, %.2f patterns per "
+              "doc\n",
+              scan.median_us, ScanLeg::kPasses, scan.min_us, scan.max_us,
+              scan.tokens_per_doc, scan.patterns_per_doc);
   std::printf("ranker speedup (flat / legacy): %.2fx\n", ranker_speedup);
   std::printf("outputs bit-identical across layouts and batch: %s\n",
               identical ? "yes" : "NO");
@@ -330,6 +394,13 @@ void RunSummary() {
                  static_cast<unsigned long long>(s.calls), s.seconds);
   }
   std::fprintf(f, "},\n");
+  // The scan leg: ScanText alone, not a stage of the flat pass above.
+  std::fprintf(f,
+               "  \"scan\": {\"passes\": %d, \"us_per_doc_median\": %.3f, "
+               "\"us_per_doc_min\": %.3f, \"us_per_doc_max\": %.3f, "
+               "\"tokens_per_doc\": %.2f, \"patterns_per_doc\": %.4f},\n",
+               ScanLeg::kPasses, scan.median_us, scan.min_us, scan.max_us,
+               scan.tokens_per_doc, scan.patterns_per_doc);
   std::fprintf(f, "  \"stem_memo\": {");
   for (size_t i = 0; i < std::size(memo); ++i) {
     std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ", memo[i].key,

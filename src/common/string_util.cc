@@ -41,14 +41,6 @@ std::string_view TrimView(std::string_view text, std::string_view strip_chars) {
   return text.substr(b, e - b + 1);
 }
 
-std::string_view StripSurroundingPunct(std::string_view token) {
-  size_t b = 0;
-  size_t e = token.size();
-  while (b < e && IsAsciiPunct(token[b])) ++b;
-  while (e > b && IsAsciiPunct(token[e - 1])) --e;
-  return token.substr(b, e - b);
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;

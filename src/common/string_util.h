@@ -16,22 +16,6 @@ std::vector<std::string> SplitString(std::string_view text,
 std::string JoinStrings(const std::vector<std::string>& pieces,
                         std::string_view sep);
 
-// Byte classifiers equal to <cctype>'s in the C locale, which the library
-// never leaves (nothing calls setlocale). Inline and branch-light: the
-// tokenizer runs them on every byte of every document, and the <cctype>
-// calls dispatch through the current locale's tables.
-
-/// std::isspace: ' ', '\t', '\n', '\v', '\f', '\r'.
-inline bool IsAsciiSpace(char c) {
-  return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-/// std::ispunct: printable, neither alphanumeric nor space.
-inline bool IsAsciiPunct(char c) {
-  return (c >= '!' && c <= '/') || (c >= ':' && c <= '@') ||
-         (c >= '[' && c <= '`') || (c >= '{' && c <= '~');
-}
-
 /// std::tolower: maps 'A'..'Z' to 'a'..'z', every other byte to itself.
 inline char AsciiToLower(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c + ('a' - 'A')) : c;
@@ -44,10 +28,6 @@ std::string ToLowerAscii(std::string_view text);
 /// whitespace).
 std::string_view TrimView(std::string_view text,
                           std::string_view strip_chars = " \t\r\n");
-
-/// Strips surrounding (not internal) punctuation, per the paper's relevant-
-/// term normalization ("surrounding punctuation characters are removed").
-std::string_view StripSurroundingPunct(std::string_view token);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -73,24 +73,23 @@ EntityDetector EntityDetector::FromWorld(const World& world,
 
 const std::vector<RawDetection>& EntityDetector::DetectRaw(
     std::string_view text, Scratch* scratch) const {
-  TokenizeInto(text, &scratch->tokens);
+  ScanText(text, &scratch->tokens, &scratch->patterns);
   scratch->token_tids.clear();
   for (const Token& t : scratch->tokens) {
     scratch->token_tids.push_back(matcher_.TermId(t.text));
   }
-  return DetectRawInterned(text, scratch);
+  return DetectRawInterned(scratch);
 }
 
 const std::vector<RawDetection>& EntityDetector::DetectRawInterned(
-    std::string_view text, Scratch* scratch) const {
+    Scratch* scratch) const {
   const std::vector<Token>& tokens = scratch->tokens;
   CKR_DCHECK_EQ(tokens.size(), scratch->token_tids.size());
   scratch->raw.clear();
 
-  // Stage 1: pattern detectors (regex-equivalent scanners). Patterns are
-  // never subject to collision pruning by phrase matches; instead phrase
-  // matches overlapping a pattern are dropped below.
-  DetectPatternsInto(text, &scratch->patterns);
+  // Stage 1: pattern entities, found by the scan that produced the
+  // tokens. Patterns are never subject to collision pruning by phrase
+  // matches; instead phrase matches overlapping a pattern are dropped below.
   for (uint32_t pi = 0; pi < scratch->patterns.size(); ++pi) {
     const PatternMatch& p = scratch->patterns[pi];
     RawDetection d;

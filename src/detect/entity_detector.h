@@ -16,7 +16,7 @@
 #include "corpus/world.h"
 #include "detect/aho_corasick.h"
 #include "detect/disambiguator.h"
-#include "detect/pattern_detector.h"
+#include "text/pattern_detector.h"
 #include "text/tokenizer.h"
 #include "units/unit_extractor.h"
 
@@ -93,25 +93,27 @@ class EntityDetector {
     disambiguator_ = disambiguator;
   }
 
-  /// Runs the full pipeline over plain text: the pattern scan, then one
-  /// Aho-Corasick pass over the token ids, then filtering and collision
-  /// resolution (longest-leftmost wins). Every document takes this path.
-  /// Output is sorted by begin offset.
+  /// Runs the full pipeline over plain text: one scan for tokens and
+  /// patterns, then one Aho-Corasick pass over the token ids, then
+  /// filtering and collision resolution (longest-leftmost wins). Every
+  /// document takes this path. Output is sorted by begin offset.
   std::vector<Detection> Detect(std::string_view text) const;
 
-  /// Allocation-free pipeline: tokenizes into `scratch->tokens`, interns
-  /// them into `scratch->token_tids` and runs DetectRawInterned.
+  /// Allocation-free pipeline: one ScanText over `text` into
+  /// `scratch->tokens` and `scratch->patterns`, interns the tokens into
+  /// `scratch->token_tids` and runs DetectRawInterned.
   const std::vector<RawDetection>& DetectRaw(std::string_view text,
                                              Scratch* scratch) const;
 
-  /// The pipeline core. Trusts the caller-provided `scratch->tokens`
-  /// (must be Tokenize(text)) and `scratch->token_tids` (must be TermId
-  /// of each token's text), which lets the runtime ranker tokenize and
-  /// hash each token once for both stemming and detection. Fills
-  /// `scratch->raw` with id-keyed detections in the same order Detect()
-  /// returns them; the returned reference aliases scratch->raw.
-  const std::vector<RawDetection>& DetectRawInterned(std::string_view text,
-                                                     Scratch* scratch) const;
+  /// The pipeline core over one document's scan. Trusts the
+  /// caller-provided `scratch->tokens` and `scratch->patterns` (must be
+  /// ScanText's output for the document), and `scratch->token_tids` (must
+  /// be TermId of each token's text), which lets the runtime ranker scan
+  /// the bytes once and hash each token once for both stemming and
+  /// detection. Fills `scratch->raw` with id-keyed detections in the same
+  /// order Detect() returns them; the returned reference aliases
+  /// scratch->raw.
+  const std::vector<RawDetection>& DetectRawInterned(Scratch* scratch) const;
 
   /// Matcher term id of a normalized token: what DetectRawInterned expects
   /// in `token_tids`. PhraseMatcher::kUnknownTerm if the token appears in

@@ -450,15 +450,15 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
 
 std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
-  // Stemmer component: tokenize once (shared with detection below) and
-  // resolve every token through the scratch's memo to its context TID and
+  // Stemmer component: one scan of the bytes for the tokens and pattern
+  // entities (both shared with detection below), then resolve every token through the scratch's memo to its context TID and
   // its detector term id. The memo runs the stop-word -> Porter -> TID
   // chain and the detector's term lookup only on forms it has not seen
   // (kMaxTid: stop word or unknown stem).
   int64_t t0 = clock_->NowNanos();
   std::vector<Token>& tokens = scratch->detect.tokens;
   std::vector<uint32_t>& token_tids = scratch->detect.token_tids;
-  TokenizeInto(text, &tokens);
+  ScanText(text, &tokens, &scratch->detect.patterns);
   token_tids.resize(tokens.size());
   scratch->context.Reset(tids_.size());
   StemMemo& memo = scratch->stem_memo;
@@ -485,7 +485,7 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
   // Ranker component, stage 1: candidate detection on the flat automaton.
   int64_t t1 = clock_->NowNanos();
   const std::vector<RawDetection>& raw =
-      detector_.DetectRawInterned(text, &scratch->detect);
+      detector_.DetectRawInterned(&scratch->detect);
   double match_s = clock_->SecondsSince(t1);
 
   // Ranker component, stage 2: id-keyed feature assembly + model scoring.

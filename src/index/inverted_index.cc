@@ -10,6 +10,14 @@
 #include "text/tokenizer.h"
 
 namespace ckr {
+namespace {
+
+/// The parameters the precomputed norms and max-scores hold for.
+bool IsDefaultParams(const Bm25Params& params) {
+  return params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b;
+}
+
+}  // namespace
 
 void CollectionStats::Absorb(const CollectionStats& other) {
   num_docs += other.num_docs;
@@ -35,7 +43,8 @@ uint32_t InvertedIndex::LookupTerm(std::string_view term) const {
 void InvertedIndex::Add(const Document& doc) {
   CKR_DCHECK(!finalized_);
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
-  std::vector<Token> toks = Tokenize(doc.text);
+  static thread_local std::vector<Token> toks;
+  TokenizeInto(doc.text, &toks);
   for (const Token& t : toks) {
     tok_tid_.push_back(InternTerm(t.text));
     if (options_.store_text) {
@@ -287,6 +296,13 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
   return Status::OK();
 }
 
+QueryEvaluator InvertedIndex::EffectiveEvaluator(
+    QueryEvaluator requested, const Bm25Params& params) const {
+  return IsDefaultParams(params) && has_block_index_
+             ? requested
+             : QueryEvaluator::kExhaustive;
+}
+
 std::vector<SearchResult> InvertedIndex::Search(
     std::string_view query, size_t k, const Bm25Params& params,
     QueryEvaluator evaluator) const {
@@ -304,10 +320,8 @@ std::vector<SearchResult> InvertedIndex::Search(
     return {};
   }
 
-  const bool default_params =
-      params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b;
-  if (evaluator != QueryEvaluator::kExhaustive && default_params &&
-      has_block_index_) {
+  const bool default_params = IsDefaultParams(params);
+  if (EffectiveEvaluator(evaluator, params) != QueryEvaluator::kExhaustive) {
     // Pruned evaluation on the block index. Term ids are passed in the
     // sorted-term order used below, so the pruned score sums replay the
     // exhaustive accumulation order addend by addend (bit-identical).

@@ -140,6 +140,12 @@ class InvertedIndex {
       std::string_view query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
 
+  /// The evaluator Search() scores with when asked for `requested` under
+  /// `params`: `requested` itself, or kExhaustive when a pruned evaluator
+  /// falls back (non-default parameters, or no block index).
+  QueryEvaluator EffectiveEvaluator(QueryEvaluator requested,
+                                    const Bm25Params& params = {}) const;
+
   /// Number of documents matching the disjunctive query. Count-only fast
   /// path: marks the posting union in a doc bitmap, no scoring/sorting.
   uint64_t RegularResultCount(std::string_view query) const;

@@ -183,11 +183,19 @@ StatusOr<RankSvmModel> RankSvmModel::DeserializeText(
   } else {
     return Status::InvalidArgument("unknown kernel '" + kernel + "'");
   }
-  auto load = [&in](const char* name, std::vector<double>* v) -> Status {
+  // Every value takes at least two bytes (a separator and a digit), so a
+  // count above the blob's size is corrupt: reject it before allocating.
+  const size_t max_values = blob.size();
+  auto load = [&in, max_values](const char* name,
+                                std::vector<double>* v) -> Status {
     std::string t;
     size_t n = 0;
     in >> t >> n;
     if (t != name) return Status::InvalidArgument("expected " + std::string(name));
+    if (n > max_values) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " count exceeds blob size");
+    }
     v->resize(n);
     for (size_t i = 0; i < n; ++i) in >> (*v)[i];
     return Status::OK();
@@ -200,6 +208,16 @@ StatusOr<RankSvmModel> RankSvmModel::DeserializeText(
   in >> t >> rff_n;
   if (t != "rff") return Status::InvalidArgument("expected rff");
   const size_t dim = m.mean_.size();
+  // dim <= max_values, so the product is bounded before it is checked.
+  if (rff_n > max_values || rff_n * dim > max_values) {
+    return Status::InvalidArgument("rff count exceeds blob size");
+  }
+  // The shapes Score() relies on, as the binary reader requires them.
+  const size_t expected_weights =
+      m.kernel_ == SvmKernel::kLinear ? dim : rff_n;
+  if (m.inv_sd_.size() != dim || m.weights_.size() != expected_weights) {
+    return Status::InvalidArgument("model vector sizes are inconsistent");
+  }
   m.rff_w_.resize(rff_n * dim);
   m.rff_b_.resize(rff_n);
   for (size_t d = 0; d < rff_n; ++d) {

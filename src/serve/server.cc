@@ -134,6 +134,7 @@ void ServeDaemon::WorkerLoop() {
     response.generation = snapshot->generation;
     response.results = std::move(scatter.results);
     response.shards_answered = scatter.shards_answered;
+    response.evaluator_used = scatter.evaluator_used;
     if (scatter.complete) {
       completed_->Increment();
       response.outcome = ServeOutcome::kOk;

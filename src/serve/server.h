@@ -66,6 +66,10 @@ struct ServeResponse {
   uint64_t generation = 0;
   std::vector<SearchResult> results;
   size_t shards_answered = 0;
+  /// The evaluator that scored the answered shards: the snapshot's policy,
+  /// or kExhaustive when a leg fell back to it (also counted in
+  /// `ckr.index.evaluator_fallbacks`). Shed responses keep the default.
+  QueryEvaluator evaluator_used = QueryEvaluator::kExhaustive;
   /// Admission -> worker pickup, and admission -> completion, on the
   /// daemon's clock. Zero for requests shed at admission.
   double queue_seconds = 0.0;

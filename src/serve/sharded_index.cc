@@ -169,7 +169,14 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
     for (size_t s = 0; s < n; ++s) run_shard(s);
   }
   PartialResult out;
-  for (uint8_t a : answered) out.shards_answered += a;
+  out.evaluator_used = evaluator;
+  for (size_t s = 0; s < n; ++s) {
+    if (answered[s] == 0) continue;
+    ++out.shards_answered;
+    if (shards_[s]->EffectiveEvaluator(evaluator) != evaluator) {
+      out.evaluator_used = QueryEvaluator::kExhaustive;
+    }
+  }
   out.complete = out.shards_answered == n;
   out.results = MergeShardTopK(per_shard, k);
   return out;

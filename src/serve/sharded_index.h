@@ -79,6 +79,10 @@ class ShardedIndex {
     std::vector<SearchResult> results;
     size_t shards_answered = 0;
     bool complete = true;
+    /// The evaluator that scored: the requested one, or kExhaustive when
+    /// an answered leg fell back to it (InvertedIndex::EffectiveEvaluator).
+    /// The requested one when no leg ran.
+    QueryEvaluator evaluator_used = QueryEvaluator::kExhaustive;
   };
 
   /// Builds shards from one streamed corpus pass over [0, num_docs),

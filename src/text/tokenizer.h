@@ -1,6 +1,7 @@
 // Tokenization: the first pre-processing stage of the Contextual Shortcuts
 // pipeline (paper Section II). Produces tokens with byte offsets so that
-// downstream detectors can annotate the original text.
+// downstream detectors can annotate the original text, and, in the same
+// pass over the bytes, the pattern entities (emails, URLs, phones).
 #ifndef CKR_TEXT_TOKENIZER_H_
 #define CKR_TEXT_TOKENIZER_H_
 
@@ -8,6 +9,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "text/pattern_detector.h"
 
 namespace ckr {
 
@@ -24,14 +27,24 @@ struct Token {
 /// Splits text on whitespace and normalizes each token: surrounding
 /// punctuation is stripped ("(Obama," -> "obama"), letters are
 /// lower-cased and a trailing "'s" is dropped. Tokens that become empty
-/// are dropped; numbers are kept. Spaces, punctuation and case follow
-/// <cctype> in the C locale, so bytes >= 0x80 are word characters.
+/// are dropped; numbers are kept. Spaces, punctuation and case come from
+/// the byte-class table (text/byte_class.h), which is the C locale's
+/// ASCII classes for every process, so bytes >= 0x80 are word characters.
 std::vector<Token> Tokenize(std::string_view text);
 
-/// Buffer-reuse variant of Tokenize for hot paths: overwrites `*out`
-/// in place, reusing both the vector capacity and each slot's string
-/// buffer, so steady-state tokenization of similar-sized documents
-/// performs no heap allocations.
+/// The one scan over a document's bytes. Overwrites `*tokens` with
+/// Tokenize(text) and, when `patterns` is non-null, `*patterns` with the
+/// pattern entities, left to right and non-overlapping. A pattern is tried
+/// at each position at or after the last match's end whose previous byte
+/// is not alphanumeric or '_' (or at the start of the text); URL before
+/// email (URLs can contain '@'), email before phone (emails can start with
+/// digits). Both vectors are reused in place, capacity and each slot's
+/// string buffer, so steady-state scans of similar-sized documents
+/// perform no heap allocations.
+void ScanText(std::string_view text, std::vector<Token>* tokens,
+              std::vector<PatternMatch>* patterns);
+
+/// ScanText without patterns.
 void TokenizeInto(std::string_view text, std::vector<Token>* out);
 
 /// Convenience: normalized token strings only.

@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "blob_mutation.h"
 #include "common/binary_io.h"
 #include "common/rng.h"
 #include "corpus/document.h"
@@ -571,41 +572,6 @@ void ExpectRankingShape(const std::vector<SearchResult>& results, size_t k,
   }
 }
 
-std::string Mutate(Rng* rng, const std::string& blob,
-                   const std::string& other) {
-  std::string m = blob;
-  switch (rng->NextBounded(4)) {
-    case 0: {  // Flip one to four bytes.
-      const uint64_t flips = 1 + rng->NextBounded(4);
-      for (uint64_t f = 0; f < flips; ++f) {
-        m[rng->NextBounded(m.size())] ^=
-            static_cast<char>(1 + rng->NextBounded(255));
-      }
-      break;
-    }
-    case 1:  // Truncate.
-      m.resize(rng->NextBounded(m.size()));
-      break;
-    case 2: {  // Splice: a prefix of one blob onto a suffix of another.
-      const std::string& tail = rng->NextBounded(2) == 0 ? blob : other;
-      m = blob.substr(0, rng->NextBounded(blob.size() + 1)) +
-          tail.substr(rng->NextBounded(tail.size() + 1));
-      break;
-    }
-    default: {  // Plant an extreme little-endian u32 at any offset.
-      const uint32_t values[] = {0u, 1u, 0x7fffffffu, 0xfffffffeu,
-                                 0xffffffffu};
-      const uint32_t v = values[rng->NextBounded(5)];
-      const size_t at = rng->NextBounded(m.size() - 3);
-      for (size_t b = 0; b < 4; ++b) {
-        m[at + b] = static_cast<char>((v >> (8 * b)) & 0xffu);
-      }
-      break;
-    }
-  }
-  return m;
-}
-
 TEST(BlockIndexMutationTest, MutantsAreRejectedOrServeSafely) {
   InvertedIndex index = BuildSyntheticIndex(47, 160);
   const std::string blob = index.SerializeBlockIndex();
@@ -617,7 +583,7 @@ TEST(BlockIndexMutationTest, MutantsAreRejectedOrServeSafely) {
   size_t served = 0;
   for (int i = 0; i < 1500; ++i) {
     const std::string label = "mutant " + std::to_string(i);
-    const std::string mutant = Mutate(&rng, i % 5 == 0 ? v1 : blob, other);
+    const std::string mutant = MutateBlob(&rng, i % 5 == 0 ? v1 : blob, other);
     StatusOr<BlockMaxIndex> loaded = BlockMaxIndex::Deserialize(mutant);
     if (!loaded.ok()) {
       EXPECT_FALSE(index.LoadBlockIndex(mutant).ok()) << label;

@@ -288,13 +288,6 @@ TEST(StringUtilTest, TrimView) {
   EXPECT_EQ(TrimView("abc"), "abc");
 }
 
-TEST(StringUtilTest, StripSurroundingPunct) {
-  EXPECT_EQ(StripSurroundingPunct("(obama,"), "obama");
-  EXPECT_EQ(StripSurroundingPunct("u.s."), "u.s");
-  EXPECT_EQ(StripSurroundingPunct("..."), "");
-  EXPECT_EQ(StripSurroundingPunct("plain"), "plain");
-}
-
 TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("contextual", "con"));
   EXPECT_FALSE(StartsWith("con", "contextual"));

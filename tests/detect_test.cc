@@ -15,8 +15,8 @@
 #include "corpus/doc_generator.h"
 #include "detect/aho_corasick.h"
 #include "detect/entity_detector.h"
-#include "detect/pattern_detector.h"
 #include "fnv_fold.h"
+#include "text/pattern_detector.h"
 #include "text/tokenizer.h"
 
 namespace ckr {

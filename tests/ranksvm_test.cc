@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "blob_mutation.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "ranksvm/legacy_rank_svm.h"
@@ -351,6 +352,74 @@ TEST(RankSvmTest, BinaryDeserializeRejectsCorruptSizeFields) {
   inflated[sizes_at + 3] = '\x7F';      // dim high byte
   inflated[sizes_at + 4 + 3] = '\x7F';  // weights high byte, same value
   EXPECT_FALSE(RankSvmModel::Deserialize(inflated).ok());
+}
+
+// Found by the mutation sweep below: the v1 text reader resized its
+// vectors to any declared count (bad_alloc on "mean 99999999999") and took
+// weight and inv_sd vectors shorter than the model's width, which Score()
+// then read past.
+TEST(RankSvmTest, TextDeserializeRejectsHugeCountsAndInconsistentShapes) {
+  const std::string good =
+      "ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 1\n"
+      "weights 2 1 2\nrff 0\n";
+  ASSERT_TRUE(RankSvmModel::Deserialize(good).ok());
+  for (const std::string& bad : {
+           std::string("ranksvm v1\nkernel linear\nmean 99999999999 0\n"),
+           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 "
+                       "1\nweights 2 1 2\nrff 99999999999\n"),
+           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 "
+                       "1\nweights 1 1\nrff 0\n"),
+           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 1 "
+                       "1\nweights 2 1 2\nrff 0\n"),
+           std::string("ranksvm v1\nkernel rbf_fourier\nmean 1 0\ninv_sd 1 "
+                       "1\nweights 2 1 2\nrff 1\nw 0.5 b 0.1\n"),
+       }) {
+    auto model = RankSvmModel::Deserialize(bad);
+    ASSERT_FALSE(model.ok()) << bad;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+// BlockIndexMutationTest's mutation sweep on the model loader, over both
+// formats (the v2 binary blob and the v1 text blob it still reads): every
+// mutant is rejected with a Status, or loads a model that scores a vector
+// of its own input width and re-serializes to a blob that loads again.
+TEST(RankSvmMutationTest, MutantsAreRejectedOrScoreSafely) {
+  auto linear = RankSvmTrainer().Train(LinearProblem(60, 4, 5, 0.1, 37));
+  ASSERT_TRUE(linear.ok());
+  RankSvmConfig rbf_cfg;
+  rbf_cfg.kernel = SvmKernel::kRbfFourier;
+  rbf_cfg.rff_dim = 8;
+  auto rbf = RankSvmTrainer(rbf_cfg).Train(LinearProblem(60, 4, 5, 0.1, 41));
+  ASSERT_TRUE(rbf.ok());
+  const std::string blobs[] = {linear->SerializeBinary(),
+                               rbf->SerializeBinary(), linear->Serialize(),
+                               rbf->Serialize()};
+  Rng rng(20090402);
+  size_t rejected = 0;
+  size_t served = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string label = "mutant " + std::to_string(i);
+    const size_t pick = rng.NextBounded(4);
+    const std::string mutant =
+        MutateBlob(&rng, blobs[pick], blobs[pick ^ 1]);
+    auto model = RankSvmModel::Deserialize(mutant);
+    if (!model.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++served;
+    const std::vector<double> features(model->InputDim(), 0.5);
+    const double score = model->Score(features);
+    auto checked = model->ScoreChecked(features);
+    ASSERT_TRUE(checked.ok()) << label;
+    EXPECT_EQ(std::isnan(*checked), std::isnan(score)) << label;
+    auto again = RankSvmModel::Deserialize(model->SerializeBinary());
+    ASSERT_TRUE(again.ok()) << label << ": " << again.status().ToString();
+    EXPECT_EQ(again->SerializeBinary(), model->SerializeBinary()) << label;
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(served, 0u);
 }
 
 // --- Golden equivalence: flat trainer vs the preserved scalar trainer ---

@@ -92,6 +92,25 @@ std::unique_ptr<ServingSnapshot> MakeTestSnapshot() {
   return std::make_unique<ServingSnapshot>(MakeTestShardedIndex());
 }
 
+/// MakeTestShardedIndex's corpus with the given index build options.
+ShardedIndex MakeTestShardedIndex(const IndexBuildOptions& options) {
+  std::vector<std::unique_ptr<InvertedIndex>> shards;
+  for (const auto& docs : {std::vector<std::pair<DocId, const char*>>{
+                               {0, "quick brown fox jumps over the lazy dog"},
+                               {2, "the lazy dog sleeps in the quick sun"}},
+                           std::vector<std::pair<DocId, const char*>>{
+                               {1, "quick brown foxes are quick and brown"},
+                               {3, "an unrelated document about turtles"}}}) {
+    auto shard = std::make_unique<InvertedIndex>(options);
+    for (const auto& [id, text] : docs) shard->Add(MakeDoc(id, text));
+    shard->Finalize();
+    shards.push_back(std::move(shard));
+  }
+  auto sharded = ShardedIndex::FromShards(std::move(shards));
+  CKR_CHECK(sharded.ok());
+  return std::move(sharded).value();
+}
+
 // ---------- BoundedMpmcQueue ----------
 
 TEST(RequestQueueTest, FifoPushPop) {
@@ -364,6 +383,51 @@ TEST(ServeDaemonTest, ServesScatterGatherIdenticalToDirectSearch) {
   EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.admitted")->Value(), 4u);
   EXPECT_EQ(fix.metrics.GetHistogram("ckr.serve.latency_seconds")->Count(),
             4u);
+}
+
+// Each response names the evaluator that scored it: the snapshot's policy
+// by default, and exhaustive when a pruned policy has no block index to
+// run on and falls back. The results are the same on every path.
+TEST(ServeDaemonTest, ResponseNamesTheEvaluatorThatScored) {
+  struct Case {
+    const char* name;
+    bool build_block_index;
+    QueryEvaluator policy;
+    QueryEvaluator want;
+  };
+  const Case cases[] = {
+      {"default policy", true, QueryEvaluator::kExhaustive,
+       QueryEvaluator::kExhaustive},
+      {"maxscore on a block index", true, QueryEvaluator::kMaxScore,
+       QueryEvaluator::kMaxScore},
+      {"maxscore fallback", false, QueryEvaluator::kMaxScore,
+       QueryEvaluator::kExhaustive},
+  };
+  const ShardedIndex oracle = MakeTestShardedIndex();
+  for (const Case& c : cases) {
+    DaemonFixture fix;
+    IndexBuildOptions options;
+    options.build_block_index = c.build_block_index;
+    auto snapshot =
+        std::make_unique<ServingSnapshot>(MakeTestShardedIndex(options));
+    snapshot->evaluator = c.policy;
+    fix.daemon.Publish(std::move(snapshot));
+    ASSERT_TRUE(fix.daemon.Start().ok());
+    ServeRequest request;
+    request.query = "quick brown";
+    request.k = 4;
+    const ServeResponse response =
+        SubmitAndWait(fix.daemon, std::move(request));
+    fix.daemon.Stop();
+    EXPECT_EQ(response.outcome, ServeOutcome::kOk) << c.name;
+    EXPECT_EQ(response.evaluator_used, c.want) << c.name;
+    const auto expected = oracle.Search("quick brown", 4);
+    ASSERT_EQ(response.results.size(), expected.size()) << c.name;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(response.results[i].doc, expected[i].doc) << c.name;
+      EXPECT_EQ(response.results[i].score, expected[i].score) << c.name;
+    }
+  }
 }
 
 TEST(ServeDaemonTest, ExpiredDeadlineIsShedWithoutTouchingTheIndex) {

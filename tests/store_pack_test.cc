@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "blob_mutation.h"
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "common/check.h"
 #include "core/contextual_ranker.h"
 #include "corpus/doc_generator.h"
+#include "detect/entity_detector.h"
 #include "framework/store_pack.h"
 
 namespace ckr {
@@ -151,6 +156,91 @@ TEST(StorePackTest, EveryTruncatedPrefixIsRejected) {
     auto truncated = StorePack::Deserialize(blob.substr(0, len));
     EXPECT_FALSE(truncated.ok()) << "prefix of " << len << " bytes parsed";
   }
+}
+
+/// A v1 text linear model over `dim` features, every weight `w`.
+std::string LinearModelText(size_t dim, double w) {
+  std::string mean = "mean " + std::to_string(dim);
+  std::string inv_sd = "inv_sd " + std::to_string(dim);
+  std::string weights = "weights " + std::to_string(dim);
+  for (size_t i = 0; i < dim; ++i) {
+    mean += " 0";
+    inv_sd += " 1";
+    weights += " " + std::to_string(w * static_cast<double>(i + 1));
+  }
+  return "ranksvm v1\nkernel linear\n" + mean + "\n" + inv_sd + "\n" +
+         weights + "\nrff 0\n";
+}
+
+/// A small pack whose model takes the runtime's feature vector (the
+/// interestingness vector plus one relevance score), over `concepts`,
+/// each relevant to the terms "ta".."td".
+std::string ServablePackBlob(const std::vector<std::string>& concepts,
+                             double w) {
+  GlobalTidTable tids;
+  QuantizedInterestingnessStore interest;
+  PackedRelevanceStore relevance(&tids);
+  for (size_t c = 0; c < concepts.size(); ++c) {
+    InterestingnessVector v;
+    v.freq_exact = 1.5 + static_cast<double>(c);
+    interest.Add(concepts[c], v);
+    relevance.Add(concepts[c], {{"ta", 10.0 - static_cast<double>(c)},
+                                {"tb", 5.0},
+                                {c % 2 == 0 ? "tc" : "td", 2.0}});
+  }
+  interest.Finalize();
+  relevance.Finalize();
+  auto model = RankSvmModel::Deserialize(
+      LinearModelText(InterestingnessVector::Dim() + 1, w));
+  CKR_CHECK(model.ok());
+  return SerializeStorePack(tids, interest, relevance, *model);
+}
+
+// BlockIndexMutationTest's mutation sweep on the store pack: every mutant
+// is rejected with a Status, or loads into a RuntimeRanker that ranks a
+// document mentioning the pack's concepts with annotations inside it.
+TEST(StorePackMutationTest, MutantsAreRejectedOrServeSafely) {
+  const std::vector<std::string> concepts = {"concept x", "concept y",
+                                             "concept z"};
+  const std::string blob = ServablePackBlob(concepts, 0.25);
+  const std::string other = ServablePackBlob({"concept y", "other w"}, -1.0);
+  std::vector<EntityDetector::DictionaryEntry> dict;
+  for (const char* key : {"concept x", "concept y", "concept z", "other w"}) {
+    dict.push_back({key, EntityType::kConcept, 0});
+  }
+  const EntityDetector detector(dict, nullptr);
+  const std::string doc =
+      "ta tb: concept x met concept y, then concept z and other w. tc td";
+  {
+    auto pack = StorePack::Deserialize(blob);
+    ASSERT_TRUE(pack.ok()) << pack.status().ToString();
+    RuntimeRanker ranker(detector, pack->interestingness, *pack->relevance,
+                         *pack->tids, pack->model);
+    ASSERT_EQ(ranker.ProcessDocument(doc).size(), 3u);
+  }
+  Rng rng(20090401);
+  size_t rejected = 0;
+  size_t served = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const std::string label = "mutant " + std::to_string(i);
+    auto pack = StorePack::Deserialize(MutateBlob(&rng, blob, other));
+    if (!pack.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++served;
+    RuntimeRanker ranker(detector, pack->interestingness, *pack->relevance,
+                         *pack->tids, pack->model);
+    const std::vector<RankedAnnotation> ranked = ranker.ProcessDocument(doc);
+    ASSERT_LE(ranked.size(), dict.size()) << label;
+    for (const RankedAnnotation& a : ranked) {
+      ASSERT_LT(a.begin, a.end) << label;
+      ASSERT_LE(a.end, doc.size()) << label;
+    }
+  }
+  // Both outcomes occur, so the sweep reaches past the header checks.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(served, 0u);
 }
 
 TEST(StoreComponentTest, TidTableRejectsCorruptCount) {

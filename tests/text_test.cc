@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "text/byte_class.h"
 #include "text/html.h"
 #include "text/porter_stemmer.h"
 #include "text/sentence.h"
@@ -150,6 +151,15 @@ TEST(TokenizerTest, OffsetsPointIntoSource) {
   EXPECT_EQ(toks[1].text, "world");
 }
 
+TEST(TokenizerTest, StripsSurroundingPunct) {
+  // Surrounding punctuation goes ("surrounding punctuation characters are
+  // removed"); internal punctuation stays.
+  EXPECT_EQ(TokenizeToStrings("(obama,"), std::vector<std::string>{"obama"});
+  EXPECT_EQ(TokenizeToStrings("u.s."), std::vector<std::string>{"u.s"});
+  EXPECT_TRUE(TokenizeToStrings("...").empty());
+  EXPECT_EQ(TokenizeToStrings("plain"), std::vector<std::string>{"plain"});
+}
+
 TEST(TokenizerTest, EmptyAndWhitespaceOnly) {
   EXPECT_TRUE(Tokenize("").empty());
   EXPECT_TRUE(Tokenize("   \n\t ").empty());
@@ -285,16 +295,18 @@ TEST(TokenizeIntoTest, MatchesTokenizeAndReusesBuffer) {
   EXPECT_EQ(reused, Tokenize("tiny"));
 }
 
-// The tokenizer's inline byte classifiers must agree with <cctype> in the
-// C locale on every byte value, and the tokenizer built on them must agree
-// with one built on <cctype> over arbitrary bytes.
+// The byte-class table must agree with <cctype> in the C locale on every
+// byte value, and the tokenizer built on it must agree with one built on
+// <cctype> over arbitrary bytes.
 TEST(AsciiClassifierTest, AgreeWithCctypeOnEveryByte) {
   ASSERT_STREQ(std::setlocale(LC_CTYPE, nullptr), "C");
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
     const unsigned char u = static_cast<unsigned char>(b);
-    EXPECT_EQ(IsAsciiSpace(c), std::isspace(u) != 0) << "byte " << b;
-    EXPECT_EQ(IsAsciiPunct(c), std::ispunct(u) != 0) << "byte " << b;
+    EXPECT_EQ(HasClass(c, kByteSpace), std::isspace(u) != 0) << "byte " << b;
+    EXPECT_EQ(HasClass(c, kBytePunct), std::ispunct(u) != 0) << "byte " << b;
+    EXPECT_EQ(HasClass(c, kByteDigit), std::isdigit(u) != 0) << "byte " << b;
+    EXPECT_EQ(HasClass(c, kByteAlpha), std::isalpha(u) != 0) << "byte " << b;
     EXPECT_EQ(AsciiToLower(c), static_cast<char>(std::tolower(u)))
         << "byte " << b;
   }
