@@ -11,10 +11,11 @@
 //  * legacy — string-keyed map lookups and a hash-set context (the
 //    pre-flat-layout hot path, kept as ProcessDocumentLegacy);
 //  * flat — the id-keyed contiguous layout with a reused scratch.
-// Plus ProcessBatch scaling across worker threads, and the document scan
-// (ScanText: tokens plus pattern entities) timed on its own. The summary
-// run also verifies the two layouts produce bit-identical rankings and
-// writes all measurements to BENCH_runtime.json for machine consumption.
+// Plus ProcessBatch scaling across worker threads, and the stem stage's
+// two halves (ScanText, then the memo loop) timed apart, cold and warm.
+// The summary run also verifies the two layouts produce bit-identical
+// rankings and writes all measurements to BENCH_runtime.json for machine
+// consumption.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/contextual_ranker.h"
@@ -162,41 +164,69 @@ void BM_ProcessBatch(benchmark::State& state) {
 BENCHMARK(BM_ProcessBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// The document scan on its own: ScanText (tokens plus pattern entities)
-/// over every document with reused buffers, as the runtime's stem stage
-/// runs it. Microseconds per document: median, min and max of the passes.
-struct ScanLeg {
+/// The stem stage's two halves timed apart, per document: the scan
+/// (ScanText: tokens, their hashes, pattern entities) and the resolve
+/// (RuntimeRanker::ResolveTokens: the memo loop), with buffers and memo
+/// reused as the runtime reuses them. Each is timed cold, as
+/// ProcessDocument sees it (the first touch of the document's bytes, and
+/// the resolve right after), and warm (both run again on the same
+/// document at once). Microseconds per document: median, min and max of
+/// the passes.
+struct StemLegs {
   static constexpr int kPasses = 11;
-  double median_us = 0.0, min_us = 0.0, max_us = 0.0;
+  struct Leg {
+    double median_us = 0.0, min_us = 0.0, max_us = 0.0;
+  };
+  Leg scan_cold, scan_warm, resolve_cold, resolve_warm;
   double tokens_per_doc = 0.0, patterns_per_doc = 0.0;
 };
 
-ScanLeg MeasureScan(const PerfLab& lab) {
-  std::vector<Token> tokens;
-  std::vector<PatternMatch> patterns;
-  std::vector<double> us;
+StemLegs MeasureStemLegs(const PerfLab& lab) {
+  const RuntimeRanker& runtime = lab.ranker->runtime();
+  RankerScratch scratch;
+  std::vector<Token>& tokens = scratch.detect.tokens;
+  std::vector<PatternMatch>& patterns = scratch.detect.patterns;
+  // Per leg (scan cold, resolve cold, scan warm, resolve warm): the
+  // per-pass totals, in microseconds per document.
+  std::vector<double> us[4];
   size_t num_tokens = 0, num_patterns = 0;
-  for (int pass = 0; pass < ScanLeg::kPasses; ++pass) {
+  const double docs = static_cast<double>(lab.docs.size());
+  for (int pass = 0; pass < StemLegs::kPasses; ++pass) {
     num_tokens = 0;
     num_patterns = 0;
-    const auto t0 = std::chrono::steady_clock::now();
+    std::chrono::steady_clock::duration sum[4] = {};
     for (const std::string& text : lab.docs) {
+      std::chrono::steady_clock::time_point t[5];
+      t[0] = std::chrono::steady_clock::now();
       ScanText(text, &tokens, &patterns);
+      t[1] = std::chrono::steady_clock::now();
+      runtime.ResolveTokens(&scratch);
+      t[2] = std::chrono::steady_clock::now();
+      ScanText(text, &tokens, &patterns);
+      t[3] = std::chrono::steady_clock::now();
+      runtime.ResolveTokens(&scratch);
+      t[4] = std::chrono::steady_clock::now();
+      for (int leg = 0; leg < 4; ++leg) sum[leg] += t[leg + 1] - t[leg];
       num_tokens += tokens.size();
       num_patterns += patterns.size();
     }
-    us.push_back(WallSeconds(t0) * 1e6 /
-                 static_cast<double>(lab.docs.size()));
+    for (int leg = 0; leg < 4; ++leg) {
+      us[leg].push_back(std::chrono::duration<double>(sum[leg]).count() *
+                        1e6 / docs);
+    }
   }
-  std::sort(us.begin(), us.end());
-  ScanLeg leg;
-  leg.median_us = us[us.size() / 2];
-  leg.min_us = us.front();
-  leg.max_us = us.back();
-  const double docs = static_cast<double>(lab.docs.size());
-  leg.tokens_per_doc = static_cast<double>(num_tokens) / docs;
-  leg.patterns_per_doc = static_cast<double>(num_patterns) / docs;
-  return leg;
+  StemLegs legs;
+  StemLegs::Leg* out[4] = {&legs.scan_cold, &legs.resolve_cold,
+                           &legs.scan_warm, &legs.resolve_warm};
+  for (int leg = 0; leg < 4; ++leg) {
+    std::sort(us[leg].begin(), us[leg].end());
+    out[leg]->median_us = us[leg][us[leg].size() / 2];
+    out[leg]->min_us = us[leg].front();
+    out[leg]->max_us = us[leg].back();
+  }
+  legs.tokens_per_doc = static_cast<double>(num_tokens) / docs;
+  legs.patterns_per_doc = static_cast<double>(num_patterns) / docs;
+  return legs;
 }
 
 struct BatchPoint {
@@ -276,7 +306,7 @@ void RunSummary() {
     detections += flat_out[i].size();
   }
 
-  const ScanLeg scan = MeasureScan(*lab);
+  const StemLegs stem = MeasureStemLegs(*lab);
 
   // Batch scaling (wall-clock, includes the fan-out overhead).
   std::vector<BatchPoint> batch;
@@ -333,11 +363,19 @@ void RunSummary() {
                                     static_cast<double>(memo_tokens)
                               : 0.0,
               static_cast<unsigned long long>(memo[2].delta));
-  std::printf("scan leg (ScanText alone): %.2f us/doc, median of %d "
-              "passes (min %.2f, max %.2f); %.1f tokens, %.2f patterns per "
-              "doc\n",
-              scan.median_us, ScanLeg::kPasses, scan.min_us, scan.max_us,
-              scan.tokens_per_doc, scan.patterns_per_doc);
+  std::printf("stem legs, us/doc, median of %d passes [min, max]; %.1f "
+              "tokens, %.2f patterns per doc:\n",
+              StemLegs::kPasses, stem.tokens_per_doc, stem.patterns_per_doc);
+  const std::pair<const char*, const StemLegs::Leg*> stem_rows[] = {
+      {"scan cold", &stem.scan_cold},
+      {"scan warm", &stem.scan_warm},
+      {"resolve cold", &stem.resolve_cold},
+      {"resolve warm", &stem.resolve_warm},
+  };
+  for (const auto& [name, leg] : stem_rows) {
+    std::printf("  %-12s %7.2f [%.2f, %.2f]\n", name, leg->median_us,
+                leg->min_us, leg->max_us);
+  }
   std::printf("ranker speedup (flat / legacy): %.2fx\n", ranker_speedup);
   std::printf("outputs bit-identical across layouts and batch: %s\n",
               identical ? "yes" : "NO");
@@ -394,13 +432,27 @@ void RunSummary() {
                  static_cast<unsigned long long>(s.calls), s.seconds);
   }
   std::fprintf(f, "},\n");
-  // The scan leg: ScanText alone, not a stage of the flat pass above.
+  // The stem stage's halves, timed apart: not stages of the flat pass
+  // above.
+  const auto leg_json = [](const StemLegs::Leg& leg) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"us_per_doc_median\": %.3f, \"us_per_doc_min\": %.3f, "
+                  "\"us_per_doc_max\": %.3f}",
+                  leg.median_us, leg.min_us, leg.max_us);
+    return std::string(buf);
+  };
   std::fprintf(f,
-               "  \"scan\": {\"passes\": %d, \"us_per_doc_median\": %.3f, "
-               "\"us_per_doc_min\": %.3f, \"us_per_doc_max\": %.3f, "
+               "  \"scan\": {\"passes\": %d, \"cold\": %s, \"warm\": %s, "
                "\"tokens_per_doc\": %.2f, \"patterns_per_doc\": %.4f},\n",
-               ScanLeg::kPasses, scan.median_us, scan.min_us, scan.max_us,
-               scan.tokens_per_doc, scan.patterns_per_doc);
+               StemLegs::kPasses, leg_json(stem.scan_cold).c_str(),
+               leg_json(stem.scan_warm).c_str(), stem.tokens_per_doc,
+               stem.patterns_per_doc);
+  std::fprintf(f,
+               "  \"resolve\": {\"passes\": %d, \"cold\": %s, "
+               "\"warm\": %s},\n",
+               StemLegs::kPasses, leg_json(stem.resolve_cold).c_str(),
+               leg_json(stem.resolve_warm).c_str());
   std::fprintf(f, "  \"stem_memo\": {");
   for (size_t i = 0; i < std::size(memo); ++i) {
     std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ", memo[i].key,

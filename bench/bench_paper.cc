@@ -735,6 +735,25 @@ void OnlineAdaptation(Section* sec) {
     Document d = gen.Generate(Document::Kind::kNews, 350000 + i);
     if (d.TruthRelevance(subject->id) > 0) eval_stories.push_back(std::move(d));
   }
+  // The subject's organic traffic: two of its own stories a day, so the
+  // tracker holds a pre-event baseline for the spike detector to measure
+  // the burst against. A concept with no history never spikes, so with
+  // the burst as its first clicks the event would go unflagged.
+  constexpr int kDays = 12;
+  constexpr size_t kSubjectStoriesPerDay = 2;
+  std::vector<Document> subject_stories;
+  for (DocId i = 0; subject_stories.size() < kDays * kSubjectStoriesPerDay &&
+                    i < 8000;
+       ++i) {
+    Document d = gen.Generate(Document::Kind::kNews, 450000 + i);
+    if (d.TruthRelevance(subject->id) > 0) {
+      subject_stories.push_back(std::move(d));
+    }
+  }
+  if (subject_stories.empty()) {
+    std::fprintf(stderr, "no stories of the subject found\n");
+    std::exit(1);
+  }
 
   CtrTrackerConfig tcfg;
   tcfg.adjustment_weight = 2.5;
@@ -747,15 +766,20 @@ void OnlineAdaptation(Section* sec) {
   // the event days the subject's clicks are multiplied (the world event).
   auto stream_day = [&](int day, double event_multiplier) {
     Rng day_rng(1000 + static_cast<uint64_t>(day));
-    for (int s = 0; s < 60; ++s) {
-      Document story = gen.Generate(
-          Document::Kind::kNews,
-          static_cast<DocId>(400000 + day * 60 + s));
+    const auto stream_story = [&](const Document& story) {
       auto detections = ranker.pipeline().detector().Detect(story.text);
       StoryReport report = clicks.Simulate(story, detections);
       for (const AnnotationRecord& a : report.annotations) {
         tracker.Record(a.key, a.views, a.clicks);
       }
+    };
+    for (int s = 0; s < 60; ++s) {
+      stream_story(gen.Generate(Document::Kind::kNews,
+                                static_cast<DocId>(400000 + day * 60 + s)));
+    }
+    for (size_t s = 0; s < kSubjectStoriesPerDay; ++s) {
+      const size_t k = static_cast<size_t>(day) * kSubjectStoriesPerDay + s;
+      stream_story(subject_stories[k % subject_stories.size()]);
     }
     if (event_multiplier > 1.0) {
       // Breaking news: the subject is suddenly everywhere and everyone
@@ -772,7 +796,7 @@ void OnlineAdaptation(Section* sec) {
 
   std::printf("%-6s %-10s %-12s %-12s %s\n", "day", "phase", "static-rank",
               "online-rank", "spiking?");
-  for (int day = 0; day < 12; ++day) {
+  for (int day = 0; day < kDays; ++day) {
     bool event = day >= 4 && day < 7;
     stream_day(day, event ? 12.0 : 1.0);
     // Spike detection reads the fresh (pre-tick) period.
@@ -796,8 +820,9 @@ void OnlineAdaptation(Section* sec) {
   }
   ranker.SetOnlineTracker(nullptr);
   std::printf("\nexpected shape: the online rank jumps toward 1 within a "
-              "day of the event and decays back after it ends; the static "
-              "rank never moves.\n");
+              "day of the event and decays back after it ends; the spike "
+              "detector flags the event's first day; the static rank never "
+              "moves.\n");
 }
 
 }  // namespace

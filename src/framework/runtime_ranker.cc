@@ -448,17 +448,9 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
   return ProcessDocument(text, &scratch, stats);
 }
 
-std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
-    std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
-  // Stemmer component: one scan of the bytes for the tokens and pattern
-  // entities (both shared with detection below), then resolve every token through the scratch's memo to its context TID and
-  // its detector term id. The memo runs the stop-word -> Porter -> TID
-  // chain and the detector's term lookup only on forms it has not seen
-  // (kMaxTid: stop word or unknown stem).
-  int64_t t0 = clock_->NowNanos();
-  std::vector<Token>& tokens = scratch->detect.tokens;
+void RuntimeRanker::ResolveTokens(RankerScratch* scratch) const {
+  const std::vector<Token>& tokens = scratch->detect.tokens;
   std::vector<uint32_t>& token_tids = scratch->detect.token_tids;
-  ScanText(text, &tokens, &scratch->detect.patterns);
   token_tids.resize(tokens.size());
   scratch->context.Reset(tids_.size());
   StemMemo& memo = scratch->stem_memo;
@@ -475,11 +467,22 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
     return ids;
   };
   for (size_t i = 0; i < tokens.size(); ++i) {
-    const StemMemo::Ids ids = memo.Resolve(tokens[i].text, resolve);
+    const StemMemo::Ids ids =
+        memo.Resolve(tokens[i].text, tokens[i].hash, resolve);
     token_tids[i] = ids.term;
     if (ids.tid != GlobalTidTable::kMaxTid) scratch->context.Insert(ids.tid);
   }
-  const StemMemo::Tally memo_tally = memo.TakeTally();
+}
+
+std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
+    std::string_view text, RankerScratch* scratch, RuntimeStats* stats) const {
+  // Stemmer component: one scan of the bytes for the tokens, their hashes
+  // and the pattern entities (all shared with detection below), then the
+  // memo loop over the tokens.
+  int64_t t0 = clock_->NowNanos();
+  ScanText(text, &scratch->detect.tokens, &scratch->detect.patterns);
+  ResolveTokens(scratch);
+  const StemMemo::Tally memo_tally = scratch->stem_memo.TakeTally();
   double stem_s = clock_->SecondsSince(t0);
 
   // Ranker component, stage 1: candidate detection on the flat automaton.

@@ -282,6 +282,16 @@ class RuntimeRanker {
                                                 RankerScratch* scratch,
                                                 RuntimeStats* stats) const;
 
+  /// The Stemmer's second half, after ScanText has filled
+  /// `scratch->detect.tokens`: resolves every token through the scratch's
+  /// StemMemo, keyed by Token::hash, to its detector term id
+  /// (`detect.token_tids`) and its context TID (into `context`, reset
+  /// first). The memo runs the stop-word -> Porter -> TID chain and the
+  /// detector's term lookup only on forms it has not seen (kMaxTid: stop
+  /// word or unknown stem). ProcessDocument's stem stage is ScanText then
+  /// this; it is public so the perf bench can time it alone.
+  void ResolveTokens(RankerScratch* scratch) const;
+
   /// Processes a batch of documents with up to `num_threads` workers (0 or
   /// 1 = inline). One scratch per worker; results land in per-document
   /// output slots, so ordering and content are independent of thread

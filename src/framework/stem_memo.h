@@ -6,12 +6,19 @@
 // normalized token given the TID table, and so is the detector's matcher
 // term id given the detector, so both can be cached exactly. StemMemo is
 // that cache: a flat open-addressing table keyed by the token text,
-// living in the per-thread RankerScratch, that hands out both ids with
-// one hash of the token.
+// living in the per-thread RankerScratch, that hands out both ids for
+// one probe of the token.
 //
 // Contract:
-//  * Exact. A hit returns what the chain returned for the same text; a
-//    miss runs the chain itself. The memo never changes an id.
+//  * The caller supplies the hash. Resolve() takes the form with its
+//    HashToken value, which the scan computed while lowering the token
+//    (Token::hash), so the memo never hashes a form itself. The hash
+//    only picks the slot and the tag: a colliding or inconsistent one
+//    costs hits, never an id.
+//  * Exact. A hit is confirmed by tag, length and the form's bytes, so it
+//    returns what the chain returned for the same text even when two
+//    forms share a hash; a miss runs the chain itself. The memo never
+//    changes an id.
 //  * Bounded, with no knob. The table has kSlots slots and holds at most
 //    kMaxEntries = kSlots / 2 forms; inserting into a full memo clears it
 //    first. Forms longer than kMaxFormBytes are resolved but not stored,
@@ -30,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,15 +74,14 @@ class StemMemo {
     table_size_ = table_size;
   }
 
-  /// Returns the ids of `form`: the cached ones on a hit, else
-  /// `compute(form)`, which is then cached.
+  /// Returns the ids of `form`, whose HashToken is `h`: the cached ones on
+  /// a hit, else `compute(form)`, which is then cached.
   template <typename Compute>
-  Ids Resolve(std::string_view form, Compute&& compute) {
+  Ids Resolve(std::string_view form, uint64_t h, Compute&& compute) {
     if (form.size() > kMaxFormBytes) {
       ++tally_.misses;
       return compute(form);
     }
-    const uint64_t h = std::hash<std::string_view>{}(form);
     const uint32_t tag = static_cast<uint32_t>(h >> 32) | 1u;  // 0 = empty.
     size_t i = static_cast<size_t>(h) & (kSlots - 1);
     for (; slots_[i].tag != 0; i = (i + 1) & (kSlots - 1)) {

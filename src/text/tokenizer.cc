@@ -1,7 +1,9 @@
 #include "text/tokenizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #include "common/string_util.h"
 #include "text/byte_class.h"
@@ -9,6 +11,91 @@
 
 namespace ckr {
 namespace {
+
+// Tokens are lowered and hashed eight bytes at a time: a word is the next
+// eight bytes of a token in memory order, the last one zero-padded, and
+// its first byte is the word's low byte.
+static_assert(std::endian::native == std::endian::little);
+constexpr uint64_t kEveryByte = 0x0101010101010101ULL;
+constexpr uint64_t kHighBits = 0x8080808080808080ULL;
+constexpr uint64_t kFoldMul = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t kFinishMul = 0xff51afd7ed558ccdULL;
+
+uint64_t LoadWord(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// AsciiToLower on each byte of `w`: 'A'..'Z' gain 0x20, every other byte,
+// >= 0x80 included, is unchanged. Per byte, on its low seven bits, adding
+// 0x80 - 'A' sets the high bit iff the byte is >= 'A', and adding
+// 0x80 - 'Z' - 1 iff it is > 'Z'; neither sum carries into the next byte.
+uint64_t LowerWord(uint64_t w) {
+  const uint64_t low7 = w & ~kHighBits;
+  const uint64_t at_least_a = low7 + kEveryByte * (0x80 - 'A');
+  const uint64_t above_z = low7 + kEveryByte * (0x80 - 'Z' - 1);
+  const uint64_t upper = at_least_a & ~above_z & ~w & kHighBits;
+  return w | (upper >> 2);  // 0x80 >> 2 == 'a' - 'A'.
+}
+
+// The first `n` (1..7) bytes of `w`, the rest zeroed.
+uint64_t KeepBytes(uint64_t w, size_t n) {
+  const unsigned drop = static_cast<unsigned>(8 * (8 - n));
+  return (w << drop) >> drop;
+}
+
+// The hash's three steps: a start that folds in the length (a zero-padded
+// last word alone cannot tell "a" from "a\0"), one multiply per word, and
+// a finish that mixes the high bits into the low ones the memo's slot
+// index reads.
+uint64_t HashStart(size_t len) { return len * kFoldMul; }
+uint64_t HashFold(uint64_t h, uint64_t w) { return (h ^ w) * kFoldMul; }
+uint64_t HashFinish(uint64_t h) {
+  h ^= h >> 32;
+  h *= kFinishMul;
+  return h ^ (h >> 29);
+}
+
+// Stores the first `n` (1..7) bytes of `w` at `out`:
+// two overlapping 4-byte stores, or three single bytes for n < 4, which
+// is cheaper than a variable-length memcpy call.
+void StoreBytes(uint64_t w, size_t n, char* out) {
+  char b[8];
+  std::memcpy(b, &w, sizeof(b));
+  if (n >= 4) {
+    std::memcpy(out, b, 4);
+    std::memcpy(out + n - 4, b + n - 4, 4);
+  } else {
+    out[0] = b[0];
+    out[n / 2] = b[n / 2];
+    out[n - 1] = b[n - 1];
+  }
+}
+
+// Writes the `len` bytes at `src` lower-cased to `out` and returns their
+// HashToken. `avail` >= `len` bytes are readable at `src`: when a full
+// word fits, the last word is read whole and masked, else byte-exact.
+uint64_t LowerAndHash(const char* src, size_t len, size_t avail, char* out) {
+  uint64_t h = HashStart(len);
+  size_t k = 0;
+  for (; k + 8 <= len; k += 8) {
+    const uint64_t w = LowerWord(LoadWord(src + k));
+    std::memcpy(out + k, &w, 8);
+    h = HashFold(h, w);
+  }
+  const size_t rest = len - k;
+  if (rest == 0) return HashFinish(h);
+  uint64_t w = 0;
+  if (k + 8 <= avail) {
+    w = LoadWord(src + k);
+  } else {
+    std::memcpy(&w, src + k, rest);
+  }
+  w = KeepBytes(LowerWord(w), rest);
+  StoreBytes(w, rest, out + k);
+  return HashFinish(HashFold(h, w));
+}
 
 // Tries the matchers at candidate position `p` of the piece ending at
 // `piece_end`. On a hit, appends it to slot `*count` of `*out` and returns
@@ -101,22 +188,32 @@ void ScanText(std::string_view text, std::vector<Token>* tokens,
     while (b < e && HasClass(s[b], kBytePunct)) ++b;
     while (e > b && HasClass(s[e - 1], kBytePunct)) --e;
     if (b == e) continue;
-    if (num_tokens == tokens->size()) tokens->emplace_back();
-    Token& tok = (*tokens)[num_tokens++];
-    const size_t len = e - b;
-    tok.text.resize(len);
-    char* out = tok.text.data();
-    for (size_t k = 0; k < len; ++k) out[k] = AsciiToLower(s[b + k]);
     // Possessive normalization: "obama's" matches the entity "obama" (the
     // offsets keep the full surface).
-    if (len > 2 && out[len - 2] == '\'' && out[len - 1] == 's') {
-      tok.text.resize(len - 2);
+    size_t len = e - b;
+    if (len > 2 && s[e - 2] == '\'' && AsciiToLower(s[e - 1]) == 's') {
+      len -= 2;
     }
+    if (num_tokens == tokens->size()) tokens->emplace_back();
+    Token& tok = (*tokens)[num_tokens++];
+    tok.text.resize(len);
+    tok.hash = LowerAndHash(s + b, len, n - b, tok.text.data());
     tok.begin = b;
     tok.end = e;
   }
   tokens->resize(num_tokens);
   if (patterns != nullptr) patterns->resize(num_patterns);
+}
+
+uint64_t HashToken(std::string_view text) {
+  const size_t len = text.size();
+  uint64_t h = HashStart(len);
+  size_t k = 0;
+  for (; k + 8 <= len; k += 8) h = HashFold(h, LoadWord(text.data() + k));
+  if (k == len) return HashFinish(h);
+  uint64_t w = 0;
+  std::memcpy(&w, text.data() + k, len - k);
+  return HashFinish(HashFold(h, w));
 }
 
 void TokenizeInto(std::string_view text, std::vector<Token>* out) {

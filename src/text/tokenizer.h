@@ -6,6 +6,7 @@
 #define CKR_TEXT_TOKENIZER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,9 +16,13 @@
 namespace ckr {
 
 /// A token with its position in the source text. The surface form is
-/// `source.substr(begin, end - begin)`; it is not copied.
+/// `source.substr(begin, end - begin)`; it is not copied. `hash` is
+/// HashToken(text), computed by the scan in the pass that lowers the
+/// bytes, so a consumer that keys a table by the token (the runtime's
+/// StemMemo) need not hash it again.
 struct Token {
   std::string text;   ///< Normalized token (lower-cased).
+  uint64_t hash = 0;  ///< HashToken(text).
   size_t begin = 0;   ///< Byte offset of the first character.
   size_t end = 0;     ///< Byte offset one past the last character.
 
@@ -27,9 +32,10 @@ struct Token {
 /// Splits text on whitespace and normalizes each token: surrounding
 /// punctuation is stripped ("(Obama," -> "obama"), letters are
 /// lower-cased and a trailing "'s" is dropped. Tokens that become empty
-/// are dropped; numbers are kept. Spaces, punctuation and case come from
-/// the byte-class table (text/byte_class.h), which is the C locale's
-/// ASCII classes for every process, so bytes >= 0x80 are word characters.
+/// are dropped; numbers are kept. Spaces and punctuation come from the
+/// byte-class table (text/byte_class.h), which is the C locale's ASCII
+/// classes for every process, and lower-casing changes only 'A'..'Z', so
+/// bytes >= 0x80 are word characters and kept as they are.
 std::vector<Token> Tokenize(std::string_view text);
 
 /// The one scan over a document's bytes. Overwrites `*tokens` with
@@ -38,11 +44,20 @@ std::vector<Token> Tokenize(std::string_view text);
 /// at each position at or after the last match's end whose previous byte
 /// is not alphanumeric or '_' (or at the start of the text); URL before
 /// email (URLs can contain '@'), email before phone (emails can start with
-/// digits). Both vectors are reused in place, capacity and each slot's
-/// string buffer, so steady-state scans of similar-sized documents
-/// perform no heap allocations.
+/// digits). Each token's bytes are lowered and hashed eight at a time
+/// (Token::hash); the scan reads nothing past the end of `text`. Both
+/// vectors are reused in place, capacity and each slot's string buffer,
+/// so steady-state scans of similar-sized documents perform no heap
+/// allocations.
 void ScanText(std::string_view text, std::vector<Token>* tokens,
               std::vector<PatternMatch>* patterns);
+
+/// The hash ScanText stores in Token::hash: the bytes read as 8-byte words
+/// in memory order, the last one zero-padded, each folded in with one
+/// multiply over a start value that carries the length, then finished with
+/// a shift-multiply-shift mix. Deterministic within a build; it is never
+/// persisted, so nothing depends on its value across builds or platforms.
+uint64_t HashToken(std::string_view text);
 
 /// ScanText without patterns.
 void TokenizeInto(std::string_view text, std::vector<Token>* out);

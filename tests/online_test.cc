@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "online/ctr_tracker.h"
 
@@ -139,6 +140,32 @@ TEST(CtrTrackerTest, SpikesStillFireOnceHistoryExists) {
   tracker.Tick();
   tracker.Record("concept", 1000, 200);  // Jumps to 20%.
   EXPECT_TRUE(tracker.IsSpiking("concept"));
+}
+
+// The Section VIII bench in miniature (decay 0.5, spike ratio 2.5): three
+// burst days of ~20% CTR. When the burst is the subject's first traffic,
+// no day spikes: on the first the no-history gate holds, and from the
+// next the history is the burst itself. Two organic stories' worth of
+// traffic a day before the event gives the burst a baseline, and the
+// first burst day spikes.
+TEST(CtrTrackerTest, BurstSpikesOnlyOverOrganicHistory) {
+  CtrTrackerConfig cfg;
+  cfg.decay = 0.5;
+  cfg.spike_ratio = 2.5;
+  for (const bool organic : {false, true}) {
+    CtrTracker tracker(cfg);
+    std::vector<bool> spiking;
+    for (int day = 0; day < 8; ++day) {
+      tracker.Record("bulk", 20000, 400);  // Everyone else: 2%.
+      if (organic) tracker.Record("subject", 300, 6);
+      if (day >= 4 && day < 7) tracker.Record("subject", 4500, 900);
+      spiking.push_back(tracker.IsSpiking("subject"));
+      tracker.Tick();
+    }
+    const std::vector<bool> want = {false, false, false, false,
+                                    organic, false, false, false};
+    EXPECT_EQ(spiking, want) << (organic ? "organic" : "burst only");
+  }
 }
 
 TEST(CtrTrackerTest, RecordAccumulatesWithinPeriod) {

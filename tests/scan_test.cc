@@ -1,14 +1,20 @@
 // The tokenizer's one scan (ScanText) against an in-test oracle: the two
 // byte walks it replaced, a whitespace tokenizer and a pattern walk over
-// <cctype> matchers, copied here as they were. Also pins the byte-class
-// table against explicit ASCII ranges and the scan's handling of UTF-8.
+// <cctype> matchers, copied here as they were. Every token's hash must be
+// HashToken of its text, and the scan runs over an exact-size heap copy
+// of each input, so a read past the end fails under asan. Also pins the
+// byte-class table against explicit ASCII ranges and the scan's handling
+// of UTF-8.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <clocale>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +60,7 @@ void TokenizeInto(std::string_view text, std::vector<Token>* out) {
     if (tok.text.size() > 2 && tok.text.ends_with("'s")) {
       tok.text.resize(tok.text.size() - 2);
     }
+    tok.hash = HashToken(tok.text);
     tok.begin = b;
     tok.end = e;
     out->push_back(std::move(tok));
@@ -217,11 +224,21 @@ std::string Describe(const std::vector<PatternMatch>& ms) {
 }
 
 // Runs the scan with buffers reused across calls, as the runtime does,
-// and compares it against the oracle on `text`. Counts matches seen.
+// and compares it against the oracle on `text`. The scan reads an
+// exact-size heap copy, so asan flags any read past the last byte.
+// Counts matches seen.
 class ScanChecker {
  public:
-  void Check(const std::string& text, const std::string& label) {
+  void Check(const std::string& str, const std::string& label) {
+    const std::unique_ptr<char[]> copy(new char[str.size()]);
+    if (!str.empty()) std::memcpy(copy.get(), str.data(), str.size());
+    const std::string_view text(copy.get(), str.size());
     ScanText(text, &tokens_, &patterns_);
+    for (const Token& tok : tokens_) {
+      ASSERT_EQ(tok.hash, HashToken(tok.text))
+          << label << " token '" << tok.text << "'";
+    }
+    hashed_tokens_ += tokens_.size();
     oracle::TokenizeInto(text, &want_tokens_);
     oracle::DetectPatternsInto(text, &want_patterns_);
     ASSERT_EQ(tokens_, want_tokens_) << label << " text: " << text;
@@ -237,6 +254,7 @@ class ScanChecker {
 
   size_t Kind(PatternKind k) const { return kinds_[static_cast<int>(k)]; }
   size_t texts() const { return texts_; }
+  size_t hashed_tokens() const { return hashed_tokens_; }
 
  private:
   std::vector<Token> tokens_;
@@ -245,6 +263,7 @@ class ScanChecker {
   std::vector<PatternMatch> want_patterns_;
   size_t kinds_[3] = {0, 0, 0};
   size_t texts_ = 0;
+  size_t hashed_tokens_ = 0;
 };
 
 TEST(ScanTextTest, MatchesOracleOnHandWrittenStrings) {
@@ -279,6 +298,21 @@ TEST(ScanTextTest, MatchesOracleOnHandWrittenStrings) {
       "\t\n\v\f\r mixed\twhite\nspace\r\n",
       "a_b (c_d) _e_ __",
       "\x01\x02http://a.com\x7f\x7f" "555-123-4567",
+      // Token lengths around the 8-byte words: 7, 8, 9, 15, 16, 17, each
+      // also as the last bytes of the text and in upper case.
+      "abcdefg abcdefgh abcdefghi abcdefghijklmno abcdefghijklmnop "
+      "abcdefghijklmnopq",
+      "ABCDEFG ABCDEFGH ABCDEFGHI ABCDEFGHIJKLMNO ABCDEFGHIJKLMNOP "
+      "ABCDEFGHIJKLMNOPQ",
+      "abcdefg", "abcdefgh", "abcdefghi", "ABCDEFGHIJKLMNO",
+      "abcdefghijklmnop", "AbCdEfGhIjKlMnOpQ", "(Xabcdefgh)", "x ABCDEFGHI.",
+      // Possessives whose "'s" straddles a word boundary: the token before
+      // the trim is 8, 9, 10, 16 or 17 bytes, after it 6, 7, 8, 14, 15.
+      "Abcdef's Abcdefg'S Abcdefgh's Abcdefghijklmn'S Abcdefghijklmno's",
+      "abcdefgh's", "ABCDEFG'S", "abcdefghijklmno's", "x Abcdef'S",
+      // Bytes >= 0x80 and controls inside 8-byte words, at the text's end.
+      "\xC3\x89LYS\xC3\x89" "ES \xC1\xDA\xFFZ\x80" "A\x9B",
+      std::string("ABC\0DEFGH\0", 11),
   };
   ScanChecker checker;
   for (size_t i = 0; i < cases.size(); ++i) {
@@ -287,6 +321,23 @@ TEST(ScanTextTest, MatchesOracleOnHandWrittenStrings) {
   EXPECT_GT(checker.Kind(PatternKind::kUrl), 5u);
   EXPECT_GT(checker.Kind(PatternKind::kEmail), 5u);
   EXPECT_GT(checker.Kind(PatternKind::kPhone), 5u);
+}
+
+// A token that ends at the text's last byte, for every length up to 40 and
+// every offset of its start, so the last word is read at each distance
+// from the end of the (exact-size) buffer.
+TEST(ScanTextTest, TokensEndingAtTheLastByte) {
+  ScanChecker checker;
+  const std::string word = "AbCdEfGhIjKlMnOpQrStUvWxYz0123456789'S";
+  for (size_t len = 1; len <= word.size(); ++len) {
+    for (size_t pad = 0; pad < 9; ++pad) {
+      checker.Check(std::string(pad, ' ') + word.substr(0, len),
+                    "len " + std::to_string(len) + " pad " +
+                        std::to_string(pad));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(checker.hashed_tokens(), word.size() * 9);
 }
 
 TEST(ScanTextTest, MatchesOracleOnRandomBytes) {
@@ -358,6 +409,66 @@ TEST(ScanTextTest, MatchesOracleOnGeneratedNews) {
   // Generated documents plant no pattern entities: this leg pins the
   // tokens and that the candidate checks find nothing the oracle does not.
   EXPECT_EQ(checker.texts(), 400u);
+}
+
+// Generated news with emails, URLs and phones spliced in at word
+// boundaries, so the lowering and hashing run next to pattern matches on
+// realistic text. The patterns go into this test's inputs only.
+TEST(ScanTextTest, MatchesOracleOnGeneratedNewsWithPatterns) {
+  WorldConfig cfg;
+  cfg.num_topics = 6;
+  cfg.background_vocab = 600;
+  cfg.words_per_topic = 40;
+  cfg.num_named_entities = 150;
+  cfg.num_concepts = 80;
+  cfg.num_generic_concepts = 10;
+  auto world_or = World::Create(cfg);
+  ASSERT_TRUE(world_or.ok());
+  DocGenerator gen(**world_or);
+  const std::vector<std::string> planted = {
+      "Press.Office@Example.COM",   "(408) 555-1234",
+      "http://www.News-Site.org/Story?id=7.", "+1-555-123-4567",
+      "WWW.Example.Com/Path",       "tips+Desk_2@mail.newsroom.co.uk,",
+      "555.123.4567's",             "https://A.B.co/x)",
+      "(Jane.Doe@Press.IO)",        "www.site.org's",
+  };
+  Rng rng(25);
+  ScanChecker checker;
+  for (DocId id = 0; id < 200; ++id) {
+    std::string text = gen.Generate(Document::Kind::kNews, 900000 + id).text;
+    for (int k = 0; k < 6; ++k) {
+      const size_t at = text.find(' ', rng.NextBounded(text.size()));
+      if (at == std::string::npos) continue;
+      text.insert(at + 1,
+                  planted[rng.NextBounded(planted.size())] + " ");
+    }
+    checker.Check(text, "doc " + std::to_string(id));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(checker.Kind(PatternKind::kUrl), 100u);
+  EXPECT_GT(checker.Kind(PatternKind::kEmail), 100u);
+  EXPECT_GT(checker.Kind(PatternKind::kPhone), 100u);
+}
+
+// HashToken keeps distinct forms apart, the length included ("a" vs
+// "a\0"), and spreads them over the memo's slot bits.
+TEST(HashTokenTest, DistinctFormsSpreadOverTheLowBits) {
+  EXPECT_NE(HashToken("a"), HashToken(std::string("a\0", 2)));
+  EXPECT_NE(HashToken("abcdefgh"), HashToken(std::string("abcdefgh\0", 9)));
+  std::unordered_set<uint64_t> hashes;
+  std::unordered_set<uint64_t> slots;
+  constexpr size_t kForms = 10000;
+  for (size_t i = 0; i < kForms; ++i) {
+    std::string form;
+    for (size_t n = i + 1; n > 0; n /= 26) {
+      form.push_back(static_cast<char>('a' + n % 26));
+    }
+    hashes.insert(HashToken(form));
+    slots.insert(HashToken(form) & ((uint64_t{1} << 15) - 1));
+  }
+  EXPECT_EQ(hashes.size(), kForms);
+  // Uniform hashing fills about 8,620 of 32,768 slots with 10,000 forms.
+  EXPECT_GT(slots.size(), 8300u);
 }
 
 // Multi-byte UTF-8 is word bytes for tokens: it stays inside the token,

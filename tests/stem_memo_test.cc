@@ -49,12 +49,18 @@ struct CountingCompute {
   }
 };
 
+// Resolves `form` under its HashToken, the hash the scan hands the
+// runtime's memo with each token.
+StemMemo::Ids Resolve(StemMemo& memo, std::string_view form, size_t* calls) {
+  return memo.Resolve(form, HashToken(form), CountingCompute{calls});
+}
+
 TEST(StemMemoTest, MissThenHit) {
   StemMemo memo;
   size_t calls = 0;
   memo.Bind(1, 10);
-  const StemMemo::Ids first = memo.Resolve("cats", CountingCompute{&calls});
-  EXPECT_EQ(memo.Resolve("cats", CountingCompute{&calls}), first);
+  const StemMemo::Ids first = Resolve(memo, "cats", &calls);
+  EXPECT_EQ(Resolve(memo, "cats", &calls), first);
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(memo.size(), 1u);
   StemMemo::Tally t = memo.TakeTally();
@@ -74,7 +80,7 @@ TEST(StemMemoTest, EveryFormKeepsItsOwnValueAcrossAClear) {
     for (size_t i = 0; i < n; ++i) {
       const std::string form = SyntheticForm(i);
       size_t unused = 0;
-      ASSERT_EQ(memo.Resolve(form, CountingCompute{&calls}),
+      ASSERT_EQ(Resolve(memo, form, &calls),
                 CountingCompute{&unused}(form))
           << form;
       ASSERT_LE(memo.size(), StemMemo::kMaxEntries);
@@ -92,15 +98,15 @@ TEST(StemMemoTest, ClearsExactlyWhenHalfFull) {
   size_t calls = 0;
   memo.Bind(1, 10);
   for (size_t i = 0; i < StemMemo::kMaxEntries; ++i) {
-    memo.Resolve(SyntheticForm(i), CountingCompute{&calls});
+    Resolve(memo, SyntheticForm(i), &calls);
   }
   EXPECT_EQ(memo.size(), StemMemo::kMaxEntries);
   EXPECT_EQ(memo.TakeTally().resets, 0u);
-  memo.Resolve(SyntheticForm(StemMemo::kMaxEntries), CountingCompute{&calls});
+  Resolve(memo, SyntheticForm(StemMemo::kMaxEntries), &calls);
   EXPECT_EQ(memo.size(), 1u);
   EXPECT_EQ(memo.TakeTally().resets, 1u);
   // The first form was dropped with the rest: resolving it runs the chain.
-  memo.Resolve(SyntheticForm(0), CountingCompute{&calls});
+  Resolve(memo, SyntheticForm(0), &calls);
   EXPECT_EQ(calls, StemMemo::kMaxEntries + 2);
 }
 
@@ -108,16 +114,16 @@ TEST(StemMemoTest, RebindClearsOnNewOwnerOrTableSize) {
   StemMemo memo;
   size_t calls = 0;
   memo.Bind(1, 10);
-  memo.Resolve("cats", CountingCompute{&calls});
+  Resolve(memo, "cats", &calls);
   memo.Bind(1, 10);  // Same owner and size: kept.
-  memo.Resolve("cats", CountingCompute{&calls});
+  Resolve(memo, "cats", &calls);
   EXPECT_EQ(calls, 1u);
   memo.Bind(2, 10);  // Another ranker.
   EXPECT_EQ(memo.size(), 0u);
-  memo.Resolve("cats", CountingCompute{&calls});
+  Resolve(memo, "cats", &calls);
   memo.Bind(2, 11);  // The table grew.
   EXPECT_EQ(memo.size(), 0u);
-  memo.Resolve("cats", CountingCompute{&calls});
+  Resolve(memo, "cats", &calls);
   EXPECT_EQ(calls, 3u);
   EXPECT_EQ(memo.TakeTally().resets, 2u);
   memo.Bind(3, 11);  // Drops "cats".
@@ -131,12 +137,34 @@ TEST(StemMemoTest, LongFormsAreResolvedButNotStored) {
   memo.Bind(1, 10);
   const std::string longest(StemMemo::kMaxFormBytes, 'a');
   const std::string too_long(StemMemo::kMaxFormBytes + 1, 'a');
-  memo.Resolve(longest, CountingCompute{&calls});
-  memo.Resolve(longest, CountingCompute{&calls});
-  memo.Resolve(too_long, CountingCompute{&calls});
-  memo.Resolve(too_long, CountingCompute{&calls});
+  Resolve(memo, longest, &calls);
+  Resolve(memo, longest, &calls);
+  Resolve(memo, too_long, &calls);
+  Resolve(memo, too_long, &calls);
   EXPECT_EQ(calls, 3u);
   EXPECT_EQ(memo.size(), 1u);
+}
+
+// The hash only places a form: forms that share one, of the same length
+// or not, are told apart by their bytes and keep their own ids.
+TEST(StemMemoTest, EqualHashesResolveToEachFormsOwnIds) {
+  StemMemo memo;
+  size_t calls = 0;
+  memo.Bind(1, 10);
+  const std::vector<std::string> forms = {"cats", "dogs", "cat", "catsup"};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& form : forms) {
+      size_t unused = 0;
+      EXPECT_EQ(memo.Resolve(form, 42, CountingCompute{&calls}),
+                CountingCompute{&unused}(form))
+          << form;
+    }
+  }
+  EXPECT_EQ(calls, forms.size());  // The second pass is all hits.
+  EXPECT_EQ(memo.size(), forms.size());
+  const StemMemo::Tally t = memo.TakeTally();
+  EXPECT_EQ(t.hits, forms.size());
+  EXPECT_EQ(t.misses, forms.size());
 }
 
 // ---------------------------------------------------------------------

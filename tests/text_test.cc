@@ -339,6 +339,7 @@ std::vector<Token> CctypeTokenize(std::string_view text) {
     if (tok.text.size() > 2 && tok.text.substr(tok.text.size() - 2) == "'s") {
       tok.text.resize(tok.text.size() - 2);
     }
+    tok.hash = HashToken(tok.text);
     tok.begin = b;
     tok.end = e;
     out.push_back(std::move(tok));

@@ -4,13 +4,19 @@
 // starts the daemon, replays a deterministic load-generator workload
 // against it (closed loop), optionally hot-swaps a freshly built
 // generation mid-run, and prints the serving telemetry: outcome counts,
-// queue/latency percentiles, throughput.
+// queue/latency percentiles, throughput. With --metrics-json PATH it also
+// writes the daemon's whole metric registry (MetricRegistry::SnapshotJson)
+// to PATH at exit; PATH is opened before any work, so an unwritable one
+// fails fast as a usage error.
 //
 //   ckr_serve [--docs N] [--shards N] [--workers N] [--clients N]
 //             [--requests N] [--k N] [--queue N] [--seed S] [--swap]
+//             [--metrics-json PATH]
 //
-// Exit 0 on success, 1 on build/serve failure, 2 on usage error.
+// Exit 0 on success, 1 on build/serve failure or a failed metrics write,
+// 2 on usage error.
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +48,11 @@ struct Options {
   size_t queue = 1024;
   uint64_t seed = 20090331;
   bool swap = false;
+  std::string metrics_json;  ///< Empty: no registry dump.
+};
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
 };
 
 bool ParseUint(const char* s, uint64_t* out) {
@@ -56,7 +67,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: ckr_serve [--docs N] [--shards N] [--workers N] "
                "[--clients N] [--requests N] [--k N] [--queue N] [--seed S] "
-               "[--swap]\n");
+               "[--swap] [--metrics-json PATH]\n");
   return 2;
 }
 
@@ -90,6 +101,8 @@ int main(int argc, char** argv) {
     uint64_t v = 0;
     if (arg == "--swap") {
       opt.swap = true;
+    } else if (arg == "--metrics-json" && i + 1 < argc) {
+      opt.metrics_json = argv[++i];
     } else if (i + 1 < argc && ParseUint(argv[i + 1], &v)) {
       ++i;
       if (arg == "--docs") {
@@ -118,6 +131,16 @@ int main(int argc, char** argv) {
   if (opt.docs == 0 || opt.shards == 0 || opt.workers == 0 ||
       opt.clients == 0) {
     return Usage();
+  }
+  // Opened (and truncated) now, written at exit.
+  std::unique_ptr<std::FILE, FileCloser> metrics_file;
+  if (!opt.metrics_json.empty()) {
+    metrics_file.reset(std::fopen(opt.metrics_json.c_str(), "wb"));
+    if (metrics_file == nullptr) {
+      std::fprintf(stderr, "ckr_serve: cannot write --metrics-json %s: %s\n",
+                   opt.metrics_json.c_str(), std::strerror(errno));
+      return Usage();
+    }
   }
 
   std::printf("ckr_serve: building %llu-doc world, %zu shards...\n",
@@ -225,5 +248,16 @@ int main(int argc, char** argv) {
   std::printf("  %.2f s wall, %.0f req/s, live generations %lld\n", elapsed,
               static_cast<double>(opt.requests) / elapsed,
               static_cast<long long>(daemon.LiveGenerations()));
+  if (metrics_file != nullptr) {
+    const std::string json = metrics.SnapshotJson();
+    if (std::fwrite(json.data(), 1, json.size(), metrics_file.get()) !=
+            json.size() ||
+        std::fclose(metrics_file.release()) != 0) {
+      std::fprintf(stderr, "ckr_serve: writing %s failed\n",
+                   opt.metrics_json.c_str());
+      return 1;
+    }
+    std::printf("  metrics written to %s\n", opt.metrics_json.c_str());
+  }
   return 0;
 }
