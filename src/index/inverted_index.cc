@@ -17,7 +17,40 @@ bool IsDefaultParams(const Bm25Params& params) {
   return params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b;
 }
 
+/// Per-thread working state of the exhaustive scorer and the count path,
+/// sized to the largest index the thread has searched. Between calls
+/// every `acc` entry is +0.0, every `seen` entry 0 and `touched` empty: a
+/// call resets exactly the entries it marked.
+struct SearchScratch {
+  std::vector<double> acc;
+  std::vector<uint8_t> seen;
+  std::vector<uint32_t> touched;
+
+  /// Grows the scratch to cover `num_docs` documents.
+  void Fit(size_t num_docs) {
+    CKR_DCHECK(touched.empty());
+    if (acc.size() < num_docs) {
+      acc.resize(num_docs, 0.0);
+      seen.resize(num_docs, 0);
+    }
+  }
+};
+
+SearchScratch& ThreadSearchScratch() {
+  static thread_local SearchScratch scratch;
+  return scratch;
+}
+
 }  // namespace
+
+ParsedQuery::ParsedQuery(std::string_view query) {
+  static thread_local std::vector<Token> toks;
+  TokenizeInto(query, &toks);
+  terms_.reserve(toks.size());
+  for (Token& t : toks) terms_.push_back(std::move(t.text));
+  std::sort(terms_.begin(), terms_.end());
+  terms_.erase(std::unique(terms_.begin(), terms_.end()), terms_.end());
+}
 
 void CollectionStats::Absorb(const CollectionStats& other) {
   num_docs += other.num_docs;
@@ -306,15 +339,19 @@ QueryEvaluator InvertedIndex::EffectiveEvaluator(
 std::vector<SearchResult> InvertedIndex::Search(
     std::string_view query, size_t k, const Bm25Params& params,
     QueryEvaluator evaluator) const {
-  CKR_DCHECK(finalized_);
-  std::vector<std::string> terms = TokenizeToStrings(query);
-  // Deduplicate query terms (same sorted accumulation order as the legacy
-  // path, so per-doc floating-point sums are bit-identical).
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return Search(ParsedQuery(query), k, params, evaluator);
+}
 
-  // Empty/whitespace-only query: no terms, no results — return before
-  // allocating per-doc accumulators (all evaluators agree on {}).
+std::vector<SearchResult> InvertedIndex::Search(
+    const ParsedQuery& query, size_t k, const Bm25Params& params,
+    QueryEvaluator evaluator) const {
+  CKR_DCHECK(finalized_);
+  // Sorted and deduplicated: the legacy path's accumulation order, so
+  // per-doc floating-point sums are bit-identical.
+  const std::vector<std::string>& terms = query.terms();
+
+  // Empty/whitespace-only query: no terms, no results (all evaluators
+  // agree on {}).
   if (terms.empty()) {
     CKR_OBS_COUNTER_INC("ckr.index.searches");
     return {};
@@ -342,9 +379,11 @@ std::vector<SearchResult> InvertedIndex::Search(
     CKR_OBS_COUNTER_INC("ckr.index.evaluator_fallbacks");
   }
   const double n = score_num_docs_;
-  std::vector<double> acc(docs_.size(), 0.0);
-  std::vector<uint8_t> seen(docs_.size(), 0);
-  std::vector<uint32_t> touched;
+  SearchScratch& scratch = ThreadSearchScratch();
+  scratch.Fit(docs_.size());
+  double* const acc = scratch.acc.data();
+  uint8_t* const seen = scratch.seen.data();
+  std::vector<uint32_t>& touched = scratch.touched;
   for (const std::string& term : terms) {
     uint32_t tid = LookupTerm(term);
     if (tid == kInvalidTid) continue;
@@ -371,37 +410,51 @@ std::vector<SearchResult> InvertedIndex::Search(
       }
     }
   }
+  // Draining resets each touched entry, leaving the scratch clean for the
+  // thread's next call.
   TopKHeap heap(k);
-  for (uint32_t d : touched) heap.Push({docs_[d].id, acc[d]});
+  heap.Reserve(touched.size());
+  for (uint32_t d : touched) {
+    heap.Push({docs_[d].id, acc[d]});
+    acc[d] = 0.0;
+    seen[d] = 0;
+  }
   CKR_OBS_COUNTER_INC("ckr.index.searches");
   CKR_OBS_COUNTER_ADD("ckr.index.search_terms", terms.size());
   CKR_OBS_COUNTER_ADD("ckr.index.search_docs_touched", touched.size());
+  touched.clear();
   return heap.Take();
 }
 
 uint64_t InvertedIndex::RegularResultCount(std::string_view query) const {
-  CKR_DCHECK(finalized_);
-  std::vector<std::string> terms = TokenizeToStrings(query);
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return RegularResultCount(ParsedQuery(query));
+}
 
-  // Empty/whitespace-only query: nothing can match; skip the bitmap.
+uint64_t InvertedIndex::RegularResultCount(const ParsedQuery& query) const {
+  CKR_DCHECK(finalized_);
+  const std::vector<std::string>& terms = query.terms();
+  // Empty/whitespace-only query: nothing can match.
   if (terms.empty()) return 0;
   // Single-term fast path: the union is one posting list.
   if (terms.size() == 1) return DocFreq(terms[0]);
 
-  std::vector<uint8_t> seen(docs_.size(), 0);
-  uint64_t count = 0;
+  SearchScratch& scratch = ThreadSearchScratch();
+  scratch.Fit(docs_.size());
+  uint8_t* const seen = scratch.seen.data();
+  std::vector<uint32_t>& touched = scratch.touched;
   for (const std::string& term : terms) {
     uint32_t tid = LookupTerm(term);
     if (tid == kInvalidTid) continue;
     for (uint32_t d : CsrRow(post_doc_, post_offset_, tid)) {
       if (!seen[d]) {
         seen[d] = 1;
-        ++count;
+        touched.push_back(d);
       }
     }
   }
+  const uint64_t count = touched.size();
+  for (uint32_t d : touched) seen[d] = 0;
+  touched.clear();
   return count;
 }
 

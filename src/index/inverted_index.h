@@ -57,6 +57,20 @@ struct CollectionStats {
   void Absorb(const CollectionStats& other);
 };
 
+/// A search query parsed once: its normalized terms, sorted and
+/// deduplicated. The scorers accumulate each document's BM25 addends in
+/// this order, so a query parsed once and scored on every shard sums
+/// bit for bit what parsing it again on each shard would.
+class ParsedQuery {
+ public:
+  explicit ParsedQuery(std::string_view query);
+
+  const std::vector<std::string>& terms() const { return terms_; }
+
+ private:
+  std::vector<std::string> terms_;
+};
+
 /// Build-time knobs for million-doc, out-of-core-friendly index builds.
 /// Must be fixed at construction (Add() consults store_text). Neither
 /// changes a Search or phrase result.
@@ -136,8 +150,22 @@ class InvertedIndex {
   /// non-default parameters, or on an index without a block index
   /// (has_block_index()), runs the exhaustive scorer instead and counts
   /// it in `ckr.index.evaluator_fallbacks`. The result is the same.
+  ///
+  /// The exhaustive scorer accumulates into a per-thread scratch (`acc`,
+  /// `seen`, `touched`) sized to the largest index the thread has
+  /// searched. A call resets exactly the entries it touched as it drains
+  /// them into the top-k heap, so a warm call allocates only the heap
+  /// that becomes its result. Concurrent calls on different threads never
+  /// share a scratch; the scorer calls out to nothing, so it is never
+  /// reentered on one thread.
   std::vector<SearchResult> Search(
       std::string_view query, size_t k, const Bm25Params& params = {},
+      QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
+
+  /// Search() over a query parsed once — the per-shard leg of a sharded
+  /// search. Search(string_view) parses and calls this.
+  std::vector<SearchResult> Search(
+      const ParsedQuery& query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
 
   /// The evaluator Search() scores with when asked for `requested` under
@@ -147,8 +175,10 @@ class InvertedIndex {
                                     const Bm25Params& params = {}) const;
 
   /// Number of documents matching the disjunctive query. Count-only fast
-  /// path: marks the posting union in a doc bitmap, no scoring/sorting.
+  /// path: marks the posting union in the per-thread `seen` bitmap that
+  /// Search() scores with (resetting what it marked), no scoring/sorting.
   uint64_t RegularResultCount(std::string_view query) const;
+  uint64_t RegularResultCount(const ParsedQuery& query) const;
 
   /// Number of documents containing the phrase contiguously — the paper's
   /// "number of result pages returned" for a phrase query. Count-only:

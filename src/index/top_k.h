@@ -74,6 +74,10 @@ class TopKHeap {
     }
   }
 
+  /// Reserves room for the kept results of `pushes` pushes, so a caller
+  /// that knows how many documents it will push allocates once.
+  void Reserve(size_t pushes) { heap_.reserve(std::min(k_, pushes)); }
+
   /// True once k results are held — only then is there a pruning
   /// threshold at all.
   bool Full() const { return heap_.size() >= k_ && k_ > 0; }

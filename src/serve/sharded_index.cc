@@ -137,9 +137,10 @@ std::vector<SearchResult> ShardedIndex::Search(std::string_view query,
                                                size_t k,
                                                const Bm25Params& params,
                                                QueryEvaluator evaluator) const {
+  const ParsedQuery parsed(query);
   std::vector<std::vector<SearchResult>> per_shard(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] = shards_[s]->Search(query, k, params, evaluator);
+    per_shard[s] = shards_[s]->Search(parsed, k, params, evaluator);
   }
   return MergeShardTopK(per_shard, k);
 }
@@ -149,6 +150,8 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
     const Clock& clock, int64_t deadline_nanos,
     unsigned shard_parallelism) const {
   const size_t n = shards_.size();
+  // Parsed once for every leg; each shard scores the same sorted terms.
+  const ParsedQuery parsed(query);
   std::vector<std::vector<SearchResult>> per_shard(n);
   std::vector<uint8_t> answered(n, 0);
   auto run_shard = [&](size_t s) {
@@ -156,7 +159,7 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
     // skipped; one that started runs to completion (bounded by one
     // shard's worth of work).
     if (deadline_nanos > 0 && clock.NowNanos() > deadline_nanos) return;
-    per_shard[s] = shards_[s]->Search(query, k, Bm25Params{}, evaluator);
+    per_shard[s] = shards_[s]->Search(parsed, k, Bm25Params{}, evaluator);
     answered[s] = 1;
   };
   if (shard_parallelism > 1) {
@@ -183,9 +186,10 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
 }
 
 uint64_t ShardedIndex::RegularResultCount(std::string_view query) const {
+  const ParsedQuery parsed(query);
   uint64_t count = 0;
   for (const auto& shard : shards_) {
-    count += shard->RegularResultCount(query);
+    count += shard->RegularResultCount(parsed);
   }
   return count;
 }

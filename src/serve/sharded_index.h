@@ -107,19 +107,21 @@ class ShardedIndex {
   uint64_t MaxShardDocs() const;
 
   /// Scatter/gather top-k over every shard, sequential scatter — the
-  /// deterministic oracle-equivalent entry point.
+  /// deterministic oracle-equivalent entry point. The query is parsed
+  /// once (ParsedQuery) and every shard leg scores those terms.
   std::vector<SearchResult> Search(std::string_view query, size_t k,
                                    const Bm25Params& params = {},
                                    QueryEvaluator evaluator =
                                        QueryEvaluator::kExhaustive) const;
 
-  /// Deadline-bounded scatter/gather. Before each shard leg runs, the
-  /// injected clock is checked against `deadline_nanos` (absolute,
-  /// 0 = none): legs that cannot start in time are skipped and the
-  /// result is marked incomplete. `shard_parallelism` > 1 fans the
-  /// scatter across ParallelForWorkers threads (per-shard slots, so
-  /// executed legs stay deterministic); 1 runs inline — the default for
-  /// the daemon, whose parallelism comes from its worker pool.
+  /// Deadline-bounded scatter/gather, parsing the query once as Search()
+  /// does. Before each shard leg runs, the injected clock is checked
+  /// against `deadline_nanos` (absolute, 0 = none): legs that cannot
+  /// start in time are skipped and the result is marked incomplete.
+  /// `shard_parallelism` > 1 fans the scatter across ParallelForWorkers
+  /// threads (per-shard slots, so executed legs stay deterministic); 1
+  /// runs inline — the default for the daemon, whose parallelism comes
+  /// from its worker pool.
   PartialResult SearchWithDeadline(std::string_view query, size_t k,
                                    QueryEvaluator evaluator,
                                    const Clock& clock, int64_t deadline_nanos,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -17,9 +18,11 @@
 #include "corpus/document.h"
 #include "detect/aho_corasick.h"
 #include "index/inverted_index.h"
+#include "index/legacy_index.h"
 #include "eval/metrics.h"
 #include "framework/bitstream.h"
 #include "framework/golomb.h"
+#include "obs/clock.h"
 #include "ranksvm/rank_svm.h"
 #include "serve/sharded_index.h"
 #include "text/porter_stemmer.h"
@@ -552,6 +555,142 @@ TEST(ShardedEdgeCases, DuplicateExternalIdsAcrossShardsAreRejected) {
     shards.push_back(std::move(shard));
   }
   EXPECT_FALSE(ShardedIndex::FromShards(std::move(shards)).ok());
+}
+
+// ---------- Search scratch: no state survives a call ----------
+//
+// The exhaustive scorer and RegularResultCount work in a per-thread
+// scratch sized to the largest index the thread has searched, and each
+// call resets only the entries it touched. One thread runs a seeded mix
+// of queries over indexes whose sizes grow, shrink and grow again (so a
+// small index is searched through a scratch a large one left wide, and
+// the scratch must grow mid-run), and every answer must be bit-identical
+// to LegacyInvertedIndex, which builds a fresh accumulator per call.
+
+bool BitIdentical(const std::vector<SearchResult>& a,
+                  const std::vector<SearchResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].doc != b[i].doc ||
+        std::bit_cast<uint64_t>(a[i].score) !=
+            std::bit_cast<uint64_t>(b[i].score)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string SkewedDocText(Rng& rng) {
+  std::string text;
+  const size_t len = 1 + rng.NextBounded(30);
+  for (size_t i = 0; i < len; ++i) {
+    const uint64_t u = rng.NextBounded(100);
+    const uint64_t term =
+        u < 50 ? rng.NextBounded(6) : 6 + rng.NextBounded(200);
+    text += "w" + std::to_string(term) + " ";
+  }
+  return text;
+}
+
+/// One query of the mix: random terms, or an edge case the scorer must
+/// answer without leaving state behind.
+std::string ScratchSweepQuery(Rng& rng) {
+  switch (rng.NextBounded(8)) {
+    case 0:
+      return rng.NextBounded(2) == 0 ? "" : "  \t ";
+    case 1:
+      return "zz" + std::to_string(rng.NextBounded(9)) + " unknownterm";
+    case 2: {
+      const std::string w = "w" + std::to_string(rng.NextBounded(8));
+      return w + " " + w + " w" + std::to_string(rng.NextBounded(40)) + " " +
+             w;
+    }
+    default: {
+      std::string query;
+      const size_t terms = 1 + rng.NextBounded(5);
+      for (size_t t = 0; t < terms; ++t) {
+        query += "w" + std::to_string(rng.NextBounded(220)) + " ";
+      }
+      return query;
+    }
+  }
+}
+
+TEST(SearchScratchSweep, EveryCallMatchesAFreshOracle) {
+  Rng rng(2026);
+  std::vector<std::unique_ptr<InvertedIndex>> flats;
+  std::vector<std::unique_ptr<LegacyInvertedIndex>> legacies;
+  DocId next_id = 1;
+  // Single indexes; the empty one scores nothing.
+  for (size_t size : {40u, 0u, 900u, 7u, 2600u, 1u, 150u}) {
+    auto flat = std::make_unique<InvertedIndex>();
+    auto legacy = std::make_unique<LegacyInvertedIndex>();
+    for (size_t d = 0; d < size; ++d) {
+      Document doc;
+      doc.id = next_id++;
+      doc.text = SkewedDocText(rng);
+      flat->Add(doc);
+      legacy->Add(doc);
+    }
+    flat->Finalize();
+    legacy->Finalize();
+    flats.push_back(std::move(flat));
+    legacies.push_back(std::move(legacy));
+  }
+  // A sharded index of unequal shards (one empty) over its own documents,
+  // with the legacy index over their union as its oracle.
+  std::vector<std::unique_ptr<InvertedIndex>> shards;
+  LegacyInvertedIndex union_oracle;
+  for (size_t size : {300u, 0u, 1700u, 60u}) {
+    auto shard = std::make_unique<InvertedIndex>();
+    for (size_t d = 0; d < size; ++d) {
+      Document doc;
+      doc.id = next_id++;
+      doc.text = SkewedDocText(rng);
+      shard->Add(doc);
+      union_oracle.Add(doc);
+    }
+    shard->Finalize();
+    shards.push_back(std::move(shard));
+  }
+  union_oracle.Finalize();
+  auto sharded_or = ShardedIndex::FromShards(std::move(shards));
+  ASSERT_TRUE(sharded_or.ok()) << sharded_or.status().message();
+  const ShardedIndex& sharded = sharded_or.value();
+
+  const Bm25Params params_mix[] = {{}, {2.0, 0.3}, {0.5, 1.0}};
+  const size_t k_mix[] = {1, 10, 1000};
+  for (int step = 0; step < 1500; ++step) {
+    const std::string query = ScratchSweepQuery(rng);
+    const Bm25Params& params = params_mix[rng.NextBounded(3)];
+    const size_t k = k_mix[rng.NextBounded(3)];
+    const size_t target = rng.NextBounded(flats.size() + 1);
+    if (target < flats.size()) {
+      ASSERT_TRUE(BitIdentical(flats[target]->Search(query, k, params),
+                               legacies[target]->Search(query, k, params)))
+          << "step " << step << " index " << target << " query '" << query
+          << "' k=" << k << " k1=" << params.k1;
+      ASSERT_EQ(flats[target]->RegularResultCount(query),
+                legacies[target]->RegularResultCount(query))
+          << "step " << step << " query '" << query << "'";
+      continue;
+    }
+    const std::vector<SearchResult> expected =
+        union_oracle.Search(query, k, params);
+    ASSERT_TRUE(BitIdentical(sharded.Search(query, k, params), expected))
+        << "step " << step << " sharded query '" << query << "' k=" << k
+        << " k1=" << params.k1;
+    if (params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b) {
+      const ShardedIndex::PartialResult scatter = sharded.SearchWithDeadline(
+          query, k, QueryEvaluator::kExhaustive, RealClock(), 0);
+      ASSERT_TRUE(scatter.complete);
+      ASSERT_TRUE(BitIdentical(scatter.results, expected))
+          << "step " << step << " scatter query '" << query << "'";
+    }
+    ASSERT_EQ(sharded.RegularResultCount(query),
+              union_oracle.RegularResultCount(query))
+        << "step " << step << " sharded query '" << query << "'";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -14,9 +15,11 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "index/inverted_index.h"
+#include "index/legacy_index.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/load_gen.h"
@@ -591,6 +594,86 @@ TEST(ServeDaemonTest, StopDrainsEveryAdmittedRequest) {
   fix.daemon.Stop();  // Graceful: every admitted request is answered.
   EXPECT_EQ(answered.load(), admitted);
   EXPECT_EQ(admitted, 64);
+}
+
+// Two workers score legs at once, each through its own thread-local
+// search scratch, over shards of different sizes (one empty), while two
+// clients keep both busy. Every answer must be bit-identical to the
+// legacy index over the union. Under the tsan preset this also runs with
+// the lock-order registry armed.
+TEST(ServeDaemonTest, ConcurrentWorkersAnswerBitIdenticallyToTheOracle) {
+  Rng rng(77);
+  std::vector<std::unique_ptr<InvertedIndex>> shards;
+  LegacyInvertedIndex oracle;
+  DocId next_id = 0;
+  for (size_t size : {120u, 0u, 700u, 30u}) {
+    auto shard = std::make_unique<InvertedIndex>();
+    for (size_t d = 0; d < size; ++d) {
+      std::string text;
+      const size_t len = 1 + rng.NextBounded(25);
+      for (size_t i = 0; i < len; ++i) {
+        text += "w" + std::to_string(rng.NextBounded(2) == 0
+                                         ? rng.NextBounded(5)
+                                         : rng.NextBounded(150)) +
+                " ";
+      }
+      Document doc = MakeDoc(next_id++, std::move(text));
+      oracle.Add(doc);
+      shard->Add(doc);
+    }
+    shard->Finalize();
+    shards.push_back(std::move(shard));
+  }
+  oracle.Finalize();
+  auto sharded = ShardedIndex::FromShards(std::move(shards));
+  ASSERT_TRUE(sharded.ok());
+
+  constexpr size_t kQueries = 120;
+  std::vector<std::string> queries;
+  std::vector<std::vector<SearchResult>> expected;
+  for (size_t q = 0; q < kQueries; ++q) {
+    std::string query;
+    const size_t terms = rng.NextBounded(4);  // Includes empty queries.
+    for (size_t t = 0; t < terms; ++t) {
+      query += "w" + std::to_string(rng.NextBounded(160)) + " ";
+    }
+    expected.push_back(oracle.Search(query, 10));
+    queries.push_back(std::move(query));
+  }
+
+  ServeDaemonConfig config;
+  config.num_workers = 2;
+  DaemonFixture fix(config);
+  fix.daemon.Publish(
+      std::make_unique<ServingSnapshot>(std::move(sharded).value()));
+  ASSERT_TRUE(fix.daemon.Start().ok());
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < 4 * kQueries; i += 2) {
+        ServeRequest request;
+        request.query = queries[i % kQueries];
+        request.k = 10;
+        const ServeResponse response =
+            SubmitAndWait(fix.daemon, std::move(request));
+        const std::vector<SearchResult>& want = expected[i % kQueries];
+        bool same = response.outcome == ServeOutcome::kOk &&
+                    response.results.size() == want.size();
+        for (size_t r = 0; same && r < want.size(); ++r) {
+          same = response.results[r].doc == want[r].doc &&
+                 std::bit_cast<uint64_t>(response.results[r].score) ==
+                     std::bit_cast<uint64_t>(want[r].score);
+        }
+        if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  fix.daemon.Stop();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.completed")->Value(),
+            4 * kQueries);
 }
 
 // ---------- LoadGenerator ----------

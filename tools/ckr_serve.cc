@@ -4,10 +4,11 @@
 // starts the daemon, replays a deterministic load-generator workload
 // against it (closed loop), optionally hot-swaps a freshly built
 // generation mid-run, and prints the serving telemetry: outcome counts,
-// queue/latency percentiles, throughput. With --metrics-json PATH it also
-// writes the daemon's whole metric registry (MetricRegistry::SnapshotJson)
-// to PATH at exit; PATH is opened before any work, so an unwritable one
-// fails fast as a usage error.
+// queue/latency percentiles, throughput. The daemon records into the
+// process-wide registry, the one the index's CKR_OBS_* hooks report into,
+// so with --metrics-json PATH it writes both the daemon's and the index's
+// metrics (MetricRegistry::SnapshotJson) to PATH at exit; PATH is opened
+// before any work, so an unwritable one fails fast as a usage error.
 //
 //   ckr_serve [--docs N] [--shards N] [--workers N] [--clients N]
 //             [--requests N] [--k N] [--queue N] [--seed S] [--swap]
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
   }
   const std::unique_ptr<ckr::World> world = std::move(world_or).value();
 
-  ckr::obs::MetricRegistry metrics;
+  ckr::obs::MetricRegistry& metrics = ckr::obs::MetricRegistry::Global();
   ckr::ServeDaemonConfig daemon_config;
   daemon_config.num_workers = opt.workers;
   daemon_config.queue_capacity = opt.queue;

@@ -1,6 +1,7 @@
 // ckr_serve's --metrics-json flag, run as a child process: a small run
-// writes the daemon's metric registry, whose key set is pinned here, and
-// an unwritable path is a usage error before any work starts.
+// writes the process-wide metric registry — the daemon's metrics and the
+// index's CKR_OBS_* counters — whose key set is pinned here, and an
+// unwritable path is a usage error before any work starts.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -53,9 +54,16 @@ TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
   json << in.rdbuf();
   const std::map<std::string, std::set<std::string>> want = {
       {"counters",
-       {"ckr.serve.admitted", "ckr.serve.completed", "ckr.serve.no_snapshot",
-        "ckr.serve.partial", "ckr.serve.shed_deadline",
-        "ckr.serve.shed_queue_full", "ckr.serve.snapshot_swaps"}},
+       {
+#if !defined(CKR_OBS_DISABLED)
+           // The index's hooks; the kill switch compiles them out.
+           "ckr.index.postings_scored", "ckr.index.search_docs_touched",
+           "ckr.index.search_terms", "ckr.index.searches",
+#endif
+           "ckr.serve.admitted", "ckr.serve.completed",
+           "ckr.serve.no_snapshot", "ckr.serve.partial",
+           "ckr.serve.shed_deadline", "ckr.serve.shed_queue_full",
+           "ckr.serve.snapshot_swaps"}},
       {"gauges", {"ckr.serve.queue_depth"}},
       {"histograms",
        {"ckr.serve.latency_seconds", "ckr.serve.queue_seconds",
@@ -65,6 +73,11 @@ TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
   // Every request of the run is counted.
   EXPECT_NE(json.str().find("\"ckr.serve.completed\": 60"), std::string::npos)
       << json.str();
+#if !defined(CKR_OBS_DISABLED)
+  // And every shard leg of every request: 60 requests on 4 shards.
+  EXPECT_NE(json.str().find("\"ckr.index.searches\": 240"), std::string::npos)
+      << json.str();
+#endif
   std::remove(path.c_str());
 }
 
