@@ -1,28 +1,40 @@
 #include "framework/bitstream.h"
 
+#include "common/check.h"
+
 namespace ckr {
 
-void BitWriter::WriteBit(bool bit) {
-  size_t byte_index = bit_count_ >> 3;
-  if (byte_index >= bytes_.size()) bytes_.push_back(0);
-  if (bit) {
-    bytes_[byte_index] |= static_cast<uint8_t>(1u << (7 - (bit_count_ & 7)));
+void BitWriter::Put(uint64_t bits, int count) {
+  // pending_ < 8 and count <= 32, so the shift keeps every live bit.
+  acc_ = (acc_ << count) | bits;
+  pending_ += count;
+  while (pending_ >= 8) {
+    pending_ -= 8;
+    out_->push_back(static_cast<uint8_t>(acc_ >> pending_));
   }
-  ++bit_count_;
 }
 
 void BitWriter::WriteBits(uint64_t bits, int count) {
-  for (int i = count - 1; i >= 0; --i) {
-    WriteBit((bits >> i) & 1u);
+  CKR_DCHECK(count >= 0 && count <= 64);
+  if (count > 32) {
+    Put((bits >> 32) & ((uint64_t{1} << (count - 32)) - 1), count - 32);
+    count = 32;
   }
+  Put(bits & ((uint64_t{1} << count) - 1), count);
 }
 
 void BitWriter::WriteUnary(uint64_t count) {
-  for (uint64_t i = 0; i < count; ++i) WriteBit(true);
-  WriteBit(false);
+  for (; count >= 32; count -= 32) Put(0xffffffffu, 32);
+  // count <= 31 ones, then the terminating zero.
+  Put(((uint64_t{1} << count) - 1) << 1, static_cast<int>(count) + 1);
 }
 
-std::vector<uint8_t> BitWriter::Finish() { return std::move(bytes_); }
+void BitWriter::Finish() {
+  if (pending_ > 0) {
+    out_->push_back(static_cast<uint8_t>(acc_ << (8 - pending_)));
+    pending_ = 0;
+  }
+}
 
 BitReader::BitReader(const std::vector<uint8_t>& bytes)
     : data_(bytes.data()), size_(bytes.size()) {}

@@ -10,31 +10,45 @@
 
 namespace ckr {
 
-/// Append-only MSB-first bit writer.
+/// Append-only MSB-first bit writer into a caller-owned byte vector.
+///
+/// Bits collect in a 64-bit accumulator and leave it as whole bytes
+/// appended to `*out`; bytes already in `*out` are left alone, so one
+/// vector can take many byte-aligned blobs back to back (the inverted
+/// index's position pool). Finish() pads the last partial byte with zero
+/// bits; until then up to 7 bits are pending and not yet in `*out`.
 class BitWriter {
  public:
-  /// Writes the lowest `count` bits of `bits` (MSB of the group first).
-  /// count must be <= 64.
+  /// `out` must outlive the writer.
+  explicit BitWriter(std::vector<uint8_t>* out) : out_(out) {}
+
+  /// Writes the lowest `count` bits of `bits` (MSB of the group first);
+  /// higher bits are ignored. count must be in [0, 64].
   void WriteBits(uint64_t bits, int count);
 
   /// Writes a single bit.
-  void WriteBit(bool bit);
+  void WriteBit(bool bit) { WriteBits(bit ? 1u : 0u, 1); }
 
   /// Writes `count` one-bits followed by a zero (unary coding).
   void WriteUnary(uint64_t count);
 
-  /// Pads to a byte boundary and returns the buffer.
-  std::vector<uint8_t> Finish();
-
-  size_t BitCount() const { return bit_count_; }
+  /// Pads to a byte boundary with zero bits and flushes the pending byte.
+  /// The writer may be used again afterwards; it starts a new byte.
+  void Finish();
 
  private:
-  std::vector<uint8_t> bytes_;
-  size_t bit_count_ = 0;
+  /// Appends `count` <= 32 bits already masked to `count` bits.
+  void Put(uint64_t bits, int count);
+
+  std::vector<uint8_t>* out_;
+  uint64_t acc_ = 0;  ///< Pending bits, right-aligned.
+  int pending_ = 0;   ///< Bits in acc_ not yet appended; < 8 between calls.
 };
 
 /// MSB-first bit reader over a finished buffer. Does not own the bytes;
-/// the underlying storage must outlive the reader.
+/// the underlying storage must outlive the reader. Never touches a byte
+/// outside the buffer, whatever the bytes say, so it is safe on
+/// untrusted input.
 class BitReader {
  public:
   explicit BitReader(const std::vector<uint8_t>& bytes);
@@ -54,6 +68,7 @@ class BitReader {
   uint64_t ReadUnary();
 
   bool overflow() const { return overflow_; }
+  /// Bits consumed so far; a read past the end does not advance it.
   size_t BitPosition() const { return pos_; }
 
  private:

@@ -6,7 +6,9 @@
 #ifndef CKR_FRAMEWORK_GOLOMB_H_
 #define CKR_FRAMEWORK_GOLOMB_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -27,7 +29,12 @@ uint64_t OptimalGolombParameter(double mean_gap);
 /// Delta-encodes a strictly increasing id list: first id, then gaps - 1,
 /// all Golomb-coded with a parameter derived from the list density over
 /// `universe`. Returns the byte buffer (self-contained: stores count and
-/// parameter in a small header).
+/// parameter in a small header). The same encoder as
+/// AppendEncodedSortedIds, into an empty vector.
+///
+/// Byte format, MSB-first within each byte: a 32-bit count, a 32-bit
+/// parameter m, then per id its gap as a unary quotient (ones ended by a
+/// zero) and a truncated-binary remainder, zero-padded to a byte.
 [[nodiscard]] StatusOr<std::vector<uint8_t>> EncodeSortedIds(
     const std::vector<uint32_t>& ids, uint32_t universe);
 
@@ -35,19 +42,28 @@ uint64_t OptimalGolombParameter(double mean_gap);
 [[nodiscard]] StatusOr<std::vector<uint32_t>> DecodeSortedIds(
     const std::vector<uint8_t>& bytes);
 
-/// Appends one EncodeSortedIds-format blob to `pool` and returns the byte
-/// offset of its start. Blobs are byte-aligned and self-contained, so a
-/// pool of concatenated blobs plus per-blob offsets serves as a compressed
+/// Encodes one EncodeSortedIds-format blob straight onto the end of
+/// `pool` and returns the byte offset of its start; no intermediate
+/// buffer. Blobs are byte-aligned and self-contained, so a pool of
+/// concatenated blobs plus per-blob offsets serves as a compressed
 /// positions store (the inverted index keeps one blob per posting entry).
-[[nodiscard]] StatusOr<size_t> AppendEncodedSortedIds(const std::vector<uint32_t>& ids,
-                                        uint32_t universe,
-                                        std::vector<uint8_t>* pool);
+/// Rejects ids that are not strictly increasing or reach `universe`, with
+/// `pool` left untouched.
+[[nodiscard]] StatusOr<size_t> AppendEncodedSortedIds(
+    std::span<const uint32_t> ids, uint32_t universe,
+    std::vector<uint8_t>* pool);
 
 /// Decodes one blob from a raw byte span into `*out` (cleared first,
 /// capacity reused). Span-based so hot decode loops neither copy the blob
 /// nor allocate a fresh result vector per call.
+///
+/// Bounded on untrusted bytes: reads only inside [data, data + size),
+/// rejects a header whose count exceeds the bits left in the span before
+/// reserving anything (each code word takes at least one bit), and
+/// rejects a gap that would carry an id past 2^32 - 1, so a decoded list
+/// is always strictly increasing.
 [[nodiscard]] Status DecodeSortedIdsInto(const uint8_t* data, size_t size,
-                           std::vector<uint32_t>* out);
+                                         std::vector<uint32_t>* out);
 
 }  // namespace ckr
 

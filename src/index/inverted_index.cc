@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -139,36 +140,56 @@ void InvertedIndex::Finalize() {
   pos_len_.resize(num_slots);
   pos_first_.resize(num_slots);
   pos_pool_.clear();
+  // Every blob holds its 8-byte header and at least one code bit.
+  pos_pool_.reserve(num_slots * 9);
 
   // Pass 2 (doc-major, so each term's slots come out sorted by doc):
-  // group the document's occurrences by term id, then emit one slot per
-  // group with its positions Golomb-coded into the shared pool.
+  // group the document's occurrences by term id with a counting pass —
+  // stamp each term's group on first sight (as pass 1 stamps last_doc),
+  // count its occurrences, prefix-sum the counts in ascending tid order
+  // and scatter the positions, which stay ascending within each group.
+  // Then emit one slot per group, in ascending tid order, its positions
+  // Golomb-coded straight onto the shared pool.
+  struct TermGroup {
+    uint32_t doc = kInvalidTid;  ///< Document the group belongs to.
+    uint32_t count = 0;          ///< Occurrences in that document.
+    uint32_t end = 0;            ///< Scatter cursor, then end of its run.
+  };
+  std::vector<TermGroup> groups(num_terms);
   std::vector<size_t> cursor(post_offset_.begin(), post_offset_.end() - 1);
-  std::vector<std::pair<uint32_t, uint32_t>> occ;  // (tid, position)
-  std::vector<uint32_t> positions;
+  const uint32_t max_len =
+      num_docs == 0 ? 0 : *std::max_element(doc_len_.begin(), doc_len_.end());
+  std::vector<uint32_t> doc_tids;  // The document's distinct terms.
+  doc_tids.reserve(std::min<size_t>(max_len, num_terms));
+  std::vector<uint32_t> grouped(max_len);  // Positions, grouped by term.
   for (size_t d = 0; d < num_docs; ++d) {
-    occ.clear();
-    uint32_t pos = 0;
-    for (size_t i = doc_tok_offset_[d]; i < doc_tok_offset_[d + 1]; ++i) {
-      occ.emplace_back(tok_tid_[i], pos++);
-    }
-    // Stable: positions stay ascending within each term group.
-    std::stable_sort(occ.begin(), occ.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    const uint32_t universe = doc_len_[d];
-    for (size_t i = 0; i < occ.size();) {
-      uint32_t tid = occ[i].first;
-      positions.clear();
-      while (i < occ.size() && occ[i].first == tid) {
-        positions.push_back(occ[i].second);
-        ++i;
+    const uint32_t* toks = tok_tid_.data() + doc_tok_offset_[d];
+    const uint32_t len = doc_len_[d];
+    doc_tids.clear();
+    for (uint32_t p = 0; p < len; ++p) {
+      TermGroup& g = groups[toks[p]];
+      if (g.doc != d) {
+        g.doc = static_cast<uint32_t>(d);
+        g.count = 0;
+        doc_tids.push_back(toks[p]);
       }
+      ++g.count;
+    }
+    std::sort(doc_tids.begin(), doc_tids.end());
+    uint32_t run = 0;
+    for (uint32_t tid : doc_tids) {
+      groups[tid].end = run;
+      run += groups[tid].count;
+    }
+    for (uint32_t p = 0; p < len; ++p) grouped[groups[toks[p]].end++] = p;
+    for (uint32_t tid : doc_tids) {
+      const TermGroup& g = groups[tid];
+      const std::span<const uint32_t> positions(
+          grouped.data() + (g.end - g.count), g.count);
       size_t slot = cursor[tid]++;
       post_doc_[slot] = static_cast<uint32_t>(d);
-      post_tf_[slot] = static_cast<uint32_t>(positions.size());
-      auto offset_or = AppendEncodedSortedIds(positions, universe, &pos_pool_);
+      post_tf_[slot] = g.count;
+      auto offset_or = AppendEncodedSortedIds(positions, len, &pos_pool_);
       CKR_DCHECK(offset_or.ok());
       pos_offset_[slot] = *offset_or;
       pos_len_[slot] = static_cast<uint32_t>(pos_pool_.size() - *offset_or);

@@ -11,7 +11,12 @@
 //  * postings live in CSR flat arrays — per-term slot ranges over
 //    contiguous (doc, tf) columns, with each slot's token positions
 //    delta-encoded through the framework's Golomb coder into one shared
-//    byte pool (decoded only when a phrase check actually needs them);
+//    byte pool (decoded only when a phrase check actually needs them).
+//    Finalize fills the pool doc by doc: a stamped counting pass groups
+//    the document's positions by term (counts, prefix sum, scatter), and
+//    each group, in ascending term id order, is encoded straight onto the
+//    pool's end — no sort and no buffer per slot, so its allocations do
+//    not grow with the slot count;
 //  * per-doc token-id streams + byte offsets (for phrase snippets) are
 //    CSR too — no per-document string vectors survive Finalize();
 //  * per-doc lengths and the default-parameter BM25 norm are precomputed.
@@ -247,6 +252,10 @@ class InvertedIndex {
   [[nodiscard]] Status LoadBlockIndex(std::string_view blob);
 
  private:
+  /// Read-only view of the frozen postings layout for the layout golden
+  /// test (tests/index_test.cc); it is defined there and nowhere else.
+  friend class InvertedIndexLayoutPeer;
+
   static constexpr uint32_t kInvalidTid = 0xffffffffu;
 
   struct StoredDoc {

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "obs/hooks.h"
 
 namespace ckr {
 
@@ -67,23 +68,29 @@ StatusOr<ShardedIndex> ShardedIndex::Build(const World& world,
 
   // One streamed pass in ascending doc order; a walking cursor routes each
   // document to its contiguous range owner.
-  CorpusStreamer streamer(world);
-  uint64_t count = 0;
-  size_t cur = 0;
-  uint64_t cur_end = ShardRangeOf(0, config.num_shards, num_docs).end;
-  Status s = streamer.Stream(
-      kind, static_cast<size_t>(num_docs), config.stream,
-      [&](Document&& doc) {
-        while (count >= cur_end) {
-          ++cur;
-          cur_end = ShardRangeOf(cur, config.num_shards, num_docs).end;
-        }
-        shards[cur]->Add(doc);
-        ++count;
-      });
-  if (!s.ok()) return s;
-
-  for (auto& shard : shards) shard->Finalize();
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.serve.build.ingest_seconds");
+    CorpusStreamer streamer(world);
+    uint64_t count = 0;
+    size_t cur = 0;
+    uint64_t cur_end = ShardRangeOf(0, config.num_shards, num_docs).end;
+    Status s = streamer.Stream(
+        kind, static_cast<size_t>(num_docs), config.stream,
+        [&](Document&& doc) {
+          while (count >= cur_end) {
+            ++cur;
+            cur_end = ShardRangeOf(cur, config.num_shards, num_docs).end;
+          }
+          shards[cur]->Add(doc);
+          ++count;
+        });
+    if (!s.ok()) return s;
+  }
+  {
+    CKR_OBS_SCOPED_TIMER("ckr.serve.build.finalize_seconds");
+    for (auto& shard : shards) shard->Finalize();
+  }
+  CKR_OBS_SCOPED_TIMER("ckr.serve.build.stats_seconds");
   CollectionStats merged;
   for (const auto& shard : shards) {
     merged.Absorb(shard->LocalCollectionStats());

@@ -1,13 +1,16 @@
-// Allocation budgets of the two serving paths. This binary replaces the
-// global operator new with a counting one, so it stands alone: every heap
-// allocation the process makes is counted, on any thread. Each test warms
-// its path first (thread-local scratch sized, metric hooks resolved), then
-// pins what one more call may allocate:
+// Allocation budgets of the two serving paths and of the index build's
+// Finalize. This binary replaces the global operator new with a counting
+// one, so it stands alone: every heap allocation the process makes is
+// counted, on any thread. Each serving test warms its path first
+// (thread-local scratch sized, metric hooks resolved), then pins what one
+// more call may allocate:
 //  * an exhaustive InvertedIndex leg: its top-k heap, which becomes the
 //    result vector, and nothing else; a count: nothing at all;
 //  * a ServeDaemon search request, submit to callback: a stated constant;
 //  * RuntimeRanker::ProcessDocument: the annotations it returns plus a
-//    small constant.
+//    small constant;
+//  * InvertedIndex::Finalize: a constant, the same for ten times the
+//    posting slots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <mutex>
 #include <new>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -185,6 +189,67 @@ TEST(AllocBudgetTest, WarmExhaustiveLegAllocatesOnlyItsResult) {
     const uint64_t count = index.RegularResultCount(q);
     EXPECT_EQ(Allocations() - before, 0u) << "count=" << count;
   }
+}
+
+/// Allocations of a Finalize() without the block index (the way
+/// ShardedIndex::Build runs it, the block index coming after the stats
+/// override): its output arrays, the per-term and per-document scratch,
+/// and the position pool's reserve, growth and final shrink — a constant,
+/// not a count per posting slot. Measured at 17 on both indexes below
+/// (6,105 and 62,016 slots); the Finalize that encoded each slot into a
+/// buffer of its own made 30,863 and 313,122, about five per slot.
+constexpr uint64_t kFinalizeBudget = 24;
+
+/// An index of `num_docs` seeded documents over a skewed vocabulary.
+InvertedIndex SeededIndex(uint64_t seed, DocId num_docs) {
+  Rng rng(seed);
+  IndexBuildOptions options;
+  options.build_block_index = false;
+  InvertedIndex index(options);
+  for (DocId d = 0; d < num_docs; ++d) {
+    std::string text;
+    const size_t len = 1 + rng.NextBounded(60);
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t u = rng.NextBounded(100);
+      const uint64_t term = u < 50 ? rng.NextBounded(8) : rng.NextBounded(400);
+      text += "w" + std::to_string(term) + " ";
+    }
+    Document doc;
+    doc.id = d;
+    doc.text = std::move(text);
+    index.Add(doc);
+  }
+  return index;
+}
+
+/// Posting slots of a finalized index: one per (term, document) pair.
+uint64_t PostingSlots(const InvertedIndex& index) {
+  uint64_t slots = 0;
+  for (std::string_view term : index.TermsById()) slots += index.DocFreq(term);
+  return slots;
+}
+
+TEST(AllocBudgetTest, FinalizeAllocationsDoNotGrowWithSlots) {
+  InvertedIndex small = SeededIndex(11, 300);
+  InvertedIndex large = SeededIndex(12, 3000);
+  uint64_t before = Allocations();
+  small.Finalize();
+  const uint64_t small_allocs = Allocations() - before;
+  before = Allocations();
+  large.Finalize();
+  const uint64_t large_allocs = Allocations() - before;
+
+  const uint64_t small_slots = PostingSlots(small);
+  const uint64_t large_slots = PostingSlots(large);
+  ASSERT_GT(large_slots, 8 * small_slots);
+  EXPECT_LE(small_allocs, kFinalizeBudget);
+  EXPECT_LE(large_allocs, kFinalizeBudget);
+  EXPECT_LE(large_allocs, small_allocs + 2);
+  std::printf("Finalize: %llu allocations for %llu slots, %llu for %llu\n",
+              static_cast<unsigned long long>(small_allocs),
+              static_cast<unsigned long long>(small_slots),
+              static_cast<unsigned long long>(large_allocs),
+              static_cast<unsigned long long>(large_slots));
 }
 
 /// A blocking client's wait slot: the daemon's callback fills it on a

@@ -12,12 +12,13 @@ namespace ckr {
 namespace {
 
 TEST(BitstreamTest, BitRoundTrip) {
-  BitWriter w;
+  std::vector<uint8_t> bytes;
+  BitWriter w(&bytes);
   w.WriteBit(true);
   w.WriteBit(false);
   w.WriteBits(0b10110, 5);
   w.WriteUnary(3);
-  auto bytes = w.Finish();
+  w.Finish();
   BitReader r(bytes);
   EXPECT_TRUE(r.ReadBit());
   EXPECT_FALSE(r.ReadBit());
@@ -27,9 +28,10 @@ TEST(BitstreamTest, BitRoundTrip) {
 }
 
 TEST(BitstreamTest, OverflowDetected) {
-  BitWriter w;
+  std::vector<uint8_t> bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0xff, 8);
-  auto bytes = w.Finish();
+  w.Finish();
   BitReader r(bytes);
   r.ReadBits(8);
   r.ReadBit();
@@ -37,9 +39,10 @@ TEST(BitstreamTest, OverflowDetected) {
 }
 
 TEST(BitstreamTest, LargeValues) {
-  BitWriter w;
+  std::vector<uint8_t> bytes;
+  BitWriter w(&bytes);
   w.WriteBits(0xdeadbeefcafebabeULL, 64);
-  auto bytes = w.Finish();
+  w.Finish();
   BitReader r(bytes);
   EXPECT_EQ(r.ReadBits(64), 0xdeadbeefcafebabeULL);
 }
@@ -47,9 +50,10 @@ TEST(BitstreamTest, LargeValues) {
 TEST(GolombTest, EncodeDecodeSingleValues) {
   for (uint64_t m : {1ull, 2ull, 3ull, 5ull, 8ull, 13ull, 100ull}) {
     for (uint64_t v : {0ull, 1ull, 2ull, 7ull, 63ull, 1000ull}) {
-      BitWriter w;
+      std::vector<uint8_t> bytes;
+      BitWriter w(&bytes);
       GolombEncode(v, m, &w);
-      auto bytes = w.Finish();
+      w.Finish();
       BitReader r(bytes);
       EXPECT_EQ(GolombDecode(m, &r), v) << "m=" << m << " v=" << v;
     }

@@ -1,18 +1,52 @@
 // Unit tests for ckr_index: postings, BM25 search, phrase search, snippets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "corpus/doc_generator.h"
 #include "corpus/document.h"
+#include "corpus/world.h"
+#include "fnv_fold.h"
 #include "index/inverted_index.h"
 #include "index/legacy_index.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 
 namespace ckr {
+
+/// Folds the postings layout Finalize() freezes: the slot offset table,
+/// every slot's (doc, tf, positions offset, positions length, first
+/// position), and the Golomb position pool's bytes.
+class InvertedIndexLayoutPeer {
+ public:
+  static uint64_t FoldLayout(const InvertedIndex& index) {
+    using testing_fnv::FoldValue;
+    uint64_t h = testing_fnv::kFnvOffsetBasis;
+    const uint64_t num_terms = index.post_offset_.size();
+    h = FoldValue(h, num_terms);
+    for (size_t offset : index.post_offset_) {
+      h = FoldValue(h, static_cast<uint64_t>(offset));
+    }
+    const size_t num_slots = index.post_doc_.size();
+    h = FoldValue(h, static_cast<uint64_t>(num_slots));
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      h = FoldValue(h, index.post_doc_[slot]);
+      h = FoldValue(h, index.post_tf_[slot]);
+      h = FoldValue(h, index.pos_offset_[slot]);
+      h = FoldValue(h, index.pos_len_[slot]);
+      h = FoldValue(h, index.pos_first_[slot]);
+    }
+    h = FoldValue(h, static_cast<uint64_t>(index.pos_pool_.size()));
+    return testing_fnv::Fnv1a(h, index.pos_pool_.data(),
+                              index.pos_pool_.size());
+  }
+};
+
 namespace {
 
 Document MakeDoc(DocId id, std::string text) {
@@ -457,6 +491,68 @@ TEST_F(PhraseIndexTest, DegenerateQueriesAreSafe) {
   // Out-of-vocabulary phrase terms early-exit to zero.
   EXPECT_EQ(index_.PhraseResultCount("quick zzzz"), 0u);
   EXPECT_TRUE(index_.PhraseSearch("zzzz quick", 5).empty());
+}
+
+// ---------------------------------------------------------------------
+// Golden postings layout. A fixed seeded corpus, finalized, folded with
+// InvertedIndexLayoutPeer. The corpus mixes empty and one-token
+// documents, a single term repeated (Golomb m = 1), head terms with long
+// position lists, terms seen once at the far end of a long document
+// (long unary runs), and generated web documents. The constant was
+// recorded from the Finalize that grouped each document's occurrences
+// with a stable sort and encoded every slot through its own bit-at-a-time
+// BitWriter; any change to the layout's bytes changes it.
+
+InvertedIndex LayoutGoldenIndex(bool store_text) {
+  IndexBuildOptions options;
+  options.store_text = store_text;
+  InvertedIndex index(options);
+  DocId next = 1;
+  auto add = [&](std::string text) { index.Add(MakeDoc(next++, text)); };
+  add("");
+  add("solo");
+  add("rep rep rep rep rep rep rep rep rep rep rep rep");
+  std::string tail;
+  for (int i = 0; i < 900; ++i) tail += "pad" + std::to_string(i % 7) + " ";
+  add(tail + "farend");
+  Rng rng(2024);
+  for (int d = 0; d < 300; ++d) {
+    std::string text;
+    const size_t len = rng.NextBounded(d % 10 == 0 ? 700 : 90);
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t u = rng.NextBounded(100);
+      const uint64_t term = u < 45   ? rng.NextBounded(6)
+                            : u < 80 ? rng.NextBounded(120)
+                                     : rng.NextBounded(3000);
+      text += "t" + std::to_string(term) + " ";
+    }
+    add(std::move(text));
+  }
+  WorldConfig cfg;
+  cfg.num_topics = 6;
+  cfg.background_vocab = 600;
+  cfg.words_per_topic = 40;
+  cfg.num_named_entities = 150;
+  cfg.num_concepts = 80;
+  cfg.num_generic_concepts = 10;
+  auto world_or = World::Create(cfg);
+  CKR_CHECK(world_or.ok());
+  DocGenerator gen(**world_or);
+  for (DocId id = 0; id < 60; ++id) {
+    add(gen.Generate(Document::Kind::kWeb, id).text);
+  }
+  index.Finalize();
+  return index;
+}
+
+TEST(IndexLayoutGoldenTest, FinalizedLayoutIsPinned) {
+  for (const bool store_text : {true, false}) {
+    const InvertedIndex index = LayoutGoldenIndex(store_text);
+    EXPECT_EQ(index.NumDocs(), 364u);
+    const uint64_t h = InvertedIndexLayoutPeer::FoldLayout(index);
+    EXPECT_EQ(h, 0xcdfd887228bf417dull) << "store_text=" << store_text
+                         << " fingerprint: " << std::hex << h;
+  }
 }
 
 }  // namespace

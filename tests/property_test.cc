@@ -39,14 +39,15 @@ class GolombSweep : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(GolombSweep, RoundTripRandomValues) {
   const uint64_t m = GetParam();
   Rng rng(m * 977 + 1);
-  BitWriter writer;
+  std::vector<uint8_t> bytes;
+  BitWriter writer(&bytes);
   std::vector<uint64_t> values;
   for (int i = 0; i < 200; ++i) {
     uint64_t v = rng.NextBounded(1 + m * 20);
     values.push_back(v);
     GolombEncode(v, m, &writer);
   }
-  auto bytes = writer.Finish();
+  writer.Finish();
   BitReader reader(bytes);
   for (uint64_t v : values) {
     ASSERT_EQ(GolombDecode(m, &reader), v) << "m=" << m;

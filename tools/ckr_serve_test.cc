@@ -1,7 +1,8 @@
 // ckr_serve's --metrics-json flag, run as a child process: a small run
-// writes the process-wide metric registry — the daemon's metrics and the
-// index's CKR_OBS_* counters — whose key set is pinned here, and an
-// unwritable path is a usage error before any work starts.
+// writes the process-wide metric registry — the daemon's metrics, the
+// index's CKR_OBS_* counters and the sharded build's stage timers — whose
+// key set is pinned here, and an unwritable path is a usage error before
+// any work starts.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -66,8 +67,15 @@ TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
            "ckr.serve.snapshot_swaps"}},
       {"gauges", {"ckr.serve.queue_depth"}},
       {"histograms",
-       {"ckr.serve.latency_seconds", "ckr.serve.queue_seconds",
-        "ckr.serve.rejected_latency_seconds"}},
+       {
+#if !defined(CKR_OBS_DISABLED)
+           // The sharded build's stages, timed by the same hooks.
+           "ckr.serve.build.finalize_seconds",
+           "ckr.serve.build.ingest_seconds",
+           "ckr.serve.build.stats_seconds",
+#endif
+           "ckr.serve.latency_seconds", "ckr.serve.queue_seconds",
+           "ckr.serve.rejected_latency_seconds"}},
   };
   EXPECT_EQ(KeySet(json.str()), want) << json.str();
   // Every request of the run is counted.
