@@ -16,10 +16,19 @@
 //    published mid-run; the zero-downtime contract means no request may
 //    fail or be shed.
 //
+// Latency and queue percentiles are exact: nearest rank over the
+// per-request ServeResponse of every leg, not interpolations inside the
+// daemon's histogram buckets. latency_us covers served answers (kOk,
+// kPartial); queue_us every request a worker picked up. Each leg also
+// reports the median of each envelope step the response stamps:
+// queue (admission -> pickup), scatter (pickup -> last leg), merge
+// (last leg -> merged list) and respond (merged list -> callback).
+//
 // Output: printf summary table + BENCH_serving.json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -60,6 +69,13 @@ struct LegResult {
   double latency_p999_us = 0.0;
   double queue_p50_us = 0.0;
   double queue_p99_us = 0.0;
+  uint64_t latency_samples = 0;  // Served answers.
+  uint64_t queue_samples = 0;    // Requests a worker picked up.
+  // Envelope medians over served answers.
+  double env_queue_us = 0.0;
+  double env_scatter_us = 0.0;
+  double env_merge_us = 0.0;
+  double env_respond_us = 0.0;
   double max_queue_depth = 0.0;
   uint64_t completed = 0;
   uint64_t partial = 0;
@@ -86,14 +102,77 @@ std::unique_ptr<ServingSnapshot> BuildSnapshot(const World& world) {
   return snapshot;
 }
 
+/// What one request's ServeResponse says about its time in the daemon.
+struct Sample {
+  bool picked_up = false;  // A worker popped it (not an admission shed).
+  bool served = false;     // kOk or kPartial.
+  double queue_us = 0.0;
+  double latency_us = 0.0;
+  double scatter_us = 0.0;
+  double merge_us = 0.0;
+  double respond_us = 0.0;
+};
+
+Sample SampleOf(const ServeResponse& r) {
+  Sample s;
+  s.picked_up = r.pickup_nanos != 0;
+  s.served = r.outcome == ServeOutcome::kOk ||
+             r.outcome == ServeOutcome::kPartial;
+  s.queue_us = r.queue_seconds * 1e6;
+  s.latency_us = r.total_seconds * 1e6;
+  if (s.served) {
+    auto us = [](int64_t from, int64_t to) {
+      return static_cast<double>(to - from) / 1e3;
+    };
+    s.scatter_us = us(r.pickup_nanos, r.scatter_end_nanos);
+    s.merge_us = us(r.scatter_end_nanos, r.merge_end_nanos);
+    s.respond_us = us(r.merge_end_nanos, r.callback_nanos);
+  }
+  return s;
+}
+
+/// Nearest-rank percentile: the smallest sample with at least a fraction
+/// `p` of all samples at or below it. `sorted` must be ascending.
+double NearestRank(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double rank = std::ceil(p * static_cast<double>(sorted.size()));
+  const size_t i = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+  return sorted[std::min(i, sorted.size() - 1)];
+}
+
+/// Field `field` of the samples `keep` accepts, sorted ascending.
+std::vector<double> Sorted(const std::vector<Sample>& samples,
+                           bool Sample::*keep, double Sample::*field) {
+  std::vector<double> v;
+  for (const Sample& s : samples) {
+    if (s.*keep) v.push_back(s.*field);
+  }
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+void FillFromSamples(const std::vector<Sample>& samples, LegResult* leg) {
+  const std::vector<double> latency =
+      Sorted(samples, &Sample::served, &Sample::latency_us);
+  const std::vector<double> queued =
+      Sorted(samples, &Sample::picked_up, &Sample::queue_us);
+  leg->latency_samples = latency.size();
+  leg->queue_samples = queued.size();
+  leg->latency_p50_us = NearestRank(latency, 0.5);
+  leg->latency_p99_us = NearestRank(latency, 0.99);
+  leg->latency_p999_us = NearestRank(latency, 0.999);
+  leg->queue_p50_us = NearestRank(queued, 0.5);
+  leg->queue_p99_us = NearestRank(queued, 0.99);
+  auto served_median = [&](double Sample::*field) {
+    return NearestRank(Sorted(samples, &Sample::served, field), 0.5);
+  };
+  leg->env_queue_us = served_median(&Sample::queue_us);
+  leg->env_scatter_us = served_median(&Sample::scatter_us);
+  leg->env_merge_us = served_median(&Sample::merge_us);
+  leg->env_respond_us = served_median(&Sample::respond_us);
+}
+
 void FillFromMetrics(obs::MetricRegistry& metrics, LegResult* leg) {
-  obs::Histogram* latency = metrics.GetHistogram("ckr.serve.latency_seconds");
-  obs::Histogram* queued = metrics.GetHistogram("ckr.serve.queue_seconds");
-  leg->latency_p50_us = latency->Percentile(0.5) * 1e6;
-  leg->latency_p99_us = latency->Percentile(0.99) * 1e6;
-  leg->latency_p999_us = latency->Percentile(0.999) * 1e6;
-  leg->queue_p50_us = queued->Percentile(0.5) * 1e6;
-  leg->queue_p99_us = queued->Percentile(0.99) * 1e6;
   leg->completed = metrics.GetCounter("ckr.serve.completed")->Value();
   leg->offered_qps = static_cast<double>(leg->offered) / leg->seconds;
   leg->goodput_qps = static_cast<double>(leg->completed) / leg->seconds;
@@ -130,6 +209,8 @@ LegResult RunClosedLoop(const char* name, const World& world,
 
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> failed{0};
+  // One slot per request, written by its callback only.
+  std::vector<Sample> samples(kRequestsPerLeg);
   std::thread publisher;
   if (swap_snapshot != nullptr) {
     publisher = std::thread([&, snapshot = std::move(swap_snapshot)]() mutable {
@@ -151,7 +232,8 @@ LegResult RunClosedLoop(const char* name, const World& world,
         request.query = gen.Request(i).query;
         request.k = gen.config().top_k;
         std::atomic<bool> done{false};
-        request.done = [&](ServeResponse&& response) {
+        request.done = [&, i](ServeResponse&& response) {
+          samples[i] = SampleOf(response);
           if (response.outcome != ServeOutcome::kOk) {
             failed.fetch_add(1, std::memory_order_relaxed);
           }
@@ -173,6 +255,7 @@ LegResult RunClosedLoop(const char* name, const World& world,
   leg.all_answered =
       answered.load() == kRequestsPerLeg && failed.load() == 0;
   FillFromMetrics(metrics, &leg);
+  FillFromSamples(samples, &leg);
   return leg;
 }
 
@@ -201,6 +284,7 @@ LegResult RunOpenLoop(const char* name, const World& world,
   const std::vector<int64_t> arrivals =
       gen.ArrivalNanos(kRequestsPerLeg, target_qps);
   std::atomic<uint64_t> answered{0};
+  std::vector<Sample> samples(kRequestsPerLeg);
   const Clock& wall = RealClock();
   const int64_t start = wall.NowNanos();
   double max_depth = 0.0;
@@ -215,7 +299,8 @@ LegResult RunOpenLoop(const char* name, const World& world,
     request.query = gen.Request(i).query;
     request.k = gen.config().top_k;
     request.deadline_nanos = wall.NowNanos() + deadline_budget_nanos;
-    request.done = [&](ServeResponse&&) {
+    request.done = [&, i](ServeResponse&& response) {
+      samples[i] = SampleOf(response);
       answered.fetch_add(1, std::memory_order_relaxed);
     };
     (void)daemon.Submit(std::move(request));
@@ -226,6 +311,7 @@ LegResult RunOpenLoop(const char* name, const World& world,
   leg.max_queue_depth = max_depth;
   leg.all_answered = answered.load() == kRequestsPerLeg;
   FillFromMetrics(metrics, &leg);
+  FillFromSamples(samples, &leg);
   return leg;
 }
 
@@ -239,6 +325,11 @@ void PrintLeg(const LegResult& leg) {
       leg.shed_rate * 100.0,
       static_cast<unsigned long long>(leg.swaps),
       leg.all_answered ? "all answered" : "LOST REQUESTS");
+  std::printf("%-14s        envelope medians: queue %.1f  scatter %.1f  "
+              "merge %.1f  respond %.1f us  (%llu served)\n",
+              "", leg.env_queue_us, leg.env_scatter_us, leg.env_merge_us,
+              leg.env_respond_us,
+              static_cast<unsigned long long>(leg.latency_samples));
 }
 
 void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
@@ -247,8 +338,11 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
       "    {\"name\": \"%s\", \"mode\": \"%s\", \"offered\": %llu, "
       "\"target_qps\": %.1f, \"seconds\": %.4f, \"offered_qps\": %.1f, "
       "\"goodput_qps\": %.1f,\n"
-      "     \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, \"p999\": %.1f}, "
-      "\"queue_us\": {\"p50\": %.1f, \"p99\": %.1f},\n"
+      "     \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, \"p999\": %.1f, "
+      "\"samples\": %llu}, "
+      "\"queue_us\": {\"p50\": %.1f, \"p99\": %.1f, \"samples\": %llu},\n"
+      "     \"envelope_median_us\": {\"queue\": %.1f, \"scatter\": %.1f, "
+      "\"merge\": %.1f, \"respond\": %.1f},\n"
       "     \"completed\": %llu, \"partial\": %llu, \"shed_queue_full\": "
       "%llu, \"shed_deadline\": %llu, \"shed_rate\": %.4f,\n"
       "     \"max_queue_depth\": %.0f, \"snapshot_swaps\": %llu, "
@@ -256,7 +350,11 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
       leg.name, leg.mode, static_cast<unsigned long long>(leg.offered),
       leg.target_qps, leg.seconds, leg.offered_qps, leg.goodput_qps,
       leg.latency_p50_us, leg.latency_p99_us, leg.latency_p999_us,
+      static_cast<unsigned long long>(leg.latency_samples),
       leg.queue_p50_us, leg.queue_p99_us,
+      static_cast<unsigned long long>(leg.queue_samples),
+      leg.env_queue_us, leg.env_scatter_us, leg.env_merge_us,
+      leg.env_respond_us,
       static_cast<unsigned long long>(leg.completed),
       static_cast<unsigned long long>(leg.partial),
       static_cast<unsigned long long>(leg.shed_queue_full),

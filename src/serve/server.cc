@@ -21,6 +21,8 @@ ServeDaemon::ServeDaemon(const ServeDaemonConfig& config)
   shed_deadline_ = reg.GetCounter("ckr.serve.shed_deadline");
   no_snapshot_ = reg.GetCounter("ckr.serve.no_snapshot");
   swaps_ = reg.GetCounter("ckr.serve.snapshot_swaps");
+  pop_spin_hits_ = reg.GetCounter("ckr.serve.pop_spin_hits");
+  pop_parks_ = reg.GetCounter("ckr.serve.pop_parks");
   queue_depth_ = reg.GetGauge("ckr.serve.queue_depth");
   queue_seconds_ = reg.GetHistogram("ckr.serve.queue_seconds");
   latency_seconds_ = reg.GetHistogram("ckr.serve.latency_seconds");
@@ -96,24 +98,33 @@ bool ServeDaemon::Submit(ServeRequest&& request) {
 void ServeDaemon::WorkerLoop() {
   ServeRequest request;
   size_t depth = 0;
-  while (queue_.Pop(&request, &depth)) {
+  PopWait waited = PopWait::kSpun;
+  while (queue_.Pop(&request, &depth, &waited)) {
+    (waited == PopWait::kParked ? pop_parks_ : pop_spin_hits_)->Increment();
     // Both sides set the gauge, so it falls as the workers drain.
     queue_depth_->Set(static_cast<double>(depth));
-    const int64_t picked_up = clock_->NowNanos();
-    const double queue_seconds =
-        static_cast<double>(picked_up - request.admit_nanos) / 1e9;
-    queue_seconds_->Record(queue_seconds);
-
     ServeResponse response;
-    response.queue_seconds = queue_seconds;
+    response.pickup_nanos = clock_->NowNanos();
+    response.queue_seconds =
+        static_cast<double>(response.pickup_nanos - request.admit_nanos) /
+        1e9;
+    queue_seconds_->Record(response.queue_seconds);
+    // Stamps the callback time and the total; returns the total.
+    auto finish = [&]() {
+      response.callback_nanos = clock_->NowNanos();
+      response.total_seconds =
+          static_cast<double>(response.callback_nanos - request.admit_nanos) /
+          1e9;
+      return response.total_seconds;
+    };
 
     // Deadline shed: a request that waited past its deadline gets its
     // answer ("too late") without spending shard work on it.
-    if (request.deadline_nanos > 0 && picked_up > request.deadline_nanos) {
+    if (request.deadline_nanos > 0 &&
+        response.pickup_nanos > request.deadline_nanos) {
       shed_deadline_->Increment();
       response.outcome = ServeOutcome::kShedDeadline;
-      response.total_seconds = clock_->SecondsSince(request.admit_nanos);
-      rejected_latency_seconds_->Record(response.total_seconds);
+      rejected_latency_seconds_->Record(finish());
       Respond(request, std::move(response));
       continue;
     }
@@ -122,8 +133,7 @@ void ServeDaemon::WorkerLoop() {
     if (!snapshot) {
       no_snapshot_->Increment();
       response.outcome = ServeOutcome::kNoSnapshot;
-      response.total_seconds = clock_->SecondsSince(request.admit_nanos);
-      rejected_latency_seconds_->Record(response.total_seconds);
+      rejected_latency_seconds_->Record(finish());
       Respond(request, std::move(response));
       continue;
     }
@@ -131,6 +141,8 @@ void ServeDaemon::WorkerLoop() {
     ShardedIndex::PartialResult scatter = snapshot->index.SearchWithDeadline(
         request.query, request.k, snapshot->evaluator, *clock_,
         request.deadline_nanos, config_.shard_parallelism);
+    response.merge_end_nanos = clock_->NowNanos();
+    response.scatter_end_nanos = scatter.scatter_end_nanos;
     response.generation = snapshot->generation;
     response.results = std::move(scatter.results);
     response.shards_answered = scatter.shards_answered;
@@ -142,8 +154,7 @@ void ServeDaemon::WorkerLoop() {
       partial_->Increment();
       response.outcome = ServeOutcome::kPartial;
     }
-    response.total_seconds = clock_->SecondsSince(request.admit_nanos);
-    latency_seconds_->Record(response.total_seconds);
+    latency_seconds_->Record(finish());
     // The handle is released after the response is built: an in-flight
     // request pins its generation even if a swap landed meanwhile.
     snapshot.Reset();

@@ -1,7 +1,8 @@
 // ckr_serve — the in-process sharded serving daemon.
 //
 // Requests enter through a bounded MPMC queue (request_queue.h) with
-// admission control; a pool of worker threads pops them, checks the
+// admission control; a pool of worker threads pops them — each worker
+// spins briefly for the next request, then parks — checks the
 // deadline (expired requests are shed without touching the index),
 // acquires the current snapshot generation (snapshot.h), runs the
 // deadline-bounded scatter/gather over the shards (sharded_index.h), and
@@ -17,8 +18,9 @@
 // Telemetry is the daemon's product surface, reported into an
 // obs::MetricRegistry (default: the process-global one) under
 // "ckr.serve.*": admitted/completed/partial counters, the three shed
-// classes, queue-depth gauge, and queue/latency histograms the bench
-// turns into p50/p99/p999. Latency is split by outcome:
+// classes, how each popped request was picked up (pop_spin_hits: by a
+// spinning worker; pop_parks: by one woken from its park), queue-depth
+// gauge, and queue/latency histograms. Latency is split by outcome:
 // ckr.serve.latency_seconds holds served answers (kOk, kPartial) only;
 // deadline-shed and no-snapshot answers go to
 // ckr.serve.rejected_latency_seconds, so fast rejections never pull the
@@ -74,6 +76,16 @@ struct ServeResponse {
   /// daemon's clock. Zero for requests shed at admission.
   double queue_seconds = 0.0;
   double total_seconds = 0.0;
+  /// The envelope on the daemon's clock (NowNanos scale): admission <=
+  /// pickup <= scatter end <= merge end <= callback. queue_seconds is
+  /// pickup - admission and total_seconds is callback - admission. The
+  /// scatter and merge stamps stay 0 when no scatter ran (worker-side
+  /// rejections); all four stay 0 for requests shed at admission.
+  int64_t pickup_nanos = 0;
+  int64_t scatter_end_nanos = 0;
+  int64_t merge_end_nanos = 0;
+  /// Read once the response is complete, just before the callback.
+  int64_t callback_nanos = 0;
 };
 
 struct ServeRequest {
@@ -139,6 +151,10 @@ class ServeDaemon {
   /// carrying the precise outcome (kShedQueueFull / kNotStarted).
   bool Submit(ServeRequest&& request);
 
+  /// Workers parked on the empty queue right now (an idle daemon parks
+  /// every worker once the queue's spin bound runs out).
+  size_t ParkedWorkers() const { return queue_.ParkedConsumers(); }
+
   const ServeDaemonConfig& config() const { return config_; }
 
  private:
@@ -166,6 +182,8 @@ class ServeDaemon {
   obs::Counter* shed_deadline_;
   obs::Counter* no_snapshot_;
   obs::Counter* swaps_;
+  obs::Counter* pop_spin_hits_;
+  obs::Counter* pop_parks_;
   obs::Gauge* queue_depth_;
   obs::Histogram* queue_seconds_;
   obs::Histogram* latency_seconds_;           ///< kOk and kPartial.

@@ -10,6 +10,21 @@
 
 namespace ckr {
 
+namespace {
+
+/// SearchWithDeadline's per-leg slots, one set per calling thread.
+struct ScatterScratch {
+  std::vector<std::vector<SearchResult>> per_shard;
+  std::vector<uint8_t> answered;
+};
+
+ScatterScratch& ThreadScatterScratch() {
+  static thread_local ScatterScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 ShardRange ShardRangeOf(size_t shard, size_t num_shards, uint64_t num_docs) {
   CKR_CHECK_LT(shard, num_shards);
   const uint64_t base = num_docs / num_shards;
@@ -159,8 +174,15 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
   const size_t n = shards_.size();
   // Parsed once for every leg; each shard scores the same sorted terms.
   const ParsedQuery parsed(query);
-  std::vector<std::vector<SearchResult>> per_shard(n);
-  std::vector<uint8_t> answered(n, 0);
+  // The calling thread's slots, reused across requests: emptied here,
+  // filled by the legs (on this thread or, with shard_parallelism > 1,
+  // on helpers that finish before ParallelForWorkers returns).
+  ScatterScratch& scratch = ThreadScatterScratch();
+  std::vector<std::vector<SearchResult>>& per_shard = scratch.per_shard;
+  std::vector<uint8_t>& answered = scratch.answered;
+  per_shard.resize(n);
+  for (std::vector<SearchResult>& slot : per_shard) slot.clear();
+  answered.assign(n, 0);
   auto run_shard = [&](size_t s) {
     // Admission per leg: a leg that cannot *start* before the deadline is
     // skipped; one that started runs to completion (bounded by one
@@ -179,6 +201,7 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
     for (size_t s = 0; s < n; ++s) run_shard(s);
   }
   PartialResult out;
+  out.scatter_end_nanos = clock.NowNanos();
   out.evaluator_used = evaluator;
   for (size_t s = 0; s < n; ++s) {
     if (answered[s] == 0) continue;

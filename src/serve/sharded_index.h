@@ -83,6 +83,9 @@ class ShardedIndex {
     /// an answered leg fell back to it (InvertedIndex::EffectiveEvaluator).
     /// The requested one when no leg ran.
     QueryEvaluator evaluator_used = QueryEvaluator::kExhaustive;
+    /// The injected clock read once every leg has run or been skipped,
+    /// before the merge.
+    int64_t scatter_end_nanos = 0;
   };
 
   /// Builds shards from one streamed corpus pass over [0, num_docs),
@@ -121,7 +124,9 @@ class ShardedIndex {
   /// `shard_parallelism` > 1 fans the scatter across ParallelForWorkers
   /// threads (per-shard slots, so executed legs stay deterministic); 1
   /// runs inline — the default for the daemon, whose parallelism comes
-  /// from its worker pool.
+  /// from its worker pool. The per-leg result slots live in thread-local
+  /// scratch owned by the calling thread, so a warm call allocates only
+  /// the parsed query, each leg's result and the merged list.
   PartialResult SearchWithDeadline(std::string_view query, size_t k,
                                    QueryEvaluator evaluator,
                                    const Clock& clock, int64_t deadline_nanos,

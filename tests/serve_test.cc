@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cpu_relax.h"
 #include "common/rng.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
@@ -64,6 +66,17 @@ class SteppingClock final : public Clock {
   const int64_t step_;
   mutable std::atomic<int64_t> now_{0};
 };
+
+/// Polls `pred` every millisecond; false if it still fails after about
+/// 20 s (a hang, reported instead of blocking the suite).
+template <typename Pred>
+bool Eventually(Pred pred) {
+  for (int i = 0; i < 20000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
 
 Document MakeDoc(DocId id, std::string text) {
   Document d;
@@ -165,6 +178,181 @@ TEST(RequestQueueTest, ShutdownWakesBlockedConsumer) {
   });
   q.Shutdown();
   consumer.join();
+}
+
+TEST(RequestQueueTest, PopReportsWhetherItSpunOrParked) {
+  BoundedMpmcQueue<int> q(4);
+  int v = 1;
+  ASSERT_TRUE(q.TryPush(&v));
+  int out = 0;
+  PopWait waited = PopWait::kParked;
+  ASSERT_TRUE(q.Pop(&out, nullptr, &waited));  // Waiting already.
+  EXPECT_EQ(waited, PopWait::kSpun);
+
+  PopWait consumer_waited = PopWait::kSpun;
+  std::thread consumer([&] {
+    int got = 0;
+    EXPECT_TRUE(q.Pop(&got, nullptr, &consumer_waited));
+    EXPECT_EQ(got, 2);
+  });
+  // With nothing to take, the consumer's spin runs out and it parks.
+  EXPECT_TRUE(Eventually([&] { return q.ParkedConsumers() == 1; }));
+  int v2 = 2;
+  EXPECT_TRUE(q.TryPush(&v2));
+  consumer.join();
+  EXPECT_EQ(consumer_waited, PopWait::kParked);
+  EXPECT_EQ(q.ParkedConsumers(), 0u);
+}
+
+/// Consumers that pop until the queue closes, each keeping what it got.
+/// The destructor closes the queue and joins, so a failed assertion
+/// cannot leave a thread running.
+struct DrainingConsumers {
+  DrainingConsumers(BoundedMpmcQueue<int>* queue, int n)
+      : q(queue), popped(static_cast<size_t>(n)) {
+    for (int c = 0; c < n; ++c) {
+      threads.emplace_back([this, c] {
+        int item = 0;
+        while (q->Pop(&item)) popped[c].push_back(item);
+      });
+    }
+  }
+  ~DrainingConsumers() {
+    q->Shutdown();
+    for (std::thread& t : threads) {
+      if (t.joinable()) t.join();
+    }
+  }
+  DrainingConsumers(const DrainingConsumers&) = delete;
+  DrainingConsumers& operator=(const DrainingConsumers&) = delete;
+
+  /// Waits for the queue to close; returns every item popped, sorted.
+  std::vector<int> JoinAll() {
+    for (std::thread& t : threads) t.join();
+    std::vector<int> all;
+    for (const std::vector<int>& items : popped) {
+      all.insert(all.end(), items.begin(), items.end());
+    }
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+
+  BoundedMpmcQueue<int>* const q;
+  std::vector<std::vector<int>> popped;
+  std::vector<std::thread> threads;  // Last: the threads use the above.
+};
+
+// Four producers push through a small queue (so they also hit "full" and
+// retry) while three consumers pop: every item comes out exactly once,
+// and each consumer sees each producer's items in push order (FIFO).
+TEST(RequestQueueTest, FourProducersThreeConsumersPopEveryItemOnce) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 5000;
+  BoundedMpmcQueue<int> q(16);
+  DrainingConsumers consumers(&q, 3);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int item = p * kPerProducer + i;
+        for (;;) {
+          int attempt = item;
+          if (q.TryPush(&attempt)) break;
+          std::this_thread::yield();  // Full: shed, so try again.
+        }
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  q.Shutdown();
+
+  std::vector<int> want(kProducers * kPerProducer);
+  for (int i = 0; i < kProducers * kPerProducer; ++i) want[i] = i;
+  EXPECT_EQ(consumers.JoinAll(), want);  // Each item exactly once.
+  for (const std::vector<int>& items : consumers.popped) {
+    std::vector<int> last(kProducers, -1);
+    for (int item : items) {
+      const int producer = item / kPerProducer;
+      EXPECT_GT(item, last[producer]) << "out of push order";
+      last[producer] = item;
+    }
+  }
+}
+
+TEST(RequestQueueTest, ShutdownWhileConsumersSpinDrainsThenCloses) {
+  BoundedMpmcQueue<int> q(64);
+  DrainingConsumers consumers(&q, 3);
+  std::vector<int> want;
+  for (int i = 0; i < 8; ++i) {
+    int v = i;
+    ASSERT_TRUE(q.TryPush(&v));
+    want.push_back(i);
+  }
+  // Once the first items are taken the consumers are back in their spin
+  // (for tens of microseconds); close the queue right behind a second
+  // batch, inside that window.
+  while (q.Size() != 0) CpuRelax();
+  for (int i = 8; i < 12; ++i) {
+    int v = i;
+    ASSERT_TRUE(q.TryPush(&v));
+    want.push_back(i);
+  }
+  q.Shutdown();
+  EXPECT_EQ(consumers.JoinAll(), want);
+  EXPECT_EQ(q.ParkedConsumers(), 0u);
+}
+
+TEST(RequestQueueTest, ShutdownWhileConsumersParkedDrainsThenCloses) {
+  BoundedMpmcQueue<int> q(64);
+  DrainingConsumers consumers(&q, 3);
+  ASSERT_TRUE(Eventually([&] { return q.ParkedConsumers() == 3; }));
+  std::vector<int> want;
+  for (int i = 0; i < 5; ++i) {
+    int v = i;
+    ASSERT_TRUE(q.TryPush(&v));
+    want.push_back(i);
+  }
+  q.Shutdown();
+  EXPECT_EQ(consumers.JoinAll(), want);
+  EXPECT_EQ(q.ParkedConsumers(), 0u);
+}
+
+// One consumer echoes each item from `ping` to `pong`. The producer
+// waits a swept number of CpuRelax() iterations, from none to twice the
+// spin bound, before each push, so pushes land before, across and after
+// the consumer's switch from spinning to parking. No round may hang.
+TEST(RequestQueueTest, PingPongAcrossTheSpinToParkBoundary) {
+  constexpr int kRounds = 20000;
+  constexpr int kDelaySweep = 2 * BoundedMpmcQueue<int>::kPopSpins;
+  BoundedMpmcQueue<int> ping(1);
+  BoundedMpmcQueue<int> pong(1);
+  int spun = 0;
+  int parked = 0;
+  std::thread echo([&] {
+    int item = 0;
+    PopWait waited = PopWait::kSpun;
+    while (ping.Pop(&item, nullptr, &waited)) {
+      (waited == PopWait::kParked ? parked : spun) += 1;
+      EXPECT_TRUE(pong.TryPush(&item));
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    const int delay = static_cast<int>(
+        (static_cast<int64_t>(round) * 97) % (kDelaySweep + 1));
+    for (int i = 0; i < delay; ++i) CpuRelax();
+    int item = round;
+    int back = -1;
+    if (!ping.TryPush(&item) || !pong.Pop(&back) || back != round) {
+      ADD_FAILURE() << "round " << round << " echoed " << back;
+      break;
+    }
+  }
+  ping.Shutdown();
+  echo.join();
+  EXPECT_EQ(spun + parked, kRounds);
+  // Both sides of the boundary were exercised.
+  EXPECT_GT(spun, 0);
+  EXPECT_GT(parked, 0);
 }
 
 // ---------- ShardRangeOf / MergeShardTopK ----------
@@ -594,6 +782,201 @@ TEST(ServeDaemonTest, StopDrainsEveryAdmittedRequest) {
   fix.daemon.Stop();  // Graceful: every admitted request is answered.
   EXPECT_EQ(answered.load(), admitted);
   EXPECT_EQ(admitted, 64);
+}
+
+// The envelope stamps on a fake clock. FakeClock holds still, so every
+// stamp of a request equals its admission time; SteppingClock moves one
+// step per reading, so the stamps are the daemon's reads in order:
+// admission, pickup, one deadline check per leg, scatter end, merge end,
+// callback.
+TEST(ServeDaemonTest, ResponseCarriesTheEnvelopeOnTheDaemonClock) {
+  {
+    FakeClock fake(5000);
+    obs::MetricRegistry metrics;
+    ServeDaemonConfig config;
+    config.num_workers = 1;
+    config.clock = &fake;
+    config.metrics = &metrics;
+    ServeDaemon daemon(config);
+    daemon.Publish(MakeTestSnapshot());
+    ASSERT_TRUE(daemon.Start().ok());
+    ServeRequest request;
+    request.query = "quick brown";
+    const ServeResponse r = SubmitAndWait(daemon, std::move(request));
+    daemon.Stop();
+    EXPECT_EQ(r.outcome, ServeOutcome::kOk);
+    EXPECT_EQ(r.pickup_nanos, 5000);
+    EXPECT_EQ(r.scatter_end_nanos, 5000);
+    EXPECT_EQ(r.merge_end_nanos, 5000);
+    EXPECT_EQ(r.callback_nanos, 5000);
+    EXPECT_EQ(r.queue_seconds, 0.0);
+    EXPECT_EQ(r.total_seconds, 0.0);
+  }
+  constexpr int64_t kStep = 1000;
+  SteppingClock clock(kStep);
+  obs::MetricRegistry metrics;
+  ServeDaemonConfig config;
+  config.num_workers = 1;
+  config.clock = &clock;
+  config.metrics = &metrics;
+  ServeDaemon daemon(config);
+  daemon.Publish(MakeTestSnapshot());  // Two shards.
+  ASSERT_TRUE(daemon.Start().ok());
+
+  // Served, with a deadline far ahead: the two legs each read the clock.
+  ServeRequest served;
+  served.query = "quick brown";
+  served.deadline_nanos = int64_t{1} << 50;
+  const ServeResponse r = SubmitAndWait(daemon, std::move(served));
+  const int64_t admit = 1 * kStep;
+  EXPECT_EQ(r.outcome, ServeOutcome::kOk);
+  EXPECT_EQ(r.pickup_nanos, 2 * kStep);
+  EXPECT_EQ(r.scatter_end_nanos, 5 * kStep);
+  EXPECT_EQ(r.merge_end_nanos, 6 * kStep);
+  EXPECT_EQ(r.callback_nanos, 7 * kStep);
+  EXPECT_LE(admit, r.pickup_nanos);
+  EXPECT_LE(r.pickup_nanos, r.scatter_end_nanos);
+  EXPECT_LE(r.scatter_end_nanos, r.merge_end_nanos);
+  EXPECT_LE(r.merge_end_nanos, r.callback_nanos);
+  EXPECT_EQ(r.queue_seconds,
+            static_cast<double>(r.pickup_nanos - admit) / 1e9);
+  EXPECT_EQ(r.total_seconds,
+            static_cast<double>(r.callback_nanos - admit) / 1e9);
+
+  // Shed at pickup: no scatter, so no scatter or merge stamps.
+  ServeRequest late;
+  late.query = "quick brown";
+  late.deadline_nanos = 8 * kStep + 1;  // Admitted at 8, picked up at 9.
+  const ServeResponse shed = SubmitAndWait(daemon, std::move(late));
+  daemon.Stop();
+  EXPECT_EQ(shed.outcome, ServeOutcome::kShedDeadline);
+  EXPECT_EQ(shed.pickup_nanos, 9 * kStep);
+  EXPECT_EQ(shed.scatter_end_nanos, 0);
+  EXPECT_EQ(shed.merge_end_nanos, 0);
+  EXPECT_EQ(shed.callback_nanos, 10 * kStep);
+  EXPECT_EQ(shed.total_seconds,
+            static_cast<double>(shed.callback_nanos - 8 * kStep) / 1e9);
+}
+
+// An idle daemon does not spin forever: once the spin bound runs out
+// every worker parks, both at start and after serving.
+TEST(ServeDaemonTest, IdleDaemonParksEveryWorker) {
+  ServeDaemonConfig config;
+  config.num_workers = 3;
+  DaemonFixture fix(config);
+  fix.daemon.Publish(MakeTestSnapshot());
+  ASSERT_TRUE(fix.daemon.Start().ok());
+  EXPECT_TRUE(Eventually([&] { return fix.daemon.ParkedWorkers() == 3; }));
+  ServeRequest request;
+  request.query = "quick";
+  EXPECT_EQ(SubmitAndWait(fix.daemon, std::move(request)).outcome,
+            ServeOutcome::kOk);
+  EXPECT_TRUE(Eventually([&] { return fix.daemon.ParkedWorkers() == 3; }));
+  fix.daemon.Stop();
+  EXPECT_EQ(fix.daemon.ParkedWorkers(), 0u);
+  // The one request was taken by a worker woken from its park.
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.pop_parks")->Value(), 1u);
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.pop_spin_hits")->Value(), 0u);
+}
+
+// Each popped request counts once: a parked worker woken for it, or one
+// that found it without parking (here, a backlog).
+TEST(ServeDaemonTest, PopOutcomesAreCountedPerRequest) {
+  ServeDaemonConfig config;
+  config.num_workers = 1;
+  config.queue_capacity = 4;
+  DaemonFixture fix(config);
+  fix.daemon.Publish(MakeTestSnapshot());
+  ASSERT_TRUE(fix.daemon.Start().ok());
+  ASSERT_TRUE(Eventually([&] { return fix.daemon.ParkedWorkers() == 1; }));
+
+  std::promise<void> worker_busy;
+  std::promise<void> release_worker;
+  std::future<void> release = release_worker.get_future();
+  ServeRequest blocker;
+  blocker.query = "quick";
+  blocker.done = [&](ServeResponse&&) {
+    worker_busy.set_value();
+    release.wait();
+  };
+  ASSERT_TRUE(fix.daemon.Submit(std::move(blocker)));
+  worker_busy.get_future().wait();
+  std::atomic<int> answered{0};
+  for (int i = 0; i < 3; ++i) {
+    ServeRequest request;
+    request.query = "quick";
+    request.done = [&](ServeResponse&&) {
+      answered.fetch_add(1, std::memory_order_relaxed);
+    };
+    ASSERT_TRUE(fix.daemon.Submit(std::move(request)));
+  }
+  release_worker.set_value();
+  fix.daemon.Stop();
+  EXPECT_EQ(answered.load(), 3);
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.pop_parks")->Value(), 1u);
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.pop_spin_hits")->Value(), 3u);
+}
+
+// Stop() lands while three clients are still submitting: every Submit
+// gets exactly one callback, admitted plus shed equals submitted, and
+// every admitted request is served by the drain.
+TEST(ServeDaemonTest, StopRacingSubmitAnswersEverySubmission) {
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 2000;
+  ServeDaemonConfig config;
+  config.num_workers = 2;
+  config.queue_capacity = 64;
+  DaemonFixture fix(config);
+  fix.daemon.Publish(MakeTestSnapshot());
+  ASSERT_TRUE(fix.daemon.Start().ok());
+
+  std::atomic<int> submitted{0};
+  std::atomic<int> admitted{0};
+  std::atomic<int> shed{0};
+  std::atomic<int> callbacks{0};
+  std::atomic<int> served{0};
+  std::atomic<int> shed_outcomes{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kPerClient; ++i) {
+        ServeRequest request;
+        request.query = "quick brown";
+        request.done = [&](ServeResponse&& r) {
+          callbacks.fetch_add(1, std::memory_order_relaxed);
+          if (r.outcome == ServeOutcome::kOk) {
+            served.fetch_add(1, std::memory_order_relaxed);
+          } else if (r.outcome == ServeOutcome::kShedQueueFull ||
+                     r.outcome == ServeOutcome::kNotStarted) {
+            shed_outcomes.fetch_add(1, std::memory_order_relaxed);
+          }
+        };
+        (fix.daemon.Submit(std::move(request)) ? admitted : shed)
+            .fetch_add(1, std::memory_order_relaxed);
+        submitted.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  // Stop once a quarter of the submissions are in.
+  while (submitted.load(std::memory_order_acquire) <
+         kClients * kPerClient / 4) {
+    std::this_thread::yield();
+  }
+  fix.daemon.Stop();
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(callbacks.load(), kClients * kPerClient);
+  EXPECT_EQ(admitted.load() + shed.load(), kClients * kPerClient);
+  EXPECT_EQ(served.load(), admitted.load());
+  EXPECT_EQ(shed_outcomes.load(), shed.load());
+  EXPECT_GT(admitted.load(), 0);
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.admitted")->Value(),
+            static_cast<uint64_t>(admitted.load()));
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.completed")->Value(),
+            static_cast<uint64_t>(admitted.load()));
+  EXPECT_EQ(fix.metrics.GetCounter("ckr.serve.pop_spin_hits")->Value() +
+                fix.metrics.GetCounter("ckr.serve.pop_parks")->Value(),
+            static_cast<uint64_t>(admitted.load()));
 }
 
 // Two workers score legs at once, each through its own thread-local

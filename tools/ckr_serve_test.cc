@@ -46,6 +46,14 @@ std::map<std::string, std::set<std::string>> KeySet(const std::string& json) {
   return keys;
 }
 
+// The value of counter `name` in a SnapshotJson() blob, or -1 if absent.
+long long CounterValue(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(json.c_str() + at + key.size());
+}
+
 TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
   const std::string path = testing::TempDir() + "ckr_serve_metrics.json";
   ASSERT_EQ(RunServe("--docs 300 --requests 60 --metrics-json " + path), 0);
@@ -63,6 +71,7 @@ TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
 #endif
            "ckr.serve.admitted", "ckr.serve.completed",
            "ckr.serve.no_snapshot", "ckr.serve.partial",
+           "ckr.serve.pop_parks", "ckr.serve.pop_spin_hits",
            "ckr.serve.shed_deadline", "ckr.serve.shed_queue_full",
            "ckr.serve.snapshot_swaps"}},
       {"gauges", {"ckr.serve.queue_depth"}},
@@ -80,6 +89,11 @@ TEST(CkrServeMetricsJsonTest, WritesTheRegistryWithTheGoldenKeySet) {
   EXPECT_EQ(KeySet(json.str()), want) << json.str();
   // Every request of the run is counted.
   EXPECT_NE(json.str().find("\"ckr.serve.completed\": 60"), std::string::npos)
+      << json.str();
+  // Each was picked up once: by a spinning worker or a woken one.
+  EXPECT_EQ(CounterValue(json.str(), "ckr.serve.pop_spin_hits") +
+                CounterValue(json.str(), "ckr.serve.pop_parks"),
+            60)
       << json.str();
 #if !defined(CKR_OBS_DISABLED)
   // And every shard leg of every request: 60 requests on 4 shards.
