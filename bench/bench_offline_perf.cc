@@ -292,13 +292,18 @@ struct ScaleLeg {
   uint64_t postings = 0;
   double stream_build_seconds = 0.0;   ///< Generate + Add.
   double finalize_seconds = 0.0;
-  size_t posting_bytes = 0;            ///< Compressed block postings.
+  size_t index_memory_bytes = 0;       ///< InvertedIndex::MemoryBytes().
   ClickLogStats clicks;
   double click_seconds = 0.0;
   bool bit_identical = true;
   size_t queries = 0;
   int repeats = 0;
   double evaluator_seconds[3] = {0.0, 0.0, 0.0};  // exhaustive, ms, bmw.
+  // Counter deltas over each evaluator's timed passes (zero under
+  // CKR_OBS_DISABLED).
+  uint64_t postings_scored[3] = {0, 0, 0};
+  uint64_t blocks_decoded[3] = {0, 0, 0};
+  uint64_t blocks_skipped[3] = {0, 0, 0};
 };
 
 constexpr const char* kScaleEvaluatorNames[3] = {"exhaustive", "maxscore",
@@ -348,8 +353,8 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   index.RebuildBlockIndex();
   leg.docs = index.NumDocs();
   leg.terms = index.NumTerms();
-  leg.postings = index.block_index().store().NumPostings();
-  leg.posting_bytes = index.block_index().store().CompressedPostingBytes();
+  leg.postings = index.NumPostings();
+  leg.index_memory_bytes = index.MemoryBytes();
 
   // Entity-key workload, ~250 queries regardless of scale.
   std::vector<std::string> queries;
@@ -380,7 +385,14 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
   const QueryEvaluator evaluators[3] = {QueryEvaluator::kExhaustive,
                                         QueryEvaluator::kMaxScore,
                                         QueryEvaluator::kBlockMaxWand};
+  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
+  obs::Counter* c_scored = reg.GetCounter("ckr.index.postings_scored");
+  obs::Counter* c_decoded = reg.GetCounter("ckr.index.blocks_decoded");
+  obs::Counter* c_skipped = reg.GetCounter("ckr.index.blocks_skipped");
   for (size_t e = 0; e < 3; ++e) {
+    const uint64_t scored0 = c_scored->Value();
+    const uint64_t decoded0 = c_decoded->Value();
+    const uint64_t skipped0 = c_skipped->Value();
     t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < leg.repeats; ++r) {
       for (const std::string& q : queries) {
@@ -389,6 +401,9 @@ ScaleLeg RunScaleLeg(size_t target_docs) {
       }
     }
     leg.evaluator_seconds[e] = WallSeconds(t0);
+    leg.postings_scored[e] = c_scored->Value() - scored0;
+    leg.blocks_decoded[e] = c_decoded->Value() - decoded0;
+    leg.blocks_skipped[e] = c_skipped->Value() - skipped0;
   }
 
   // ORCAS-shaped click log over the same corpus (6 pairs/doc default).
@@ -519,12 +534,7 @@ void RunSummary() {
         SameResults(oracle, lab->flat.Search(q, 50, Bm25Params{},
                                              QueryEvaluator::kBlockMaxWand));
   }
-  const uint64_t block_postings = lab->flat.block_index().store().NumPostings();
-  // The uncompressed baseline: the flat index's CSR doc + tf columns at
-  // 4 bytes each.
-  const uint64_t csr_posting_bytes = block_postings * 8;
-  const size_t varint_bytes =
-      lab->flat.block_index().store().CompressedPostingBytes();
+  const uint64_t block_postings = lab->flat.NumPostings();
 
   const EvaluatorLeg legs[] = {
       TimeEvaluator(lab, "exhaustive", QueryEvaluator::kExhaustive),
@@ -600,12 +610,6 @@ void RunSummary() {
   std::printf("block index: pruned top-50 bit-identical to exhaustive: "
               "%s\n",
               pruned_identical ? "yes" : "NO");
-  std::printf("posting bytes: csr %.2f MB, varint-gb %.2f MB (%.2fx)\n",
-              static_cast<double>(csr_posting_bytes) / 1e6,
-              static_cast<double>(varint_bytes) / 1e6,
-              varint_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
-                                     static_cast<double>(varint_bytes)
-                               : 0.0);
   std::printf("evaluator          p50 us    p99 us   postings scored  "
               "reduction   blocks dec/skip\n");
   for (const EvaluatorLeg& leg : legs) {
@@ -625,9 +629,9 @@ void RunSummary() {
                 leg.docs, leg.terms,
                 static_cast<unsigned long long>(leg.postings),
                 leg.bit_identical ? "yes" : "NO");
-    std::printf("    build %.1fs, finalize %.1fs; postings %.2f MB\n",
+    std::printf("    build %.1fs, finalize %.1fs; index memory %.2f MB\n",
                 leg.stream_build_seconds, leg.finalize_seconds,
-                static_cast<double>(leg.posting_bytes) / 1e6);
+                static_cast<double>(leg.index_memory_bytes) / 1e6);
     std::printf("    clicks: %llu pairs (%llu distinct q-d, %llu queries, "
                 "%llu docs, %llu users) in %.1fs\n",
                 static_cast<unsigned long long>(leg.clicks.pairs),
@@ -644,6 +648,14 @@ void RunSummary() {
                   leg.evaluator_seconds[e]);
     }
     std::printf("\n");
+    for (size_t e = 0; e < 3; ++e) {
+      std::printf("      %-15s postings scored %llu, blocks dec/skip "
+                  "%llu/%llu\n",
+                  kScaleEvaluatorNames[e],
+                  static_cast<unsigned long long>(leg.postings_scored[e]),
+                  static_cast<unsigned long long>(leg.blocks_decoded[e]),
+                  static_cast<unsigned long long>(leg.blocks_skipped[e]));
+    }
   }
   std::printf("mining fan-out (%zu concepts, %u hardware threads), outputs "
               "identical across worker counts: %s\n",
@@ -712,22 +724,14 @@ void RunSummary() {
                static_cast<unsigned long long>(obs_phrase),
                static_cast<unsigned long long>(obs_mine_calls),
                obs_mine_seconds);
-  // Block-index legs: compressed posting sizes against the 8 B/posting CSR
-  // baseline, and per-evaluator top-50 latency quantiles + pruning
+  // Block-index legs: per-evaluator top-50 latency quantiles + pruning
   // counters (counter fields are zero under CKR_OBS_DISABLED).
   std::fprintf(f,
                "  \"block_index\": {\n"
                "    \"pruned_results_bit_identical\": %s,\n"
-               "    \"postings\": %llu,\n"
-               "    \"posting_bytes\": {\"csr_baseline\": %llu, "
-               "\"varint_gb\": %zu, \"csr_over_varint_gb\": %.4f},\n",
+               "    \"postings\": %llu,\n",
                pruned_identical ? "true" : "false",
-               static_cast<unsigned long long>(block_postings),
-               static_cast<unsigned long long>(csr_posting_bytes),
-               varint_bytes,
-               varint_bytes > 0 ? static_cast<double>(csr_posting_bytes) /
-                                      static_cast<double>(varint_bytes)
-                                : 0.0);
+               static_cast<unsigned long long>(block_postings));
   std::fprintf(f, "    \"evaluators\": [\n");
   for (size_t i = 0; i < 3; ++i) {
     const EvaluatorLeg& leg = legs[i];
@@ -745,8 +749,8 @@ void RunSummary() {
   }
   std::fprintf(f, "    ]\n  },\n");
   // Corpus-scale legs: streamed out-of-core builds at paper scale and
-  // 100x (plus 1M docs under CKR_BENCH_MILLION), with the compressed
-  // posting size and per-evaluator wall-clock at each scale.
+  // 100x (plus 1M docs under CKR_BENCH_MILLION), with the index's memory
+  // and per-evaluator wall-clock and pruning counters at each scale.
   std::fprintf(f, "  \"scale_legs\": [\n");
   for (size_t i = 0; i < scale_legs.size(); ++i) {
     const ScaleLeg& leg = scale_legs[i];
@@ -757,9 +761,9 @@ void RunSummary() {
                  static_cast<unsigned long long>(leg.postings));
     std::fprintf(f,
                  "     \"stream_build_seconds\": %.3f, "
-                 "\"finalize_seconds\": %.3f, \"posting_bytes\": %zu,\n",
+                 "\"finalize_seconds\": %.3f, \"index_memory_bytes\": %zu,\n",
                  leg.stream_build_seconds, leg.finalize_seconds,
-                 leg.posting_bytes);
+                 leg.index_memory_bytes);
     std::fprintf(f,
                  "     \"click_log\": {\"pairs\": %llu, "
                  "\"distinct_query_doc_pairs\": %llu, "
@@ -779,8 +783,14 @@ void RunSummary() {
                  leg.repeats, kScaleTopK);
     std::fprintf(f, "     \"evaluators\": [");
     for (size_t e = 0; e < 3; ++e) {
-      std::fprintf(f, "{\"name\": \"%s\", \"total_seconds\": %.4f}%s",
+      std::fprintf(f,
+                   "{\"name\": \"%s\", \"total_seconds\": %.4f, "
+                   "\"postings_scored\": %llu, \"blocks_decoded\": %llu, "
+                   "\"blocks_skipped\": %llu}%s",
                    kScaleEvaluatorNames[e], leg.evaluator_seconds[e],
+                   static_cast<unsigned long long>(leg.postings_scored[e]),
+                   static_cast<unsigned long long>(leg.blocks_decoded[e]),
+                   static_cast<unsigned long long>(leg.blocks_skipped[e]),
                    e + 1 < 3 ? ", " : "");
     }
     std::fprintf(f, "]}%s\n", i + 1 < scale_legs.size() ? "," : "");

@@ -57,8 +57,9 @@ echo "== obs kill switch: CKR_OBS_DISABLED build + rank-fingerprint diff =="
 # then prove observability never changes ranking: obs_disabled_test writes
 # an FNV-1a fingerprint of its ranked output — which also folds in the
 # block-index top-50 results of every query evaluator (exhaustive,
-# MaxScore, Block-Max-WAND), so the diff covers the block postings build
-# and the pruned search paths too — and the fingerprint from the
+# MaxScore, Block-Max-WAND), so the diff covers the block-max metadata
+# build and the pruned cursors over the CSR postings too — and the
+# fingerprint from the
 # instrumented build must be byte-identical to the obs-off one.
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"

@@ -1,10 +1,8 @@
 #include "index/block_max_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/binary_io.h"
 #include "obs/hooks.h"
 
 namespace ckr {
@@ -51,86 +49,70 @@ void PushCounted(TopKHeap* heap, const SearchResult& r) {
 
 }  // namespace
 
-// ---- Builder ----
+// ---- Build ----
 
-BlockMaxIndex::Builder::Builder(std::vector<DocId> ext_ids,
-                                std::vector<double> default_norm) {
-  CKR_CHECK_EQ(ext_ids.size(), default_norm.size());
-  index_.ext_id_ = std::move(ext_ids);
-  index_.default_norm_ = std::move(default_norm);
-}
-
-void BlockMaxIndex::Builder::AddTerm(Span<const uint32_t> docs,
-                                     Span<const uint32_t> tfs) {
-  CKR_CHECK(explicit_idf_.empty());  // One AddTerm flavour per builder.
-  const double n = static_cast<double>(index_.ext_id_.size());
-  const double dfd = static_cast<double>(docs.size());
-  const double idf = std::log(1.0 + (n - dfd + 0.5) / (dfd + 0.5));
-  AddTermScored(docs, tfs, idf);
-}
-
-void BlockMaxIndex::Builder::AddTerm(Span<const uint32_t> docs,
-                                     Span<const uint32_t> tfs, double idf) {
-  CKR_CHECK_EQ(explicit_idf_.size(), terms_added_);
-  explicit_idf_.push_back(idf);
-  AddTermScored(docs, tfs, idf);
-}
-
-void BlockMaxIndex::Builder::AddTermScored(Span<const uint32_t> docs,
-                                           Span<const uint32_t> tfs,
-                                           double idf) {
-  const Bm25Params defaults;
-  scores_.resize(docs.size());
-  for (size_t i = 0; i < docs.size(); ++i) {
-    const double tf = static_cast<double>(tfs[i]);
-    scores_[i] = idf * tf * (defaults.k1 + 1.0) /
-                 (tf + index_.default_norm_[docs[i]]);
+BlockMaxIndex::BlockMaxIndex(const PostingColumns& cols,
+                             std::vector<double> idf)
+    : term_idf_(std::move(idf)) {
+  const size_t num_terms = cols.NumTerms();
+  CKR_CHECK_EQ(term_idf_.size(), num_terms);
+  CKR_CHECK_EQ(cols.norm.size(), cols.ext_id.size());
+  size_t num_blocks = 0;
+  for (uint32_t t = 0; t < num_terms; ++t) {
+    num_blocks += BlocksFor(cols.offset[t + 1] - cols.offset[t]);
   }
-  store_builder_.AddTerm(docs, tfs, MakeSpan(scores_));
-  ++terms_added_;
-}
-
-BlockMaxIndex BlockMaxIndex::Builder::Finish() {
-  index_.store_ = store_builder_.Finish();
-  if (explicit_idf_.empty()) {
-    index_.RecomputeIdf();
-  } else {
-    CKR_CHECK_EQ(explicit_idf_.size(), index_.store_.NumTerms());
-    index_.term_idf_ = std::move(explicit_idf_);
+  term_block_offset_.reserve(num_terms + 1);
+  term_block_offset_.push_back(0);
+  term_max_score_.reserve(num_terms);
+  block_max_score_.reserve(num_blocks);
+  for (uint32_t t = 0; t < num_terms; ++t) {
+    const Span<const uint32_t> docs = cols.Docs(t);
+    const Span<const uint32_t> tfs = cols.Tfs(t);
+    double term_max = 0.0;
+    for (size_t begin = 0; begin < docs.size(); begin += kPostingBlockSize) {
+      const size_t end =
+          std::min<size_t>(docs.size(), begin + kPostingBlockSize);
+      double block_max = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        block_max =
+            std::max(block_max, Contribution(cols, t, docs[i], tfs[i]));
+      }
+      block_max_score_.push_back(block_max);
+      term_max = std::max(term_max, block_max);
+    }
+    term_block_offset_.push_back(
+        static_cast<uint32_t>(block_max_score_.size()));
+    term_max_score_.push_back(term_max);
   }
-  return std::move(index_);
 }
 
 // ---- Scoring ----
 
-double BlockMaxIndex::Contribution(uint32_t tid, uint32_t doc,
-                                   uint32_t tf) const {
+double BlockMaxIndex::Contribution(const PostingColumns& cols, uint32_t tid,
+                                   uint32_t doc, uint32_t tf) const {
   const Bm25Params defaults;
   const double tfd = static_cast<double>(tf);
-  return term_idf_[tid] * tfd * (defaults.k1 + 1.0) /
-         (tfd + default_norm_[doc]);
+  return term_idf_[tid] * tfd * (defaults.k1 + 1.0) / (tfd + cols.norm[doc]);
 }
 
-void BlockMaxIndex::RecomputeIdf() {
-  const double n = static_cast<double>(ext_id_.size());
-  term_idf_.resize(store_.NumTerms());
-  for (size_t t = 0; t < term_idf_.size(); ++t) {
-    const double dfd =
-        static_cast<double>(store_.TermPostings(static_cast<uint32_t>(t)));
-    term_idf_[t] = std::log(1.0 + (n - dfd + 0.5) / (dfd + 0.5));
-  }
+PostingCursor BlockMaxIndex::Cursor(const PostingColumns& cols,
+                                    uint32_t tid) const {
+  return PostingCursor(
+      cols.Docs(tid), cols.Tfs(tid),
+      MakeSpan(block_max_score_).subspan(TermFirstBlock(tid), TermBlocks(tid)));
 }
 
-std::vector<SearchResult> BlockMaxIndex::TopK(Span<const uint32_t> tids,
+std::vector<SearchResult> BlockMaxIndex::TopK(const PostingColumns& cols,
+                                              Span<const uint32_t> tids,
                                               size_t k,
                                               QueryEvaluator evaluator) const {
   switch (evaluator) {
     case QueryEvaluator::kExhaustive:
-      return TopKExhaustive(tids, k);
+      return TopKExhaustive(cols, tids, k);
     case QueryEvaluator::kMaxScore:
-      return TopKMaxScore(tids, k);
+      return TopKMaxScore(cols, tids, k);
     case QueryEvaluator::kBlockMaxWand:
-      return TopKBlockMaxWand(tids, k);
+      return TopKBlockMaxWand(cols, tids, k);
   }
   CKR_CHECK(false && "unreachable evaluator");
   return {};
@@ -139,14 +121,15 @@ std::vector<SearchResult> BlockMaxIndex::TopK(Span<const uint32_t> tids,
 // ---- Exhaustive (cursor-driven document-at-a-time union) ----
 
 std::vector<SearchResult> BlockMaxIndex::TopKExhaustive(
-    Span<const uint32_t> tids, size_t k) const {
+    const PostingColumns& cols, Span<const uint32_t> tids,
+    size_t k) const {
   std::vector<QueryTerm> terms;
   terms.reserve(tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
     QueryTerm qt;
     qt.orig = i;
     qt.tid = tids[i];
-    qt.cursor = PostingCursor(&store_, tids[i]);
+    qt.cursor = Cursor(cols, tids[i]);
     if (!qt.cursor.AtEnd()) terms.push_back(std::move(qt));
   }
   TopKHeap heap(k);
@@ -158,10 +141,10 @@ std::vector<SearchResult> BlockMaxIndex::TopKExhaustive(
     vals.clear();
     for (QueryTerm& t : terms) {
       if (t.cursor.doc() != d) continue;
-      vals.emplace_back(t.orig, Contribution(t.tid, d, t.cursor.tf()));
+      vals.emplace_back(t.orig, Contribution(cols, t.tid, d, t.cursor.tf()));
     }
     CKR_OBS_COUNTER_ADD("ckr.index.postings_scored", vals.size());
-    PushCounted(&heap, {ext_id_[d], SumInQueryOrder(&vals)});
+    PushCounted(&heap, {cols.ext_id[d], SumInQueryOrder(&vals)});
     for (QueryTerm& t : terms) {
       if (t.cursor.doc() == d) t.cursor.Next();
     }
@@ -182,7 +165,8 @@ std::vector<SearchResult> BlockMaxIndex::TopKExhaustive(
 // demoted cursors are never consulted as candidate generators again.
 
 std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
-    Span<const uint32_t> tids, size_t k) const {
+    const PostingColumns& cols, Span<const uint32_t> tids,
+    size_t k) const {
   const size_t m_all = tids.size();
   std::vector<QueryTerm> terms;
   terms.reserve(m_all);
@@ -190,8 +174,8 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
     QueryTerm qt;
     qt.orig = i;
     qt.tid = tids[i];
-    qt.max_score = store_.TermMaxScore(tids[i]);
-    qt.cursor = PostingCursor(&store_, tids[i]);
+    qt.max_score = term_max_score_[tids[i]];
+    qt.cursor = Cursor(cols, tids[i]);
     if (!qt.cursor.AtEnd()) terms.push_back(std::move(qt));
   }
   std::sort(terms.begin(), terms.end(),
@@ -202,6 +186,10 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
   const size_t m = terms.size();
   TopKHeap heap(k);
   if (m == 0 || k == 0) return heap.Take();
+  // At most every posting of every list is pushed: one heap allocation.
+  size_t pushes = 0;
+  for (const QueryTerm& t : terms) pushes += t.cursor.postings();
+  heap.Reserve(pushes);
 
   // contrib[orig] carries each term's current value for the candidate:
   // the exact contribution once the term's list was consulted, the term
@@ -241,7 +229,7 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
     }
     for (size_t j = ness; j < m; ++j) {
       if (terms[j].cursor.doc() != d) continue;
-      contrib[terms[j].orig] = Contribution(terms[j].tid, d,
+      contrib[terms[j].orig] = Contribution(cols, terms[j].tid, d,
                                             terms[j].cursor.tf());
       CKR_OBS_COUNTER_INC("ckr.index.postings_scored");
     }
@@ -257,7 +245,7 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
       }
       terms[j].cursor.NextGEQ(d);
       if (terms[j].cursor.doc() == d) {
-        contrib[terms[j].orig] = Contribution(terms[j].tid, d,
+        contrib[terms[j].orig] = Contribution(cols, terms[j].tid, d,
                                               terms[j].cursor.tf());
         CKR_OBS_COUNTER_INC("ckr.index.postings_scored");
       } else {
@@ -267,7 +255,7 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
     }
     if (!rejected) {
       // Every contrib entry is exact now; bound == score.
-      PushCounted(&heap, {ext_id_[d], bound});
+      PushCounted(&heap, {cols.ext_id[d], bound});
     }
     for (size_t j = ness; j < m; ++j) {
       if (terms[j].cursor.doc() == d) terms[j].cursor.Next();
@@ -284,20 +272,21 @@ std::vector<SearchResult> BlockMaxIndex::TopKMaxScore(
 // whose max-sum falls strictly short). The pivot document is then tested
 // against the *block* maxima of the lists at or before it — a much
 // tighter bound. If even that falls short, every doc up to the smallest
-// involved block boundary is skipped without decoding anything;
+// involved block boundary is skipped without scoring any posting;
 // otherwise the pivot is either scored exactly (when all preceding
 // cursors align on it) or a preceding cursor is advanced to it.
 
 std::vector<SearchResult> BlockMaxIndex::TopKBlockMaxWand(
-    Span<const uint32_t> tids, size_t k) const {
+    const PostingColumns& cols, Span<const uint32_t> tids,
+    size_t k) const {
   std::vector<QueryTerm> terms;
   terms.reserve(tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
     QueryTerm qt;
     qt.orig = i;
     qt.tid = tids[i];
-    qt.max_score = store_.TermMaxScore(tids[i]);
-    qt.cursor = PostingCursor(&store_, tids[i]);
+    qt.max_score = term_max_score_[tids[i]];
+    qt.cursor = Cursor(cols, tids[i]);
     if (!qt.cursor.AtEnd()) terms.push_back(std::move(qt));
   }
   TopKHeap heap(k);
@@ -374,11 +363,11 @@ std::vector<SearchResult> BlockMaxIndex::TopKBlockMaxWand(
       vals.clear();
       for (size_t j = 0; j <= pe; ++j) {
         vals.emplace_back(order[j]->orig,
-                          Contribution(order[j]->tid, pivot_doc,
+                          Contribution(cols, order[j]->tid, pivot_doc,
                                        order[j]->cursor.tf()));
       }
       CKR_OBS_COUNTER_ADD("ckr.index.postings_scored", pe + 1);
-      PushCounted(&heap, {ext_id_[pivot_doc], SumInQueryOrder(&vals)});
+      PushCounted(&heap, {cols.ext_id[pivot_doc], SumInQueryOrder(&vals)});
       for (size_t j = 0; j <= pe; ++j) order[j]->cursor.Next();
     } else {
       // Advance the highest-impact trailing cursor up to the pivot.
@@ -398,87 +387,10 @@ std::vector<SearchResult> BlockMaxIndex::TopKBlockMaxWand(
   return heap.Take();
 }
 
-// ---- Serialization ----
-
-std::string BlockMaxIndex::SerializeVersion(uint16_t version) const {
-  CKR_CHECK(version >= 1 && version <= kBlockIndexVersion);
-  BinaryWriter writer;
-  writer.U32(kBlockIndexMagic);
-  writer.U16(version);
-  writer.U16(kBlockIndexCodecVarintGB);
-  writer.U64(static_cast<uint64_t>(ext_id_.size()));
-  writer.U64(static_cast<uint64_t>(store_.NumTerms()));
-  for (DocId id : ext_id_) writer.U32(id);
-  for (double v : default_norm_) writer.F64(v);
-  store_.AppendTo(&writer, /*include_maxes=*/version >= 2);
-  return writer.Release();
-}
-
-StatusOr<BlockMaxIndex> BlockMaxIndex::Deserialize(std::string_view blob) {
-  BinaryReader reader(blob);
-  if (reader.U32() != kBlockIndexMagic) {
-    return Status::InvalidArgument("block index: bad magic");
-  }
-  const uint16_t version = reader.U16();
-  if (version < 1 || version > kBlockIndexVersion) {
-    return Status::InvalidArgument("block index: unsupported version");
-  }
-  if (reader.U16() != kBlockIndexCodecVarintGB) {
-    return Status::InvalidArgument("block index: unknown codec");
-  }
-  const uint64_t num_docs = reader.U64();
-  const uint64_t num_terms = reader.U64();
-  if (!reader.ok()) {
-    return Status::InvalidArgument("block index: truncated header");
-  }
-  // Doc indices are u32 with 0xffffffff reserved as the cursor's end
-  // sentinel; counts beyond that (or beyond the bytes present) are
-  // rejected before any allocation.
-  if (num_docs >= 0xffffffffull ||
-      num_docs > reader.remaining() / 12) {
-    return Status::InvalidArgument("block index: doc count too large");
-  }
-  BlockMaxIndex index;
-  index.ext_id_.resize(static_cast<size_t>(num_docs));
-  for (DocId& id : index.ext_id_) id = reader.U32();
-  index.default_norm_.resize(static_cast<size_t>(num_docs));
-  for (double& v : index.default_norm_) {
-    v = reader.F64();
-    if (!(std::isfinite(v) && v > 0.0)) {
-      return Status::InvalidArgument("block index: bad norm");
-    }
-  }
-  if (!reader.ok()) {
-    return Status::InvalidArgument("block index: truncated doc columns");
-  }
-  StatusOr<BlockPostingsStore> store_or =
-      BlockPostingsStore::ReadFrom(&reader, /*expect_maxes=*/version >= 2);
-  if (!store_or.ok()) return store_or.status();
-  index.store_ = std::move(store_or).value();
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("block index: trailing bytes");
-  }
-  if (index.store_.NumTerms() != num_terms) {
-    return Status::InvalidArgument("block index: term count mismatch");
-  }
-  CKR_RETURN_IF_ERROR(index.store_.ValidateBlocksDecode(num_docs));
-  std::vector<DocId> sorted_ids = index.ext_id_;
-  std::sort(sorted_ids.begin(), sorted_ids.end());
-  if (std::adjacent_find(sorted_ids.begin(), sorted_ids.end()) !=
-      sorted_ids.end()) {
-    return Status::InvalidArgument("block index: duplicate external doc id");
-  }
-  index.RecomputeIdf();
-  if (version < 2) {
-    CKR_RETURN_IF_ERROR(index.store_.RecomputeMaxScores(
-        MakeSpan(index.term_idf_), MakeSpan(index.default_norm_)));
-  }
-  return index;
-}
-
 size_t BlockMaxIndex::MemoryBytes() const {
-  return store_.MemoryBytes() + ext_id_.capacity() * sizeof(DocId) +
-         default_norm_.capacity() * sizeof(double) +
+  return term_block_offset_.capacity() * sizeof(uint32_t) +
+         term_max_score_.capacity() * sizeof(double) +
+         block_max_score_.capacity() * sizeof(double) +
          term_idf_.capacity() * sizeof(double);
 }
 

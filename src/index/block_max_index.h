@@ -1,10 +1,10 @@
-// Block-max query evaluation: the pruning-capable retrieval structure that
-// answers disjunctive BM25 top-k queries without scoring every posting.
-// Wraps a BlockPostingsStore (block-compressed postings + skip and
-// max-score metadata) together with everything scoring needs — the
-// external doc ids results are ranked by, the precomputed default-parameter
-// norms, and per-term idf — so the structure is self-contained and
-// serializable independently of the full InvertedIndex.
+// Block-max query evaluation: the pruning metadata that lets disjunctive
+// BM25 top-k queries skip postings, and the evaluators that use it. The
+// postings themselves stay in the owning index's CSR doc/tf columns; a
+// BlockMaxIndex holds only what pruning adds to them — per-term idf and
+// list-wide maximum contribution, and per 128-slot block (block_postings.h)
+// the maximum contribution — and reads the columns through a
+// PostingColumns view the owner passes to every call.
 //
 // Three evaluators, one contract: TopK returns the *identical* result list
 // (same documents, bit-identical scores, same order) for every
@@ -27,133 +27,92 @@
 #define CKR_INDEX_BLOCK_MAX_INDEX_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/check.h"
-#include "common/status.h"
 #include "corpus/document.h"
 #include "index/block_postings.h"
 #include "index/top_k.h"
 
 namespace ckr {
 
-/// On-disk magic of a serialized BlockMaxIndex ('CKRX').
-inline constexpr uint32_t kBlockIndexMagic = 0x434b5258;
-/// Current format version. v1 blobs (no max-score columns) load too: the
-/// loader rebuilds the maxima from the postings, bit-identically, since
-/// they are pure functions of (df, tf, norm).
-inline constexpr uint16_t kBlockIndexVersion = 2;
-/// The header's u16 codec field. Varint-GB (block_codecs.h) is the only
-/// codec, so it is always 0; the loader rejects any other value.
-inline constexpr uint16_t kBlockIndexCodecVarintGB = 0;
+/// Read-only view of the columns a BlockMaxIndex ranks over: CSR postings
+/// by dense term id, and per internal document its default-parameter BM25
+/// norm k1*(1-b+b*dl/avg) and the external id results carry. The owning
+/// index builds one per call from its own vectors.
+struct PostingColumns {
+  Span<const size_t> offset;  ///< terms+1 slot offsets.
+  Span<const uint32_t> doc;   ///< Internal doc per slot, ascending per term.
+  Span<const uint32_t> tf;    ///< Term frequency per slot.
+  Span<const double> norm;    ///< Default-parameter norm per internal doc.
+  Span<const DocId> ext_id;   ///< External id per internal doc.
 
-/// Immutable after Builder::Finish() / Deserialize(); thread-safe for
-/// concurrent reads (TopK shares no mutable state).
+  size_t NumTerms() const { return offset.empty() ? 0 : offset.size() - 1; }
+  Span<const uint32_t> Docs(uint32_t tid) const {
+    return doc.subspan(offset[tid], offset[tid + 1] - offset[tid]);
+  }
+  Span<const uint32_t> Tfs(uint32_t tid) const {
+    return tf.subspan(offset[tid], offset[tid + 1] - offset[tid]);
+  }
+};
+
+/// Immutable once built; thread-safe for concurrent reads (TopK shares no
+/// mutable state).
 class BlockMaxIndex {
  public:
-  /// Assembles the index (defined after the class — it holds the index it
-  /// grows by value). Terms must be added in dense term-id order with
-  /// doc indices strictly ascending; `ext_ids[d]` is the external id
-  /// results carry for internal doc `d`, `default_norm[d]` the
-  /// precomputed k1*(1-b+b*dl/avg) BM25 norm.
-  class Builder;
-
   BlockMaxIndex() = default;
+  /// Computes every term's block and list maxima over `cols`, scoring term
+  /// `t` with `idf[t]` under the default Bm25Params — the expression the
+  /// exhaustive scorer evaluates, so the maxima are scores it produces.
+  BlockMaxIndex(const PostingColumns& cols, std::vector<double> idf);
 
-  size_t NumDocs() const { return ext_id_.size(); }
-  size_t NumTerms() const { return store_.NumTerms(); }
-  const BlockPostingsStore& store() const { return store_; }
-  /// External id of internal doc `d` (the id results rank by).
-  DocId ExternalId(uint32_t d) const { return ext_id_[d]; }
+  size_t NumTerms() const { return term_max_score_.size(); }
+  size_t NumBlocks() const { return block_max_score_.size(); }
+  uint32_t TermFirstBlock(uint32_t tid) const {
+    return term_block_offset_[tid];
+  }
+  uint32_t TermBlocks(uint32_t tid) const {
+    return term_block_offset_[tid + 1] - term_block_offset_[tid];
+  }
+  double TermMaxScore(uint32_t tid) const { return term_max_score_[tid]; }
+  double BlockMaxScore(uint32_t block) const {
+    return block_max_score_[block];
+  }
+  double TermIdf(uint32_t tid) const { return term_idf_[tid]; }
 
   /// BM25 top-k over the disjunction of `tids` (dense term ids, distinct,
   /// in *query evaluation order* — score sums follow this order, which is
   /// what makes all evaluators bit-identical to the exhaustive CSR path).
+  /// `cols` must be the columns this index was built over.
   /// Ranking contract: descending score, ties by ascending external id.
-  std::vector<SearchResult> TopK(Span<const uint32_t> tids, size_t k,
+  std::vector<SearchResult> TopK(const PostingColumns& cols,
+                                 Span<const uint32_t> tids, size_t k,
                                  QueryEvaluator evaluator) const;
 
-  /// Serializes at the current format version.
-  std::string Serialize() const { return SerializeVersion(kBlockIndexVersion); }
-  /// Serializes at an explicit version (1 drops the max-score columns) —
-  /// exposed so tests can exercise the backward-compatible load path.
-  std::string SerializeVersion(uint16_t version) const;
-
-  /// Parses a Serialize() blob. Every declared count is validated against
-  /// the bytes present before allocation; every block is decoded and
-  /// checked (codec well-formedness, strictly ascending in-range doc ids,
-  /// nonzero tfs, skip-pointer consistency); external ids must be unique
-  /// and norms finite and positive. v1 blobs get their max-score columns
-  /// rebuilt. Term idf is never stored — it is recomputed from (df, n)
-  /// with the exact formula the scorer uses, so a loaded index scores
-  /// bit-identically to a built one.
-  [[nodiscard]] static StatusOr<BlockMaxIndex> Deserialize(
-      std::string_view blob);
-
-  /// Bytes of the two compressed posting pools (the compression-ratio
-  /// numerator in bench_offline_perf; the CSR baseline is 8 bytes per
-  /// posting for the doc + tf columns).
-  size_t CompressedPostingBytes() const {
-    return store_.CompressedPostingBytes();
-  }
   size_t MemoryBytes() const;
 
  private:
   /// Exact BM25 contribution of (term, doc, tf) under default parameters —
   /// the same expression, in the same operation order, as the exhaustive
   /// scorer, so the doubles are identical.
-  double Contribution(uint32_t tid, uint32_t doc, uint32_t tf) const;
+  double Contribution(const PostingColumns& cols, uint32_t tid, uint32_t doc,
+                      uint32_t tf) const;
+  PostingCursor Cursor(const PostingColumns& cols, uint32_t tid) const;
 
-  /// Rebuilds term_idf_ from document frequencies; the one code path both
-  /// Builder::Finish and Deserialize use.
-  void RecomputeIdf();
-
-  std::vector<SearchResult> TopKExhaustive(Span<const uint32_t> tids,
+  std::vector<SearchResult> TopKExhaustive(const PostingColumns& cols,
+                                           Span<const uint32_t> tids,
                                            size_t k) const;
-  std::vector<SearchResult> TopKMaxScore(Span<const uint32_t> tids,
+  std::vector<SearchResult> TopKMaxScore(const PostingColumns& cols,
+                                         Span<const uint32_t> tids,
                                          size_t k) const;
-  std::vector<SearchResult> TopKBlockMaxWand(Span<const uint32_t> tids,
+  std::vector<SearchResult> TopKBlockMaxWand(const PostingColumns& cols,
+                                             Span<const uint32_t> tids,
                                              size_t k) const;
 
-  BlockPostingsStore store_;
-  std::vector<DocId> ext_id_;         ///< Internal doc index -> external id.
-  std::vector<double> default_norm_;  ///< Default-parameter BM25 norm.
-  std::vector<double> term_idf_;      ///< Recomputed, never serialized.
-};
-
-class BlockMaxIndex::Builder {
- public:
-  Builder(std::vector<DocId> ext_ids, std::vector<double> default_norm);
-
-  /// Appends the postings of the next term id. Per-posting exact BM25
-  /// contributions (default parameters) are computed here and folded
-  /// into the store's block/term maxima.
-  void AddTerm(Span<const uint32_t> docs, Span<const uint32_t> tfs);
-
-  /// Same, with an explicit idf instead of one derived from the local
-  /// (df, n) — the collection-stats-override path: a sharded index scores
-  /// with the whole collection's idf (inverted_index.h CollectionStats).
-  /// A builder must use one AddTerm flavour for every term; Finish()
-  /// keeps the explicit idfs instead of recomputing local ones. Note a
-  /// Serialize()d index never stores idf, so deserializing one built this
-  /// way reverts to local idf — callers rebuild instead (the
-  /// InvertedIndex::LoadBlockIndex guard).
-  void AddTerm(Span<const uint32_t> docs, Span<const uint32_t> tfs,
-               double idf);
-
-  BlockMaxIndex Finish();
-
- private:
-  void AddTermScored(Span<const uint32_t> docs, Span<const uint32_t> tfs,
-                     double idf);
-
-  BlockMaxIndex index_;
-  BlockPostingsStore::Builder store_builder_;
-  std::vector<double> scores_;
-  std::vector<double> explicit_idf_;
-  size_t terms_added_ = 0;
+  std::vector<uint32_t> term_block_offset_;  ///< terms+1, global block CSR.
+  std::vector<double> term_max_score_;       ///< Max contribution per term.
+  std::vector<double> block_max_score_;      ///< Max contribution per block.
+  std::vector<double> term_idf_;             ///< Idf each term scores with.
 };
 
 }  // namespace ckr

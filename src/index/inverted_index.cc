@@ -18,14 +18,15 @@ bool IsDefaultParams(const Bm25Params& params) {
   return params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b;
 }
 
-/// Per-thread working state of the exhaustive scorer and the count path,
-/// sized to the largest index the thread has searched. Between calls
-/// every `acc` entry is +0.0, every `seen` entry 0 and `touched` empty: a
-/// call resets exactly the entries it marked.
+/// Per-thread working state of the scorers and the count path, sized to
+/// the largest index the thread has searched. Between calls every `acc`
+/// entry is +0.0, every `seen` entry 0 and `touched` empty: a call resets
+/// exactly the entries it marked. `tids` keeps only its capacity.
 struct SearchScratch {
   std::vector<double> acc;
   std::vector<uint8_t> seen;
   std::vector<uint32_t> touched;
+  std::vector<uint32_t> tids;  ///< A pruned search's term ids.
 
   /// Grows the scratch to cover `num_docs` documents.
   void Fit(size_t num_docs) {
@@ -87,12 +88,13 @@ void InvertedIndex::Add(const Document& doc) {
     }
   }
   doc_tok_offset_.push_back(tok_tid_.size());
-  doc_index_[doc.id] = static_cast<uint32_t>(docs_.size());
-  docs_.push_back({doc.id, options_.store_text ? doc.text : std::string()});
+  doc_index_[doc.id] = static_cast<uint32_t>(doc_id_.size());
+  doc_id_.push_back(doc.id);
+  if (options_.store_text) doc_text_.push_back(doc.text);
 }
 
 void InvertedIndex::Finalize() {
-  const size_t num_docs = docs_.size();
+  const size_t num_docs = doc_id_.size();
   const size_t num_terms = term_ids_.size();
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
 
@@ -220,65 +222,30 @@ void InvertedIndex::Finalize() {
   if (options_.build_block_index) RebuildBlockIndex();
 }
 
-void InvertedIndex::RebuildBlockIndex() {
-  CKR_DCHECK(finalized_);
-  std::vector<DocId> ext_ids;
-  ext_ids.reserve(docs_.size());
-  for (const StoredDoc& d : docs_) ext_ids.push_back(d.id);
-  BlockMaxIndex::Builder builder(std::move(ext_ids), default_norm_);
-  const size_t num_terms = term_ids_.size();
-  for (size_t t = 0; t < num_terms; ++t) {
-    if (stats_overridden_) {
-      // Same idf expression as the exhaustive scorer above, fed with the
-      // overridden (n, df) so the block maxima and per-posting scores stay
-      // bit-identical to the single-index oracle.
-      const double dfd = score_df_[t];
-      const double idf =
-          std::log(1.0 + (score_num_docs_ - dfd + 0.5) / (dfd + 0.5));
-      builder.AddTerm(CsrRow(post_doc_, post_offset_, t),
-                      CsrRow(post_tf_, post_offset_, t), idf);
-    } else {
-      builder.AddTerm(CsrRow(post_doc_, post_offset_, t),
-                      CsrRow(post_tf_, post_offset_, t));
-    }
-  }
-  block_index_ = builder.Finish();
-  has_block_index_ = true;
+double InvertedIndex::TermIdf(uint32_t tid) const {
+  const double dfd =
+      stats_overridden_
+          ? score_df_[tid]
+          : static_cast<double>(post_offset_[tid + 1] - post_offset_[tid]);
+  return std::log(1.0 + (score_num_docs_ - dfd + 0.5) / (dfd + 0.5));
 }
 
-Status InvertedIndex::LoadBlockIndex(std::string_view blob) {
+PostingColumns InvertedIndex::Columns() const {
+  return {MakeSpan(post_offset_), MakeSpan(post_doc_), MakeSpan(post_tf_),
+          MakeSpan(default_norm_), MakeSpan(doc_id_)};
+}
+
+void InvertedIndex::RebuildBlockIndex() {
   CKR_DCHECK(finalized_);
-  if (stats_overridden_) {
-    // Serialized blobs recompute idf from their *local* (df, n); loading
-    // one here would silently drop the collection-wide statistics.
-    return Status::FailedPrecondition(
-        "cannot load a serialized block index while collection stats are "
-        "overridden; RebuildBlockIndex instead");
+  // The exhaustive scorer's idf, under the overridden (n, df) when there
+  // is an override, so the maxima and per-posting scores stay
+  // bit-identical to the single-index oracle.
+  std::vector<double> idf(term_ids_.size());
+  for (size_t t = 0; t < idf.size(); ++t) {
+    idf[t] = TermIdf(static_cast<uint32_t>(t));
   }
-  StatusOr<BlockMaxIndex> loaded = BlockMaxIndex::Deserialize(blob);
-  if (!loaded.ok()) return loaded.status();
-  if (loaded->NumDocs() != docs_.size()) {
-    return Status::InvalidArgument("block index blob: doc count mismatch");
-  }
-  if (loaded->NumTerms() != term_ids_.size()) {
-    return Status::InvalidArgument("block index blob: term count mismatch");
-  }
-  for (size_t d = 0; d < docs_.size(); ++d) {
-    if (loaded->ExternalId(static_cast<uint32_t>(d)) != docs_[d].id) {
-      return Status::InvalidArgument("block index blob: doc id mismatch");
-    }
-  }
-  for (size_t t = 0; t < term_ids_.size(); ++t) {
-    const uint32_t df =
-        static_cast<uint32_t>(post_offset_[t + 1] - post_offset_[t]);
-    if (loaded->store().TermPostings(static_cast<uint32_t>(t)) != df) {
-      return Status::InvalidArgument(
-          "block index blob: document frequency mismatch");
-    }
-  }
-  block_index_ = std::move(loaded).value();
+  block_index_ = BlockMaxIndex(Columns(), std::move(idf));
   has_block_index_ = true;
-  return Status::OK();
 }
 
 uint32_t InvertedIndex::DocFreq(std::string_view term) const {
@@ -290,7 +257,7 @@ uint32_t InvertedIndex::DocFreq(std::string_view term) const {
 CollectionStats InvertedIndex::LocalCollectionStats() const {
   CKR_DCHECK(finalized_);
   CollectionStats stats;
-  stats.num_docs = docs_.size();
+  stats.num_docs = doc_id_.size();
   stats.total_tokens = tok_tid_.size();
   stats.doc_freq.reserve(term_ids_.size());
   for (const auto& [term, tid] : term_ids_) {
@@ -305,7 +272,7 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
     return Status::FailedPrecondition(
         "OverrideCollectionStats requires a finalized index");
   }
-  if (stats.num_docs < docs_.size()) {
+  if (stats.num_docs < doc_id_.size()) {
     return Status::InvalidArgument(
         "collection stats: num_docs below this index's document count");
   }
@@ -341,7 +308,7 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
   // oracle index computes its norms with this exact arithmetic, so each
   // shard's norms are bit-identical to the oracle's for shared documents.
   const Bm25Params defaults;
-  for (size_t d = 0; d < docs_.size(); ++d) {
+  for (size_t d = 0; d < doc_id_.size(); ++d) {
     const double dl = static_cast<double>(doc_len_[d]);
     default_norm_[d] =
         defaults.k1 * (1.0 - defaults.b + defaults.b * dl / avg_doc_len_);
@@ -383,15 +350,15 @@ std::vector<SearchResult> InvertedIndex::Search(
     // Pruned evaluation on the block index. Term ids are passed in the
     // sorted-term order used below, so the pruned score sums replay the
     // exhaustive accumulation order addend by addend (bit-identical).
-    std::vector<uint32_t> tids;
-    tids.reserve(terms.size());
+    std::vector<uint32_t>& tids = ThreadSearchScratch().tids;
+    tids.clear();
     for (const std::string& term : terms) {
       uint32_t tid = LookupTerm(term);
       if (tid != kInvalidTid) tids.push_back(tid);
     }
     CKR_OBS_COUNTER_INC("ckr.index.searches");
     CKR_OBS_COUNTER_ADD("ckr.index.search_terms", terms.size());
-    return block_index_.TopK(MakeSpan(tids), k, evaluator);
+    return block_index_.TopK(Columns(), MakeSpan(tids), k, evaluator);
   }
   if (evaluator != QueryEvaluator::kExhaustive) {
     // A pruned evaluator cannot run here: its max-score metadata holds
@@ -399,9 +366,8 @@ std::vector<SearchResult> InvertedIndex::Search(
     // exhaustive scorer answers instead, with the same result.
     CKR_OBS_COUNTER_INC("ckr.index.evaluator_fallbacks");
   }
-  const double n = score_num_docs_;
   SearchScratch& scratch = ThreadSearchScratch();
-  scratch.Fit(docs_.size());
+  scratch.Fit(doc_id_.size());
   double* const acc = scratch.acc.data();
   uint8_t* const seen = scratch.seen.data();
   std::vector<uint32_t>& touched = scratch.touched;
@@ -411,10 +377,7 @@ std::vector<SearchResult> InvertedIndex::Search(
     const Span<const uint32_t> slot_docs = CsrRow(post_doc_, post_offset_, tid);
     const Span<const uint32_t> slot_tfs = CsrRow(post_tf_, post_offset_, tid);
     CKR_OBS_COUNTER_ADD("ckr.index.postings_scored", slot_docs.size());
-    const double dfd = stats_overridden_
-                           ? score_df_[tid]
-                           : static_cast<double>(slot_docs.size());
-    double idf = std::log(1.0 + (n - dfd + 0.5) / (dfd + 0.5));
+    const double idf = TermIdf(tid);
     for (size_t slot = 0; slot < slot_docs.size(); ++slot) {
       uint32_t d = slot_docs[slot];
       double tf = static_cast<double>(slot_tfs[slot]);
@@ -436,7 +399,7 @@ std::vector<SearchResult> InvertedIndex::Search(
   TopKHeap heap(k);
   heap.Reserve(touched.size());
   for (uint32_t d : touched) {
-    heap.Push({docs_[d].id, acc[d]});
+    heap.Push({doc_id_[d], acc[d]});
     acc[d] = 0.0;
     seen[d] = 0;
   }
@@ -460,7 +423,7 @@ uint64_t InvertedIndex::RegularResultCount(const ParsedQuery& query) const {
   if (terms.size() == 1) return DocFreq(terms[0]);
 
   SearchScratch& scratch = ThreadSearchScratch();
-  scratch.Fit(docs_.size());
+  scratch.Fit(doc_id_.size());
   uint8_t* const seen = scratch.seen.data();
   std::vector<uint32_t>& touched = scratch.touched;
   for (const std::string& term : terms) {
@@ -603,13 +566,10 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
   size_t rarest = 0;
   if (!ResolvePhrase(phrase, &tids, &rarest)) return {};
 
-  const double n = score_num_docs_;
   const size_t rb = post_offset_[tids[rarest]];
   const size_t re = post_offset_[tids[rarest] + 1];
-  const double dfr = stats_overridden_ ? score_df_[tids[rarest]]
-                                       : static_cast<double>(re - rb);
   // Loop-invariant in the legacy code; identical expression, same bits.
-  const double idf = std::log(1.0 + (n - dfr + 0.5) / (dfr + 0.5));
+  const double idf = TermIdf(tids[rarest]);
 
   TopKHeap heap(k);
   std::vector<uint32_t> pos_buf;
@@ -624,7 +584,7 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
     double dl = static_cast<double>(doc_len_[d]);
     double score =
         idf * static_cast<double>(starts) / (1.0 + 0.002 * dl);
-    heap.Push({docs_[d].id, score});
+    heap.Push({doc_id_[d], score});
   }
   return heap.Take();
 }
@@ -637,7 +597,8 @@ int32_t InvertedIndex::FindDocIndex(DocId id) const {
 const std::string& InvertedIndex::DocText(DocId doc) const {
   static const std::string* const kEmpty = new std::string();
   int32_t d = FindDocIndex(doc);
-  return d < 0 ? *kEmpty : docs_[static_cast<size_t>(d)].text;
+  return d < 0 || !options_.store_text ? *kEmpty
+                                       : doc_text_[static_cast<size_t>(d)];
 }
 
 std::span<const uint32_t> InvertedIndex::DocTokenIds(DocId doc) const {
@@ -710,7 +671,7 @@ std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
   }
   size_t byte_lo = tok_begin_[tok_begin + lo];
   size_t byte_hi = tok_end_[tok_begin + hi - 1];
-  std::string out = docs_[d].text.substr(byte_lo, byte_hi - byte_lo);
+  std::string out = doc_text_[d].substr(byte_lo, byte_hi - byte_lo);
   // Normalize whitespace (including CR, so CRLF text stays single-line).
   for (char& c : out) {
     if (c == '\n' || c == '\t' || c == '\r') c = ' ';
@@ -720,8 +681,9 @@ std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
 
 size_t InvertedIndex::MemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const StoredDoc& d : docs_) {
-    bytes += sizeof(StoredDoc) + d.text.capacity();
+  bytes += doc_id_.capacity() * sizeof(DocId);
+  for (const std::string& text : doc_text_) {
+    bytes += sizeof(std::string) + text.capacity();
   }
   bytes += doc_index_.bucket_count() * sizeof(void*);
   bytes += doc_index_.size() *

@@ -19,7 +19,13 @@
 //    not grow with the slot count;
 //  * per-doc token-id streams + byte offsets (for phrase snippets) are
 //    CSR too — no per-document string vectors survive Finalize();
-//  * per-doc lengths and the default-parameter BM25 norm are precomputed.
+//  * per-doc lengths and the default-parameter BM25 norm are precomputed;
+//  * the doc/tf columns are the only copy of the postings: the exhaustive
+//    scorer, the counts and the phrase seeds read them directly, and the
+//    MaxScore / Block-Max-WAND evaluators walk the same rows through
+//    block cursors (block_postings.h). The BlockMaxIndex adds only the
+//    pruning metadata — per-term idf and maximum contribution, and the
+//    maximum contribution of every 128-slot block of every row.
 // Search/PhraseSearch select the top k through a bounded heap instead of
 // sorting the full result set, and the *ResultCount entry points count
 // without materializing results at all. All results are bit-identical to
@@ -91,10 +97,12 @@ struct IndexBuildOptions {
   /// store_text=true build (regression-tested in tests/index_test.cc);
   /// Snippet()/DocText() return "" instead of failing.
   bool store_text = true;
-  /// Build the BlockMaxIndex eagerly inside Finalize(). Switching it off
-  /// avoids doubling peak memory during million-doc builds; call
-  /// RebuildBlockIndex() later, or leave it off — pruned evaluators fall
-  /// back to the exhaustive scorer (identical results) until it exists.
+  /// Compute the BlockMaxIndex's maxima inside Finalize(). The maxima
+  /// depend on the scoring statistics, so a build that will override them
+  /// (a shard, OverrideCollectionStats) switches this off and calls
+  /// RebuildBlockIndex() once, after the override, instead of computing
+  /// them twice. Left off, pruned evaluators fall back to the exhaustive
+  /// scorer (identical results) until the block index exists.
   bool build_block_index = true;
 };
 
@@ -113,13 +121,15 @@ class InvertedIndex {
   void Finalize();
 
   bool finalized() const { return finalized_; }
-  size_t NumDocs() const { return docs_.size(); }
+  size_t NumDocs() const { return doc_id_.size(); }
   size_t NumTerms() const { return term_ids_.size(); }
+  /// Posting slots, one per (term, document) pair (requires finalized()).
+  size_t NumPostings() const { return post_doc_.size(); }
 
   /// External id of internal document `d` (requires d < NumDocs()). The
   /// serving layer uses this to validate that shards hold disjoint
   /// document sets.
-  DocId ExternalDocId(uint32_t d) const { return docs_[d].id; }
+  DocId ExternalDocId(uint32_t d) const { return doc_id_[d]; }
 
   /// Document frequency of a term (heterogeneous lookup — no allocation).
   uint32_t DocFreq(std::string_view term) const;
@@ -134,8 +144,7 @@ class InvertedIndex {
   /// its local df); nothing is mutated on failure. On success the
   /// default-parameter norms are recomputed and, when a block index
   /// exists, it is rebuilt so the pruned evaluators score with the same
-  /// statistics. Serialized block indexes do not carry the override:
-  /// LoadBlockIndex() refuses while one is active (rebuild instead).
+  /// statistics.
   [[nodiscard]] Status OverrideCollectionStats(const CollectionStats& stats);
 
   /// True after a successful OverrideCollectionStats().
@@ -148,21 +157,22 @@ class InvertedIndex {
   /// id. The order is total, so the returned top-k is unique.
   ///
   /// `evaluator` selects the top-k algorithm (top_k.h). The pruned
-  /// evaluators (MaxScore, Block-Max-WAND) run on the block-compressed
-  /// index and return the exact exhaustive result — same documents,
-  /// bit-identical scores. Their max-score metadata is precomputed for
-  /// the default Bm25Params, so a pruned evaluator asked for with
-  /// non-default parameters, or on an index without a block index
-  /// (has_block_index()), runs the exhaustive scorer instead and counts
-  /// it in `ckr.index.evaluator_fallbacks`. The result is the same.
+  /// evaluators (MaxScore, Block-Max-WAND) walk the same postings with
+  /// the block index's maxima and return the exact exhaustive result —
+  /// same documents, bit-identical scores. Their max-score metadata is
+  /// precomputed for the default Bm25Params, so a pruned evaluator asked
+  /// for with non-default parameters, or on an index without a block
+  /// index (has_block_index()), runs the exhaustive scorer instead and
+  /// counts it in `ckr.index.evaluator_fallbacks`. The result is the same.
   ///
   /// The exhaustive scorer accumulates into a per-thread scratch (`acc`,
   /// `seen`, `touched`) sized to the largest index the thread has
   /// searched. A call resets exactly the entries it touched as it drains
   /// them into the top-k heap, so a warm call allocates only the heap
-  /// that becomes its result. Concurrent calls on different threads never
-  /// share a scratch; the scorer calls out to nothing, so it is never
-  /// reentered on one thread.
+  /// that becomes its result. A pruned call resolves its term ids into
+  /// the same scratch. Concurrent calls on different threads never share
+  /// a scratch; the scorers call out to nothing that searches, so a
+  /// scratch is never reentered on one thread.
   std::vector<SearchResult> Search(
       std::string_view query, size_t k, const Bm25Params& params = {},
       QueryEvaluator evaluator = QueryEvaluator::kExhaustive) const;
@@ -225,31 +235,23 @@ class InvertedIndex {
   /// Bytes of the Golomb-compressed positions pool (diagnostics).
   size_t PositionPoolBytes() const { return pos_pool_.size(); }
 
-  /// The block-compressed pruning index backing the MaxScore /
-  /// Block-Max-WAND evaluators. Finalize() builds it unless
-  /// options.build_block_index is false.
+  /// The pruning metadata backing the MaxScore / Block-Max-WAND
+  /// evaluators. Finalize() builds it unless options.build_block_index is
+  /// false.
   const BlockMaxIndex& block_index() const { return block_index_; }
 
-  /// True once a block index exists (eager Finalize build, explicit
-  /// RebuildBlockIndex, or LoadBlockIndex). While false, Search() routes
-  /// pruned evaluators through the exhaustive scorer (a counted fallback).
+  /// True once a block index exists (eager Finalize build or explicit
+  /// RebuildBlockIndex). While false, Search() routes pruned evaluators
+  /// through the exhaustive scorer (a counted fallback).
   bool has_block_index() const { return has_block_index_; }
 
   /// Build options this index was constructed with.
   const IndexBuildOptions& build_options() const { return options_; }
 
-  /// Builds (or rebuilds) the block index from the postings and the
-  /// current scoring statistics — the deferred half of a
+  /// Computes (or recomputes) the block index's maxima from the postings
+  /// and the current scoring statistics — the deferred half of a
   /// build_block_index=false build.
   void RebuildBlockIndex();
-
-  /// Serialized block index (current format version).
-  std::string SerializeBlockIndex() const { return block_index_.Serialize(); }
-
-  /// Replaces the block index with a deserialized blob after validating it
-  /// agrees with this index (same doc count, external ids, and term
-  /// count). The blob is fully validated before anything is replaced.
-  [[nodiscard]] Status LoadBlockIndex(std::string_view blob);
 
  private:
   /// Read-only view of the frozen postings layout for the layout golden
@@ -258,17 +260,17 @@ class InvertedIndex {
 
   static constexpr uint32_t kInvalidTid = 0xffffffffu;
 
-  struct StoredDoc {
-    DocId id = 0;
-    std::string text;
-  };
-
   /// Interns `token`, assigning the next dense id on first sight.
   uint32_t InternTerm(std::string_view token);
   /// Dense id of a term, or kInvalidTid if unseen.
   uint32_t LookupTerm(std::string_view term) const;
 
   int32_t FindDocIndex(DocId id) const;
+  /// BM25 idf of term `tid` under the scoring statistics (the
+  /// collection-wide ones after an override).
+  double TermIdf(uint32_t tid) const;
+  /// The postings and per-doc columns the block index ranks over.
+  PostingColumns Columns() const;
   /// Decodes the positions blob of posting slot `slot` into `*out`.
   void DecodePositions(size_t slot, std::vector<uint32_t>* out) const;
   /// Resolves a phrase to term ids and per-term posting slot ranges;
@@ -287,7 +289,8 @@ class InvertedIndex {
                    uint32_t* num_starts) const;
 
   // ---- Documents (CSR token streams; built during Add) ----
-  std::vector<StoredDoc> docs_;
+  std::vector<DocId> doc_id_;            ///< External id per internal doc.
+  std::vector<std::string> doc_text_;    ///< Raw text (store_text only).
   std::unordered_map<DocId, uint32_t> doc_index_;
   std::vector<size_t> doc_tok_offset_;   ///< docs+1 offsets into pools below.
   std::vector<uint32_t> tok_tid_;        ///< Token term ids, all docs.
@@ -320,7 +323,7 @@ class InvertedIndex {
   bool stats_overridden_ = false;
   bool finalized_ = false;
 
-  // ---- Block-compressed pruning index (built by Finalize) ----
+  // ---- Pruning metadata over the postings (built by Finalize) ----
   BlockMaxIndex block_index_;
   bool has_block_index_ = false;
 

@@ -175,7 +175,7 @@ TEST(ObsDisabledTest, RankerOutputFingerprint) {
   EXPECT_GT(nonempty, docs.size() / 2);  // Not vacuous.
 
   // Fold the block-index evaluators' top-50 output into the same
-  // fingerprint: the cross-build diff then also proves the block postings
+  // fingerprint: the cross-build diff then also proves the block metadata
   // build and the pruned MaxScore / Block-Max-WAND paths are untouched by
   // observability (every obs hook they emit must be behavior-free).
   const InvertedIndex& index = ranker.pipeline().index();
