@@ -187,28 +187,6 @@ void BM_PhraseCountFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_PhraseCountFlat)->Unit(benchmark::kMicrosecond);
 
-void BM_RegularCountLegacy(benchmark::State& state) {
-  OfflineLab* lab = GetLab();
-  size_t i = 0;
-  for (auto _ : state) {
-    auto n = lab->legacy.RegularResultCount(lab->regular_queries[i]);
-    benchmark::DoNotOptimize(n);
-    i = (i + 1) % lab->regular_queries.size();
-  }
-}
-BENCHMARK(BM_RegularCountLegacy)->Unit(benchmark::kMicrosecond);
-
-void BM_RegularCountFlat(benchmark::State& state) {
-  OfflineLab* lab = GetLab();
-  size_t i = 0;
-  for (auto _ : state) {
-    auto n = lab->flat.RegularResultCount(lab->regular_queries[i]);
-    benchmark::DoNotOptimize(n);
-    i = (i + 1) % lab->regular_queries.size();
-  }
-}
-BENCHMARK(BM_RegularCountFlat)->Unit(benchmark::kMicrosecond);
-
 // ---- summary run: equivalence check, throughputs, scaling, JSON ----
 
 struct QpsPair {
@@ -443,8 +421,6 @@ void RunSummary() {
   for (const std::string& q : lab->regular_queries) {
     identical = identical && SameResults(lab->flat.Search(q, 50),
                                          lab->legacy.Search(q, 50));
-    identical = identical && lab->flat.RegularResultCount(q) ==
-                                 lab->legacy.RegularResultCount(q);
   }
   for (const std::string& q : lab->phrase_queries) {
     identical = identical && lab->flat.PhraseResultCount(q) ==
@@ -467,9 +443,8 @@ void RunSummary() {
   // Timed passes over the full workloads (several repeats so the fast
   // paths get out of the noise).
   constexpr int kRepeats = 3;
-  QpsPair search, phrase_count, regular_count;
+  QpsPair search, phrase_count;
   search.queries = lab->regular_queries.size() * kRepeats;
-  regular_count.queries = lab->regular_queries.size() * kRepeats;
   phrase_count.queries = lab->phrase_queries.size() * kRepeats;
 
   auto t0 = std::chrono::steady_clock::now();
@@ -501,21 +476,6 @@ void RunSummary() {
     }
   }
   phrase_count.flat_seconds = WallSeconds(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kRepeats; ++r) {
-    for (const std::string& q : lab->regular_queries) {
-      benchmark::DoNotOptimize(lab->legacy.RegularResultCount(q));
-    }
-  }
-  regular_count.legacy_seconds = WallSeconds(t0);
-  t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kRepeats; ++r) {
-    for (const std::string& q : lab->regular_queries) {
-      benchmark::DoNotOptimize(lab->flat.RegularResultCount(q));
-    }
-  }
-  regular_count.flat_seconds = WallSeconds(t0);
 
   const uint64_t obs_searches = c_searches->Value() - searches0;
   const uint64_t obs_docs_touched = c_docs->Value() - docs_touched0;
@@ -595,9 +555,6 @@ void RunSummary() {
   std::printf("phrase count       %11.0f  %12.0f  %7.2fx\n",
               phrase_count.LegacyQps(), phrase_count.FlatQps(),
               phrase_count.Speedup());
-  std::printf("regular count      %11.0f  %12.0f  %7.2fx\n",
-              regular_count.LegacyQps(), regular_count.FlatQps(),
-              regular_count.Speedup());
   std::printf("index memory: legacy %.2f MB, flat %.2f MB (%.2fx smaller, "
               "position pool %.2f MB)\n",
               static_cast<double>(legacy_bytes) / 1e6,
@@ -700,11 +657,6 @@ void RunSummary() {
                "%.1f, \"speedup\": %.4f},\n",
                phrase_count.LegacyQps(), phrase_count.FlatQps(),
                phrase_count.Speedup());
-  std::fprintf(f,
-               "  \"regular_count\": {\"legacy_qps\": %.1f, \"flat_qps\": "
-               "%.1f, \"speedup\": %.4f},\n",
-               regular_count.LegacyQps(), regular_count.FlatQps(),
-               regular_count.Speedup());
   std::fprintf(f,
                "  \"memory\": {\"legacy_bytes\": %zu, \"flat_bytes\": %zu, "
                "\"position_pool_bytes\": %zu, \"legacy_over_flat\": %.4f},\n",

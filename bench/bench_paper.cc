@@ -73,7 +73,7 @@ class Record {
  private:
   Record& Field(const char* key, const std::string& value) {
     if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + std::string(key) + "\": " + value;
+    body_.append("\"").append(key).append("\": ").append(value);
     return *this;
   }
   std::string body_;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one gate: tier-1 tests, the paper's numbers against the committed
-# BENCH_paper.json, the perfbench package's own tests, the three sanitizer
+# The one gate: tier-1 tests, a Release build of the whole tree, the
+# paper's numbers against the committed BENCH_paper.json, the perfbench
+# package's own tests, the three sanitizer
 # suites over every test (with
 # CKR_DCHECK invariants live — the presets set CKR_ENABLE_DCHECKS, which
 # also arms the runtime lock-order registry), the ckr_lint contract
@@ -18,6 +19,14 @@ echo "== tier-1: configure + build + ctest (default preset) =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 ctest --preset default -j "$(nproc)"
+
+echo "== Release build: every target at -O3 (built, not tested) =="
+# Tier-1 and perfbench build RelWithDebInfo (-O2). Some warnings fire only
+# once -O3 inlines more (GCC 12's -Wrestrict on inlined std::string
+# concatenation did), and -Werror makes them fatal, so the gate builds
+# the Release configuration too.
+cmake --preset release
+cmake --build --preset release -j "$(nproc)"
 
 echo "== paper numbers: bench_paper vs the committed BENCH_paper.json =="
 # Regenerates every Section V table, the ablations and §VIII in a scratch

@@ -7,6 +7,7 @@
 
 #include "obs/hooks.h"
 #include "text/porter_stemmer.h"
+#include "text/stopwords.h"
 
 namespace ckr {
 namespace {
@@ -25,20 +26,24 @@ void FillTermDictionary(const InvertedIndex& index, TermDictionary* dict) {
   dict->Assign(index.NumDocs(), doc_freqs);
 }
 
-// The stemmed copy stems each distinct index term once, then counts the
-// documents containing each stem over the index's token-id streams; a
-// stem's last-counted document stands in for a per-document set.
+// The stemmed copy stems each distinct index term once, into the table
+// snippet mining reads (`term_stems`), then counts the documents
+// containing each stem over the index's token-id streams; a stem's
+// last-counted document stands in for a per-document set.
 void FillStemmedTermDictionary(const InvertedIndex& index,
-                               TermDictionary* dict) {
+                               TermDictionary* dict, TermStems* term_stems) {
   const std::vector<std::string_view> terms = index.TermsById();
   std::unordered_map<std::string, uint32_t> stem_ids;
-  std::vector<std::string_view> stems;  // Keys of stem_ids, by stem id.
-  std::vector<uint32_t> stem_of(terms.size());
+  std::vector<std::string>& stems = term_stems->stems;
+  std::vector<uint32_t>& stem_of = term_stems->stem_of;
+  stem_of.resize(terms.size());
+  term_stems->stop_word.resize(terms.size());
   for (size_t tid = 0; tid < terms.size(); ++tid) {
     auto [it, inserted] = stem_ids.emplace(
         PorterStem(terms[tid]), static_cast<uint32_t>(stems.size()));
     if (inserted) stems.push_back(it->first);
     stem_of[tid] = it->second;
+    term_stems->stop_word[tid] = IsStopWord(terms[tid]) ? 1 : 0;
   }
 
   constexpr uint32_t kNoDoc = 0xffffffffu;
@@ -114,7 +119,8 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
   }
   {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.stemmed_term_dictionary_seconds");
-    FillStemmedTermDictionary(p->index_, &p->stemmed_term_dict_);
+    FillStemmedTermDictionary(p->index_, &p->stemmed_term_dict_,
+                              &p->term_stems_);
   }
   {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.query_log_seconds");
@@ -139,8 +145,8 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
       p->term_dict_, p->units_, config.conceptvec);
   p->interestingness_ = std::make_unique<InterestingnessExtractor>(
       p->query_log_, p->units_, *p->search_, p->wiki_);
-  p->relevance_miner_ =
-      std::make_unique<RelevanceMiner>(*p->search_, p->stemmed_term_dict_);
+  p->relevance_miner_ = std::make_unique<RelevanceMiner>(
+      *p->search_, p->stemmed_term_dict_, p->term_stems_);
   p->clicks_ = std::make_unique<ClickSimulator>(*p->world_, config.clicks);
   return p;
 }

@@ -87,6 +87,7 @@ class Pipeline {
   std::vector<Document> answers_snippets_;
   TermDictionary term_dict_;
   TermDictionary stemmed_term_dict_;
+  TermStems term_stems_;  ///< Per index term: its stem in the dict above.
   InvertedIndex index_;
   QueryLog query_log_;
   UnitDictionary units_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
@@ -10,21 +12,6 @@
 namespace ckr {
 namespace {
 
-// Sorts by descending score (term as tie-break) and truncates to m.
-std::vector<RelevantTerm> TopM(std::unordered_map<std::string, double> scores,
-                               size_t m) {
-  std::vector<RelevantTerm> out;
-  out.reserve(scores.size());
-  for (auto& [term, score] : scores) out.push_back({term, score});
-  std::sort(out.begin(), out.end(),
-            [](const RelevantTerm& a, const RelevantTerm& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.term < b.term;
-            });
-  if (out.size() > m) out.resize(m);
-  return out;
-}
-
 // Stemmed, stop-word-free token stream of a text blob.
 std::vector<std::string> StemmedTokens(std::string_view text) {
   std::vector<std::string> out;
@@ -32,6 +19,50 @@ std::vector<std::string> StemmedTokens(std::string_view text) {
     if (IsStopWord(tok)) continue;
     out.push_back(PorterStem(tok));
   }
+  return out;
+}
+
+// A mined stem and its weight before idf: its tf, or for suggestions its
+// summed log query frequency.
+struct StemWeight {
+  std::string_view stem;
+  double weight = 0.0;
+};
+
+// The scoring every resource shares. Drops the concept's own stems (they
+// trivially co-occur) and stems whose df ratio exceeds `max_df_ratio`,
+// scores the rest weight * idf, and returns the best `m` by descending
+// score, equal scores by ascending stem. `weights` holds each stem once.
+std::vector<RelevantTerm> TopStems(std::string_view concept_phrase,
+                                   std::vector<StemWeight> weights,
+                                   const TermDictionary& term_dict,
+                                   double max_df_ratio, size_t m) {
+  const std::vector<std::string> own = StemmedTokens(concept_phrase);
+  std::erase_if(weights, [&](const StemWeight& w) {
+    return std::find(own.begin(), own.end(), w.stem) != own.end() ||
+           term_dict.DocFreqRatio(w.stem) > max_df_ratio;
+  });
+  for (StemWeight& w : weights) w.weight *= term_dict.Idf(w.stem);
+  const size_t n = std::min(m, weights.size());
+  std::partial_sort(weights.begin(), weights.begin() + n, weights.end(),
+                    [](const StemWeight& a, const StemWeight& b) {
+                      if (a.weight != b.weight) return a.weight > b.weight;
+                      return a.stem < b.stem;
+                    });
+  std::vector<RelevantTerm> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back({std::string(weights[i].stem), weights[i].weight});
+  }
+  return out;
+}
+
+// The entries of a stem-keyed map, as weights that view its keys.
+std::vector<StemWeight> Weights(
+    const std::unordered_map<std::string, double>& by_stem) {
+  std::vector<StemWeight> out;
+  out.reserve(by_stem.size());
+  for (const auto& [stem, weight] : by_stem) out.push_back({stem, weight});
   return out;
 }
 
@@ -51,9 +82,11 @@ std::string_view RelevanceResourceName(RelevanceResource r) {
 
 RelevanceMiner::RelevanceMiner(const SearchService& search,
                                const TermDictionary& stemmed_dict,
+                               const TermStems& term_stems,
                                double max_df_ratio)
     : search_(search),
       term_dict_(stemmed_dict),
+      term_stems_(term_stems),
       max_df_ratio_(max_df_ratio) {}
 
 std::vector<RelevantTerm> RelevanceMiner::Mine(std::string_view concept_phrase,
@@ -74,20 +107,27 @@ std::vector<RelevantTerm> RelevanceMiner::FromSnippets(
     std::string_view concept_phrase, size_t m) const {
   // "We pretend that the returned snippets constitute a single document
   // and then use a bag-of-words model" — tf over the concatenated
-  // snippets, idf from the term dictionary.
-  std::vector<std::string> snippets = search_.Snippets(concept_phrase, 100);
-  std::unordered_map<std::string, double> tf;
-  for (const std::string& s : snippets) {
-    for (std::string& tok : StemmedTokens(s)) ++tf[tok];
+  // snippets, idf from the term dictionary. A snippet is a window of term
+  // ids, so each token's stem is a table lookup; the counts are dense and
+  // local to the call.
+  std::vector<uint32_t> tf(term_stems_.stems.size(), 0);
+  std::vector<uint32_t> counted;  // Every stem id with a nonzero tf.
+  for (std::span<const uint32_t> window :
+       search_.Snippets(concept_phrase, 100)) {
+    for (uint32_t tid : window) {
+      if (term_stems_.stop_word[tid]) continue;
+      const uint32_t stem = term_stems_.stem_of[tid];
+      if (tf[stem]++ == 0) counted.push_back(stem);
+    }
   }
-  // Exclude the concept's own terms: they trivially co-occur.
-  for (std::string& t : StemmedTokens(concept_phrase)) tf.erase(t);
-  std::unordered_map<std::string, double> scores;
-  for (const auto& [term, f] : tf) {
-    if (term_dict_.DocFreqRatio(term) > max_df_ratio_) continue;
-    scores[term] = f * term_dict_.Idf(term);
+  std::vector<StemWeight> weights;
+  weights.reserve(counted.size());
+  for (uint32_t stem : counted) {
+    weights.push_back(
+        {term_stems_.stems[stem], static_cast<double>(tf[stem])});
   }
-  return TopM(std::move(scores), m);
+  return TopStems(concept_phrase, std::move(weights), term_dict_,
+                  max_df_ratio_, m);
 }
 
 std::vector<RelevantTerm> RelevanceMiner::FromPrisma(
@@ -100,13 +140,7 @@ std::vector<RelevantTerm> RelevanceMiner::FromPrisma(
   for (const std::string& f : feedback) {
     for (std::string& tok : StemmedTokens(f)) ++tf[tok];
   }
-  for (std::string& t : StemmedTokens(concept_phrase)) tf.erase(t);
-  std::unordered_map<std::string, double> scores;
-  for (const auto& [term, f] : tf) {
-    if (term_dict_.DocFreqRatio(term) > max_df_ratio_) continue;
-    scores[term] = f * term_dict_.Idf(term);
-  }
-  return TopM(std::move(scores), m);
+  return TopStems(concept_phrase, Weights(tf), term_dict_, max_df_ratio_, m);
 }
 
 std::vector<RelevantTerm> RelevanceMiner::FromSuggestions(
@@ -123,13 +157,8 @@ std::vector<RelevantTerm> RelevanceMiner::FromSuggestions(
     double lf = std::log(1.0 + static_cast<double>(s.freq));
     for (const std::string& t : toks) log_freq_sum[t] += lf;
   }
-  for (std::string& t : StemmedTokens(concept_phrase)) log_freq_sum.erase(t);
-  std::unordered_map<std::string, double> scores;
-  for (const auto& [term, lfs] : log_freq_sum) {
-    if (term_dict_.DocFreqRatio(term) > max_df_ratio_) continue;
-    scores[term] = lfs * term_dict_.Idf(term);
-  }
-  return TopM(std::move(scores), m);
+  return TopStems(concept_phrase, Weights(log_freq_sum), term_dict_,
+                  max_df_ratio_, m);
 }
 
 double RelevanceMiner::SummationOfScores(

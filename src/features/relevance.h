@@ -17,6 +17,7 @@
 #ifndef CKR_FEATURES_RELEVANCE_H_
 #define CKR_FEATURES_RELEVANCE_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,17 +44,28 @@ struct RelevantTerm {
   double score = 0.0;
 };
 
+/// The stem of every index term, from the one Porter pass over the
+/// index's vocabulary that also fills the stemmed term dictionary. Snippet
+/// mining reads token-id windows through it, so no token is stemmed again.
+struct TermStems {
+  std::vector<uint32_t> stem_of;   ///< Stem id of each index term id.
+  std::vector<uint8_t> stop_word;  ///< 1 where the index term is a stop word.
+  std::vector<std::string> stems;  ///< Text of each stem id.
+};
+
 /// Mines relevantTerms_i for concepts from a chosen resource.
 class RelevanceMiner {
  public:
   /// `stemmed_dict` must be a *stemmed* term dictionary (mined terms are
-  /// stems, so idf lookups must be stem-keyed). Terms whose document-
-  /// frequency ratio exceeds `max_df_ratio` are excluded from mining —
-  /// they occur in so much of the corpus that they carry no relevance
-  /// signal (the df-cutoff analogue of the engine's deep stop lists).
+  /// stems, so idf lookups must be stem-keyed), and `term_stems` must
+  /// cover the vocabulary of the index `search` reads. Terms whose
+  /// document-frequency ratio exceeds `max_df_ratio` are excluded from
+  /// mining — they occur in so much of the corpus that they carry no
+  /// relevance signal (the df-cutoff analogue of the engine's deep stop
+  /// lists). All three must outlive the miner.
   RelevanceMiner(const SearchService& search,
                  const TermDictionary& stemmed_dict,
-                 double max_df_ratio = 0.15);
+                 const TermStems& term_stems, double max_df_ratio = 0.15);
 
   /// Top `m` relevant keywords for the concept, sorted by descending
   /// score.
@@ -74,6 +86,7 @@ class RelevanceMiner {
 
   const SearchService& search_;
   const TermDictionary& term_dict_;
+  const TermStems& term_stems_;
   double max_df_ratio_;
 };
 

@@ -18,10 +18,10 @@ bool IsDefaultParams(const Bm25Params& params) {
   return params.k1 == Bm25Params{}.k1 && params.b == Bm25Params{}.b;
 }
 
-/// Per-thread working state of the scorers and the count path, sized to
-/// the largest index the thread has searched. Between calls every `acc`
-/// entry is +0.0, every `seen` entry 0 and `touched` empty: a call resets
-/// exactly the entries it marked. `tids` keeps only its capacity.
+/// Per-thread working state of the scorers, sized to the largest index
+/// the thread has searched. Between calls every `acc` entry is +0.0,
+/// every `seen` entry 0 and `touched` empty: a call resets exactly the
+/// entries it marked. `tids` keeps only its capacity.
 struct SearchScratch {
   std::vector<double> acc;
   std::vector<uint8_t> seen;
@@ -80,17 +80,10 @@ void InvertedIndex::Add(const Document& doc) {
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
   static thread_local std::vector<Token> toks;
   TokenizeInto(doc.text, &toks);
-  for (const Token& t : toks) {
-    tok_tid_.push_back(InternTerm(t.text));
-    if (options_.store_text) {
-      tok_begin_.push_back(static_cast<uint32_t>(t.begin));
-      tok_end_.push_back(static_cast<uint32_t>(t.end));
-    }
-  }
+  for (const Token& t : toks) tok_tid_.push_back(InternTerm(t.text));
   doc_tok_offset_.push_back(tok_tid_.size());
   doc_index_[doc.id] = static_cast<uint32_t>(doc_id_.size());
   doc_id_.push_back(doc.id);
-  if (options_.store_text) doc_text_.push_back(doc.text);
 }
 
 void InvertedIndex::Finalize() {
@@ -410,38 +403,6 @@ std::vector<SearchResult> InvertedIndex::Search(
   return heap.Take();
 }
 
-uint64_t InvertedIndex::RegularResultCount(std::string_view query) const {
-  return RegularResultCount(ParsedQuery(query));
-}
-
-uint64_t InvertedIndex::RegularResultCount(const ParsedQuery& query) const {
-  CKR_DCHECK(finalized_);
-  const std::vector<std::string>& terms = query.terms();
-  // Empty/whitespace-only query: nothing can match.
-  if (terms.empty()) return 0;
-  // Single-term fast path: the union is one posting list.
-  if (terms.size() == 1) return DocFreq(terms[0]);
-
-  SearchScratch& scratch = ThreadSearchScratch();
-  scratch.Fit(doc_id_.size());
-  uint8_t* const seen = scratch.seen.data();
-  std::vector<uint32_t>& touched = scratch.touched;
-  for (const std::string& term : terms) {
-    uint32_t tid = LookupTerm(term);
-    if (tid == kInvalidTid) continue;
-    for (uint32_t d : CsrRow(post_doc_, post_offset_, tid)) {
-      if (!seen[d]) {
-        seen[d] = 1;
-        touched.push_back(d);
-      }
-    }
-  }
-  const uint64_t count = touched.size();
-  for (uint32_t d : touched) seen[d] = 0;
-  touched.clear();
-  return count;
-}
-
 void InvertedIndex::DecodePositions(size_t slot,
                                     std::vector<uint32_t>* out) const {
   Status s = DecodeSortedIdsInto(pos_pool_.data() + pos_offset_[slot],
@@ -594,13 +555,6 @@ int32_t InvertedIndex::FindDocIndex(DocId id) const {
   return it == doc_index_.end() ? -1 : static_cast<int32_t>(it->second);
 }
 
-const std::string& InvertedIndex::DocText(DocId doc) const {
-  static const std::string* const kEmpty = new std::string();
-  int32_t d = FindDocIndex(doc);
-  return d < 0 || !options_.store_text ? *kEmpty
-                                       : doc_text_[static_cast<size_t>(d)];
-}
-
 std::span<const uint32_t> InvertedIndex::DocTokenIds(DocId doc) const {
   if (!options_.store_text) return {};
   int32_t di = FindDocIndex(doc);
@@ -617,16 +571,11 @@ std::vector<std::string_view> InvertedIndex::TermsById() const {
   return terms;
 }
 
-std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
-                                   size_t context_tokens) const {
-  if (!options_.store_text) return "";  // No text/offsets to slice.
-  int32_t di = FindDocIndex(doc);
-  if (di < 0) return "";
-  const size_t d = static_cast<size_t>(di);
-  const size_t tok_begin = doc_tok_offset_[d];
-  const size_t num_tokens = doc_tok_offset_[d + 1] - tok_begin;
-  if (num_tokens == 0) return "";
-  const uint32_t* tids = tok_tid_.data() + tok_begin;
+std::span<const uint32_t> InvertedIndex::HitWindow(
+    DocId doc, std::string_view query, size_t context_tokens) const {
+  const std::span<const uint32_t> tids = DocTokenIds(doc);
+  const size_t num_tokens = tids.size();
+  if (num_tokens == 0) return {};
 
   // Query tokens as term ids; out-of-vocabulary terms get the invalid id,
   // which matches no document token (every document token is interned).
@@ -641,25 +590,15 @@ std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
   bool found = false;
   if (!qtids.empty()) {
     for (size_t i = 0; i + qtids.size() <= num_tokens && !found; ++i) {
-      bool match = true;
-      for (size_t j = 0; j < qtids.size(); ++j) {
-        if (tids[i + j] != qtids[j]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
+      if (std::equal(qtids.begin(), qtids.end(), tids.begin() + i)) {
         center = i + qtids.size() / 2;
         found = true;
       }
     }
     for (size_t i = 0; i < num_tokens && !found; ++i) {
-      for (uint32_t q : qtids) {
-        if (q != kInvalidTid && tids[i] == q) {
-          center = i;
-          found = true;
-          break;
-        }
+      if (std::find(qtids.begin(), qtids.end(), tids[i]) != qtids.end()) {
+        center = i;
+        found = true;
       }
     }
   }
@@ -669,29 +608,17 @@ std::string InvertedIndex::Snippet(DocId doc, std::string_view query,
   if (hi - lo < context_tokens && hi == num_tokens) {
     lo = hi > context_tokens ? hi - context_tokens : 0;
   }
-  size_t byte_lo = tok_begin_[tok_begin + lo];
-  size_t byte_hi = tok_end_[tok_begin + hi - 1];
-  std::string out = doc_text_[d].substr(byte_lo, byte_hi - byte_lo);
-  // Normalize whitespace (including CR, so CRLF text stays single-line).
-  for (char& c : out) {
-    if (c == '\n' || c == '\t' || c == '\r') c = ' ';
-  }
-  return out;
+  return tids.subspan(lo, hi - lo);
 }
 
 size_t InvertedIndex::MemoryBytes() const {
   size_t bytes = sizeof(*this);
   bytes += doc_id_.capacity() * sizeof(DocId);
-  for (const std::string& text : doc_text_) {
-    bytes += sizeof(std::string) + text.capacity();
-  }
   bytes += doc_index_.bucket_count() * sizeof(void*);
   bytes += doc_index_.size() *
            (sizeof(std::pair<DocId, uint32_t>) + 2 * sizeof(void*));
   bytes += doc_tok_offset_.capacity() * sizeof(size_t);
   bytes += tok_tid_.capacity() * sizeof(uint32_t);
-  bytes += tok_begin_.capacity() * sizeof(uint32_t);
-  bytes += tok_end_.capacity() * sizeof(uint32_t);
   bytes += term_ids_.bucket_count() * sizeof(void*);
   for (const auto& [term, tid] : term_ids_) {
     (void)tid;

@@ -1,8 +1,9 @@
 // Positional inverted index with BM25 ranked retrieval, phrase search, and
-// snippet generation — the substitute for the Yahoo! Search backend used by
+// snippet windows — the substitute for the Yahoo! Search backend used by
 // the paper's feature pipeline:
 //  * feature (4) searchengine_phrase = number of results of a phrase query;
-//  * relevant-keyword mining reads the snippets of the top-100 results;
+//  * relevant-keyword mining reads the snippets of the top-100 results, as
+//    token-id windows of the documents (HitWindow);
 //  * Prisma runs pseudo-relevance feedback over the top-50 results.
 //
 // Layout (PISA-style, frozen by Finalize()):
@@ -17,19 +18,22 @@
 //    each group, in ascending term id order, is encoded straight onto the
 //    pool's end — no sort and no buffer per slot, so its allocations do
 //    not grow with the slot count;
-//  * per-doc token-id streams + byte offsets (for phrase snippets) are
-//    CSR too — no per-document string vectors survive Finalize();
+//  * per-doc token-id streams are CSR too, and are the only form of a
+//    document the index keeps: phrase checks verify against them and a
+//    snippet is a window of them — no text and no per-document string
+//    vectors survive Add();
 //  * per-doc lengths and the default-parameter BM25 norm are precomputed;
 //  * the doc/tf columns are the only copy of the postings: the exhaustive
-//    scorer, the counts and the phrase seeds read them directly, and the
+//    scorer and the phrase seed loops read them directly, and the
 //    MaxScore / Block-Max-WAND evaluators walk the same rows through
 //    block cursors (block_postings.h). The BlockMaxIndex adds only the
 //    pruning metadata — per-term idf and maximum contribution, and the
 //    maximum contribution of every 128-slot block of every row.
 // Search/PhraseSearch select the top k through a bounded heap instead of
-// sorting the full result set, and the *ResultCount entry points count
-// without materializing results at all. All results are bit-identical to
-// LegacyInvertedIndex (the equivalence suite enforces this).
+// sorting the full result set, and PhraseResultCount counts without
+// materializing results at all. All results are bit-identical to
+// LegacyInvertedIndex, and a snippet window holds exactly the tokens of
+// the legacy text snippet (the equivalence suite enforces both).
 #ifndef CKR_INDEX_INVERTED_INDEX_H_
 #define CKR_INDEX_INVERTED_INDEX_H_
 
@@ -83,19 +87,19 @@ class ParsedQuery {
 };
 
 /// Build-time knobs for million-doc, out-of-core-friendly index builds.
-/// Must be fixed at construction (Add() consults store_text). Neither
-/// changes a Search or phrase result.
+/// Fixed at construction. Neither changes a Search or phrase result.
 struct IndexBuildOptions {
-  /// Keep raw document text and per-token byte offsets. Required by
-  /// Snippet()/DocText(); at corpus scale the text dominates peak memory,
-  /// so streaming builds switch it off (Snippet/DocText then return "").
+  /// Expose each document's token-id stream to readers outside the
+  /// index. With store_text=false, DocTokenIds() and HitWindow() return
+  /// empty spans, so Prisma feedback and snippet mining yield nothing; a
+  /// search-only build (a serving shard, a streamed corpus) switches it
+  /// off.
   ///
-  /// Degraded-path contract: only the *text* surface degrades. The
-  /// per-doc token-id streams and the Golomb position pool are always
-  /// retained, so Search, RegularResultCount, PhraseResultCount and
-  /// PhraseSearch return exactly the same results/counts as a
-  /// store_text=true build (regression-tested in tests/index_test.cc);
-  /// Snippet()/DocText() return "" instead of failing.
+  /// Degraded-path contract: only those two readers degrade. The index
+  /// keeps the streams and the Golomb position pool either way, so
+  /// Search, PhraseResultCount and PhraseSearch return exactly the same
+  /// results and counts as a store_text=true build (regression-tested in
+  /// tests/index_test.cc).
   bool store_text = true;
   /// Compute the BlockMaxIndex's maxima inside Finalize(). The maxima
   /// depend on the scoring statistics, so a build that will override them
@@ -189,12 +193,6 @@ class InvertedIndex {
   QueryEvaluator EffectiveEvaluator(QueryEvaluator requested,
                                     const Bm25Params& params = {}) const;
 
-  /// Number of documents matching the disjunctive query. Count-only fast
-  /// path: marks the posting union in the per-thread `seen` bitmap that
-  /// Search() scores with (resetting what it marked), no scoring/sorting.
-  uint64_t RegularResultCount(std::string_view query) const;
-  uint64_t RegularResultCount(const ParsedQuery& query) const;
-
   /// Number of documents containing the phrase contiguously — the paper's
   /// "number of result pages returned" for a phrase query. Count-only:
   /// intersects doc lists and stops at the first adjacency witness per
@@ -209,18 +207,19 @@ class InvertedIndex {
   std::vector<SearchResult> PhraseSearch(std::string_view phrase,
                                          size_t k) const;
 
-  /// Builds a query-biased snippet for a result: a window of
-  /// `context_tokens` tokens centered on the first query-term hit.
-  std::string Snippet(DocId doc, std::string_view query,
-                      size_t context_tokens = 30) const;
-
-  /// Raw text of an indexed document.
-  const std::string& DocText(DocId doc) const;
+  /// A query-biased snippet of a result, as the term ids of its tokens: a
+  /// window of at most `context_tokens` consecutive tokens of DocTokenIds
+  /// centered on the first contiguous occurrence of the query, else on
+  /// the first token that is any query term, else at the document head,
+  /// and shifted back inside the document where it would run off its end.
+  /// The span points into this index. Empty for an unknown or empty
+  /// document, and for a store_text=false index.
+  std::span<const uint32_t> HitWindow(DocId doc, std::string_view query,
+                                      size_t context_tokens = 30) const;
 
   /// Term ids of an indexed document's tokens, in text order — the stream
   /// the postings were built from. Empty for an unknown document, and
-  /// empty when the index was built with store_text=false, so text-derived
-  /// consumers degrade exactly as with DocText().
+  /// empty when the index was built with store_text=false.
   std::span<const uint32_t> DocTokenIds(DocId doc) const;
 
   /// Every indexed term by id: slot `tid` holds that term's text, for all
@@ -290,12 +289,9 @@ class InvertedIndex {
 
   // ---- Documents (CSR token streams; built during Add) ----
   std::vector<DocId> doc_id_;            ///< External id per internal doc.
-  std::vector<std::string> doc_text_;    ///< Raw text (store_text only).
   std::unordered_map<DocId, uint32_t> doc_index_;
-  std::vector<size_t> doc_tok_offset_;   ///< docs+1 offsets into pools below.
+  std::vector<size_t> doc_tok_offset_;   ///< docs+1 offsets into tok_tid_.
   std::vector<uint32_t> tok_tid_;        ///< Token term ids, all docs.
-  std::vector<uint32_t> tok_begin_;      ///< Byte offset per token.
-  std::vector<uint32_t> tok_end_;
 
   // ---- Term dictionary ----
   std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>

@@ -117,10 +117,6 @@ uint64_t LegacyInvertedIndex::PhraseResultCount(std::string_view phrase) const {
   return PhraseSearch(phrase, docs_.size() + 1).size();
 }
 
-uint64_t LegacyInvertedIndex::RegularResultCount(std::string_view query) const {
-  return Search(query, docs_.size() + 1).size();
-}
-
 std::vector<SearchResult> LegacyInvertedIndex::PhraseSearch(
     std::string_view phrase, size_t k) const {
   CKR_DCHECK(finalized_);

@@ -44,10 +44,6 @@ class LegacyInvertedIndex {
   /// flat index's count-only path removes.
   uint64_t PhraseResultCount(std::string_view phrase) const;
 
-  /// Number of documents matching the disjunctive query, via full
-  /// materialization (the legacy SearchService::RegularResultCount path).
-  uint64_t RegularResultCount(std::string_view query) const;
-
   /// Ranked documents containing the phrase contiguously.
   std::vector<SearchResult> PhraseSearch(std::string_view phrase,
                                          size_t k) const;

@@ -30,29 +30,24 @@ SearchService::SearchService(const InvertedIndex& index, const QueryLog& log,
   }
 }
 
-std::vector<std::string> SearchService::Snippets(std::string_view concept_phrase,
-                                                 size_t k) const {
+std::vector<std::span<const uint32_t>> SearchService::Snippets(
+    std::string_view concept_phrase, size_t k) const {
   // Phrase-query semantics: concepts with little web presence return few
   // results and therefore few snippets — exactly the sparsity that keeps
   // weak concepts' mined keyword mass low (Section IV-C).
   std::vector<SearchResult> hits = index_.PhraseSearch(concept_phrase, k);
-  std::vector<std::string> snippets;
+  std::vector<std::span<const uint32_t>> snippets;
   snippets.reserve(hits.size());
   for (const SearchResult& h : hits) {
-    std::string s = index_.Snippet(h.doc, concept_phrase);
-    if (!s.empty()) snippets.push_back(std::move(s));
+    const std::span<const uint32_t> window =
+        index_.HitWindow(h.doc, concept_phrase);
+    if (!window.empty()) snippets.push_back(window);
   }
   return snippets;
 }
 
 uint64_t SearchService::PhraseResultCount(std::string_view concept_phrase) const {
   return index_.PhraseResultCount(concept_phrase);
-}
-
-uint64_t SearchService::RegularResultCount(std::string_view concept_phrase) const {
-  // Count-only: the index marks the posting union in a doc bitmap instead
-  // of scoring, sorting and materializing every matching document.
-  return index_.RegularResultCount(concept_phrase);
 }
 
 std::vector<std::string> SearchService::PrismaFeedbackTerms(

@@ -1,6 +1,7 @@
 // Search-services facade — the substitute for the Yahoo! Developer Network
 // APIs the paper mines for relevant keywords (Section IV-B.1):
 //  (a) search engine result snippets (top-100 results of a phrase query),
+//      each a token-id window of its document (InvertedIndex::HitWindow),
 //  (b) Prisma query-refinement feedback terms (pseudo-relevance feedback
 //      over the top-50 documents, capped at 20 feedback terms — the
 //      limitation the paper reports), and
@@ -8,6 +9,8 @@
 #ifndef CKR_SEARCH_SEARCH_SERVICE_H_
 #define CKR_SEARCH_SEARCH_SERVICE_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +39,7 @@ inline constexpr size_t kEvaluatorCrossoverDocs = 100000;
 /// to run it on; the exhaustive scorer otherwise. Every evaluator
 /// returns bit-identical results (index/top_k.h), so this is purely a
 /// latency policy. SearchService and the serving snapshot loader both
-/// apply it; set_evaluator overrides.
+/// apply it.
 QueryEvaluator ChooseEvaluator(size_t num_docs, bool has_block_index);
 
 /// Read-only facade over the index, the query log and the term dictionary.
@@ -47,17 +50,15 @@ class SearchService {
   SearchService(const InvertedIndex& index, const QueryLog& log,
                 const TermDictionary& term_dict);
 
-  /// Result snippets for the concept submitted as a phrase query; falls
-  /// back to disjunctive retrieval when phrase matches are scarce.
-  std::vector<std::string> Snippets(std::string_view concept_phrase,
-                                    size_t k = 100) const;
+  /// Result snippets of the concept submitted as a phrase query, one per
+  /// result in rank order: the term ids of a window of the result's
+  /// tokens around the phrase (InvertedIndex::HitWindow). The spans point
+  /// into the index. An index built with store_text=false yields none.
+  std::vector<std::span<const uint32_t>> Snippets(
+      std::string_view concept_phrase, size_t k = 100) const;
 
   /// Number of results of the phrase query (feature searchengine_phrase).
   uint64_t PhraseResultCount(std::string_view concept_phrase) const;
-
-  /// Number of results of the regular (disjunctive) query — the feature
-  /// variation the paper tried and discarded during feature selection.
-  uint64_t RegularResultCount(std::string_view concept_phrase) const;
 
   /// Prisma feedback terms: pseudo-relevance feedback over the top
   /// `feedback_docs` results, returning at most `max_terms` terms, best
@@ -79,17 +80,16 @@ class SearchService {
   /// Top-k algorithm used for the service's disjunctive retrieval (the
   /// Prisma feedback pool). Every evaluator returns identical results
   /// (index/top_k.h); the pruned ones skip postings that cannot reach the
-  /// top-k. Default: auto-selected from the corpus size at construction
+  /// top-k. Selected from the corpus size at construction
   /// (ChooseEvaluator) — exhaustive at paper scale, MaxScore past the
   /// ~100k-doc crossover.
   QueryEvaluator evaluator() const { return evaluator_; }
-  void set_evaluator(QueryEvaluator evaluator) { evaluator_ = evaluator; }
 
  private:
   const InvertedIndex& index_;
   const QueryLog& log_;
   const TermDictionary& term_dict_;
-  QueryEvaluator evaluator_;
+  const QueryEvaluator evaluator_;
   // Per-tid tables for Prisma feedback, built once from the index's
   // vocabulary: each term's text, and its idf from term_dict_ — 0 for a
   // stop word, which marks it as never a feedback term (idf is otherwise

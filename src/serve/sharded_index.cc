@@ -215,13 +215,4 @@ ShardedIndex::PartialResult ShardedIndex::SearchWithDeadline(
   return out;
 }
 
-uint64_t ShardedIndex::RegularResultCount(std::string_view query) const {
-  const ParsedQuery parsed(query);
-  uint64_t count = 0;
-  for (const auto& shard : shards_) {
-    count += shard->RegularResultCount(parsed);
-  }
-  return count;
-}
-
 }  // namespace ckr

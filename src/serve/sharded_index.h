@@ -132,9 +132,6 @@ class ShardedIndex {
                                    const Clock& clock, int64_t deadline_nanos,
                                    unsigned shard_parallelism = 1) const;
 
-  /// Disjoint doc partition => the union count is the sum of shard counts.
-  uint64_t RegularResultCount(std::string_view query) const;
-
  private:
   explicit ShardedIndex(std::vector<std::unique_ptr<InvertedIndex>> shards);
 

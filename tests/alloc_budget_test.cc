@@ -158,7 +158,7 @@ TEST(AllocBudgetTest, WarmExhaustiveLegAllocatesOnlyItsResult) {
     for (size_t i = 0; i < len; ++i) {
       const uint64_t u = rng.NextBounded(100);
       const uint64_t term = u < 50 ? rng.NextBounded(8) : rng.NextBounded(300);
-      text += "w" + std::to_string(term) + " ";
+      text.append("w").append(std::to_string(term)).append(" ");
     }
     Document doc;
     doc.id = d * 3 + 1;
@@ -172,7 +172,9 @@ TEST(AllocBudgetTest, WarmExhaustiveLegAllocatesOnlyItsResult) {
     std::string query;
     const size_t terms = 1 + rng.NextBounded(5);
     for (size_t t = 0; t < terms; ++t) {
-      query += "w" + std::to_string(rng.NextBounded(320)) + " ";
+      query.append("w")
+          .append(std::to_string(rng.NextBounded(320)))
+          .append(" ");
     }
     queries.emplace_back(query);
   }
@@ -182,7 +184,6 @@ TEST(AllocBudgetTest, WarmExhaustiveLegAllocatesOnlyItsResult) {
   for (const ParsedQuery& q : queries) {  // Warm-up.
     (void)index.Search(q, 10);
     (void)index.Search(q, 10, tuned);
-    (void)index.RegularResultCount(q);
   }
 
   for (const ParsedQuery& q : queries) {
@@ -196,9 +197,6 @@ TEST(AllocBudgetTest, WarmExhaustiveLegAllocatesOnlyItsResult) {
             << "k=" << k << " results=" << results.size();
       }
     }
-    const uint64_t before = Allocations();
-    const uint64_t count = index.RegularResultCount(q);
-    EXPECT_EQ(Allocations() - before, 0u) << "count=" << count;
   }
 }
 
@@ -211,7 +209,7 @@ TEST(AllocBudgetTest, WarmMaxScoreLegAllocatesCursorsSlotsAndResult) {
     for (size_t i = 0; i < len; ++i) {
       const uint64_t u = rng.NextBounded(100);
       const uint64_t term = u < 50 ? rng.NextBounded(8) : rng.NextBounded(300);
-      text += "w" + std::to_string(term) + " ";
+      text.append("w").append(std::to_string(term)).append(" ");
     }
     Document doc;
     doc.id = d * 3 + 1;
@@ -226,7 +224,9 @@ TEST(AllocBudgetTest, WarmMaxScoreLegAllocatesCursorsSlotsAndResult) {
     std::string query;
     const size_t terms = 1 + rng.NextBounded(5);
     for (size_t t = 0; t < terms; ++t) {
-      query += "w" + std::to_string(rng.NextBounded(320)) + " ";
+      query.append("w")
+          .append(std::to_string(rng.NextBounded(320)))
+          .append(" ");
     }
     queries.emplace_back(query);
   }
@@ -280,7 +280,7 @@ InvertedIndex SeededIndex(uint64_t seed, DocId num_docs) {
     for (size_t i = 0; i < len; ++i) {
       const uint64_t u = rng.NextBounded(100);
       const uint64_t term = u < 50 ? rng.NextBounded(8) : rng.NextBounded(400);
-      text += "w" + std::to_string(term) + " ";
+      text.append("w").append(std::to_string(term)).append(" ");
     }
     Document doc;
     doc.id = d;

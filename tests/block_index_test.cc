@@ -243,7 +243,7 @@ InvertedIndex BuildSyntheticIndex(uint64_t seed, size_t num_docs) {
       } else {
         term = 48 + rng.NextBounded(400);  // Rare tail.
       }
-      text += "w" + std::to_string(term) + " ";
+      text.append("w").append(std::to_string(term)).append(" ");
     }
     index.Add(MakeDoc(static_cast<DocId>(d * 7 + 3), std::move(text)));
   }
@@ -299,7 +299,7 @@ TEST(BlockMaxIndexTest, DeferredBuildMatchesEagerExactly) {
     std::string text;
     const size_t len = 5 + rng.NextBounded(60);
     for (size_t i = 0; i < len; ++i) {
-      text += "w" + std::to_string(rng.NextBounded(120)) + " ";
+      text.append("w").append(std::to_string(rng.NextBounded(120))).append(" ");
     }
     docs.push_back(MakeDoc(static_cast<DocId>(d * 7 + 3), std::move(text)));
   }

@@ -88,7 +88,7 @@ TEST(QueryMixTest, AllBackgroundTraffic) {
 TEST(UnitCapTest, MaxUnitsBoundsDictionary) {
   QueryLog log;
   for (int i = 0; i < 50; ++i) {
-    log.AddQuery("w" + std::to_string(i), 20);
+    log.AddQuery(std::string("w").append(std::to_string(i)), 20);
   }
   log.Finalize();
   UnitExtractorConfig cfg;

@@ -184,7 +184,9 @@ TEST(AhoCorasickTest, MatchesBruteForceOnRandomPhraseSets) {
     const bool narrow = seed % 2 == 0;
     const size_t vocab = narrow ? 3 + rng.NextBounded(6)     // 3..8
                                 : 12 + rng.NextBounded(29);  // 12..40
-    auto word = [](size_t k) { return "w" + std::to_string(k); };
+    auto word = [](size_t k) {
+      return std::string("w").append(std::to_string(k));
+    };
 
     PhraseMatcher m;
     std::vector<std::pair<std::vector<std::string>, uint32_t>> phrases;
@@ -563,7 +565,7 @@ TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
 
   std::vector<EntityDetector::DictionaryEntry> dict;
   for (int e = 0; e < 12; ++e) {
-    std::string key = "e" + std::to_string(e);
+    std::string key = std::string("e").append(std::to_string(e));
     if (e % 3 != 0) key += " f" + std::to_string(e);  // Multi-term entries.
     if (e % 5 == 0) key += " g" + std::to_string(e);
     dict.push_back({key, EntityType::kConcept, 0});
@@ -587,7 +589,9 @@ TEST(DetectorGoldenTest, DetectionFingerprintIsPinned) {
         } else if (u < 24) {
           text += std::string(pattern_bits[rng.NextBounded(4)]) + " ";
         } else {
-          text += "n" + std::to_string(rng.NextBounded(400)) + " ";
+          text.append("n")
+              .append(std::to_string(rng.NextBounded(400)))
+              .append(" ");
         }
       }
       fold(synthetic.Detect(text));

@@ -2,12 +2,18 @@
 // relevance mining/scoring of Section IV-B.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "core/pipeline.h"
 #include "features/interestingness.h"
 #include "features/relevance.h"
+#include "index/legacy_index.h"
+#include "text/porter_stemmer.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
 
@@ -159,6 +165,64 @@ TEST_F(FeaturesTest, SnippetsMineCompanionWords) {
     if (mined.count(stem) > 0) ++hits;
   }
   EXPECT_GE(hits, e.companions.size() / 2);
+}
+
+// The snippet miner before it read token-id windows, kept as an oracle:
+// text snippets from LegacyInvertedIndex over the same corpus, each
+// tokenized and Porter-stemmed, tf in a string map, then the concept's
+// stems erased, the df-ratio cutoff (0.15), tf * idf and a full sort.
+std::vector<RelevantTerm> TextSnippetOracle(const Pipeline& p,
+                                            const LegacyInvertedIndex& legacy,
+                                            const std::string& key) {
+  auto stemmed = [](std::string_view text) {
+    std::vector<std::string> out;
+    for (std::string& tok : TokenizeToStrings(text)) {
+      if (!IsStopWord(tok)) out.push_back(PorterStem(tok));
+    }
+    return out;
+  };
+  std::unordered_map<std::string, double> tf;
+  for (const SearchResult& hit : p.index().PhraseSearch(key, 100)) {
+    for (std::string& stem : stemmed(legacy.Snippet(hit.doc, key))) {
+      ++tf[stem];
+    }
+  }
+  for (const std::string& own : stemmed(key)) tf.erase(own);
+  const TermDictionary& dict = p.stemmed_term_dictionary();
+  std::vector<RelevantTerm> out;
+  for (const auto& [term, f] : tf) {
+    if (dict.DocFreqRatio(term) > 0.15) continue;
+    out.push_back({term, f * dict.Idf(term)});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const RelevantTerm& a, const RelevantTerm& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.term < b.term;
+            });
+  if (out.size() > 100) out.resize(100);
+  return out;
+}
+
+TEST_F(FeaturesTest, SnippetMiningMatchesTextOracle) {
+  LegacyInvertedIndex legacy;
+  for (const Document& doc : pipeline_->web_corpus()) legacy.Add(doc);
+  legacy.Finalize();
+  size_t mined = 0;
+  for (const Entity& e : pipeline_->world().entities()) {
+    const std::vector<RelevantTerm> want =
+        TextSnippetOracle(*pipeline_, legacy, e.key);
+    const std::vector<RelevantTerm> got =
+        pipeline_->relevance_miner().Mine(e.key, RelevanceResource::kSnippets);
+    ASSERT_EQ(got.size(), want.size()) << e.key;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].term, want[i].term) << e.key << " rank " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                std::bit_cast<uint64_t>(want[i].score))
+          << e.key << " rank " << i;
+    }
+    mined += got.size();
+  }
+  EXPECT_GT(mined, 1000u);
 }
 
 TEST_F(FeaturesTest, SummationSeparatesSpecificFromGeneric) {

@@ -191,7 +191,7 @@ TEST(PackedRelevanceTest, KeepsAtMostHundredTerms) {
   PackedRelevanceStore store(&tids);
   std::vector<RelevantTerm> terms;
   for (int i = 0; i < 150; ++i) {
-    terms.push_back({"t" + std::to_string(i), 150.0 - i});
+    terms.push_back({std::string("t").append(std::to_string(i)), 150.0 - i});
   }
   store.Add("big", terms);
   store.Finalize();

@@ -1,10 +1,14 @@
 // Golden equivalence suite: the flat term-id index must be bit-identical
 // to LegacyInvertedIndex on every public entry point, over a generated
 // corpus large enough to exercise multi-block postings, phrase adjacency,
-// and snippet windowing.
+// and snippet windowing. A flat snippet is a token-id window, and the
+// legacy one is text, so the two agree when the window's terms are the
+// tokens of the legacy snippet.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/doc_generator.h"
@@ -12,9 +16,37 @@
 #include "corpus/world.h"
 #include "index/inverted_index.h"
 #include "index/legacy_index.h"
+#include "text/tokenizer.h"
 
 namespace ckr {
 namespace {
+
+// The terms of a token-id window, spelled through `terms` (TermsById()).
+std::vector<std::string> WindowTerms(const std::vector<std::string_view>& terms,
+                                     std::span<const uint32_t> window) {
+  std::vector<std::string> out;
+  out.reserve(window.size());
+  for (uint32_t tid : window) out.emplace_back(terms[tid]);
+  return out;
+}
+
+// The snippet windows' oracle: for every doc, query and window width, the
+// flat window's terms are the tokens of the legacy text snippet.
+void ExpectWindowsMatchLegacy(const InvertedIndex& flat,
+                              const LegacyInvertedIndex& legacy,
+                              const std::vector<DocId>& docs,
+                              const std::vector<std::string>& queries) {
+  const std::vector<std::string_view> terms = flat.TermsById();
+  for (const std::string& q : queries) {
+    for (DocId doc : docs) {
+      for (size_t context : {4u, 8u, 30u}) {
+        EXPECT_EQ(WindowTerms(terms, flat.HitWindow(doc, q, context)),
+                  TokenizeToStrings(legacy.Snippet(doc, q, context)))
+            << "query '" << q << "' doc " << doc << " context " << context;
+      }
+    }
+  }
+}
 
 class IndexEquivalenceTest : public ::testing::Test {
  protected:
@@ -140,32 +172,28 @@ TEST_F(IndexEquivalenceTest, PhraseResultCount) {
   }
 }
 
-TEST_F(IndexEquivalenceTest, RegularResultCount) {
-  for (const std::string& q : Queries()) {
-    uint64_t want = legacy_->RegularResultCount(q);
-    EXPECT_EQ(flat_->RegularResultCount(q), want) << q;
-    // The count-only path must agree with full materialization too.
-    EXPECT_EQ(flat_->RegularResultCount(q),
-              legacy_->Search(q, legacy_->NumDocs() + 1).size())
-        << q;
-  }
-}
-
 TEST_F(IndexEquivalenceTest, Snippets) {
-  for (const std::string& q : Queries()) {
-    if (q.empty()) continue;
-    auto results = legacy_->Search(q, 5);
-    for (const SearchResult& r : results) {
-      EXPECT_EQ(flat_->Snippet(r.doc, q), legacy_->Snippet(r.doc, q)) << q;
-      EXPECT_EQ(flat_->Snippet(r.doc, q, 8), legacy_->Snippet(r.doc, q, 8))
-          << q;
+  // Every query against its phrase hits (the contiguous-hit branch), its
+  // disjunctive hits (the any-term branch) and the first document (the
+  // head fallback, for the empty and unseen queries too).
+  const std::vector<std::string> queries = Queries();
+  for (const std::string& q : queries) {
+    std::vector<DocId> docs = {corpus_->front().id};
+    for (const SearchResult& r : legacy_->PhraseSearch(q, 10)) {
+      docs.push_back(r.doc);
     }
+    for (const SearchResult& r : legacy_->Search(q, 10)) docs.push_back(r.doc);
+    ExpectWindowsMatchLegacy(*flat_, *legacy_, docs, {q});
   }
 }
 
 TEST_F(IndexEquivalenceTest, DocText) {
+  // The token-id stream is the document: its terms are the legacy text's
+  // tokens.
+  const std::vector<std::string_view> terms = flat_->TermsById();
   for (const Document& doc : *corpus_) {
-    EXPECT_EQ(flat_->DocText(doc.id), legacy_->DocText(doc.id));
+    EXPECT_EQ(WindowTerms(terms, flat_->DocTokenIds(doc.id)),
+              TokenizeToStrings(legacy_->DocText(doc.id)));
   }
 }
 
@@ -174,8 +202,8 @@ TEST_F(IndexEquivalenceTest, MemoryFootprintShrinks) {
   EXPECT_LT(flat_->MemoryBytes(), legacy_->MemoryBytes());
 }
 
-// CRLF text: both indexes must normalize \r (as well as \n and \t) to
-// spaces so snippets stay single-line and byte-identical.
+// CRLF text: the legacy snippet normalizes \r (as well as \n and \t) to
+// spaces so it stays single-line, and the flat window holds its tokens.
 TEST(IndexSnippetNormalizationTest, CarriageReturnsBecomeSpaces) {
   Document doc;
   doc.id = 7;
@@ -189,11 +217,50 @@ TEST(IndexSnippetNormalizationTest, CarriageReturnsBecomeSpaces) {
   flat.Finalize();
 
   std::string legacy_snip = legacy.Snippet(7, "gamma", 4);
-  std::string flat_snip = flat.Snippet(7, "gamma", 4);
-  EXPECT_EQ(flat_snip, legacy_snip);
+  EXPECT_EQ(WindowTerms(flat.TermsById(), flat.HitWindow(7, "gamma", 4)),
+            TokenizeToStrings(legacy_snip));
   EXPECT_EQ(legacy_snip.find('\r'), std::string::npos);
   EXPECT_EQ(legacy_snip.find('\n'), std::string::npos);
   EXPECT_EQ(legacy_snip.find('\t'), std::string::npos);
+}
+
+// The window oracle on the text shapes the generated corpus lacks: line
+// breaks and tabs, possessives, punctuation around and between tokens,
+// empty and punctuation-only documents, documents shorter than the
+// window, queries with unseen terms, and an unknown doc id.
+TEST(IndexSnippetNormalizationTest, WindowsMatchLegacyOnEdgeCases) {
+  const char* texts[] = {
+      "alpha beta\r\ngamma delta\ttail\rend\n\nlast line",
+      "Obama's speech at John's farm's gate, Obama's farm policy's end",
+      "(Leading, quoted) words... and --dashes-- then trailing! marks?",
+      "",
+      "!!! ??? ... --",
+      "two words",
+      "rock band plays rock music; the rock band tours. A band of rock "
+      "fans hears the band play rock and roll all night at the rock band "
+      "show, then the band and the fans go home after the rock show",
+  };
+  LegacyInvertedIndex legacy;
+  InvertedIndex flat;
+  std::vector<DocId> docs;
+  for (const char* text : texts) {
+    Document doc;
+    doc.id = static_cast<DocId>(10 + docs.size());
+    doc.text = text;
+    legacy.Add(doc);
+    flat.Add(doc);
+    docs.push_back(doc.id);
+  }
+  legacy.Finalize();
+  flat.Finalize();
+  docs.push_back(999);  // Unknown id.
+
+  ExpectWindowsMatchLegacy(
+      flat, legacy, docs,
+      {"gamma", "tail end", "obama", "Obama's", "john's farm", "farm policy",
+       "leading quoted", "dashes", "marks", "words", "two words",
+       "rock band", "band rock", "the band", "show", "zzzunseen",
+       "zzzunseen rock", "rock zzzunseen", "", "  ", "!!!"});
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
-// Unit tests for ckr_index: postings, BM25 search, phrase search, snippets.
+// Unit tests for ckr_index: postings, BM25 search, phrase search, snippet
+// windows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,6 +57,17 @@ Document MakeDoc(DocId id, std::string text) {
   d.id = id;
   d.text = std::move(text);
   return d;
+}
+
+// The terms of a token-id span, joined by single spaces.
+std::string Terms(const InvertedIndex& index, std::span<const uint32_t> tids) {
+  const std::vector<std::string_view> terms = index.TermsById();
+  std::string out;
+  for (uint32_t tid : tids) {
+    if (!out.empty()) out += ' ';
+    out += terms[tid];
+  }
+  return out;
 }
 
 class IndexTest : public ::testing::Test {
@@ -115,24 +129,36 @@ TEST_F(IndexTest, PhraseSearchNormalizesCase) {
 TEST_F(IndexTest, SnippetContainsQueryTerm) {
   auto results = index_.PhraseSearch("lazy dog", 10);
   ASSERT_FALSE(results.empty());
-  std::string snippet = index_.Snippet(results[0].doc, "lazy dog");
-  EXPECT_NE(snippet.find("lazy dog"), std::string::npos);
+  EXPECT_NE(Terms(index_, index_.HitWindow(results[0].doc, "lazy dog"))
+                .find("lazy dog"),
+            std::string::npos);
+  // A 4-token window still holds the phrase.
+  EXPECT_EQ(Terms(index_, index_.HitWindow(0, "lazy dog", 4)),
+            "over the lazy dog");
 }
 
 TEST_F(IndexTest, SnippetForUnknownDocEmpty) {
-  EXPECT_EQ(index_.Snippet(999, "anything"), "");
+  EXPECT_TRUE(index_.HitWindow(999, "anything").empty());
 }
 
 TEST_F(IndexTest, SnippetWindowBounded) {
-  std::string snippet = index_.Snippet(0, "fox", 4);
-  // 4-token window: should be much shorter than the document.
-  EXPECT_LT(snippet.size(), index_.DocText(0).size());
-  EXPECT_NE(snippet.find("fox"), std::string::npos);
+  // 4-token window: a slice of the document's token stream around "fox".
+  const std::span<const uint32_t> window = index_.HitWindow(0, "fox", 4);
+  const std::span<const uint32_t> doc = index_.DocTokenIds(0);
+  ASSERT_EQ(window.size(), 4u);
+  EXPECT_EQ(window.data(), doc.data() + 1);
+  EXPECT_EQ(Terms(index_, window), "quick brown fox jumps");
+  // No hit: the document head. A window at the end shifts back inside.
+  EXPECT_EQ(Terms(index_, index_.HitWindow(0, "zzz", 3)), "the quick brown");
+  EXPECT_EQ(Terms(index_, index_.HitWindow(0, "dog", 3)), "the lazy dog");
+  EXPECT_EQ(Terms(index_, index_.HitWindow(0, "dog", 5)),
+            "jumps over the lazy dog");
 }
 
 TEST_F(IndexTest, DocTextRoundTrip) {
-  EXPECT_EQ(index_.DocText(3), "a completely unrelated document about turtles");
-  EXPECT_EQ(index_.DocText(12345), "");
+  EXPECT_EQ(Terms(index_, index_.DocTokenIds(3)),
+            "a completely unrelated document about turtles");
+  EXPECT_TRUE(index_.DocTokenIds(12345).empty());
 }
 
 TEST(IndexLargeTest, PhraseCountMatchesBruteForce) {
@@ -149,7 +175,8 @@ TEST(IndexLargeTest, PhraseCountMatchesBruteForce) {
   for (const char* phrase : phrases) {
     uint64_t brute = 0;
     for (const std::string& t : texts) {
-      if ((" " + t + " ").find(" " + std::string(phrase) + " ") !=
+      const std::string padded = std::string(" ").append(t).append(" ");
+      if (padded.find(std::string(" ").append(phrase).append(" ")) !=
           std::string::npos) {
         ++brute;
       }
@@ -255,8 +282,6 @@ TEST(IndexLargeTest, AddOrderDoesNotChangeResults) {
                     std::string(q) + " k=" + std::to_string(k));
       }
     }
-    EXPECT_EQ(sorted.RegularResultCount(q), shuffled.RegularResultCount(q))
-        << q;
     EXPECT_EQ(sorted.PhraseResultCount(q), shuffled.PhraseResultCount(q))
         << q;
     expect_same(sorted.PhraseSearch(q, 20), shuffled.PhraseSearch(q, 20), q);
@@ -264,10 +289,11 @@ TEST(IndexLargeTest, AddOrderDoesNotChangeResults) {
 }
 
 TEST(IndexOptionsTest, PhraseContractHoldsWithoutStoredText) {
-  // store_text=false drops raw text and offsets only; token streams and
-  // the position pool are always retained, so every phrase and search
-  // result is bit-identical to the store_text=true build. Snippet and
-  // DocText degrade to "" instead of failing — the documented contract.
+  // store_text=false hides the token streams from readers outside the
+  // index only; the index keeps them and the position pool, so every
+  // phrase and search result is bit-identical to the store_text=true
+  // build. DocTokenIds and HitWindow return empty spans instead of
+  // failing — the documented contract.
   InvertedIndex full;
   IndexBuildOptions lean_opts;
   lean_opts.store_text = false;
@@ -299,10 +325,12 @@ TEST(IndexOptionsTest, PhraseContractHoldsWithoutStoredText) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].doc, b[i].doc);
 
-  // The degraded accessors return "" (not a crash, not stale bytes).
-  EXPECT_EQ(lean.DocText(1), "");
-  EXPECT_EQ(lean.Snippet(1, "quick", 30), "");
-  EXPECT_NE(full.DocText(1), "");
+  // The degraded accessors return empty spans (not a crash, not stale
+  // ids).
+  EXPECT_TRUE(lean.DocTokenIds(1).empty());
+  EXPECT_TRUE(lean.HitWindow(1, "quick", 30).empty());
+  EXPECT_FALSE(full.DocTokenIds(1).empty());
+  EXPECT_FALSE(full.HitWindow(1, "quick", 30).empty());
 }
 
 TEST(IndexOptionsTest, PhraseContractHoldsWithDeferredBlockIndex) {
@@ -473,13 +501,8 @@ TEST_F(PhraseIndexTest, DegenerateQueriesAreSafe) {
   EXPECT_EQ(index_.PhraseResultCount(""), 0u);
   EXPECT_EQ(index_.PhraseResultCount("   \t  "), 0u);
   EXPECT_TRUE(index_.PhraseSearch("", 10).empty());
-  EXPECT_EQ(index_.RegularResultCount(""), 0u);
-  EXPECT_EQ(index_.RegularResultCount("  \t "), 0u);
   EXPECT_TRUE(index_.Search("", 10).empty());
   EXPECT_TRUE(index_.Search("   ", 10).empty());
-  // Duplicate terms collapse to one: same count as the single term.
-  EXPECT_EQ(index_.RegularResultCount("quick quick quick"),
-            index_.RegularResultCount("quick"));
   EXPECT_EQ(index_.PhraseResultCount("quick quick"), 0u);  // Not adjacent.
   auto dup = index_.Search("quick quick", 10);
   auto single = index_.Search("quick", 10);
@@ -524,7 +547,7 @@ InvertedIndex LayoutGoldenIndex(bool store_text) {
       const uint64_t term = u < 45   ? rng.NextBounded(6)
                             : u < 80 ? rng.NextBounded(120)
                                      : rng.NextBounded(3000);
-      text += "t" + std::to_string(term) + " ";
+      text.append("t").append(std::to_string(term)).append(" ");
     }
     add(std::move(text));
   }

@@ -1,8 +1,10 @@
-// Unit tests for ckr_search (facade: snippets, result counts, Prisma,
-// suggestions) and ckr_wiki.
+// Unit tests for ckr_search (facade: snippet windows, result counts,
+// Prisma, suggestions) and ckr_wiki.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string_view>
 
 #include "corpus/doc_generator.h"
 #include "corpus/term_dictionary.h"
@@ -94,21 +96,28 @@ TEST(ChooseEvaluatorTest, CrossoverPolicyIsPinned) {
   EXPECT_EQ(ChooseEvaluator(0, true), QueryEvaluator::kExhaustive);
 }
 
-TEST_F(SearchTest, EvaluatorAutoSelectedFromCorpusSizeAndOverridable) {
+TEST_F(SearchTest, EvaluatorAutoSelectedFromCorpusSize) {
   // Paper-scale corpus (400 docs, below the crossover): exhaustive.
   EXPECT_EQ(search_->evaluator(), QueryEvaluator::kExhaustive);
-  SearchService overridden(*index_, *log_, *dict_);
-  overridden.set_evaluator(QueryEvaluator::kMaxScore);
-  EXPECT_EQ(overridden.evaluator(), QueryEvaluator::kMaxScore);
 }
 
 TEST_F(SearchTest, SnippetsMentionTheConcept) {
   const Entity& e = PopularEntity();
   auto snippets = search_->Snippets(e.key, 50);
   ASSERT_FALSE(snippets.empty());
+  // The concept's terms as ids, to find the phrase inside each window.
+  std::vector<uint32_t> phrase;
+  const std::vector<std::string_view> terms = index_->TermsById();
+  for (const std::string& t : TokenizeToStrings(e.key)) {
+    phrase.push_back(static_cast<uint32_t>(
+        std::find(terms.begin(), terms.end(), t) - terms.begin()));
+  }
   size_t mentioning = 0;
-  for (const std::string& s : snippets) {
-    if (s.find(e.surface) != std::string::npos) ++mentioning;
+  for (std::span<const uint32_t> s : snippets) {
+    if (std::search(s.begin(), s.end(), phrase.begin(), phrase.end()) !=
+        s.end()) {
+      ++mentioning;
+    }
   }
   // Phrase-query snippets are centered on the occurrence.
   EXPECT_GT(mentioning, snippets.size() / 2);
@@ -124,7 +133,7 @@ TEST_F(SearchTest, SnippetCountBoundedByPhraseHits) {
 TEST_F(SearchTest, ResultCountsOrdering) {
   const Entity& e = PopularEntity();
   // Disjunctive retrieval can only widen the result set.
-  EXPECT_GE(search_->RegularResultCount(e.key),
+  EXPECT_GE(index_->Search(e.key, index_->NumDocs()).size(),
             search_->PhraseResultCount(e.key));
   EXPECT_EQ(search_->PhraseResultCount("zzz unknown phrase"), 0u);
 }
@@ -164,8 +173,9 @@ TEST_F(SearchTest, PrismaYieldsNothingForStopWordOrUnknownConcepts) {
 }
 
 TEST_F(SearchTest, PrismaYieldsNothingWithoutStoredText) {
-  // store_text=false keeps the token streams for search but drops the
-  // text surface, and Prisma reads documents through that surface.
+  // store_text=false keeps the token streams for search but hides them
+  // from DocTokenIds and HitWindow, the readers Prisma and the snippets
+  // go through.
   IndexBuildOptions options;
   options.store_text = false;
   InvertedIndex textless(options);
@@ -177,6 +187,8 @@ TEST_F(SearchTest, PrismaYieldsNothingWithoutStoredText) {
   EXPECT_TRUE(service.PrismaFeedbackTerms(e.key).empty());
   EXPECT_TRUE(textless.DocTokenIds(docs_->front().id).empty());
   EXPECT_FALSE(index_->DocTokenIds(docs_->front().id).empty());
+  EXPECT_TRUE(service.Snippets(e.key).empty());
+  EXPECT_FALSE(search_->Snippets(e.key).empty());
 }
 
 // A four-document index where the feedback pool of "alpha" is the first

@@ -995,10 +995,11 @@ TEST(ServeDaemonTest, ConcurrentWorkersAnswerBitIdenticallyToTheOracle) {
       std::string text;
       const size_t len = 1 + rng.NextBounded(25);
       for (size_t i = 0; i < len; ++i) {
-        text += "w" + std::to_string(rng.NextBounded(2) == 0
-                                         ? rng.NextBounded(5)
-                                         : rng.NextBounded(150)) +
-                " ";
+        text.append("w")
+            .append(std::to_string(rng.NextBounded(2) == 0
+                                       ? rng.NextBounded(5)
+                                       : rng.NextBounded(150)))
+            .append(" ");
       }
       Document doc = MakeDoc(next_id++, std::move(text));
       oracle.Add(doc);
@@ -1018,7 +1019,9 @@ TEST(ServeDaemonTest, ConcurrentWorkersAnswerBitIdenticallyToTheOracle) {
     std::string query;
     const size_t terms = rng.NextBounded(4);  // Includes empty queries.
     for (size_t t = 0; t < terms; ++t) {
-      query += "w" + std::to_string(rng.NextBounded(160)) + " ";
+      query.append("w")
+          .append(std::to_string(rng.NextBounded(160)))
+          .append(" ");
     }
     expected.push_back(oracle.Search(query, 10));
     queries.push_back(std::move(query));

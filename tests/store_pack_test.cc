@@ -166,7 +166,7 @@ std::string LinearModelText(size_t dim, double w) {
   for (size_t i = 0; i < dim; ++i) {
     mean += " 0";
     inv_sd += " 1";
-    weights += " " + std::to_string(w * static_cast<double>(i + 1));
+    weights.append(" ").append(std::to_string(w * static_cast<double>(i + 1)));
   }
   return "ranksvm v1\nkernel linear\n" + mean + "\n" + inv_sd + "\n" +
          weights + "\nrff 0\n";

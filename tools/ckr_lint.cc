@@ -755,12 +755,18 @@ std::string FormatViolation(const Violation& v) {
 }
 
 FileKind ClassifyPath(std::string_view path) {
+  // True when `dir` is a whole component of `path`: at its start or after
+  // a '/', and followed by a '/'. Compares in place, building no string.
   auto in_dir = [&](std::string_view dir) {
-    if (path.substr(0, dir.size() + 1) ==
-        std::string(dir) + "/") {
-      return true;
+    for (size_t at = path.find(dir); at != std::string_view::npos;
+         at = path.find(dir, at + 1)) {
+      const size_t end = at + dir.size();
+      if ((at == 0 || path[at - 1] == '/') && end < path.size() &&
+          path[end] == '/') {
+        return true;
+      }
     }
-    return path.find("/" + std::string(dir) + "/") != std::string_view::npos;
+    return false;
   };
   if (in_dir("src")) return FileKind::kSrc;
   if (in_dir("bench")) return FileKind::kBench;
