@@ -25,6 +25,7 @@
 #include "clicks/click_log.h"
 #include "core/pipeline.h"
 #include "corpus/corpus_stream.h"
+#include "corpus/doc_generator.h"
 #include "features/offline_miner.h"
 #include "index/inverted_index.h"
 #include "index/legacy_index.h"
@@ -55,7 +56,12 @@ OfflineLab* GetLab() {
     l->pipeline = std::move(*pipeline_or);
 
     // Same web corpus, same Add order -> comparable indexes.
-    for (const Document& doc : l->pipeline->web_corpus()) {
+    // Generation is counter-seeded per document id, so a second
+    // generator yields exactly the documents the pipeline indexed.
+    for (const Document& doc :
+         DocGenerator(l->pipeline->world())
+             .GenerateCorpus(Document::Kind::kWeb,
+                             l->pipeline->config().world.num_web_docs)) {
       l->legacy.Add(doc);
       l->flat.Add(doc);
     }
@@ -555,15 +561,13 @@ void RunSummary() {
   std::printf("phrase count       %11.0f  %12.0f  %7.2fx\n",
               phrase_count.LegacyQps(), phrase_count.FlatQps(),
               phrase_count.Speedup());
-  std::printf("index memory: legacy %.2f MB, flat %.2f MB (%.2fx smaller, "
-              "position pool %.2f MB)\n",
+  std::printf("index memory: legacy %.2f MB, flat %.2f MB (%.2fx smaller)\n",
               static_cast<double>(legacy_bytes) / 1e6,
               static_cast<double>(flat_bytes) / 1e6,
               flat_bytes > 0
                   ? static_cast<double>(legacy_bytes) /
                         static_cast<double>(flat_bytes)
-                  : 0.0,
-              static_cast<double>(lab->flat.PositionPoolBytes()) / 1e6);
+                  : 0.0);
   std::printf("block index: pruned top-50 bit-identical to exhaustive: "
               "%s\n",
               pruned_identical ? "yes" : "NO");
@@ -659,8 +663,8 @@ void RunSummary() {
                phrase_count.Speedup());
   std::fprintf(f,
                "  \"memory\": {\"legacy_bytes\": %zu, \"flat_bytes\": %zu, "
-               "\"position_pool_bytes\": %zu, \"legacy_over_flat\": %.4f},\n",
-               legacy_bytes, flat_bytes, lab->flat.PositionPoolBytes(),
+               "\"legacy_over_flat\": %.4f},\n",
+               legacy_bytes, flat_bytes,
                flat_bytes > 0
                    ? static_cast<double>(legacy_bytes) /
                         static_cast<double>(flat_bytes)

@@ -98,10 +98,12 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
   if (!world_or.ok()) return world_or.status();
   p->world_ = std::move(*world_or);
 
+  // The web corpus lives only until the index has taken its tokens.
+  std::vector<Document> web_corpus;
   {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.corpora_seconds");
     DocGenerator gen(*p->world_);
-    p->web_corpus_ =
+    web_corpus =
         gen.GenerateCorpus(Document::Kind::kWeb, config.world.num_web_docs);
     p->news_stories_ = gen.GenerateCorpus(Document::Kind::kNews,
                                           config.world.num_news_stories);
@@ -110,7 +112,8 @@ StatusOr<std::unique_ptr<Pipeline>> Pipeline::Build(
   }
   {
     CKR_OBS_SCOPED_TIMER("ckr.offline.stage.index_seconds");
-    for (const Document& doc : p->web_corpus_) p->index_.Add(doc);
+    for (const Document& doc : web_corpus) p->index_.Add(doc);
+    web_corpus = std::vector<Document>();
     p->index_.Finalize();
   }
   {

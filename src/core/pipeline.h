@@ -53,7 +53,6 @@ class Pipeline {
 
   const PipelineConfig& config() const { return config_; }
   const World& world() const { return *world_; }
-  const std::vector<Document>& web_corpus() const { return web_corpus_; }
   const std::vector<Document>& news_stories() const { return news_stories_; }
   const std::vector<Document>& answers_snippets() const {
     return answers_snippets_;
@@ -82,7 +81,6 @@ class Pipeline {
 
   PipelineConfig config_;
   std::unique_ptr<World> world_;
-  std::vector<Document> web_corpus_;
   std::vector<Document> news_stories_;
   std::vector<Document> answers_snippets_;
   TermDictionary term_dict_;

@@ -14,9 +14,9 @@ namespace ckr {
 ///
 /// Bits collect in a 64-bit accumulator and leave it as whole bytes
 /// appended to `*out`; bytes already in `*out` are left alone, so one
-/// vector can take many byte-aligned blobs back to back (the inverted
-/// index's position pool). Finish() pads the last partial byte with zero
-/// bits; until then up to 7 bits are pending and not yet in `*out`.
+/// vector can take many byte-aligned blobs back to back. Finish() pads
+/// the last partial byte with zero bits; until then up to 7 bits are
+/// pending and not yet in `*out`.
 class BitWriter {
  public:
   /// `out` must outlive the writer.
@@ -53,9 +53,8 @@ class BitReader {
  public:
   explicit BitReader(const std::vector<uint8_t>& bytes);
 
-  /// Reads from a raw byte span — lets callers decode blobs that live
-  /// inside a larger pool (e.g. concatenated posting-position blocks)
-  /// without copying them out first.
+  /// Reads from a raw byte span — lets callers decode a blob that lives
+  /// inside a larger buffer without copying it out first.
   BitReader(const uint8_t* data, size_t size);
 
   /// Reads `count` bits (<= 64); returns them right-aligned. Reads past

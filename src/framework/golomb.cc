@@ -61,14 +61,6 @@ uint64_t OptimalGolombParameter(double mean_gap) {
   return std::max<uint64_t>(1, static_cast<uint64_t>(m));
 }
 
-StatusOr<std::vector<uint8_t>> EncodeSortedIds(
-    const std::vector<uint32_t>& ids, uint32_t universe) {
-  std::vector<uint8_t> bytes;
-  auto offset_or = AppendEncodedSortedIds(ids, universe, &bytes);
-  if (!offset_or.ok()) return offset_or.status();
-  return bytes;
-}
-
 StatusOr<std::vector<uint32_t>> DecodeSortedIds(
     const std::vector<uint8_t>& bytes) {
   std::vector<uint32_t> ids;
@@ -77,9 +69,8 @@ StatusOr<std::vector<uint32_t>> DecodeSortedIds(
   return ids;
 }
 
-StatusOr<size_t> AppendEncodedSortedIds(std::span<const uint32_t> ids,
-                                        uint32_t universe,
-                                        std::vector<uint8_t>* pool) {
+StatusOr<std::vector<uint8_t>> EncodeSortedIds(
+    const std::vector<uint32_t>& ids, uint32_t universe) {
   for (size_t i = 1; i < ids.size(); ++i) {
     if (ids[i] <= ids[i - 1]) {
       return Status::InvalidArgument("ids must be strictly increasing");
@@ -94,8 +85,8 @@ StatusOr<size_t> AppendEncodedSortedIds(std::span<const uint32_t> ids,
                         static_cast<double>(ids.size());
   const GolombCode code(OptimalGolombParameter(mean_gap));
 
-  const size_t offset = pool->size();
-  BitWriter writer(pool);
+  std::vector<uint8_t> bytes;
+  BitWriter writer(&bytes);
   // Header: count (32 bits) + parameter (32 bits).
   writer.WriteBits(ids.size(), 32);
   writer.WriteBits(code.m, 32);
@@ -108,7 +99,7 @@ StatusOr<size_t> AppendEncodedSortedIds(std::span<const uint32_t> ids,
     first = false;
   }
   writer.Finish();
-  return offset;
+  return bytes;
 }
 
 Status DecodeSortedIdsInto(const uint8_t* data, size_t size,

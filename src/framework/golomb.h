@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -29,8 +28,8 @@ uint64_t OptimalGolombParameter(double mean_gap);
 /// Delta-encodes a strictly increasing id list: first id, then gaps - 1,
 /// all Golomb-coded with a parameter derived from the list density over
 /// `universe`. Returns the byte buffer (self-contained: stores count and
-/// parameter in a small header). The same encoder as
-/// AppendEncodedSortedIds, into an empty vector.
+/// parameter in a small header). Rejects ids that are not strictly
+/// increasing or reach `universe`.
 ///
 /// Byte format, MSB-first within each byte: a 32-bit count, a 32-bit
 /// parameter m, then per id its gap as a unary quotient (ones ended by a
@@ -41,17 +40,6 @@ uint64_t OptimalGolombParameter(double mean_gap);
 /// Inverse of EncodeSortedIds.
 [[nodiscard]] StatusOr<std::vector<uint32_t>> DecodeSortedIds(
     const std::vector<uint8_t>& bytes);
-
-/// Encodes one EncodeSortedIds-format blob straight onto the end of
-/// `pool` and returns the byte offset of its start; no intermediate
-/// buffer. Blobs are byte-aligned and self-contained, so a pool of
-/// concatenated blobs plus per-blob offsets serves as a compressed
-/// positions store (the inverted index keeps one blob per posting entry).
-/// Rejects ids that are not strictly increasing or reach `universe`, with
-/// `pool` left untouched.
-[[nodiscard]] StatusOr<size_t> AppendEncodedSortedIds(
-    std::span<const uint32_t> ids, uint32_t universe,
-    std::vector<uint8_t>* pool);
 
 /// Decodes one blob from a raw byte span into `*out` (cleared first,
 /// capacity reused). Span-based so hot decode loops neither copy the blob

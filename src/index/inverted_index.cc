@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "framework/golomb.h"
 #include "obs/hooks.h"
 #include "text/tokenizer.h"
 
@@ -131,72 +130,31 @@ void InvertedIndex::Finalize() {
   const size_t num_slots = post_offset_[num_terms];
   post_doc_.resize(num_slots);
   post_tf_.resize(num_slots);
-  pos_offset_.resize(num_slots);
-  pos_len_.resize(num_slots);
-  pos_first_.resize(num_slots);
-  pos_pool_.clear();
-  // Every blob holds its 8-byte header and at least one code bit.
-  pos_pool_.reserve(num_slots * 9);
 
-  // Pass 2 (doc-major, so each term's slots come out sorted by doc):
-  // group the document's occurrences by term id with a counting pass —
-  // stamp each term's group on first sight (as pass 1 stamps last_doc),
-  // count its occurrences, prefix-sum the counts in ascending tid order
-  // and scatter the positions, which stay ascending within each group.
-  // Then emit one slot per group, in ascending tid order, its positions
-  // Golomb-coded straight onto the shared pool.
-  struct TermGroup {
-    uint32_t doc = kInvalidTid;  ///< Document the group belongs to.
-    uint32_t count = 0;          ///< Occurrences in that document.
-    uint32_t end = 0;            ///< Scatter cursor, then end of its run.
-  };
-  std::vector<TermGroup> groups(num_terms);
+  // Pass 2 (doc-major, so each term's slots come out sorted by doc): a
+  // term's first occurrence in a document opens its slot with tf 1, and
+  // each later occurrence counts into that slot.
+  std::fill(last_doc.begin(), last_doc.end(), kInvalidTid);
   std::vector<size_t> cursor(post_offset_.begin(), post_offset_.end() - 1);
-  const uint32_t max_len =
-      num_docs == 0 ? 0 : *std::max_element(doc_len_.begin(), doc_len_.end());
-  std::vector<uint32_t> doc_tids;  // The document's distinct terms.
-  doc_tids.reserve(std::min<size_t>(max_len, num_terms));
-  std::vector<uint32_t> grouped(max_len);  // Positions, grouped by term.
   for (size_t d = 0; d < num_docs; ++d) {
-    const uint32_t* toks = tok_tid_.data() + doc_tok_offset_[d];
-    const uint32_t len = doc_len_[d];
-    doc_tids.clear();
-    for (uint32_t p = 0; p < len; ++p) {
-      TermGroup& g = groups[toks[p]];
-      if (g.doc != d) {
-        g.doc = static_cast<uint32_t>(d);
-        g.count = 0;
-        doc_tids.push_back(toks[p]);
+    for (size_t i = doc_tok_offset_[d]; i < doc_tok_offset_[d + 1]; ++i) {
+      const uint32_t tid = tok_tid_[i];
+      if (last_doc[tid] != d) {
+        last_doc[tid] = static_cast<uint32_t>(d);
+        const size_t slot = cursor[tid]++;
+        post_doc_[slot] = static_cast<uint32_t>(d);
+        post_tf_[slot] = 1;
+      } else {
+        ++post_tf_[cursor[tid] - 1];
       }
-      ++g.count;
-    }
-    std::sort(doc_tids.begin(), doc_tids.end());
-    uint32_t run = 0;
-    for (uint32_t tid : doc_tids) {
-      groups[tid].end = run;
-      run += groups[tid].count;
-    }
-    for (uint32_t p = 0; p < len; ++p) grouped[groups[toks[p]].end++] = p;
-    for (uint32_t tid : doc_tids) {
-      const TermGroup& g = groups[tid];
-      const std::span<const uint32_t> positions(
-          grouped.data() + (g.end - g.count), g.count);
-      size_t slot = cursor[tid]++;
-      post_doc_[slot] = static_cast<uint32_t>(d);
-      post_tf_[slot] = g.count;
-      auto offset_or = AppendEncodedSortedIds(positions, len, &pos_pool_);
-      CKR_DCHECK(offset_or.ok());
-      pos_offset_[slot] = *offset_or;
-      pos_len_[slot] = static_cast<uint32_t>(pos_pool_.size() - *offset_or);
-      pos_first_[slot] = positions.front();
     }
   }
-  pos_pool_.shrink_to_fit();
+  tok_tid_.shrink_to_fit();
+  doc_tok_offset_.shrink_to_fit();
 #if CKR_DEBUG_CHECKS
   // Frozen-layout invariants: the slot offset table is monotone and fully
-  // consumed, every slot's doc index is in range and strictly ascending
-  // within its term (pass 2 emits doc-major), and every positions blob
-  // lies inside the shared pool.
+  // consumed, and every slot's doc index is in range and strictly
+  // ascending within its term (pass 2 emits doc-major).
   CKR_DCHECK_EQ(post_offset_.size(), num_terms + 1);
   for (size_t t = 0; t < num_terms; ++t) {
     CKR_DCHECK_LE(post_offset_[t], post_offset_[t + 1]);
@@ -206,7 +164,6 @@ void InvertedIndex::Finalize() {
       if (slot > post_offset_[t]) {
         CKR_DCHECK_LT(post_doc_[slot - 1], post_doc_[slot]);
       }
-      CKR_DCHECK_LE(pos_offset_[slot] + pos_len_[slot], pos_pool_.size());
     }
   }
   for (uint32_t tid : tok_tid_) CKR_DCHECK_LT(tid, num_terms);
@@ -403,14 +360,6 @@ std::vector<SearchResult> InvertedIndex::Search(
   return heap.Take();
 }
 
-void InvertedIndex::DecodePositions(size_t slot,
-                                    std::vector<uint32_t>* out) const {
-  Status s = DecodeSortedIdsInto(pos_pool_.data() + pos_offset_[slot],
-                                 pos_len_[slot], out);
-  (void)s;
-  CKR_DCHECK(s.ok());
-}
-
 bool InvertedIndex::ResolvePhrase(std::string_view phrase,
                                   std::vector<uint32_t>* tids,
                                   size_t* rarest) const {
@@ -440,60 +389,25 @@ bool InvertedIndex::ResolvePhrase(std::string_view phrase,
   return true;
 }
 
-namespace {
-
-/// True if the phrase window starting at rarest-occurrence `q` matches the
-/// doc's token stream. A window match at start p means every token p+t
-/// equals term t, which holds iff term t has a position at p+t (positions
-/// come from the same token stream) — so witnesses are exactly the legacy
-/// ones.
-inline bool WindowMatches(Span<const uint32_t> toks, uint32_t q,
-                          size_t rarest, const std::vector<uint32_t>& tids) {
-  if (q < rarest) return false;
-  const uint32_t p = q - static_cast<uint32_t>(rarest);
-  const uint32_t width = static_cast<uint32_t>(tids.size());
-  if (p + width > toks.size()) return false;
-  for (uint32_t t = 0; t < width; ++t) {
-    if (t == rarest) continue;  // q is a known occurrence.
-    if (toks[p + t] != tids[t]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 bool InvertedIndex::PhraseInDoc(uint32_t d, const std::vector<uint32_t>& tids,
-                                size_t rarest, size_t rarest_slot,
-                                std::vector<uint32_t>* pos_buf,
-                                uint32_t* num_starts) const {
+                                size_t rarest, uint32_t* num_starts) const {
   const Span<const uint32_t> toks = CsrRow(tok_tid_, doc_tok_offset_, d);
   CKR_DCHECK_EQ(toks.size(), doc_len_[d]);
-  const uint32_t tf = post_tf_[rarest_slot];
-  const bool first_hits =
-      WindowMatches(toks, pos_first_[rarest_slot], rarest, tids);
-
-  if (num_starts == nullptr) {
-    // Existence only: the stored first position answers most docs without
-    // touching the compressed pool.
-    if (first_hits) return true;
-    if (tf == 1) return false;
-    DecodePositions(rarest_slot, pos_buf);
-    for (size_t i = 1; i < pos_buf->size(); ++i) {
-      if (WindowMatches(toks, (*pos_buf)[i], rarest, tids)) return true;
-    }
-    return false;
-  }
-
+  const size_t width = tids.size();
+  if (toks.size() < width) return false;  // No window fits.
+  // Each start p in [0, size - width] is found through its window's
+  // rarest-term slot q = p + rarest, and only a window with the rarest
+  // term in place is compared in full.
+  const uint32_t seed = tids[rarest];
+  const uint32_t* const last = toks.end() - (width - 1 - rarest);
   uint32_t starts = 0;
-  if (tf == 1) {
-    starts = first_hits ? 1 : 0;
-  } else {
-    DecodePositions(rarest_slot, pos_buf);
-    for (uint32_t q : *pos_buf) {
-      if (WindowMatches(toks, q, rarest, tids)) ++starts;
-    }
+  for (const uint32_t* q = std::find(toks.begin() + rarest, last, seed);
+       q != last; q = std::find(q + 1, last, seed)) {
+    if (!std::equal(tids.begin(), tids.end(), q - rarest)) continue;
+    if (num_starts == nullptr) return true;
+    ++starts;
   }
-  *num_starts = starts;
+  if (num_starts != nullptr) *num_starts = starts;
   return starts > 0;
 }
 
@@ -507,14 +421,9 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
     return post_offset_[tids[0] + 1] - post_offset_[tids[0]];
   }
 
-  std::vector<uint32_t> pos_buf;
   uint64_t count = 0;
-  const size_t rb = post_offset_[tids[rarest]];
-  const size_t re = post_offset_[tids[rarest] + 1];
-  for (size_t seed = rb; seed < re; ++seed) {
-    if (PhraseInDoc(post_doc_[seed], tids, rarest, seed, &pos_buf, nullptr)) {
-      ++count;
-    }
+  for (uint32_t d : CsrRow(post_doc_, post_offset_, tids[rarest])) {
+    if (PhraseInDoc(d, tids, rarest, nullptr)) ++count;
   }
   return count;
 }
@@ -533,13 +442,12 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
   const double idf = TermIdf(tids[rarest]);
 
   TopKHeap heap(k);
-  std::vector<uint32_t> pos_buf;
   for (size_t seed = rb; seed < re; ++seed) {
     uint32_t d = post_doc_[seed];
     uint32_t starts = 0;
     if (tids.size() == 1) {
       starts = post_tf_[seed];  // Every occurrence is a phrase start.
-    } else if (!PhraseInDoc(d, tids, rarest, seed, &pos_buf, &starts)) {
+    } else if (!PhraseInDoc(d, tids, rarest, &starts)) {
       continue;
     }
     double dl = static_cast<double>(doc_len_[d]);
@@ -628,10 +536,6 @@ size_t InvertedIndex::MemoryBytes() const {
   bytes += post_offset_.capacity() * sizeof(size_t);
   bytes += post_doc_.capacity() * sizeof(uint32_t);
   bytes += post_tf_.capacity() * sizeof(uint32_t);
-  bytes += pos_offset_.capacity() * sizeof(uint64_t);
-  bytes += pos_len_.capacity() * sizeof(uint32_t);
-  bytes += pos_first_.capacity() * sizeof(uint32_t);
-  bytes += pos_pool_.capacity();
   bytes += doc_len_.capacity() * sizeof(uint32_t);
   bytes += default_norm_.capacity() * sizeof(double);
   bytes += score_df_.capacity() * sizeof(double);

@@ -1,4 +1,4 @@
-// Positional inverted index with BM25 ranked retrieval, phrase search, and
+// Inverted index with BM25 ranked retrieval, phrase search, and
 // snippet windows — the substitute for the Yahoo! Search backend used by
 // the paper's feature pipeline:
 //  * feature (4) searchengine_phrase = number of results of a phrase query;
@@ -10,18 +10,14 @@
 //  * terms are interned into dense ids at Add() time; lookups are
 //    heterogeneous (string_view, no temporary std::string);
 //  * postings live in CSR flat arrays — per-term slot ranges over
-//    contiguous (doc, tf) columns, with each slot's token positions
-//    delta-encoded through the framework's Golomb coder into one shared
-//    byte pool (decoded only when a phrase check actually needs them).
-//    Finalize fills the pool doc by doc: a stamped counting pass groups
-//    the document's positions by term (counts, prefix sum, scatter), and
-//    each group, in ascending term id order, is encoded straight onto the
-//    pool's end — no sort and no buffer per slot, so its allocations do
-//    not grow with the slot count;
+//    contiguous (doc, tf) columns, filled by Finalize in two doc-major
+//    walks over the token streams (count the slots, then open and count
+//    each one); the index stores no word positions;
 //  * per-doc token-id streams are CSR too, and are the only form of a
-//    document the index keeps: phrase checks verify against them and a
-//    snippet is a window of them — no text and no per-document string
-//    vectors survive Add();
+//    document the index keeps: a phrase check scans the candidate
+//    document's stream for windows equal to the phrase, and a snippet is
+//    a window of it — no text and no per-document string vectors survive
+//    Add();
 //  * per-doc lengths and the default-parameter BM25 norm are precomputed;
 //  * the doc/tf columns are the only copy of the postings: the exhaustive
 //    scorer and the phrase seed loops read them directly, and the
@@ -96,7 +92,7 @@ struct IndexBuildOptions {
   /// off.
   ///
   /// Degraded-path contract: only those two readers degrade. The index
-  /// keeps the streams and the Golomb position pool either way, so
+  /// keeps the streams either way (its phrase checks read them), so
   /// Search, PhraseResultCount and PhraseSearch return exactly the same
   /// results and counts as a store_text=true build (regression-tested in
   /// tests/index_test.cc).
@@ -195,8 +191,8 @@ class InvertedIndex {
 
   /// Number of documents containing the phrase contiguously — the paper's
   /// "number of result pages returned" for a phrase query. Count-only:
-  /// intersects doc lists and stops at the first adjacency witness per
-  /// document instead of materializing a ranked result set.
+  /// walks the rarest term's doc list and stops at the first phrase
+  /// window per document instead of materializing a ranked result set.
   ///
   /// An empty/whitespace-only phrase or one containing an
   /// out-of-vocabulary term returns 0 (no document can contain it).
@@ -230,9 +226,6 @@ class InvertedIndex {
   /// Approximate heap footprint of the index structures — the memory row
   /// of bench_offline_perf.
   size_t MemoryBytes() const;
-
-  /// Bytes of the Golomb-compressed positions pool (diagnostics).
-  size_t PositionPoolBytes() const { return pos_pool_.size(); }
 
   /// The pruning metadata backing the MaxScore / Block-Max-WAND
   /// evaluators. Finalize() builds it unless options.build_block_index is
@@ -270,22 +263,17 @@ class InvertedIndex {
   double TermIdf(uint32_t tid) const;
   /// The postings and per-doc columns the block index ranks over.
   PostingColumns Columns() const;
-  /// Decodes the positions blob of posting slot `slot` into `*out`.
-  void DecodePositions(size_t slot, std::vector<uint32_t>* out) const;
   /// Resolves a phrase to term ids and per-term posting slot ranges;
   /// returns false if the phrase is empty or any term is unseen.
   bool ResolvePhrase(std::string_view phrase, std::vector<uint32_t>* tids,
                      size_t* rarest) const;
-  /// True if doc `d` contains the phrase starting at any position. Decodes
-  /// only the rarest term's position list (slot `rarest_slot`, reusable
-  /// buffer `pos_buf`) and verifies each candidate window directly against
-  /// the doc's token-id stream — no other position list is touched. With
-  /// `num_starts` all starts are counted; without it the first witness
-  /// returns early.
+  /// True if doc `d` contains the phrase `tids` contiguously. Scans the
+  /// doc's token-id stream for starts whose window holds term `rarest` in
+  /// place and equals `tids` in full. With `num_starts`, every start is
+  /// counted and the count stored there on a true return; without it the
+  /// first witness returns early.
   bool PhraseInDoc(uint32_t d, const std::vector<uint32_t>& tids,
-                   size_t rarest, size_t rarest_slot,
-                   std::vector<uint32_t>* pos_buf,
-                   uint32_t* num_starts) const;
+                   size_t rarest, uint32_t* num_starts) const;
 
   // ---- Documents (CSR token streams; built during Add) ----
   std::vector<DocId> doc_id_;            ///< External id per internal doc.
@@ -301,13 +289,6 @@ class InvertedIndex {
   std::vector<size_t> post_offset_;      ///< terms+1 slot offsets.
   std::vector<uint32_t> post_doc_;       ///< Doc index per slot.
   std::vector<uint32_t> post_tf_;        ///< Term frequency per slot.
-  std::vector<uint64_t> pos_offset_;     ///< Positions blob start per slot.
-  std::vector<uint32_t> pos_len_;        ///< Positions blob length per slot.
-  std::vector<uint32_t> pos_first_;      ///< First position per slot (phrase
-                                         ///< checks skip the decode when
-                                         ///< tf == 1 or the first occurrence
-                                         ///< is already a witness).
-  std::vector<uint8_t> pos_pool_;        ///< Golomb-coded positions.
 
   // ---- Collection statistics ----
   std::vector<uint32_t> doc_len_;        ///< Tokens per doc.

@@ -261,12 +261,11 @@ TEST(AllocBudgetTest, WarmMaxScoreLegAllocatesCursorsSlotsAndResult) {
 
 /// Allocations of a Finalize() without the block index (the way
 /// ShardedIndex::Build runs it, the block index coming after the stats
-/// override): its output arrays, the per-term and per-document scratch,
-/// and the position pool's reserve, growth and final shrink — a constant,
-/// not a count per posting slot. Measured at 17 on both indexes below
-/// (6,105 and 62,016 slots); the Finalize that encoded each slot into a
-/// buffer of its own made 30,863 and 313,122, about five per slot.
-constexpr uint64_t kFinalizeBudget = 24;
+/// override): the postings and per-document columns, the per-term
+/// scratch of its two passes, and the token streams' final trim — a
+/// constant, not a count per posting slot. Measured at 10 on both indexes
+/// below (6,105 and 62,016 slots).
+constexpr uint64_t kFinalizeBudget = 12;
 
 /// An index of `num_docs` seeded documents over a skewed vocabulary.
 InvertedIndex SeededIndex(uint64_t seed, DocId num_docs) {

@@ -40,6 +40,14 @@ class CoreTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  /// The documents the pipeline indexed: generation is counter-seeded
+  /// per document id, so a second generator yields them again.
+  static std::vector<Document> WebCorpus() {
+    return DocGenerator(pipeline_->world())
+        .GenerateCorpus(Document::Kind::kWeb,
+                        pipeline_->config().world.num_web_docs);
+  }
+
   static Pipeline* pipeline_;
   static ClickDataset* dataset_;
 };
@@ -49,7 +57,7 @@ ClickDataset* CoreTest::dataset_ = nullptr;
 
 TEST_F(CoreTest, PipelineComponentsAreWired) {
   EXPECT_GT(pipeline_->world().NumEntities(), 200u);
-  EXPECT_EQ(pipeline_->web_corpus().size(),
+  EXPECT_EQ(pipeline_->index().NumDocs(),
             pipeline_->config().world.num_web_docs);
   EXPECT_TRUE(pipeline_->index().finalized());
   EXPECT_TRUE(pipeline_->query_log().finalized());
@@ -64,9 +72,10 @@ TEST_F(CoreTest, PipelineComponentsAreWired) {
 // must equal what counting the web corpus directly gives: per document, the
 // set of its tokens (Porter-stemmed for the stemmed copy).
 TEST_F(CoreTest, TermDictionariesMatchCorpusCounts) {
+  const std::vector<Document> corpus = WebCorpus();
   for (bool stemmed : {false, true}) {
     std::map<std::string, uint32_t> want;
-    for (const Document& doc : pipeline_->web_corpus()) {
+    for (const Document& doc : corpus) {
       std::set<std::string> seen;
       for (std::string& tok : TokenizeToStrings(doc.text)) {
         seen.insert(stemmed ? PorterStem(tok) : std::move(tok));
@@ -77,7 +86,7 @@ TEST_F(CoreTest, TermDictionariesMatchCorpusCounts) {
                                      ? pipeline_->stemmed_term_dictionary()
                                      : pipeline_->term_dictionary();
     SCOPED_TRACE(stemmed ? "stemmed" : "unstemmed");
-    EXPECT_EQ(dict.NumDocs(), pipeline_->web_corpus().size());
+    EXPECT_EQ(dict.NumDocs(), corpus.size());
     ASSERT_EQ(dict.NumTerms(), want.size());
     ASSERT_GT(want.size(), 500u);
     for (const auto& [term, df] : want) {

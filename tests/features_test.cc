@@ -10,6 +10,7 @@
 
 #include "common/string_util.h"
 #include "core/pipeline.h"
+#include "corpus/doc_generator.h"
 #include "features/interestingness.h"
 #include "features/relevance.h"
 #include "index/legacy_index.h"
@@ -49,6 +50,14 @@ class FeaturesTest : public ::testing::Test {
       if (!worst || e.popularity < worst->popularity) worst = &e;
     }
     return *worst;
+  }
+
+  /// The documents the pipeline indexed: generation is counter-seeded
+  /// per document id, so a second generator yields them again.
+  static std::vector<Document> WebCorpus() {
+    return DocGenerator(pipeline_->world())
+        .GenerateCorpus(Document::Kind::kWeb,
+                        pipeline_->config().world.num_web_docs);
   }
 
   static Pipeline* pipeline_;
@@ -205,7 +214,7 @@ std::vector<RelevantTerm> TextSnippetOracle(const Pipeline& p,
 
 TEST_F(FeaturesTest, SnippetMiningMatchesTextOracle) {
   LegacyInvertedIndex legacy;
-  for (const Document& doc : pipeline_->web_corpus()) legacy.Add(doc);
+  for (const Document& doc : WebCorpus()) legacy.Add(doc);
   legacy.Finalize();
   size_t mined = 0;
   for (const Entity& e : pipeline_->world().entities()) {
@@ -284,9 +293,10 @@ TEST_F(FeaturesTest, RelevanceScoreHigherInOnTopicContext) {
                                                RelevanceResource::kSnippets));
   // On-topic context: a web doc of the entity's topic that mentions it;
   // off-topic: a doc from another topic.
+  const std::vector<Document> corpus = WebCorpus();
   const Document* on = nullptr;
   const Document* off = nullptr;
-  for (const Document& d : pipeline_->web_corpus()) {
+  for (const Document& d : corpus) {
     if (on == nullptr && d.topic == e.primary_topic &&
         d.text.find(e.surface) != std::string::npos) {
       on = &d;

@@ -270,38 +270,17 @@ TEST(GolombFormatTest, SeededSweepMatchesOracle) {
   }
 }
 
-TEST(GolombFormatTest, PoolOfConcatenatedBlobsMatchesOracle) {
-  Rng rng(2009);
-  std::vector<uint8_t> pool = {0xab};  // Appends leave earlier bytes alone.
-  std::vector<uint8_t> want = pool;
-  std::vector<size_t> offsets;
-  std::vector<size_t> want_offsets;
-  for (int blob = 0; blob < 500; ++blob) {
-    const uint32_t universe = 1 + static_cast<uint32_t>(rng.NextBounded(600));
-    std::vector<uint32_t> ids;
-    for (uint32_t id = 0; id < universe; ++id) {
-      if (rng.NextBounded(universe) < 4) ids.push_back(id);
-    }
-    auto offset = AppendEncodedSortedIds(ids, universe, &pool);
-    ASSERT_TRUE(offset.ok());
-    offsets.push_back(*offset);
-    want_offsets.push_back(want.size());
-    const std::vector<uint8_t> bytes = oracle::EncodeSortedIds(ids, universe);
-    want.insert(want.end(), bytes.begin(), bytes.end());
+TEST(GolombFormatTest, RejectedListsAreInvalidArguments) {
+  // The last id must stay below the universe; universe - 1 is accepted
+  // (EdgeListsMatchOracle pins its bytes).
+  const std::vector<std::vector<uint32_t>> rejected = {
+      {5, 4}, {5, 5}, {5, 100}, {0, 3, 2, 9}};
+  for (const std::vector<uint32_t>& ids : rejected) {
+    const auto encoded = EncodeSortedIds(ids, 100);
+    ASSERT_FALSE(encoded.ok());
+    EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
   }
-  EXPECT_EQ(offsets, want_offsets);
-  EXPECT_EQ(pool, want);
-}
-
-TEST(GolombFormatTest, RejectedListLeavesThePoolUntouched) {
-  std::vector<uint8_t> pool = {1, 2, 3};
-  const std::vector<uint32_t> unsorted = {5, 4};
-  const std::vector<uint32_t> repeated = {5, 5};
-  const std::vector<uint32_t> outside = {5, 100};
-  EXPECT_FALSE(AppendEncodedSortedIds(unsorted, 100, &pool).ok());
-  EXPECT_FALSE(AppendEncodedSortedIds(repeated, 100, &pool).ok());
-  EXPECT_FALSE(AppendEncodedSortedIds(outside, 100, &pool).ok());
-  EXPECT_EQ(pool, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_TRUE(EncodeSortedIds({5, 99}, 100).ok());
 }
 
 // ---------------------------------------------------------------------------

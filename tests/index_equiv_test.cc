@@ -6,11 +6,14 @@
 // tokens of the legacy snippet.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "corpus/doc_generator.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
@@ -261,6 +264,65 @@ TEST(IndexSnippetNormalizationTest, WindowsMatchLegacyOnEdgeCases) {
        "leading quoted", "dashes", "marks", "words", "two words",
        "rock band", "band rock", "the band", "show", "zzzunseen",
        "zzzunseen rock", "rock zzzunseen", "", "  ", "!!!"});
+}
+
+// Phrase checks at the edges of the token-stream scan. Seeded documents
+// of 0-40 tokens over a vocabulary of three or four words, skewed so the
+// rarest term falls at every offset of some phrase; every phrase of one
+// to four terms is asked. Phrases repeat terms ("w0 w0", "w0 w1 w0"),
+// overlap their own starts, sit at a document's head and tail, and are
+// longer than the shortest documents, whose neighbours in the index's
+// token stream must not complete them.
+TEST(IndexPhraseSweepTest, SmallVocabularyPhrasesMatchLegacy) {
+  for (const uint64_t vocab : {3u, 4u}) {
+    for (const uint64_t seed : {7u, 8u}) {
+      Rng rng(seed * 10 + vocab);
+      LegacyInvertedIndex legacy;
+      InvertedIndex flat;
+      for (DocId id = 0; id < 80; ++id) {
+        Document doc;
+        doc.id = id;
+        const size_t len = rng.NextBounded(41);
+        for (size_t i = 0; i < len; ++i) {
+          // w0 about half the time, the rest ever rarer.
+          uint64_t w = 0;
+          while (w + 1 < vocab && rng.NextBounded(2) == 1) ++w;
+          doc.text.append("w").append(std::to_string(w)).append(" ");
+        }
+        legacy.Add(doc);
+        flat.Add(doc);
+      }
+      legacy.Finalize();
+      flat.Finalize();
+
+      std::vector<std::string> phrases = {""};
+      for (size_t width = 1; width <= 4; ++width) {
+        std::vector<std::string> longer;
+        for (const std::string& head : phrases) {
+          for (uint64_t w = 0; w < vocab; ++w) {
+            longer.push_back(head + " w" + std::to_string(w));
+          }
+        }
+        phrases = std::move(longer);
+        for (const std::string& phrase : phrases) {
+          SCOPED_TRACE("vocab " + std::to_string(vocab) + " seed " +
+                       std::to_string(seed) + " phrase '" + phrase + "'");
+          EXPECT_EQ(flat.PhraseResultCount(phrase),
+                    legacy.PhraseResultCount(phrase));
+          const std::vector<SearchResult> got = flat.PhraseSearch(phrase, 100);
+          const std::vector<SearchResult> want =
+              legacy.PhraseSearch(phrase, 100);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
+            EXPECT_EQ(std::bit_cast<uint64_t>(got[i].score),
+                      std::bit_cast<uint64_t>(want[i].score))
+                << "rank " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
