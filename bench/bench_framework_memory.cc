@@ -21,17 +21,16 @@ int main() {
     return 1;
   }
   const ckr::ContextualRanker& ranker = **ranker_or;
-  const auto& interest = ranker.interestingness_store();
-  const auto& relevance = ranker.relevance_store();
+  const auto& concepts = ranker.concept_store();
   const auto& tids = ranker.tid_table();
 
-  const double n = static_cast<double>(interest.NumConcepts());
+  const double n = static_cast<double>(concepts.NumConcepts());
   const double to_million = 1e6 / n;
 
   std::printf("=== Section VI memory accounting ===\n");
   std::printf("concepts in the system: %.0f\n\n", n);
 
-  double interest_bytes = static_cast<double>(interest.PayloadBytes());
+  double interest_bytes = static_cast<double>(concepts.InterestingnessBytes());
   std::printf("interestingness vectors: %.1f KB measured -> %.1f MB per 1M "
               "concepts\n",
               interest_bytes / 1e3, interest_bytes * to_million / 1e6);
@@ -40,9 +39,8 @@ int main() {
               ckr::InterestingnessVector::Dim(),
               ckr::InterestingnessVector::Dim() * 2);
 
-  double rel_bytes = static_cast<double>(relevance.PayloadBytes());
-  double rel_per_concept =
-      rel_bytes / static_cast<double>(relevance.NumConcepts());
+  double rel_bytes = static_cast<double>(concepts.RelevanceBytes());
+  double rel_per_concept = rel_bytes / n;
   std::printf("packed relevant terms: %.1f KB measured (%.0f bytes/concept) "
               "-> %.1f MB per 1M concepts\n",
               rel_bytes / 1e3, rel_per_concept,
@@ -57,7 +55,7 @@ int main() {
   std::printf("  (paper: 'the total number of unique terms ... decreases as "
               "we increase the number of concepts' -> fits in 22 bits)\n\n");
 
-  double golomb = static_cast<double>(relevance.GolombCompressedBytes());
+  double golomb = static_cast<double>(concepts.GolombCompressedBytes());
   std::printf("Golomb-coded TID lists + 10-bit scores: %.1f KB (%.1f%% of "
               "the packed size)\n",
               golomb / 1e3, 100.0 * golomb / rel_bytes);

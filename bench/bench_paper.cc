@@ -619,11 +619,12 @@ void Ablations(const ckr_bench::Lab& lab, const EvalResult& random,
 
   // ---- D: 2-byte quantization of the interestingness vectors ----
   const ClickDataset& ds = lab.dataset;
-  QuantizedInterestingnessStore store;
+  ConceptStore store;
   for (const WindowInstance& inst : ds.instances) {
-    store.Add(inst.key, inst.interestingness);
+    store.Add(inst.key, inst.interestingness, {});
   }
-  store.Finalize();
+  GlobalTidTable tids;
+  store.Finalize(&tids);
 
   std::vector<double> exact_scores, quant_scores;
   std::vector<double> dequantized;

@@ -21,8 +21,10 @@
 // per-request ServeResponse of every leg, not interpolations inside the
 // daemon's histogram buckets. Every percentile is reported with its
 // sample count, and p999 only when at least ten samples lie beyond it
-// (null in the JSON otherwise). latency_us covers served answers (kOk,
-// kPartial); queue_us every request a worker picked up. Each leg also
+// (null in the JSON otherwise); latency_us also carries the largest
+// sample, so a stall rarer than p999 still shows. latency_us covers
+// served answers (kOk, kPartial); queue_us every request a worker picked
+// up. Each leg also
 // reports the median of each envelope step the response stamps:
 // queue (admission -> pickup), scatter (pickup -> last leg), merge
 // (last leg -> merged list) and respond (merged list -> callback).
@@ -77,6 +79,7 @@ struct LegResult {
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;  // -1 when too few samples for it.
+  double latency_max_us = 0.0;
   double queue_p50_us = 0.0;
   double queue_p99_us = 0.0;
   uint64_t latency_samples = 0;  // Served answers.
@@ -173,6 +176,7 @@ void FillFromSamples(const std::vector<Sample>& samples, LegResult* leg) {
   leg->latency_p999_us = latency.size() >= kP999MinSamples
                               ? NearestRank(latency, 0.999)
                               : -1.0;
+  leg->latency_max_us = latency.empty() ? 0.0 : latency.back();
   leg->queue_p50_us = NearestRank(queued, 0.5);
   leg->queue_p99_us = NearestRank(queued, 0.99);
   auto served_median = [&](double Sample::*field) {
@@ -201,7 +205,9 @@ void FillFromMetrics(obs::MetricRegistry& metrics, LegResult* leg) {
 }
 
 /// Closed loop: kClients threads, each submit-and-wait. `swap_snapshot`
-/// (optional) is published once a quarter of the load is answered.
+/// (optional) is published once a quarter of the load is answered. The
+/// clients block on their reply and the publisher sleeps between polls,
+/// so neither takes a core from the daemon's workers while it waits.
 LegResult RunClosedLoop(const char* name, const World& world,
                         const LoadGenerator& gen,
                         std::unique_ptr<ServingSnapshot> swap_snapshot) {
@@ -223,11 +229,13 @@ LegResult RunClosedLoop(const char* name, const World& world,
   std::atomic<uint64_t> failed{0};
   // One slot per request, written by its callback only.
   std::vector<Sample> samples(kRequestsPerLeg);
+  // Replies each client has received; they outlive every callback.
+  std::vector<std::atomic<uint32_t>> replies(kClients);
   std::thread publisher;
   if (swap_snapshot != nullptr) {
     publisher = std::thread([&, snapshot = std::move(swap_snapshot)]() mutable {
       while (answered.load(std::memory_order_acquire) < kRequestsPerLeg / 4) {
-        std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       daemon.Publish(std::move(snapshot));
     });
@@ -238,24 +246,24 @@ LegResult RunClosedLoop(const char* name, const World& world,
   std::vector<std::thread> clients;
   for (unsigned c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
+      std::atomic<uint32_t>& received = replies[c];
+      uint32_t sent = 0;
       for (uint64_t i = c; i < kRequestsPerLeg; i += kClients) {
         ServeRequest request;
         request.id = i;
         request.query = gen.Request(i).query;
         request.k = gen.config().top_k;
-        std::atomic<bool> done{false};
         request.done = [&, i](ServeResponse&& response) {
           samples[i] = SampleOf(response);
           if (response.outcome != ServeOutcome::kOk) {
             failed.fetch_add(1, std::memory_order_relaxed);
           }
           answered.fetch_add(1, std::memory_order_relaxed);
-          done.store(true, std::memory_order_release);
+          received.fetch_add(1, std::memory_order_release);
+          received.notify_one();
         };
         (void)daemon.Submit(std::move(request));
-        while (!done.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
+        received.wait(sent++, std::memory_order_acquire);
       }
     });
   }
@@ -334,10 +342,10 @@ void PrintLeg(const LegResult& leg) {
   }
   std::printf(
       "%-14s %6s offered %7.0f qps  goodput %7.0f qps  "
-      "lat p50/p99/p999 %8.1f/%9.1f/%9s us  shed %5.1f%%  swaps %llu  "
-      "%s\n",
+      "lat p50/p99/p999/max %8.1f/%9.1f/%9s/%9.1f us  shed %5.1f%%  "
+      "swaps %llu  %s\n",
       leg.name, leg.mode, leg.offered_qps, leg.goodput_qps,
-      leg.latency_p50_us, leg.latency_p99_us, p999,
+      leg.latency_p50_us, leg.latency_p99_us, p999, leg.latency_max_us,
       leg.shed_rate * 100.0,
       static_cast<unsigned long long>(leg.swaps),
       leg.all_answered ? "all answered" : "LOST REQUESTS");
@@ -359,7 +367,7 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
       "\"target_qps\": %.1f, \"seconds\": %.4f, \"offered_qps\": %.1f, "
       "\"goodput_qps\": %.1f,\n"
       "     \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, \"p999\": %s, "
-      "\"samples\": %llu}, "
+      "\"max\": %.1f, \"samples\": %llu}, "
       "\"queue_us\": {\"p50\": %.1f, \"p99\": %.1f, \"samples\": %llu},\n"
       "     \"envelope_median_us\": {\"queue\": %.1f, \"scatter\": %.1f, "
       "\"merge\": %.1f, \"respond\": %.1f},\n"
@@ -369,7 +377,7 @@ void WriteLegJson(std::FILE* f, const LegResult& leg, bool last) {
       "\"all_answered\": %s}%s\n",
       leg.name, leg.mode, static_cast<unsigned long long>(leg.offered),
       leg.target_qps, leg.seconds, leg.offered_qps, leg.goodput_qps,
-      leg.latency_p50_us, leg.latency_p99_us, p999,
+      leg.latency_p50_us, leg.latency_p99_us, p999, leg.latency_max_us,
       static_cast<unsigned long long>(leg.latency_samples),
       leg.queue_p50_us, leg.queue_p99_us,
       static_cast<unsigned long long>(leg.queue_samples),

@@ -47,11 +47,10 @@ int main() {
   const ckr::StorePack& pack = *pack_or;
   std::printf("[serving] loaded pack: %zu concepts, %zu terms in the TID "
               "table\n",
-              pack.interestingness.NumConcepts(), pack.tids->size());
+              pack.concepts.NumConcepts(), pack.tids.size());
 
-  ckr::RuntimeRanker server(trained.pipeline().detector(),
-                            pack.interestingness, *pack.relevance,
-                            *pack.tids, pack.model);
+  ckr::RuntimeRanker server(trained.pipeline().detector(), pack.concepts,
+                            pack.tids, pack.model);
   ckr::CtrTracker live_feedback;
   server.SetOnlineTracker(&live_feedback);
 

@@ -89,19 +89,14 @@ StatusOr<std::unique_ptr<ContextualRanker>> ContextualRanker::Train(
   dataset_slot.clear();
   dataset_mined = MinedConceptCache();
 
-  // Store insertions stay sequential (TID interning is order-sensitive).
-  ranker->relevance_store_ =
-      std::make_unique<PackedRelevanceStore>(&ranker->tids_);
+  // Store insertions stay sequential: a repeated key keeps its last entry.
   for (size_t i = 0; i < candidates.size(); ++i) {
-    ranker->interestingness_store_.Add(candidates[i].first, ivecs[i]);
-    ranker->relevance_store_->Add(candidates[i].first, std::move(mined[i]));
+    ranker->concepts_.Add(candidates[i].first, ivecs[i], mined[i]);
   }
-  ranker->interestingness_store_.Finalize();
-  ranker->relevance_store_->Finalize();
+  ranker->concepts_.Finalize(&ranker->tids_);
 
   ranker->runtime_ = std::make_unique<RuntimeRanker>(
-      p.detector(), ranker->interestingness_store_, *ranker->relevance_store_,
-      ranker->tids_, ranker->model_);
+      p.detector(), ranker->concepts_, ranker->tids_, ranker->model_);
   return ranker;
 }
 

@@ -67,12 +67,7 @@ class ContextualRanker {
   /// access with caller-managed stats/scratch).
   const RuntimeRanker& runtime() const { return *runtime_; }
 
-  const QuantizedInterestingnessStore& interestingness_store() const {
-    return interestingness_store_;
-  }
-  const PackedRelevanceStore& relevance_store() const {
-    return *relevance_store_;
-  }
+  const ConceptStore& concept_store() const { return concepts_; }
   const GlobalTidTable& tid_table() const { return tids_; }
 
   /// Throughput counters accumulated across Rank() calls (Section VI
@@ -84,8 +79,7 @@ class ContextualRanker {
   /// quantized stores) in the StorePack format; see
   /// framework/store_pack.h.
   std::string SerializePack() const {
-    return SerializeStorePack(tids_, interestingness_store_,
-                              *relevance_store_, model_);
+    return SerializeStorePack(tids_, concepts_, model_);
   }
 
   /// Attaches a live CTR tracker (Section VIII online adaptation); its
@@ -102,8 +96,7 @@ class ContextualRanker {
   ClickDataset dataset_;
   RankSvmModel model_;
   GlobalTidTable tids_;
-  QuantizedInterestingnessStore interestingness_store_;
-  std::unique_ptr<PackedRelevanceStore> relevance_store_;
+  ConceptStore concepts_;
   std::unique_ptr<RuntimeRanker> runtime_;
   mutable RuntimeStats stats_;
 };

@@ -14,6 +14,9 @@
 namespace ckr {
 namespace {
 
+constexpr uint32_t kInterestMagic = 0x51493031;   // 'QI01'
+constexpr uint32_t kRelevanceMagic = 0x50523031;  // 'PR01'
+
 double SafeRate(uint64_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / 1e6 / seconds : 0.0;
 }
@@ -33,139 +36,6 @@ void SortRanked(std::vector<RankedAnnotation>* ranked) {
 
 }  // namespace
 
-void QuantizedInterestingnessStore::Add(std::string_view key,
-                                        const InterestingnessVector& vec) {
-  raw_[std::string(key)] = vec.Flatten();
-  finalized_ = false;
-}
-
-void QuantizedInterestingnessStore::Finalize() {
-  const size_t dim = InterestingnessVector::Dim();
-  field_min_.assign(dim, 1e300);
-  field_max_.assign(dim, -1e300);
-  for (const auto& [key, v] : raw_) {
-    for (size_t i = 0; i < dim; ++i) {
-      field_min_[i] = std::min(field_min_[i], v[i]);
-      field_max_[i] = std::max(field_max_[i], v[i]);
-    }
-  }
-  if (raw_.empty()) {
-    field_min_.assign(dim, 0.0);
-    field_max_.assign(dim, 1.0);
-  }
-  // Dense layout: ids in sorted-key order for run-to-run determinism.
-  keys_.clear();
-  keys_.reserve(raw_.size());
-  for (const auto& [key, v] : raw_) keys_.push_back(key);
-  std::sort(keys_.begin(), keys_.end());
-  key_to_id_.clear();
-  key_to_id_.reserve(keys_.size());
-  flat_.assign(keys_.size() * dim, 0);
-  for (uint32_t id = 0; id < keys_.size(); ++id) {
-    key_to_id_.emplace(keys_[id], id);
-    const std::vector<double>& v = raw_.at(keys_[id]);
-    uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
-    for (size_t i = 0; i < dim; ++i) {
-      double span = field_max_[i] - field_min_[i];
-      double frac = span > 0 ? (v[i] - field_min_[i]) / span : 0.0;
-      q[i] = static_cast<uint16_t>(frac * 65535.0 + 0.5);
-    }
-  }
-  finalized_ = true;
-}
-
-uint32_t QuantizedInterestingnessStore::IdOf(std::string_view key) const {
-  auto it = key_to_id_.find(key);
-  return it == key_to_id_.end() ? kInvalidConcept : it->second;
-}
-
-bool QuantizedInterestingnessStore::LookupById(uint32_t id,
-                                               std::vector<double>* out) const {
-  if (id >= keys_.size()) return false;
-  const size_t dim = InterestingnessVector::Dim();
-  out->resize(dim);
-  const uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
-  for (size_t i = 0; i < dim; ++i) {
-    double span = field_max_[i] - field_min_[i];
-    (*out)[i] = field_min_[i] + span * static_cast<double>(q[i]) / 65535.0;
-  }
-  return true;
-}
-
-bool QuantizedInterestingnessStore::Lookup(std::string_view key,
-                                           std::vector<double>* out) const {
-  return LookupById(IdOf(key), out);
-}
-
-size_t QuantizedInterestingnessStore::PayloadBytes() const {
-  return keys_.size() * InterestingnessVector::Dim() * sizeof(uint16_t);
-}
-
-void QuantizedInterestingnessStore::SaveTo(BinaryWriter* writer) const {
-  writer->U32(0x51493031);  // 'QI01'
-  writer->U32(static_cast<uint32_t>(field_min_.size()));
-  for (double v : field_min_) writer->F64(v);
-  for (double v : field_max_) writer->F64(v);
-  writer->U32(static_cast<uint32_t>(keys_.size()));
-  const size_t dim = InterestingnessVector::Dim();
-  for (uint32_t id = 0; id < keys_.size(); ++id) {
-    writer->Str(keys_[id]);
-    const uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
-    for (size_t i = 0; i < dim; ++i) writer->U16(q[i]);
-  }
-}
-
-StatusOr<QuantizedInterestingnessStore> QuantizedInterestingnessStore::LoadFrom(
-    BinaryReader* reader) {
-  if (reader->U32() != 0x51493031) {
-    return Status::InvalidArgument("bad interestingness-store magic");
-  }
-  QuantizedInterestingnessStore store;
-  uint32_t dim = reader->U32();
-  if (dim != InterestingnessVector::Dim()) {
-    return Status::InvalidArgument("interestingness dimensionality mismatch");
-  }
-  store.field_min_.resize(dim);
-  store.field_max_.resize(dim);
-  for (double& v : store.field_min_) v = reader->F64();
-  for (double& v : store.field_max_) v = reader->F64();
-  uint32_t n = reader->U32();
-  // Every record is at least its key's 4-byte length prefix plus dim
-  // quantized values; a declared count that cannot fit the remaining
-  // bytes is a corrupted size field and must fail before any reserve.
-  const size_t min_record_bytes = sizeof(uint32_t) + dim * sizeof(uint16_t);
-  if (n > reader->remaining() / min_record_bytes) {
-    return Status::InvalidArgument(
-        "interestingness store count exceeds blob size");
-  }
-  // Records may come from any writer order (the current SaveTo emits
-  // sorted keys; pre-flat packs used hash order): collect, then freeze in
-  // sorted-key order so loaded ids match a freshly finalized store.
-  std::vector<std::pair<std::string, std::vector<uint16_t>>> records;
-  records.reserve(n);
-  for (uint32_t i = 0; i < n && reader->ok(); ++i) {
-    std::string key = reader->Str();
-    std::vector<uint16_t> q(dim);
-    for (uint16_t& v : q) v = reader->U16();
-    records.emplace_back(std::move(key), std::move(q));
-  }
-  if (!reader->ok()) {
-    return Status::InvalidArgument("truncated interestingness store");
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  store.keys_.reserve(records.size());
-  store.flat_.reserve(records.size() * dim);
-  for (uint32_t id = 0; id < records.size(); ++id) {
-    store.key_to_id_.emplace(records[id].first, id);
-    store.keys_.push_back(std::move(records[id].first));
-    store.flat_.insert(store.flat_.end(), records[id].second.begin(),
-                       records[id].second.end());
-  }
-  store.finalized_ = true;
-  return store;
-}
-
 uint32_t GlobalTidTable::Intern(std::string_view term) {
   auto it = tids_.find(term);
   if (it != tids_.end()) return it->second;
@@ -184,10 +54,13 @@ uint32_t GlobalTidTable::Lookup(std::string_view term) const {
 }
 
 void GlobalTidTable::SaveTo(BinaryWriter* writer) const {
+  std::vector<std::string_view> terms(tids_.size());
+  // ckr-lint: ordered(written by tid slot, so hash order cannot leak)
+  for (const auto& [term, tid] : tids_) terms[tid] = term;
   writer->U32(0x54493031);  // 'TI01'
-  writer->U32(static_cast<uint32_t>(tids_.size()));
-  for (const auto& [term, tid] : tids_) {
-    writer->Str(term);
+  writer->U32(static_cast<uint32_t>(terms.size()));
+  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
+    writer->Str(terms[tid]);
     writer->U32(tid);
   }
 }
@@ -202,53 +75,75 @@ StatusOr<GlobalTidTable> GlobalTidTable::LoadFrom(BinaryReader* reader) {
   if (n > reader->remaining() / (2 * sizeof(uint32_t))) {
     return Status::InvalidArgument("TID-table count exceeds blob size");
   }
+  if (n > kMaxTid) return Status::InvalidArgument("TID out of range");
   table.tids_.reserve(n);
+  // Entry i must carry tid i: TIDs are dense, and each names one term.
   for (uint32_t i = 0; i < n && reader->ok(); ++i) {
     std::string term = reader->Str();
     uint32_t tid = reader->U32();
-    if (tid > kMaxTid) return Status::InvalidArgument("TID out of range");
-    table.tids_[std::move(term)] = tid;
+    if (!reader->ok()) break;
+    if (tid != i) {
+      return Status::InvalidArgument("TID-table entry out of tid order");
+    }
+    if (!table.tids_.emplace(std::move(term), tid).second) {
+      return Status::InvalidArgument("duplicate term in TID table");
+    }
   }
   if (!reader->ok()) return Status::InvalidArgument("truncated TID table");
   return table;
 }
 
-void PackedRelevanceStore::Add(std::string_view key,
-                               const std::vector<RelevantTerm>& terms) {
-  std::vector<RelevantTerm> kept(
-      terms.begin(),
-      terms.begin() + std::min<size_t>(terms.size(), 100));
-  raw_[std::string(key)] = std::move(kept);
-  finalized_ = false;
+void ConceptStore::Add(std::string_view key,
+                       const InterestingnessVector& vec,
+                       const std::vector<RelevantTerm>& terms) {
+  RawConcept raw;
+  raw.vec = vec.Flatten();
+  raw.terms.assign(terms.begin(),
+                   terms.begin() + std::min<size_t>(terms.size(), 100));
+  raw_.insert_or_assign(std::string(key), std::move(raw));
 }
 
-void PackedRelevanceStore::Finalize() {
+void ConceptStore::Finalize(GlobalTidTable* tids) {
+  const size_t dim = InterestingnessVector::Dim();
+  field_min_.assign(dim, 1e300);
+  field_max_.assign(dim, -1e300);
   double max_score = 0.0;
-  for (const auto& [key, terms] : raw_) {
-    for (const RelevantTerm& t : terms) {
+  for (const auto& [key, raw] : raw_) {
+    for (size_t i = 0; i < dim; ++i) {
+      field_min_[i] = std::min(field_min_[i], raw.vec[i]);
+      field_max_[i] = std::max(field_max_[i], raw.vec[i]);
+    }
+    for (const RelevantTerm& t : raw.terms) {
       max_score = std::max(max_score, t.score);
     }
   }
+  if (raw_.empty()) {
+    field_min_.assign(dim, 0.0);
+    field_max_.assign(dim, 1.0);
+  }
   score_scale_ = max_score > 0 ? max_score : 1.0;
-  // Dense CSR layout in sorted-key order; interning in that order also
-  // makes the TID numbering deterministic across runs.
+
+  // The build map iterates in sorted-key order, which is the id order.
   keys_.clear();
   keys_.reserve(raw_.size());
-  for (const auto& [key, terms] : raw_) keys_.push_back(key);
-  std::sort(keys_.begin(), keys_.end());
-  key_to_id_.clear();
-  key_to_id_.reserve(keys_.size());
+  flat_.assign(raw_.size() * dim, 0);
   offsets_.assign(1, 0);
-  offsets_.reserve(keys_.size() + 1);
+  offsets_.reserve(raw_.size() + 1);
   pairs_.clear();
   std::vector<uint32_t> packed;
-  for (uint32_t id = 0; id < keys_.size(); ++id) {
-    key_to_id_.emplace(keys_[id], id);
-    const std::vector<RelevantTerm>& terms = raw_.at(keys_[id]);
+  for (const auto& [key, raw] : raw_) {
+    const uint32_t id = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(key);
+    uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
+    for (size_t i = 0; i < dim; ++i) {
+      double span = field_max_[i] - field_min_[i];
+      double frac = span > 0 ? (raw.vec[i] - field_min_[i]) / span : 0.0;
+      q[i] = static_cast<uint16_t>(frac * 65535.0 + 0.5);
+    }
     packed.clear();
-    packed.reserve(terms.size());
-    for (const RelevantTerm& t : terms) {
-      uint32_t tid = tids_->Intern(t.term);
+    packed.reserve(raw.terms.size());
+    for (const RelevantTerm& t : raw.terms) {
+      uint32_t tid = tids->Intern(t.term);
       uint32_t score10 = static_cast<uint32_t>(
           std::min(1.0, std::max(0.0, t.score / score_scale_)) * 1023.0 + 0.5);
       packed.push_back((tid << 10) | score10);
@@ -259,16 +154,41 @@ void PackedRelevanceStore::Finalize() {
     pairs_.insert(pairs_.end(), packed.begin(), packed.end());
     offsets_.push_back(static_cast<uint32_t>(pairs_.size()));
   }
-  finalized_ = true;
+  IndexKeys();
 }
 
-uint32_t PackedRelevanceStore::IdOf(std::string_view key) const {
+void ConceptStore::IndexKeys() {
+  key_to_id_.clear();
+  key_to_id_.reserve(keys_.size());
+  for (uint32_t id = 0; id < keys_.size(); ++id) {
+    key_to_id_.emplace(keys_[id], id);
+  }
+}
+
+uint32_t ConceptStore::IdOf(std::string_view key) const {
   auto it = key_to_id_.find(key);
   return it == key_to_id_.end() ? kInvalidConcept : it->second;
 }
 
-double PackedRelevanceStore::ScoreById(uint32_t id,
-                                       const EpochSet& context_tids) const {
+bool ConceptStore::LookupById(uint32_t id, std::vector<double>* out) const {
+  if (id >= keys_.size()) return false;
+  const size_t dim = InterestingnessVector::Dim();
+  out->resize(dim);
+  const uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
+  for (size_t i = 0; i < dim; ++i) {
+    double span = field_max_[i] - field_min_[i];
+    (*out)[i] = field_min_[i] + span * static_cast<double>(q[i]) / 65535.0;
+  }
+  return true;
+}
+
+bool ConceptStore::Lookup(std::string_view key,
+                          std::vector<double>* out) const {
+  return LookupById(IdOf(key), out);
+}
+
+double ConceptStore::ScoreById(uint32_t id,
+                               const EpochSet& context_tids) const {
   if (id >= keys_.size()) return 0.0;
   double total = 0.0;
   const uint32_t* p = pairs_.data() + offsets_[id];
@@ -282,7 +202,7 @@ double PackedRelevanceStore::ScoreById(uint32_t id,
   return total;
 }
 
-double PackedRelevanceStore::Score(
+double ConceptStore::Score(
     std::string_view key,
     const std::unordered_set<uint32_t>& context_tids) const {
   uint32_t id = IdOf(key);
@@ -298,11 +218,15 @@ double PackedRelevanceStore::Score(
   return total;
 }
 
-size_t PackedRelevanceStore::PayloadBytes() const {
+size_t ConceptStore::InterestingnessBytes() const {
+  return keys_.size() * InterestingnessVector::Dim() * sizeof(uint16_t);
+}
+
+size_t ConceptStore::RelevanceBytes() const {
   return pairs_.size() * sizeof(uint32_t);
 }
 
-size_t PackedRelevanceStore::GolombCompressedBytes() const {
+size_t ConceptStore::GolombCompressedBytes() const {
   size_t total = 0;
   std::vector<uint32_t> tids;
   for (uint32_t id = 0; id < keys_.size(); ++id) {
@@ -325,8 +249,19 @@ size_t PackedRelevanceStore::GolombCompressedBytes() const {
   return total;
 }
 
-void PackedRelevanceStore::SaveTo(BinaryWriter* writer) const {
-  writer->U32(0x50523031);  // 'PR01'
+void ConceptStore::SaveTo(BinaryWriter* writer) const {
+  const size_t dim = InterestingnessVector::Dim();
+  writer->U32(kInterestMagic);
+  writer->U32(static_cast<uint32_t>(field_min_.size()));
+  for (double v : field_min_) writer->F64(v);
+  for (double v : field_max_) writer->F64(v);
+  writer->U32(static_cast<uint32_t>(keys_.size()));
+  for (uint32_t id = 0; id < keys_.size(); ++id) {
+    writer->Str(keys_[id]);
+    const uint16_t* q = flat_.data() + static_cast<size_t>(id) * dim;
+    for (size_t i = 0; i < dim; ++i) writer->U16(q[i]);
+  }
+  writer->U32(kRelevanceMagic);
   writer->F64(score_scale_);
   writer->U32(static_cast<uint32_t>(keys_.size()));
   for (uint32_t id = 0; id < keys_.size(); ++id) {
@@ -338,43 +273,68 @@ void PackedRelevanceStore::SaveTo(BinaryWriter* writer) const {
   }
 }
 
-StatusOr<PackedRelevanceStore> PackedRelevanceStore::LoadFrom(
-    BinaryReader* reader, GlobalTidTable* tids) {
-  if (reader->U32() != 0x50523031) {
-    return Status::InvalidArgument("bad relevance-store magic");
+StatusOr<ConceptStore> ConceptStore::LoadFrom(BinaryReader* reader) {
+  if (reader->U32() != kInterestMagic) {
+    return Status::InvalidArgument("bad interestingness-store magic");
   }
-  PackedRelevanceStore store(tids);
-  store.score_scale_ = reader->F64();
+  ConceptStore store;
+  uint32_t dim = reader->U32();
+  if (dim != InterestingnessVector::Dim()) {
+    return Status::InvalidArgument("interestingness dimensionality mismatch");
+  }
+  store.field_min_.resize(dim);
+  store.field_max_.resize(dim);
+  for (double& v : store.field_min_) v = reader->F64();
+  for (double& v : store.field_max_) v = reader->F64();
   uint32_t n = reader->U32();
-  // Each record is at least a 4-byte key length prefix plus its 4-byte
-  // term count.
-  if (n > reader->remaining() / (2 * sizeof(uint32_t))) {
-    return Status::InvalidArgument("relevance store count exceeds blob size");
+  // Every record is at least its key's 4-byte length prefix plus dim
+  // quantized values; a declared count that cannot fit the remaining
+  // bytes is a corrupted size field and must fail before any reserve.
+  const size_t min_record_bytes = sizeof(uint32_t) + dim * sizeof(uint16_t);
+  if (n > reader->remaining() / min_record_bytes) {
+    return Status::InvalidArgument(
+        "interestingness store count exceeds blob size");
   }
-  std::vector<std::pair<std::string, std::vector<uint32_t>>> records;
-  records.reserve(n);
+  // Ids are the record order, which SaveTo writes in sorted-key order.
+  store.keys_.reserve(n);
+  store.flat_.reserve(static_cast<size_t>(n) * dim);
   for (uint32_t i = 0; i < n && reader->ok(); ++i) {
     std::string key = reader->Str();
+    if (reader->ok() && !store.keys_.empty() && !(store.keys_.back() < key)) {
+      return Status::InvalidArgument("concept keys not strictly ascending");
+    }
+    store.keys_.push_back(std::move(key));
+    for (uint32_t d = 0; d < dim; ++d) store.flat_.push_back(reader->U16());
+  }
+  if (!reader->ok()) {
+    return Status::InvalidArgument("truncated interestingness store");
+  }
+
+  if (reader->U32() != kRelevanceMagic) {
+    return Status::InvalidArgument("bad relevance-store magic");
+  }
+  store.score_scale_ = reader->F64();
+  if (reader->U32() != n) {
+    return Status::InvalidArgument(
+        "concept store sections list different keys");
+  }
+  store.offsets_.assign(1, 0);
+  store.offsets_.reserve(static_cast<size_t>(n) + 1);
+  for (uint32_t id = 0; id < n && reader->ok(); ++id) {
+    const std::string key = reader->Str();
+    if (reader->ok() && key != store.keys_[id]) {
+      return Status::InvalidArgument(
+          "concept store sections list different keys");
+    }
     uint32_t m = reader->U32();
     if (m > 100) return Status::InvalidArgument("oversized term list");
-    std::vector<uint32_t> pairs(m);
-    for (uint32_t& p : pairs) p = reader->U32();
-    records.emplace_back(std::move(key), std::move(pairs));
-  }
-  if (!reader->ok()) return Status::InvalidArgument("truncated relevance store");
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  store.keys_.reserve(records.size());
-  store.offsets_.assign(1, 0);
-  store.offsets_.reserve(records.size() + 1);
-  for (uint32_t id = 0; id < records.size(); ++id) {
-    store.key_to_id_.emplace(records[id].first, id);
-    store.keys_.push_back(std::move(records[id].first));
-    store.pairs_.insert(store.pairs_.end(), records[id].second.begin(),
-                        records[id].second.end());
+    for (uint32_t i = 0; i < m; ++i) store.pairs_.push_back(reader->U32());
     store.offsets_.push_back(static_cast<uint32_t>(store.pairs_.size()));
   }
-  store.finalized_ = true;
+  if (!reader->ok()) {
+    return Status::InvalidArgument("truncated relevance store");
+  }
+  store.IndexKeys();
   return store;
 }
 
@@ -410,24 +370,19 @@ double RuntimeStats::DocsPerSec() const {
 }
 
 RuntimeRanker::RuntimeRanker(const EntityDetector& detector,
-                             const QuantizedInterestingnessStore& interestingness,
-                             const PackedRelevanceStore& relevance,
+                             const ConceptStore& concepts,
                              const GlobalTidTable& tids, RankSvmModel model)
     : detector_(detector),
-      interestingness_(interestingness),
-      relevance_(relevance),
+      concepts_(concepts),
       tids_(tids),
       model_(std::move(model)),
       id_(NextRankerId()) {
-  // Resolve every detector entry to dense store ids once; the per-document
-  // path then runs entirely on ids.
+  // Resolve every detector entry to its dense concept id once; the
+  // per-document path then runs entirely on ids.
   const uint32_t n = static_cast<uint32_t>(detector_.NumEntries());
-  entry_interest_.resize(n, kInvalidConcept);
-  entry_relevance_.resize(n, kInvalidConcept);
+  entry_concept_.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    const std::string& key = detector_.EntryKey(i);
-    entry_interest_[i] = interestingness_.IdOf(key);
-    entry_relevance_[i] = relevance_.IdOf(key);
+    entry_concept_[i] = concepts_.IdOf(detector_.EntryKey(i));
   }
 }
 
@@ -501,8 +456,8 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
       continue;
     }
     if (!scratch->seen_entries.Insert(d.entry_id)) continue;  // First only.
-    uint32_t interest_id = entry_interest_[d.entry_id];
-    if (!interestingness_.LookupById(interest_id, &scratch->features)) {
+    const uint32_t concept_id = entry_concept_[d.entry_id];
+    if (!concepts_.LookupById(concept_id, &scratch->features)) {
       // Degraded path: detected but missing a feature vector (store and
       // dictionary out of sync); the annotation is silently dropped, so
       // count it — drift here is otherwise invisible.
@@ -510,8 +465,8 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocument(
       continue;
     }
     // Log-scaled to match ExperimentRunner::Features' model layout.
-    scratch->features.push_back(std::log1p(
-        relevance_.ScoreById(entry_relevance_[d.entry_id], scratch->context)));
+    scratch->features.push_back(
+        std::log1p(concepts_.ScoreById(concept_id, scratch->context)));
     RankedAnnotation a;
     a.key = detector_.EntryKey(d.entry_id);
     a.begin = d.begin;
@@ -587,9 +542,9 @@ std::vector<RankedAnnotation> RuntimeRanker::ProcessDocumentLegacy(
   for (const Detection& d : detections) {
     if (d.type == EntityType::kPattern) continue;
     if (!seen_keys.insert(d.key).second) continue;  // First occurrence only.
-    if (!interestingness_.Lookup(d.key, &features)) continue;
+    if (!concepts_.Lookup(d.key, &features)) continue;
     // Log-scaled to match ExperimentRunner::Features' model layout.
-    features.push_back(std::log1p(relevance_.Score(d.key, context)));
+    features.push_back(std::log1p(concepts_.Score(d.key, context)));
     RankedAnnotation a;
     a.key = d.key;
     a.begin = d.begin;

@@ -6,30 +6,32 @@
 //    (the per-scratch StemMemo also carries token -> TID and detector
 //    term id across documents, so Porter and both lookups run once per
 //    distinct surface form);
-//  * quantized interestingness store — each of the vector's fields fits in
-//    two bytes ("this causes a minor decrease in granularity"), 18 MB per
-//    million concepts;
 //  * Global TID Table — maps each relevant term to a perfect-hash-style
 //    term id that fits in 22 bits;
-//  * packed relevance store — per concept up to 100 (TID, score) pairs,
-//    score quantized to 10 bits, 32 bits per pair (~400 MB per million
-//    concepts), optionally Golomb-compressed;
+//  * concept store — the paper's two per-concept stores behind one
+//    concept table: the quantized interestingness vectors (each field in
+//    two bytes, "a minor decrease in granularity", 18 MB per million
+//    concepts) and up to 100 packed (TID, score) pairs per concept (score
+//    quantized to 10 bits, 32 bits per pair, ~400 MB per million
+//    concepts, optionally Golomb-compressed);
 //  * Ranker — detects candidates, assembles features, scores with the
 //    learned model, and returns the ranked list.
 //
-// Layout discipline: Finalize() freezes both stores into dense,
-// concept-id-indexed contiguous arrays (the string-keyed maps are only a
-// build-time convenience), and the Ranker resolves every detector entry to
-// store ids once at construction. The steady-state document path therefore
-// never hashes a std::string and — given a reused RankerScratch — performs
-// no per-document heap allocations beyond its output list. ProcessBatch
-// fans documents out across worker threads with one scratch per worker and
-// per-index output slots, so results are deterministic in order and
-// content regardless of thread count.
+// Layout discipline: ConceptStore::Finalize() assigns every concept one
+// dense id (sorted-key order) that indexes both payloads (the string-keyed
+// build map is only a build-time convenience), and the Ranker resolves
+// every detector entry to that id once at construction. The steady-state
+// document path therefore never hashes a std::string and — given a reused
+// RankerScratch — performs no per-document heap allocations beyond its
+// output list. ProcessBatch fans documents out across worker threads with
+// one scratch per worker and per-index output slots, so results are
+// deterministic in order and content regardless of thread count.
 #ifndef CKR_FRAMEWORK_RUNTIME_RANKER_H_
 #define CKR_FRAMEWORK_RUNTIME_RANKER_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -53,59 +55,6 @@ namespace ckr {
 
 /// Sentinel for "concept not in this store".
 inline constexpr uint32_t kInvalidConcept = static_cast<uint32_t>(-1);
-
-/// Per-field linear quantizer to uint16 ("each field [fits] two bytes").
-/// Finalize() assigns dense concept ids (sorted-key order) and packs all
-/// vectors into one contiguous array.
-class QuantizedInterestingnessStore {
- public:
-  /// Registers a concept's raw vector. Ranges are fitted in Finalize().
-  void Add(std::string_view key, const InterestingnessVector& vec);
-
-  /// Fits per-field [min, max] ranges, assigns concept ids and quantizes
-  /// everything into the dense layout.
-  void Finalize();
-
-  bool finalized() const { return finalized_; }
-  size_t NumConcepts() const { return keys_.size(); }
-
-  /// Dense id of a concept key, kInvalidConcept if unknown. Valid after
-  /// Finalize(); ids are contiguous in [0, NumConcepts()).
-  uint32_t IdOf(std::string_view key) const;
-
-  /// Key of a dense id (inverse of IdOf).
-  const std::string& KeyOf(uint32_t id) const { return keys_[id]; }
-
-  /// Dequantized flat vector (InterestingnessVector::Dim() wide); false if
-  /// the concept is unknown.
-  bool Lookup(std::string_view key, std::vector<double>* out) const;
-
-  /// Hash-free hot-path lookup by dense id; false for kInvalidConcept.
-  bool LookupById(uint32_t id, std::vector<double>* out) const;
-
-  /// Bytes used by the quantized payload (the paper's "18MB for 1 million
-  /// concepts" accounting: NumConcepts * Dim * 2).
-  size_t PayloadBytes() const;
-
-  /// Serializes the finalized store (ranges + quantized vectors).
-  void SaveTo(BinaryWriter* writer) const;
-
-  /// Restores a store saved by SaveTo.
-  [[nodiscard]] static StatusOr<QuantizedInterestingnessStore> LoadFrom(BinaryReader* reader);
-
- private:
-  std::unordered_map<std::string, std::vector<double>> raw_;
-
-  // Dense finalized layout: concept i occupies
-  // flat_[i * Dim() .. (i + 1) * Dim()).
-  std::vector<std::string> keys_;  ///< Sorted; index == concept id.
-  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
-      key_to_id_;
-  std::vector<uint16_t> flat_;
-  std::vector<double> field_min_;
-  std::vector<double> field_max_;
-  bool finalized_ = false;
-};
 
 /// Term -> TID mapping; TIDs are dense and must fit in 22 bits.
 class GlobalTidTable {
@@ -141,29 +90,43 @@ class GlobalTidTable {
   bool overflowed_ = false;
 };
 
-/// Packed per-concept relevant-term lists: each pair is tid << 10 | score,
-/// score linearly quantized to [0, 1023] against the global maximum.
-/// Finalize() freezes the lists into one CSR-style pair array indexed by
-/// dense concept id.
-class PackedRelevanceStore {
+/// The runtime's two per-concept stores behind one concept table.
+/// Finalize() maps every concept key to a dense id in sorted-key order;
+/// each id then owns two payloads:
+///  * its interestingness vector, each field linearly quantized to uint16
+///    against that field's [min, max] ("each field [fits] two bytes"), in
+///    one id-indexed column;
+///  * its mined relevant terms (at most 100), each packed as
+///    tid << 10 | score with the score linearly quantized to [0, 1023]
+///    against the global maximum, in one CSR pair array sorted by TID.
+class ConceptStore {
  public:
-  explicit PackedRelevanceStore(GlobalTidTable* tids) : tids_(tids) {}
+  /// Registers a concept's raw vector and mined terms (at most 100 kept);
+  /// a repeated key replaces the earlier entry. Ranges, scale and ids are
+  /// fitted in Finalize().
+  void Add(std::string_view key, const InterestingnessVector& vec,
+           const std::vector<RelevantTerm>& terms);
 
-  /// Registers a concept's mined terms (at most 100 kept).
-  void Add(std::string_view key, const std::vector<RelevantTerm>& terms);
+  /// Fits the per-field ranges and the global score scale, assigns dense
+  /// ids in sorted-key order and packs both payloads. Terms are interned
+  /// into `tids` in that order, so TID numbering is deterministic.
+  void Finalize(GlobalTidTable* tids);
 
-  /// Fits the global score scale, assigns concept ids (sorted-key order —
-  /// also makes TID interning order deterministic) and packs all lists.
-  void Finalize();
-
-  bool finalized() const { return finalized_; }
   size_t NumConcepts() const { return keys_.size(); }
 
-  /// Dense id of a concept key, kInvalidConcept if unknown.
+  /// Dense id of a concept key, kInvalidConcept if unknown. Valid after
+  /// Finalize(); ids are contiguous in [0, NumConcepts()).
   uint32_t IdOf(std::string_view key) const;
 
   /// Key of a dense id (inverse of IdOf).
   const std::string& KeyOf(uint32_t id) const { return keys_[id]; }
+
+  /// Dequantized flat interestingness vector (InterestingnessVector::Dim()
+  /// wide); false if the concept is unknown.
+  bool Lookup(std::string_view key, std::vector<double>* out) const;
+
+  /// Hash-free hot-path lookup by dense id; false for kInvalidConcept.
+  bool LookupById(uint32_t id, std::vector<double>* out) const;
 
   /// Relevance score of a concept against a set of context TIDs: the sum
   /// of dequantized scores of its terms present in the context.
@@ -173,35 +136,49 @@ class PackedRelevanceStore {
   /// Hash-free hot-path scoring by dense id against an EpochSet context.
   double ScoreById(uint32_t id, const EpochSet& context_tids) const;
 
-  /// Uncompressed payload bytes (4 bytes per pair).
-  size_t PayloadBytes() const;
+  /// Bytes of the quantized interestingness payload (the paper's "18MB
+  /// for 1 million concepts" accounting: NumConcepts * Dim * 2).
+  size_t InterestingnessBytes() const;
+
+  /// Bytes of the packed relevance payload (4 bytes per pair).
+  size_t RelevanceBytes() const;
 
   /// Bytes if every concept's sorted TID list were Golomb-compressed
   /// (scores still 10 bits each plus the coder's headers); reported by the
   /// memory bench.
   size_t GolombCompressedBytes() const;
 
-  /// Serializes the finalized packed lists (raw mined terms are not kept).
+  /// Writes the 'QI01' interestingness section, then the 'PR01' relevance
+  /// section, both listing every key in id order.
   void SaveTo(BinaryWriter* writer) const;
 
-  /// Restores a store saved by SaveTo; `tids` must be the matching table
-  /// (same numbering) and outlive the store.
-  [[nodiscard]] static StatusOr<PackedRelevanceStore> LoadFrom(BinaryReader* reader,
-                                                 GlobalTidTable* tids);
+  /// Restores a store saved by SaveTo. Rejects sections whose keys are
+  /// not strictly ascending or differ from each other.
+  [[nodiscard]] static StatusOr<ConceptStore> LoadFrom(BinaryReader* reader);
 
  private:
-  GlobalTidTable* tids_;
-  std::unordered_map<std::string, std::vector<RelevantTerm>> raw_;
+  struct RawConcept {
+    std::vector<double> vec;
+    std::vector<RelevantTerm> terms;
+  };
 
-  // Dense finalized layout: concept i's pairs occupy
-  // pairs_[offsets_[i] .. offsets_[i + 1]).
+  /// Rebuilds key_to_id_ from keys_.
+  void IndexKeys();
+  std::map<std::string, RawConcept, std::less<>> raw_;
+
   std::vector<std::string> keys_;  ///< Sorted; index == concept id.
   std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
       key_to_id_;
+  // Interestingness payload: concept i occupies
+  // flat_[i * Dim() .. (i + 1) * Dim()).
+  std::vector<uint16_t> flat_;
+  std::vector<double> field_min_;
+  std::vector<double> field_max_;
+  // Relevance payload: concept i's pairs occupy
+  // pairs_[offsets_[i] .. offsets_[i + 1]).
   std::vector<uint32_t> offsets_;
   std::vector<uint32_t> pairs_;
   double score_scale_ = 1.0;  ///< Raw score corresponding to 1023.
-  bool finalized_ = false;
 };
 
 /// Timing/throughput counters of one ProcessDocument call batch.
@@ -250,13 +227,11 @@ struct RankerScratch {
   std::vector<double> features;
 };
 
-/// The online Ranker component (Figure 4). All stores must be finalized
-/// and outlive the ranker.
+/// The online Ranker component (Figure 4). The concept store must be
+/// finalized, and it and the TID table must outlive the ranker.
 class RuntimeRanker {
  public:
-  RuntimeRanker(const EntityDetector& detector,
-                const QuantizedInterestingnessStore& interestingness,
-                const PackedRelevanceStore& relevance,
+  RuntimeRanker(const EntityDetector& detector, const ConceptStore& concepts,
                 const GlobalTidTable& tids, RankSvmModel model);
 
   /// Attaches (or detaches, with nullptr) a live CTR tracker; its
@@ -315,8 +290,7 @@ class RuntimeRanker {
   std::unordered_set<uint32_t> StemToTids(std::string_view text) const;
 
   const EntityDetector& detector_;
-  const QuantizedInterestingnessStore& interestingness_;
-  const PackedRelevanceStore& relevance_;
+  const ConceptStore& concepts_;
   const GlobalTidTable& tids_;
   RankSvmModel model_;
   const CtrTracker* tracker_ = nullptr;
@@ -324,10 +298,9 @@ class RuntimeRanker {
   /// Process-unique, so a scratch's StemMemo can tell rankers apart.
   uint64_t id_;
 
-  /// Detector entry id -> dense store ids, resolved once at construction
+  /// Detector entry id -> dense concept id, resolved once at construction
   /// so the document path never hashes a concept key.
-  std::vector<uint32_t> entry_interest_;
-  std::vector<uint32_t> entry_relevance_;
+  std::vector<uint32_t> entry_concept_;
 };
 
 }  // namespace ckr

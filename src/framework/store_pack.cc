@@ -12,22 +12,18 @@ constexpr uint32_t kPackMagic = 0x434b5231;  // 'CKR1'
 }  // namespace
 
 std::string SerializeStorePack(const GlobalTidTable& tids,
-                               const QuantizedInterestingnessStore& interest,
-                               const PackedRelevanceStore& relevance,
+                               const ConceptStore& concepts,
                                const RankSvmModel& model) {
   BinaryWriter writer;
   writer.U32(kPackMagic);
   tids.SaveTo(&writer);
-  interest.SaveTo(&writer);
-  relevance.SaveTo(&writer);
-  // The compact v2 model blob; Deserialize sniffs the format, so packs
-  // written with the v1 text blob load unchanged.
+  concepts.SaveTo(&writer);
   writer.Str(model.SerializeBinary());
   return writer.Release();
 }
 
 std::string StorePack::Serialize() const {
-  return SerializeStorePack(*tids, interestingness, *relevance, model);
+  return SerializeStorePack(tids, concepts, model);
 }
 
 StatusOr<StorePack> StorePack::Deserialize(std::string_view blob) {
@@ -38,17 +34,11 @@ StatusOr<StorePack> StorePack::Deserialize(std::string_view blob) {
   StorePack pack;
   auto tids_or = GlobalTidTable::LoadFrom(&reader);
   if (!tids_or.ok()) return tids_or.status();
-  pack.tids = std::make_unique<GlobalTidTable>(std::move(*tids_or));
+  pack.tids = std::move(*tids_or);
 
-  auto interest_or = QuantizedInterestingnessStore::LoadFrom(&reader);
-  if (!interest_or.ok()) return interest_or.status();
-  pack.interestingness = std::move(*interest_or);
-
-  auto relevance_or =
-      PackedRelevanceStore::LoadFrom(&reader, pack.tids.get());
-  if (!relevance_or.ok()) return relevance_or.status();
-  pack.relevance =
-      std::make_unique<PackedRelevanceStore>(std::move(*relevance_or));
+  auto concepts_or = ConceptStore::LoadFrom(&reader);
+  if (!concepts_or.ok()) return concepts_or.status();
+  pack.concepts = std::move(*concepts_or);
 
   auto model_or = RankSvmModel::Deserialize(reader.Str());
   if (!model_or.ok()) return model_or.status();

@@ -1,13 +1,12 @@
 // The deployable model pack: everything the online Ranker of Section VI
 // needs beyond the (externally provisioned) entity dictionaries — the
-// trained ranking model, the Global TID Table, the quantized
-// interestingness vectors and the packed relevant-term lists — in one
-// versioned binary blob. Production pushes this artifact to serving
+// trained ranking model, the Global TID Table and the concept store (the
+// quantized interestingness vectors and the packed relevant-term lists) —
+// in one versioned binary blob. Production pushes this artifact to serving
 // machines; loading it skips the entire offline mining phase.
 #ifndef CKR_FRAMEWORK_STORE_PACK_H_
 #define CKR_FRAMEWORK_STORE_PACK_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -17,12 +16,12 @@
 
 namespace ckr {
 
-/// Owns the runtime stores. Heap-held components keep internal pointers
-/// stable (PackedRelevanceStore references the TID table).
+/// Owns the runtime stores. Blob layout: the 'CKR1' magic, the 'TI01' TID
+/// table, the concept store's 'QI01' and 'PR01' sections, then the binary
+/// model blob.
 struct StorePack {
-  std::unique_ptr<GlobalTidTable> tids;
-  QuantizedInterestingnessStore interestingness;
-  std::unique_ptr<PackedRelevanceStore> relevance;
+  GlobalTidTable tids;
+  ConceptStore concepts;
   RankSvmModel model;
 
   /// Serializes the pack to a binary blob.
@@ -39,8 +38,7 @@ struct StorePack {
 /// Serializes components that live outside a StorePack (e.g. inside a
 /// trained ContextualRanker) into the same blob format.
 std::string SerializeStorePack(const GlobalTidTable& tids,
-                               const QuantizedInterestingnessStore& interest,
-                               const PackedRelevanceStore& relevance,
+                               const ConceptStore& concepts,
                                const RankSvmModel& model);
 
 }  // namespace ckr

@@ -56,6 +56,7 @@ ParsedQuery::ParsedQuery(std::string_view query) {
 void CollectionStats::Absorb(const CollectionStats& other) {
   num_docs += other.num_docs;
   total_tokens += other.total_tokens;
+  // ckr-lint: ordered(sums into a map; the result has no order)
   for (const auto& [term, df] : other.doc_freq) {
     doc_freq[term] += df;
   }
@@ -210,6 +211,7 @@ CollectionStats InvertedIndex::LocalCollectionStats() const {
   stats.num_docs = doc_id_.size();
   stats.total_tokens = tok_tid_.size();
   stats.doc_freq.reserve(term_ids_.size());
+  // ckr-lint: ordered(fills a map; the result has no order)
   for (const auto& [term, tid] : term_ids_) {
     stats.doc_freq.emplace(
         term, static_cast<uint64_t>(post_offset_[tid + 1] - post_offset_[tid]));
@@ -232,6 +234,9 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
   }
   // Validate and gather per-tid df before mutating anything.
   std::vector<double> df(term_ids_.size(), 0.0);
+  // Each term fills its own tid slot; only which bad term an error names
+  // can depend on hash order.
+  // ckr-lint: ordered(each term fills its own tid slot)
   for (const auto& [term, tid] : term_ids_) {
     auto it = stats.doc_freq.find(term);
     if (it == stats.doc_freq.end()) {
@@ -390,22 +395,27 @@ bool InvertedIndex::ResolvePhrase(std::string_view phrase,
 }
 
 bool InvertedIndex::PhraseInDoc(uint32_t d, const std::vector<uint32_t>& tids,
-                                size_t rarest, uint32_t* num_starts) const {
+                                size_t rarest, uint32_t rarest_tf,
+                                uint32_t* num_starts) const {
   const Span<const uint32_t> toks = CsrRow(tok_tid_, doc_tok_offset_, d);
   CKR_DCHECK_EQ(toks.size(), doc_len_[d]);
   const size_t width = tids.size();
   if (toks.size() < width) return false;  // No window fits.
   // Each start p in [0, size - width] is found through its window's
   // rarest-term slot q = p + rarest, and only a window with the rarest
-  // term in place is compared in full.
+  // term in place is compared in full. The doc holds `rarest_tf` of that
+  // term, so the scan ends at its last one.
   const uint32_t seed = tids[rarest];
   const uint32_t* const last = toks.end() - (width - 1 - rarest);
   uint32_t starts = 0;
+  uint32_t seen = 0;
   for (const uint32_t* q = std::find(toks.begin() + rarest, last, seed);
        q != last; q = std::find(q + 1, last, seed)) {
-    if (!std::equal(tids.begin(), tids.end(), q - rarest)) continue;
-    if (num_starts == nullptr) return true;
-    ++starts;
+    if (std::equal(tids.begin(), tids.end(), q - rarest)) {
+      if (num_starts == nullptr) return true;
+      ++starts;
+    }
+    if (++seen == rarest_tf) break;
   }
   if (num_starts != nullptr) *num_starts = starts;
   return starts > 0;
@@ -416,14 +426,16 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
   std::vector<uint32_t> tids;
   size_t rarest = 0;
   if (!ResolvePhrase(phrase, &tids, &rarest)) return 0;
+  const size_t rb = post_offset_[tids[rarest]];
+  const size_t re = post_offset_[tids[rarest] + 1];
   // Single-term phrase: every posting slot is a match.
-  if (tids.size() == 1) {
-    return post_offset_[tids[0] + 1] - post_offset_[tids[0]];
-  }
+  if (tids.size() == 1) return re - rb;
 
   uint64_t count = 0;
-  for (uint32_t d : CsrRow(post_doc_, post_offset_, tids[rarest])) {
-    if (PhraseInDoc(d, tids, rarest, nullptr)) ++count;
+  for (size_t seed = rb; seed < re; ++seed) {
+    if (PhraseInDoc(post_doc_[seed], tids, rarest, post_tf_[seed], nullptr)) {
+      ++count;
+    }
   }
   return count;
 }
@@ -447,7 +459,7 @@ std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
     uint32_t starts = 0;
     if (tids.size() == 1) {
       starts = post_tf_[seed];  // Every occurrence is a phrase start.
-    } else if (!PhraseInDoc(d, tids, rarest, &starts)) {
+    } else if (!PhraseInDoc(d, tids, rarest, post_tf_[seed], &starts)) {
       continue;
     }
     double dl = static_cast<double>(doc_len_[d]);
@@ -528,6 +540,7 @@ size_t InvertedIndex::MemoryBytes() const {
   bytes += doc_tok_offset_.capacity() * sizeof(size_t);
   bytes += tok_tid_.capacity() * sizeof(uint32_t);
   bytes += term_ids_.bucket_count() * sizeof(void*);
+  // ckr-lint: ordered(a byte count; the sum has no order)
   for (const auto& [term, tid] : term_ids_) {
     (void)tid;
     bytes += sizeof(std::pair<std::string, uint32_t>) + 2 * sizeof(void*);

@@ -269,11 +269,13 @@ class InvertedIndex {
                      size_t* rarest) const;
   /// True if doc `d` contains the phrase `tids` contiguously. Scans the
   /// doc's token-id stream for starts whose window holds term `rarest` in
-  /// place and equals `tids` in full. With `num_starts`, every start is
-  /// counted and the count stored there on a true return; without it the
-  /// first witness returns early.
+  /// place and equals `tids` in full, and stops after the `rarest_tf`-th
+  /// occurrence of that term (its tf in `d`), past which no start can
+  /// lie. With `num_starts`, every start is counted and the count stored
+  /// there on a true return; without it the first witness returns early.
   bool PhraseInDoc(uint32_t d, const std::vector<uint32_t>& tids,
-                   size_t rarest, uint32_t* num_starts) const;
+                   size_t rarest, uint32_t rarest_tf,
+                   uint32_t* num_starts) const;
 
   // ---- Documents (CSR token streams; built during Add) ----
   std::vector<DocId> doc_id_;            ///< External id per internal doc.

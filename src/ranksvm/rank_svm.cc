@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
-#include <sstream>
 #include <string>
 
 #include "common/binary_io.h"
@@ -121,31 +120,6 @@ StatusOr<double> RankSvmModel::ScoreChecked(
   return s;
 }
 
-std::string RankSvmModel::Serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "ranksvm v1\n";
-  out << "kernel " << (kernel_ == SvmKernel::kLinear ? "linear" : "rbf_fourier")
-      << "\n";
-  auto dump = [&out](const char* name, const std::vector<double>& v) {
-    out << name << " " << v.size();
-    for (double x : v) out << " " << x;
-    out << "\n";
-  };
-  dump("mean", mean_);
-  dump("inv_sd", inv_sd_);
-  dump("weights", weights_);
-  const size_t dim = mean_.size();
-  const size_t rff_dim = rff_b_.size();
-  out << "rff " << rff_dim << "\n";
-  for (size_t d = 0; d < rff_dim; ++d) {
-    out << "w" << d;
-    for (size_t i = 0; i < dim; ++i) out << " " << rff_w_[d * dim + i];
-    out << " b " << rff_b_[d] << "\n";
-  }
-  return out.str();
-}
-
 std::string RankSvmModel::SerializeBinary() const {
   BinaryWriter writer;
   writer.Str(kBinaryMagic);
@@ -164,76 +138,7 @@ std::string RankSvmModel::SerializeBinary() const {
   return writer.Release();
 }
 
-StatusOr<RankSvmModel> RankSvmModel::DeserializeText(
-    const std::string& blob) {
-  std::istringstream in(blob);
-  std::string magic, version;
-  in >> magic >> version;
-  if (magic != "ranksvm" || version != "v1") {
-    return Status::InvalidArgument("bad model header");
-  }
-  RankSvmModel m;
-  std::string tag, kernel;
-  in >> tag >> kernel;
-  if (tag != "kernel") return Status::InvalidArgument("missing kernel");
-  if (kernel == "linear") {
-    m.kernel_ = SvmKernel::kLinear;
-  } else if (kernel == "rbf_fourier") {
-    m.kernel_ = SvmKernel::kRbfFourier;
-  } else {
-    return Status::InvalidArgument("unknown kernel '" + kernel + "'");
-  }
-  // Every value takes at least two bytes (a separator and a digit), so a
-  // count above the blob's size is corrupt: reject it before allocating.
-  const size_t max_values = blob.size();
-  auto load = [&in, max_values](const char* name,
-                                std::vector<double>* v) -> Status {
-    std::string t;
-    size_t n = 0;
-    in >> t >> n;
-    if (t != name) return Status::InvalidArgument("expected " + std::string(name));
-    if (n > max_values) {
-      return Status::InvalidArgument(std::string(name) +
-                                     " count exceeds blob size");
-    }
-    v->resize(n);
-    for (size_t i = 0; i < n; ++i) in >> (*v)[i];
-    return Status::OK();
-  };
-  CKR_RETURN_IF_ERROR(load("mean", &m.mean_));
-  CKR_RETURN_IF_ERROR(load("inv_sd", &m.inv_sd_));
-  CKR_RETURN_IF_ERROR(load("weights", &m.weights_));
-  std::string t;
-  size_t rff_n = 0;
-  in >> t >> rff_n;
-  if (t != "rff") return Status::InvalidArgument("expected rff");
-  const size_t dim = m.mean_.size();
-  // dim <= max_values, so the product is bounded before it is checked.
-  if (rff_n > max_values || rff_n * dim > max_values) {
-    return Status::InvalidArgument("rff count exceeds blob size");
-  }
-  // The shapes Score() relies on, as the binary reader requires them.
-  const size_t expected_weights =
-      m.kernel_ == SvmKernel::kLinear ? dim : rff_n;
-  if (m.inv_sd_.size() != dim || m.weights_.size() != expected_weights) {
-    return Status::InvalidArgument("model vector sizes are inconsistent");
-  }
-  m.rff_w_.resize(rff_n * dim);
-  m.rff_b_.resize(rff_n);
-  for (size_t d = 0; d < rff_n; ++d) {
-    std::string wd;
-    in >> wd;
-    for (size_t i = 0; i < dim; ++i) in >> m.rff_w_[d * dim + i];
-    std::string btag;
-    in >> btag >> m.rff_b_[d];
-    if (btag != "b") return Status::InvalidArgument("expected b");
-  }
-  if (in.fail()) return Status::InvalidArgument("truncated model blob");
-  return m;
-}
-
-StatusOr<RankSvmModel> RankSvmModel::DeserializeBinary(
-    const std::string& blob) {
+StatusOr<RankSvmModel> RankSvmModel::Deserialize(const std::string& blob) {
   BinaryReader reader(blob);
   if (reader.Str() != kBinaryMagic) {
     return Status::InvalidArgument("bad model header");
@@ -286,13 +191,6 @@ StatusOr<RankSvmModel> RankSvmModel::DeserializeBinary(
     return Status::InvalidArgument("truncated or oversized model blob");
   }
   return m;
-}
-
-StatusOr<RankSvmModel> RankSvmModel::Deserialize(const std::string& blob) {
-  // v1 text blobs begin with their magic in the clear; anything else is
-  // dispatched to the length-prefixed binary reader.
-  if (blob.rfind("ranksvm", 0) == 0) return DeserializeText(blob);
-  return DeserializeBinary(blob);
 }
 
 RankSvmTrainer::RankSvmTrainer(const RankSvmConfig& config)

@@ -92,16 +92,11 @@ class RankSvmModel {
       const std::vector<std::vector<double>>& rows,
       unsigned num_threads = 1) const;
 
-  /// Serializes to the line-oriented v1 text blob (stable across
-  /// platforms, readable by every prior version).
-  std::string Serialize() const;
-
-  /// Serializes to the compact little-endian v2 binary blob (~2.4x
-  /// smaller than v1 for RFF models; exact double round-trip).
+  /// Serializes to the compact little-endian binary blob (exact double
+  /// round-trip).
   std::string SerializeBinary() const;
 
-  /// Parses a blob produced by Serialize() or SerializeBinary(); the
-  /// format is sniffed from the header.
+  /// Parses a blob produced by SerializeBinary().
   [[nodiscard]] static StatusOr<RankSvmModel> Deserialize(const std::string& blob);
 
   /// Linear weights in standardized space (linear kernel only; empty for
@@ -114,8 +109,6 @@ class RankSvmModel {
 
   std::vector<double> Transform(const std::vector<double>& features) const;
 
-  [[nodiscard]] static StatusOr<RankSvmModel> DeserializeText(const std::string& blob);
-  [[nodiscard]] static StatusOr<RankSvmModel> DeserializeBinary(const std::string& blob);
 
   /// Transforms one raw row of InputDim() doubles into `out`
   /// (FeatureDim() doubles). `scratch` must hold InputDim() doubles when

@@ -257,6 +257,8 @@ TEST_F(CoreTest, PrismaFingerprintIsPinned) {
   EXPECT_EQ(h, 0x0b920375b3159110ull) << "fingerprint: " << std::hex << h;
 }
 
+// The pack's bytes are independent of the standard library: the TID
+// table lists its entries by tid, not in hash order.
 TEST(ContextualRankerTest, PackFingerprintIsPinned) {
   ContextualRankerOptions options;
   options.pipeline = PipelineConfig::SmallForTests();
@@ -264,7 +266,7 @@ TEST(ContextualRankerTest, PackFingerprintIsPinned) {
   ASSERT_TRUE(ranker_or.ok()) << ranker_or.status().ToString();
   const std::string pack = (*ranker_or)->SerializePack();
   const uint64_t h = FoldString(kFnvOffsetBasis, pack);
-  EXPECT_EQ(h, 0x1da97ec06db24cf9ull) << "fingerprint: " << std::hex << h;
+  EXPECT_EQ(h, 0xe852dfbb038954b1ull) << "fingerprint: " << std::hex << h;
 }
 
 TEST(ContextualRankerTest, StageTimersRecordOncePerTrainWithinWallTime) {
@@ -349,8 +351,7 @@ TEST(ContextualRankerTest, EndToEndTrainAndRank) {
   ASSERT_TRUE(ranker_or.ok()) << ranker_or.status().ToString();
   const ContextualRanker& ranker = **ranker_or;
 
-  EXPECT_GT(ranker.interestingness_store().NumConcepts(), 200u);
-  EXPECT_GT(ranker.relevance_store().NumConcepts(), 200u);
+  EXPECT_GT(ranker.concept_store().NumConcepts(), 200u);
   EXPECT_FALSE(ranker.tid_table().overflowed());
 
   // Rank a held-out story; scores must be sorted and keys unique.

@@ -104,12 +104,10 @@ TEST(UnitCapTest, MaxUnitsBoundsDictionary) {
 TEST(StorePackTest, TrailingBytesRejected) {
   GlobalTidTable tids;
   tids.Intern("alpha");
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
   std::string blob =
-      SerializeStorePack(tids, interest, relevance, RankSvmModel());
+      SerializeStorePack(tids, concepts, RankSvmModel());
   EXPECT_TRUE(StorePack::Deserialize(blob).ok());
   blob += "junk";
   auto bad = StorePack::Deserialize(blob);
@@ -120,12 +118,10 @@ TEST(StorePackTest, TrailingBytesRejected) {
 TEST(StorePackTest, TruncatedBlobRejected) {
   GlobalTidTable tids;
   tids.Intern("alpha");
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
   std::string blob =
-      SerializeStorePack(tids, interest, relevance, RankSvmModel());
+      SerializeStorePack(tids, concepts, RankSvmModel());
   for (size_t cut : {blob.size() / 4, blob.size() / 2, blob.size() - 1}) {
     EXPECT_FALSE(StorePack::Deserialize(blob.substr(0, cut)).ok()) << cut;
   }

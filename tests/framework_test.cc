@@ -139,7 +139,8 @@ TEST(TidTableTest, InternAndLookup) {
 }
 
 TEST(QuantizedStoreTest, RoundTripWithinGranularity) {
-  QuantizedInterestingnessStore store;
+  GlobalTidTable tids;
+  ConceptStore store;
   InterestingnessVector v;
   v.freq_exact = 5.5;
   v.freq_phrase_contained = 7.25;
@@ -150,12 +151,12 @@ TEST(QuantizedStoreTest, RoundTripWithinGranularity) {
   v.subconcepts = 1;
   v.wiki_word_count = 6.2;
   v.high_level_type[2] = 1.0;
-  store.Add("concept a", v);
+  store.Add("concept a", v, {});
   InterestingnessVector w;  // A second vector to span the ranges.
   w.freq_exact = 0.0;
   w.unit_score = 1.0;
-  store.Add("concept b", w);
-  store.Finalize();
+  store.Add("concept b", w, {});
+  store.Finalize(&tids);
 
   std::vector<double> out;
   ASSERT_TRUE(store.Lookup("concept a", &out));
@@ -166,17 +167,17 @@ TEST(QuantizedStoreTest, RoundTripWithinGranularity) {
     EXPECT_NEAR(out[i], raw[i], 1e-3) << i;
   }
   EXPECT_FALSE(store.Lookup("missing", &out));
-  EXPECT_EQ(store.PayloadBytes(),
+  EXPECT_EQ(store.InterestingnessBytes(),
             2 * InterestingnessVector::Dim() * sizeof(uint16_t));
 }
 
 TEST(PackedRelevanceTest, ScoreMatchesUnpackedWithinQuantization) {
   GlobalTidTable tids;
-  PackedRelevanceStore store(&tids);
+  ConceptStore store;
   std::vector<RelevantTerm> terms = {
       {"alpha", 40.0}, {"beta", 25.0}, {"gamma", 10.0}, {"delta", 2.0}};
-  store.Add("my concept", terms);
-  store.Finalize();
+  store.Add("my concept", {}, terms);
+  store.Finalize(&tids);
 
   std::unordered_set<uint32_t> context = {tids.Lookup("alpha"),
                                           tids.Lookup("gamma")};
@@ -188,20 +189,20 @@ TEST(PackedRelevanceTest, ScoreMatchesUnpackedWithinQuantization) {
 
 TEST(PackedRelevanceTest, KeepsAtMostHundredTerms) {
   GlobalTidTable tids;
-  PackedRelevanceStore store(&tids);
+  ConceptStore store;
   std::vector<RelevantTerm> terms;
   for (int i = 0; i < 150; ++i) {
     terms.push_back({std::string("t").append(std::to_string(i)), 150.0 - i});
   }
-  store.Add("big", terms);
-  store.Finalize();
+  store.Add("big", {}, terms);
+  store.Finalize(&tids);
   // 100 pairs * 4 bytes.
-  EXPECT_EQ(store.PayloadBytes(), 400u);
+  EXPECT_EQ(store.RelevanceBytes(), 400u);
 }
 
 TEST(PackedRelevanceTest, GolombCompressionSavesSpace) {
   GlobalTidTable tids;
-  PackedRelevanceStore store(&tids);
+  ConceptStore store;
   for (int c = 0; c < 50; ++c) {
     std::vector<RelevantTerm> terms;
     for (int i = 0; i < 100; ++i) {
@@ -209,10 +210,10 @@ TEST(PackedRelevanceTest, GolombCompressionSavesSpace) {
       terms.push_back({"shared" + std::to_string((c * 37 + i) % 600),
                        1.0 + i});
     }
-    store.Add("concept " + std::to_string(c), terms);
+    store.Add("concept " + std::to_string(c), {}, terms);
   }
-  store.Finalize();
-  EXPECT_LT(store.GolombCompressedBytes(), store.PayloadBytes());
+  store.Finalize(&tids);
+  EXPECT_LT(store.GolombCompressedBytes(), store.RelevanceBytes());
 }
 
 TEST(RuntimeStatsTest, ThroughputMath) {
@@ -297,12 +298,13 @@ TEST(TidTableTest, OverflowReturnsSentinelWithoutMutatingState) {
 }
 
 TEST(QuantizedStoreTest, DenseIdsAreContiguousAndSorted) {
-  QuantizedInterestingnessStore store;
+  GlobalTidTable tids;
+  ConceptStore store;
   InterestingnessVector vec;
-  store.Add("zebra", vec);
-  store.Add("apple", vec);
-  store.Add("mango", vec);
-  store.Finalize();
+  store.Add("zebra", vec, {});
+  store.Add("apple", vec, {});
+  store.Add("mango", vec, {});
+  store.Finalize(&tids);
   ASSERT_EQ(store.NumConcepts(), 3u);
   EXPECT_EQ(store.IdOf("apple"), 0u);
   EXPECT_EQ(store.IdOf("mango"), 1u);
@@ -312,23 +314,24 @@ TEST(QuantizedStoreTest, DenseIdsAreContiguousAndSorted) {
 }
 
 TEST(QuantizedStoreTest, SerializationRoundTripsDenseLayout) {
-  QuantizedInterestingnessStore store;
+  GlobalTidTable tids;
+  ConceptStore store;
   for (int c = 0; c < 5; ++c) {
     InterestingnessVector vec;
     vec.freq_exact = c * 10.0;
     vec.unit_score = 1.0 + c * 0.5;
     vec.number_of_chars = 7.0 + c;
     vec.high_level_type[c % kNumEntityTypes] = 1.0;
-    store.Add("concept " + std::to_string(c), vec);
+    store.Add("concept " + std::to_string(c), vec, {});
   }
-  store.Finalize();
+  store.Finalize(&tids);
 
   BinaryWriter writer;
   store.SaveTo(&writer);
   BinaryReader reader(writer.buffer());
-  auto loaded_or = QuantizedInterestingnessStore::LoadFrom(&reader);
+  auto loaded_or = ConceptStore::LoadFrom(&reader);
   ASSERT_TRUE(loaded_or.ok());
-  const QuantizedInterestingnessStore& loaded = *loaded_or;
+  const ConceptStore& loaded = *loaded_or;
 
   ASSERT_EQ(loaded.NumConcepts(), store.NumConcepts());
   std::vector<double> got, want;
@@ -347,12 +350,13 @@ TEST(QuantizedStoreTest, SerializationRoundTripsDenseLayout) {
 }
 
 TEST(QuantizedStoreTest, EmptyStoreSerializationRoundTrip) {
-  QuantizedInterestingnessStore store;
-  store.Finalize();
+  GlobalTidTable tids;
+  ConceptStore store;
+  store.Finalize(&tids);
   BinaryWriter writer;
   store.SaveTo(&writer);
   BinaryReader reader(writer.buffer());
-  auto loaded_or = QuantizedInterestingnessStore::LoadFrom(&reader);
+  auto loaded_or = ConceptStore::LoadFrom(&reader);
   ASSERT_TRUE(loaded_or.ok());
   EXPECT_EQ(loaded_or->NumConcepts(), 0u);
   EXPECT_EQ(loaded_or->IdOf("anything"), kInvalidConcept);
@@ -362,17 +366,18 @@ TEST(QuantizedStoreTest, EmptyStoreSerializationRoundTrip) {
 
 TEST(PackedRelevanceTest, SerializationRoundTripsDenseLayout) {
   GlobalTidTable tids;
-  PackedRelevanceStore store(&tids);
-  store.Add("windsurfing", {{"board", 40.0}, {"sail", 25.0}, {"wave", 5.0}});
-  store.Add("alpha", {{"board", 12.0}, {"first", 30.0}});
-  store.Finalize();
+  ConceptStore store;
+  store.Add("windsurfing", {},
+            {{"board", 40.0}, {"sail", 25.0}, {"wave", 5.0}});
+  store.Add("alpha", {}, {{"board", 12.0}, {"first", 30.0}});
+  store.Finalize(&tids);
 
   BinaryWriter writer;
   store.SaveTo(&writer);
   BinaryReader reader(writer.buffer());
-  auto loaded_or = PackedRelevanceStore::LoadFrom(&reader, &tids);
+  auto loaded_or = ConceptStore::LoadFrom(&reader);
   ASSERT_TRUE(loaded_or.ok());
-  const PackedRelevanceStore& loaded = *loaded_or;
+  const ConceptStore& loaded = *loaded_or;
 
   ASSERT_EQ(loaded.NumConcepts(), store.NumConcepts());
   EXPECT_EQ(loaded.IdOf("alpha"), store.IdOf("alpha"));
@@ -398,12 +403,12 @@ TEST(PackedRelevanceTest, SerializationRoundTripsDenseLayout) {
 
 TEST(PackedRelevanceTest, EmptyStoreSerializationRoundTrip) {
   GlobalTidTable tids;
-  PackedRelevanceStore store(&tids);
-  store.Finalize();
+  ConceptStore store;
+  store.Finalize(&tids);
   BinaryWriter writer;
   store.SaveTo(&writer);
   BinaryReader reader(writer.buffer());
-  auto loaded_or = PackedRelevanceStore::LoadFrom(&reader, &tids);
+  auto loaded_or = ConceptStore::LoadFrom(&reader);
   ASSERT_TRUE(loaded_or.ok());
   EXPECT_EQ(loaded_or->NumConcepts(), 0u);
   EXPECT_DOUBLE_EQ(loaded_or->Score("anything", {}), 0.0);

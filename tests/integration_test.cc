@@ -119,13 +119,11 @@ TEST(RuntimeEdgeTest, EmptyStoresProduceNoAnnotations) {
   std::vector<EntityDetector::DictionaryEntry> dict = {
       {"something", EntityType::kPlace, 0}};
   EntityDetector detector(dict, nullptr);
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
   GlobalTidTable tids;
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
   RankSvmModel model;  // Default-constructed: zero-dimensional.
-  RuntimeRanker ranker(detector, interest, relevance, tids, model);
+  RuntimeRanker ranker(detector, concepts, tids, model);
   RuntimeStats stats;
   auto out = ranker.ProcessDocument("something happened here", &stats);
   EXPECT_TRUE(out.empty());  // No store entry -> candidate skipped.
@@ -136,12 +134,10 @@ TEST(RuntimeEdgeTest, EmptyDocument) {
   std::vector<EntityDetector::DictionaryEntry> dict = {
       {"x y", EntityType::kPlace, 0}};
   EntityDetector detector(dict, nullptr);
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
   GlobalTidTable tids;
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
-  RuntimeRanker ranker(detector, interest, relevance, tids, RankSvmModel());
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
+  RuntimeRanker ranker(detector, concepts, tids, RankSvmModel());
   EXPECT_TRUE(ranker.ProcessDocument("").empty());
 }
 

@@ -85,14 +85,12 @@ TEST(ObsDisabledTest, ScopedTimerNestsWithoutCollisions) {
 // default one.
 TEST(ObsDisabledTest, StemMemoCountersFollowTheLibraryBuild) {
   EntityDetector detector({{"brown cats", EntityType::kConcept, 0}}, nullptr);
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
   GlobalTidTable tids;
   tids.Intern("cat");
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
-  RuntimeRanker a(detector, interest, relevance, tids, RankSvmModel());
-  RuntimeRanker b(detector, interest, relevance, tids, RankSvmModel());
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
+  RuntimeRanker a(detector, concepts, tids, RankSvmModel());
+  RuntimeRanker b(detector, concepts, tids, RankSvmModel());
   RankerScratch scratch;
   const std::string doc = "The cats chased the brown cats.";
   a.ProcessDocument(doc, &scratch, nullptr);

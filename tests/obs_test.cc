@@ -359,14 +359,12 @@ TEST(ObsHooksTest, ScopedTimerMacroRecords) {
 // whenever a non-empty memo is dropped, all added once per document.
 TEST(ObsHooksTest, StemMemoCountersPerDocument) {
   EntityDetector detector({{"brown cats", EntityType::kConcept, 0}}, nullptr);
-  QuantizedInterestingnessStore interest;
-  interest.Finalize();
   GlobalTidTable tids;
   tids.Intern("cat");
-  PackedRelevanceStore relevance(&tids);
-  relevance.Finalize();
-  RuntimeRanker a(detector, interest, relevance, tids, RankSvmModel());
-  RuntimeRanker b(detector, interest, relevance, tids, RankSvmModel());
+  ConceptStore concepts;
+  concepts.Finalize(&tids);
+  RuntimeRanker a(detector, concepts, tids, RankSvmModel());
+  RuntimeRanker b(detector, concepts, tids, RankSvmModel());
 
   MetricRegistry& reg = MetricRegistry::Global();
   Counter* hits = reg.GetCounter("ckr.runtime.stem_memo_hits");

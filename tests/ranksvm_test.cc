@@ -213,7 +213,7 @@ TEST(RankSvmTest, SerializationRoundTripLinear) {
   auto data = LinearProblem(200, 5, 5, 0.1, 21);
   auto model = RankSvmTrainer().Train(data);
   ASSERT_TRUE(model.ok());
-  std::string blob = model->Serialize();
+  std::string blob = model->SerializeBinary();
   auto restored = RankSvmModel::Deserialize(blob);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   for (const auto& inst : data) {
@@ -229,7 +229,7 @@ TEST(RankSvmTest, SerializationRoundTripRbf) {
   auto data = LinearProblem(200, 3, 5, 0.1, 23);
   auto model = RankSvmTrainer(cfg).Train(data);
   ASSERT_TRUE(model.ok());
-  auto restored = RankSvmModel::Deserialize(model->Serialize());
+  auto restored = RankSvmModel::Deserialize(model->SerializeBinary());
   ASSERT_TRUE(restored.ok());
   for (const auto& inst : data) {
     EXPECT_NEAR(model->Score(inst.features), restored->Score(inst.features),
@@ -247,31 +247,12 @@ TEST(RankSvmTest, DeserializeRejectsUnknownKernel) {
   auto data = LinearProblem(100, 3, 5, 0.1, 17);
   auto model = RankSvmTrainer().Train(data);
   ASSERT_TRUE(model.ok());
-  std::string blob = model->Serialize();
-  const std::string from = "kernel linear";
-  size_t pos = blob.find(from);
-  ASSERT_NE(pos, std::string::npos);
-  blob.replace(pos, from.size(), "kernel quadratic");
+  std::string blob = model->SerializeBinary();
+  blob[4 + 14] = 2;  // Kernel id u16 right after the magic string.
   auto restored = RankSvmModel::Deserialize(blob);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(restored.status().ToString().find("kernel"), std::string::npos);
-}
-
-TEST(RankSvmTest, DeserializeParsesHandWrittenV1Blob) {
-  // A v1 blob written by an earlier version of the library must keep
-  // loading byte for byte.
-  const std::string blob =
-      "ranksvm v1\n"
-      "kernel linear\n"
-      "mean 2 0 0\n"
-      "inv_sd 2 1 1\n"
-      "weights 2 1 2\n"
-      "rff 0\n";
-  auto model = RankSvmModel::Deserialize(blob);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_EQ(model->InputDim(), 2u);
-  EXPECT_DOUBLE_EQ(model->Score({1.0, 2.0}), 5.0);
 }
 
 TEST(RankSvmTest, BinarySerializationRoundTripLinear) {
@@ -303,7 +284,9 @@ TEST(RankSvmTest, BinarySerializationRoundTripRbfAndIsCompact) {
     EXPECT_DOUBLE_EQ(model->Score(inst.features),
                      restored->Score(inst.features));
   }
-  EXPECT_LT(blob.size(), model->Serialize().size() / 2);
+  // Header (magic string, kernel id, three sizes), then the doubles.
+  const size_t doubles = 2 * 3 + 64 + 64 * 3 + 64;
+  EXPECT_EQ(blob.size(), 4 + 14 + 2 + 12 + doubles * sizeof(double));
 }
 
 TEST(RankSvmTest, BinaryDeserializeRejectsCorruption) {
@@ -354,34 +337,7 @@ TEST(RankSvmTest, BinaryDeserializeRejectsCorruptSizeFields) {
   EXPECT_FALSE(RankSvmModel::Deserialize(inflated).ok());
 }
 
-// Found by the mutation sweep below: the v1 text reader resized its
-// vectors to any declared count (bad_alloc on "mean 99999999999") and took
-// weight and inv_sd vectors shorter than the model's width, which Score()
-// then read past.
-TEST(RankSvmTest, TextDeserializeRejectsHugeCountsAndInconsistentShapes) {
-  const std::string good =
-      "ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 1\n"
-      "weights 2 1 2\nrff 0\n";
-  ASSERT_TRUE(RankSvmModel::Deserialize(good).ok());
-  for (const std::string& bad : {
-           std::string("ranksvm v1\nkernel linear\nmean 99999999999 0\n"),
-           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 "
-                       "1\nweights 2 1 2\nrff 99999999999\n"),
-           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 2 1 "
-                       "1\nweights 1 1\nrff 0\n"),
-           std::string("ranksvm v1\nkernel linear\nmean 2 0 0\ninv_sd 1 "
-                       "1\nweights 2 1 2\nrff 0\n"),
-           std::string("ranksvm v1\nkernel rbf_fourier\nmean 1 0\ninv_sd 1 "
-                       "1\nweights 2 1 2\nrff 1\nw 0.5 b 0.1\n"),
-       }) {
-    auto model = RankSvmModel::Deserialize(bad);
-    ASSERT_FALSE(model.ok()) << bad;
-    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << bad;
-  }
-}
-
-// BlockIndexMutationTest's mutation sweep on the model loader, over both
-// formats (the v2 binary blob and the v1 text blob it still reads): every
+// BlockIndexMutationTest's mutation sweep on the model loader: every
 // mutant is rejected with a Status, or loads a model that scores a vector
 // of its own input width and re-serializes to a blob that loads again.
 TEST(RankSvmMutationTest, MutantsAreRejectedOrScoreSafely) {
@@ -393,14 +349,13 @@ TEST(RankSvmMutationTest, MutantsAreRejectedOrScoreSafely) {
   auto rbf = RankSvmTrainer(rbf_cfg).Train(LinearProblem(60, 4, 5, 0.1, 41));
   ASSERT_TRUE(rbf.ok());
   const std::string blobs[] = {linear->SerializeBinary(),
-                               rbf->SerializeBinary(), linear->Serialize(),
-                               rbf->Serialize()};
+                               rbf->SerializeBinary()};
   Rng rng(20090402);
   size_t rejected = 0;
   size_t served = 0;
   for (int i = 0; i < 2000; ++i) {
     const std::string label = "mutant " + std::to_string(i);
-    const size_t pick = rng.NextBounded(4);
+    const size_t pick = rng.NextBounded(2);
     const std::string mutant =
         MutateBlob(&rng, blobs[pick], blobs[pick ^ 1]);
     auto model = RankSvmModel::Deserialize(mutant);

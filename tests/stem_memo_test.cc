@@ -256,16 +256,16 @@ class StemMemoRankerTest : public ::testing::Test {
   static std::unique_ptr<RuntimeRanker> WithDetector(
       const EntityDetector& detector) {
     return std::make_unique<RuntimeRanker>(
-        detector, ranker_->interestingness_store(), ranker_->relevance_store(),
-        ranker_->tid_table(), ranker_->model());
+        detector, ranker_->concept_store(), ranker_->tid_table(),
+        ranker_->model());
   }
 
   // A ranker over the trained detector, stores and model but another TID
   // table.
   static std::unique_ptr<RuntimeRanker> WithTable(const GlobalTidTable& t) {
     return std::make_unique<RuntimeRanker>(
-        ranker_->pipeline().detector(), ranker_->interestingness_store(),
-        ranker_->relevance_store(), t, ranker_->model());
+        ranker_->pipeline().detector(), ranker_->concept_store(), t,
+        ranker_->model());
   }
 
   static ContextualRanker* ranker_;

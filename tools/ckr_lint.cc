@@ -241,6 +241,8 @@ struct Ctx {
   const std::vector<Tok>& toks;
   const Suppressions& sup;
   bool includes_binary_io;
+  /// The TU's own header (foo.h beside foo.cc), tokenized; empty if none.
+  const std::vector<Tok>& header_toks;
   std::vector<Violation>* out;
 
   void Report(const std::string& rule, int line,
@@ -375,31 +377,45 @@ void CheckR3(const Ctx& ctx) {
   }
 }
 
-/// R4: range-for over an unordered container in a file that includes a
-/// binary_io.h. Hash iteration order is implementation-defined, so such a
-/// loop adjacent to serialization machinery is a reproducibility hazard
-/// unless explicitly annotated `ckr-lint: ordered`.
-void CheckR4(const Ctx& ctx) {
-  if (!ctx.includes_binary_io) return;
-  const auto& toks = ctx.toks;
-
-  // Names declared with an unordered_{map,set} type in this file.
-  std::set<std::string> unordered_names;
+/// Adds to `names` every name `toks` declares with an
+/// unordered_{map,set} type.
+void CollectUnorderedNames(const std::vector<Tok>& toks,
+                           std::set<std::string>* names) {
+  auto is = [&](size_t i, std::string_view t) {
+    return i < toks.size() && toks[i].text == t;
+  };
   for (size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent) continue;
     const std::string& t = toks[i].text;
     if (t != "unordered_map" && t != "unordered_set") continue;
     size_t j = i + 1;
-    if (ctx.Is(j, "<")) {
+    if (is(j, "<")) {
       int depth = 0;
       for (; j < toks.size(); ++j) {
-        if (ctx.Is(j, "<")) ++depth;
-        if (ctx.Is(j, ">") && --depth == 0) break;
+        if (is(j, "<")) ++depth;
+        if (is(j, ">") && --depth == 0) break;
       }
       ++j;
     }
-    if (ctx.IsIdent(j)) unordered_names.insert(ctx.Text(j));
+    if (j < toks.size() && toks[j].kind == TokKind::kIdent) {
+      names->insert(toks[j].text);
+    }
   }
+}
+
+/// R4: range-for over an unordered container in a file that includes a
+/// binary_io.h. Hash iteration order is implementation-defined, so such a
+/// loop adjacent to serialization machinery is a reproducibility hazard
+/// unless explicitly annotated `ckr-lint: ordered`. A .cc file's own
+/// header counts as part of it: its includes arm the rule, and the
+/// members it declares are checked in the .cc's loops.
+void CheckR4(const Ctx& ctx) {
+  if (!ctx.includes_binary_io) return;
+  const auto& toks = ctx.toks;
+
+  std::set<std::string> unordered_names;
+  CollectUnorderedNames(toks, &unordered_names);
+  CollectUnorderedNames(ctx.header_toks, &unordered_names);
 
   for (size_t i = 0; i < toks.size(); ++i) {
     if (!(toks[i].kind == TokKind::kIdent && toks[i].text == "for") ||
@@ -828,11 +844,50 @@ std::vector<Violation> LintContent(std::string_view path,
   return LintContent(path, content, nullptr);
 }
 
+namespace {
+
+/// True when `content` includes a binary_io.h (common/binary_io.h), or
+/// one of the block-index serialization headers (block_postings.h /
+/// block_max_index.h expose AppendTo/Serialize, so TUs including them can
+/// feed writers too): R4's precondition that serialization machinery is
+/// in scope.
+bool IncludesSerialization(std::string_view content) {
+  std::istringstream lines{std::string(content)};
+  std::string raw;
+  while (std::getline(lines, raw)) {
+    if (raw.find("#include") == std::string::npos) continue;
+    if (raw.find("binary_io.h") != std::string::npos ||
+        raw.find("block_postings.h") != std::string::npos ||
+        raw.find("block_max_index.h") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Contents of the header beside a .cc path (foo.h for foo.cc); empty for
+/// other paths or when there is none.
+std::string ReadOwnHeader(std::string_view path) {
+  if (!EndsWith(path, ".cc")) return {};
+  std::string header(path.substr(0, path.size() - 3));
+  header += ".h";
+  std::ifstream in(header, std::ios::binary);
+  if (!in) return {};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+}  // namespace
+
 std::vector<Violation> LintContent(std::string_view path,
                                    std::string_view content,
-                                   const LockOrderSpec* lock_order) {
+                                   const LockOrderSpec* lock_order,
+                                   std::string_view own_header) {
   Suppressions sup;
   std::vector<Tok> toks = Tokenize(content, &sup);
+  Suppressions header_sup;  // The header's own directives bind only it.
+  const std::vector<Tok> header_toks = Tokenize(own_header, &header_sup);
 
   // Single-file mode: the file's own declarations are the hierarchy.
   LockOrderSpec local;
@@ -844,25 +899,12 @@ std::vector<Violation> LintContent(std::string_view path,
     lock_order = &local;
   }
 
-  // R4's precondition: serialization machinery is in scope. Matches any
-  // include of a binary_io.h (common/binary_io.h), plus the block-index
-  // serialization headers (block_postings.h / block_max_index.h expose
-  // AppendTo/Serialize, so TUs including them can feed writers too).
-  bool includes_binary_io = false;
-  std::istringstream lines{std::string(content)};
-  std::string raw;
-  while (std::getline(lines, raw)) {
-    if (raw.find("#include") == std::string::npos) continue;
-    if (raw.find("binary_io.h") != std::string::npos ||
-        raw.find("block_postings.h") != std::string::npos ||
-        raw.find("block_max_index.h") != std::string::npos) {
-      includes_binary_io = true;
-      break;
-    }
-  }
+  const bool includes_binary_io =
+      IncludesSerialization(content) || IncludesSerialization(own_header);
 
   std::vector<Violation> out;
-  Ctx ctx{path, ClassifyPath(path), toks, sup, includes_binary_io, &out};
+  Ctx ctx{path, ClassifyPath(path), toks, sup, includes_binary_io,
+          header_toks, &out};
   CheckR1(ctx);
   CheckR2(ctx);
   CheckR3(ctx);
@@ -883,7 +925,7 @@ StatusOr<std::vector<Violation>> LintPath(const std::string& path) {
   if (!in) return Status::IOError("cannot open " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return LintContent(path, buf.str());
+  return LintContent(path, buf.str(), nullptr, ReadOwnHeader(path));
 }
 
 LintRunResult LintFiles(const std::vector<std::string>& paths,
@@ -896,6 +938,7 @@ LintRunResult LintFiles(const std::vector<std::string>& paths,
   // global lock-order registry, so a hierarchy declared in one header
   // binds lock sites in every file.
   std::vector<std::string> contents(n);
+  std::vector<std::string> headers(n);
   std::vector<char> readable(n, 0);
   LockOrderSpec order;
   for (size_t i = 0; i < n; ++i) {
@@ -907,6 +950,7 @@ LintRunResult LintFiles(const std::vector<std::string>& paths,
     std::ostringstream buf;
     buf << in.rdbuf();
     contents[i] = buf.str();
+    headers[i] = ReadOwnHeader(paths[i]);
     readable[i] = 1;
     CollectLockOrder(contents[i], &order);
   }
@@ -918,7 +962,9 @@ LintRunResult LintFiles(const std::vector<std::string>& paths,
   if (jobs == 0) jobs = DefaultWorkerCount();
   std::vector<std::vector<Violation>> slots(n);
   ParallelForWorkers(n, jobs, [&](unsigned, size_t i) {
-    if (readable[i] != 0) slots[i] = LintContent(paths[i], contents[i], &order);
+    if (readable[i] != 0) {
+      slots[i] = LintContent(paths[i], contents[i], &order, headers[i]);
+    }
   });
   for (std::vector<Violation>& slot : slots) {
     result.violations.insert(result.violations.end(),

@@ -14,7 +14,9 @@
 //       includes serialization machinery (a binary_io.h, or the
 //       block-index headers block_postings.h / block_max_index.h) —
 //       hash-order iteration feeding a serializer silently breaks
-//       reproducibility.
+//       reproducibility. A .cc file's own header (foo.h beside foo.cc)
+//       counts as part of it, for both the include and the container
+//       declarations.
 //   R5  banned C functions: strcpy, sprintf, atoi, gets.
 //   R6  every std::mutex / std::atomic (and friends: shared_mutex,
 //       condition_variable, atomic_flag, ...) data member in src/ must
@@ -115,13 +117,18 @@ void CollectLockOrder(std::string_view content, LockOrderSpec* spec);
 /// ClassifyPath) and is echoed into the violations; no I/O happens here.
 /// `lock_order` is the finalized cross-file hierarchy for R8; pass null
 /// to build it from this file's own declarations (single-file mode).
+/// `own_header` is the content of the TU's own header (foo.h beside
+/// foo.cc), empty if none: R4 reads its includes and its container
+/// declarations as the TU's own.
 std::vector<Violation> LintContent(std::string_view path,
                                    std::string_view content,
-                                   const LockOrderSpec* lock_order);
+                                   const LockOrderSpec* lock_order,
+                                   std::string_view own_header = {});
 std::vector<Violation> LintContent(std::string_view path,
                                    std::string_view content);
 
-/// Reads and lints a file on disk (single-file lock-order mode).
+/// Reads and lints a file on disk, with its own header (single-file
+/// lock-order mode).
 [[nodiscard]] StatusOr<std::vector<Violation>> LintPath(
     const std::string& path);
 

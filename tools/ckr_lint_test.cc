@@ -122,6 +122,22 @@ TEST(CkrLintTest, R4CoversBlockIndexSerializationHeaders) {
   }
 }
 
+TEST(CkrLintTest, R4ReadsTheTusOwnHeader) {
+  // The .cc declares no container and includes no binary_io.h; both come
+  // from its own header, which LintPath reads beside it.
+  auto vs = LintPath(std::string(CKR_LINT_TESTDATA_DIR) + "/r4_own_header.cc");
+  ASSERT_TRUE(vs.ok()) << vs.status().ToString();
+  EXPECT_EQ(RuleLines(*vs), (std::multiset<RuleLine>{{"R4", 10}, {"R4", 13}}));
+  // The same through LintContent with the header passed in...
+  const std::string content = ReadFixture("r4_own_header.cc");
+  const std::string header = ReadFixture("r4_own_header.h");
+  EXPECT_EQ(RuleLines(LintContent("src/r4_own_header.cc", content, nullptr,
+                                  header)),
+            (std::multiset<RuleLine>{{"R4", 10}, {"R4", 13}}));
+  // ...and without it the .cc alone is not a serialization TU.
+  EXPECT_TRUE(LintContent("src/r4_own_header.cc", content).empty());
+}
+
 TEST(CkrLintTest, R5FlagsBannedFunctions) {
   auto vs = LintContent("src/r5_banned_functions.cc",
                         ReadFixture("r5_banned_functions.cc"));
