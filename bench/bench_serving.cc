@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/corpus_stream.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "obs/clock.h"
@@ -104,6 +105,7 @@ std::unique_ptr<ServingSnapshot> BuildSnapshot(const World& world) {
   config.num_shards = kShards;
   config.build.store_text = false;
   config.build.build_block_index = true;
+  config.stream.workers = kWorkers;
   auto sharded =
       ShardedIndex::Build(world, Document::Kind::kWeb, kDocs, config);
   CKR_CHECK(sharded.ok());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "framework/golomb.h"
 #include "obs/hooks.h"
@@ -96,6 +97,7 @@ StatusOr<GlobalTidTable> GlobalTidTable::LoadFrom(BinaryReader* reader) {
 void ConceptStore::Add(std::string_view key,
                        const InterestingnessVector& vec,
                        const std::vector<RelevantTerm>& terms) {
+  CKR_DCHECK(!finalized_);
   RawConcept raw;
   raw.vec = vec.Flatten();
   raw.terms.assign(terms.begin(),
@@ -104,6 +106,7 @@ void ConceptStore::Add(std::string_view key,
 }
 
 void ConceptStore::Finalize(GlobalTidTable* tids) {
+  CKR_DCHECK(!finalized_);
   const size_t dim = InterestingnessVector::Dim();
   field_min_.assign(dim, 1e300);
   field_max_.assign(dim, -1e300);
@@ -155,6 +158,9 @@ void ConceptStore::Finalize(GlobalTidTable* tids) {
     offsets_.push_back(static_cast<uint32_t>(pairs_.size()));
   }
   IndexKeys();
+  // Nothing reads the build map once both payloads are packed.
+  raw_.clear();
+  finalized_ = true;
 }
 
 void ConceptStore::IndexKeys() {
@@ -335,6 +341,7 @@ StatusOr<ConceptStore> ConceptStore::LoadFrom(BinaryReader* reader) {
     return Status::InvalidArgument("truncated relevance store");
   }
   store.IndexKeys();
+  store.finalized_ = true;
   return store;
 }
 

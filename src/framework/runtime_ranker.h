@@ -103,13 +103,14 @@ class ConceptStore {
  public:
   /// Registers a concept's raw vector and mined terms (at most 100 kept);
   /// a repeated key replaces the earlier entry. Ranges, scale and ids are
-  /// fitted in Finalize().
+  /// fitted in Finalize(). Not after Finalize() or LoadFrom().
   void Add(std::string_view key, const InterestingnessVector& vec,
            const std::vector<RelevantTerm>& terms);
 
   /// Fits the per-field ranges and the global score scale, assigns dense
-  /// ids in sorted-key order and packs both payloads. Terms are interned
-  /// into `tids` in that order, so TID numbering is deterministic.
+  /// ids in sorted-key order and packs both payloads, then frees the build
+  /// map. Terms are interned into `tids` in that order, so TID numbering
+  /// is deterministic. Call once.
   void Finalize(GlobalTidTable* tids);
 
   size_t NumConcepts() const { return keys_.size(); }
@@ -164,7 +165,9 @@ class ConceptStore {
 
   /// Rebuilds key_to_id_ from keys_.
   void IndexKeys();
+  /// The build map; emptied by Finalize().
   std::map<std::string, RawConcept, std::less<>> raw_;
+  bool finalized_ = false;  ///< Finalize() ran, or LoadFrom() built this.
 
   std::vector<std::string> keys_;  ///< Sorted; index == concept id.
   std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>

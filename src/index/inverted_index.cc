@@ -87,21 +87,22 @@ void InvertedIndex::Add(const Document& doc) {
 }
 
 void InvertedIndex::Finalize() {
+  CKR_DCHECK(!finalized_);
   const size_t num_docs = doc_id_.size();
   const size_t num_terms = term_ids_.size();
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
 
   doc_len_.resize(num_docs);
-  uint64_t total_len = 0;
+  total_tokens_ = 0;
   for (size_t d = 0; d < num_docs; ++d) {
     doc_len_[d] =
         static_cast<uint32_t>(doc_tok_offset_[d + 1] - doc_tok_offset_[d]);
-    total_len += doc_len_[d];
+    total_tokens_ += doc_len_[d];
   }
   avg_doc_len_ =
       num_docs == 0
           ? 0.0
-          : static_cast<double>(total_len) / static_cast<double>(num_docs);
+          : static_cast<double>(total_tokens_) / static_cast<double>(num_docs);
   score_num_docs_ = static_cast<double>(num_docs);
 
   const Bm25Params defaults;
@@ -150,8 +151,6 @@ void InvertedIndex::Finalize() {
       }
     }
   }
-  tok_tid_.shrink_to_fit();
-  doc_tok_offset_.shrink_to_fit();
 #if CKR_DEBUG_CHECKS
   // Frozen-layout invariants: the slot offset table is monotone and fully
   // consumed, and every slot's doc index is in range and strictly
@@ -169,6 +168,15 @@ void InvertedIndex::Finalize() {
   }
   for (uint32_t tid : tok_tid_) CKR_DCHECK_LT(tid, num_terms);
 #endif
+  if (options_.store_text) {
+    tok_tid_.shrink_to_fit();
+    doc_tok_offset_.shrink_to_fit();
+  } else {
+    // Search-only: the postings, lengths and token total are all that
+    // scoring reads.
+    std::vector<uint32_t>().swap(tok_tid_);
+    std::vector<size_t>().swap(doc_tok_offset_);
+  }
   finalized_ = true;
   if (options_.build_block_index) RebuildBlockIndex();
 }
@@ -209,12 +217,13 @@ CollectionStats InvertedIndex::LocalCollectionStats() const {
   CKR_DCHECK(finalized_);
   CollectionStats stats;
   stats.num_docs = doc_id_.size();
-  stats.total_tokens = tok_tid_.size();
-  stats.doc_freq.reserve(term_ids_.size());
-  // ckr-lint: ordered(fills a map; the result has no order)
-  for (const auto& [term, tid] : term_ids_) {
+  stats.total_tokens = total_tokens_;
+  const std::vector<std::string_view> terms = TermsById();
+  stats.doc_freq.reserve(terms.size());
+  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
     stats.doc_freq.emplace(
-        term, static_cast<uint64_t>(post_offset_[tid + 1] - post_offset_[tid]));
+        terms[tid],
+        static_cast<uint64_t>(post_offset_[tid + 1] - post_offset_[tid]));
   }
   return stats;
 }
@@ -228,27 +237,29 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
     return Status::InvalidArgument(
         "collection stats: num_docs below this index's document count");
   }
-  if (stats.total_tokens < tok_tid_.size()) {
+  if (stats.total_tokens < total_tokens_) {
     return Status::InvalidArgument(
         "collection stats: total_tokens below this index's token count");
   }
-  // Validate and gather per-tid df before mutating anything.
-  std::vector<double> df(term_ids_.size(), 0.0);
-  // Each term fills its own tid slot; only which bad term an error names
-  // can depend on hash order.
-  // ckr-lint: ordered(each term fills its own tid slot)
-  for (const auto& [term, tid] : term_ids_) {
-    auto it = stats.doc_freq.find(term);
+  // Validate and gather per-tid df before mutating anything. Terms are
+  // checked in tid order, so an error names the first-interned bad term.
+  const std::vector<std::string_view> terms = TermsById();
+  std::vector<double> df(terms.size(), 0.0);
+  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
+    auto it = stats.doc_freq.find(terms[tid]);
     if (it == stats.doc_freq.end()) {
       return Status::InvalidArgument(
-          "collection stats: missing document frequency for term '" + term +
-          "'");
+          std::string("collection stats: missing document frequency for "
+                      "term '")
+              .append(terms[tid])
+              .append("'"));
     }
     const uint64_t local = post_offset_[tid + 1] - post_offset_[tid];
     if (it->second < local) {
       return Status::InvalidArgument(
-          "collection stats: document frequency of term '" + term +
-          "' below this index's local df");
+          std::string("collection stats: document frequency of term '")
+              .append(terms[tid])
+              .append("' below this index's local df"));
     }
     df[tid] = static_cast<double>(it->second);
   }
@@ -423,6 +434,7 @@ bool InvertedIndex::PhraseInDoc(uint32_t d, const std::vector<uint32_t>& tids,
 
 uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
   CKR_DCHECK(finalized_);
+  CKR_CHECK(options_.store_text);
   std::vector<uint32_t> tids;
   size_t rarest = 0;
   if (!ResolvePhrase(phrase, &tids, &rarest)) return 0;
@@ -443,6 +455,7 @@ uint64_t InvertedIndex::PhraseResultCount(std::string_view phrase) const {
 std::vector<SearchResult> InvertedIndex::PhraseSearch(std::string_view phrase,
                                                       size_t k) const {
   CKR_DCHECK(finalized_);
+  CKR_CHECK(options_.store_text);
   CKR_OBS_COUNTER_INC("ckr.index.phrase_searches");
   std::vector<uint32_t> tids;
   size_t rarest = 0;
@@ -476,7 +489,7 @@ int32_t InvertedIndex::FindDocIndex(DocId id) const {
 }
 
 std::span<const uint32_t> InvertedIndex::DocTokenIds(DocId doc) const {
-  if (!options_.store_text) return {};
+  CKR_CHECK(options_.store_text);
   int32_t di = FindDocIndex(doc);
   if (di < 0) return {};
   const size_t d = static_cast<size_t>(di);

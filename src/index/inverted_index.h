@@ -17,7 +17,8 @@
 //    document the index keeps: a phrase check scans the candidate
 //    document's stream for windows equal to the phrase, and a snippet is
 //    a window of it — no text and no per-document string vectors survive
-//    Add();
+//    Add(). A search-only index (store_text=false) frees the streams in
+//    Finalize();
 //  * per-doc lengths and the default-parameter BM25 norm are precomputed;
 //  * the doc/tf columns are the only copy of the postings: the exhaustive
 //    scorer and the phrase seed loops read them directly, and the
@@ -60,7 +61,8 @@ struct CollectionStats {
   uint64_t num_docs = 0;
   uint64_t total_tokens = 0;
   /// Term -> number of documents containing it, collection-wide.
-  std::unordered_map<std::string, uint64_t> doc_freq;
+  std::unordered_map<std::string, uint64_t, StringViewHash, std::equal_to<>>
+      doc_freq;
 
   /// Folds `other` into this: counts add, term frequencies union+add.
   /// Commutative and associative over integers, so any merge order yields
@@ -83,18 +85,17 @@ class ParsedQuery {
 };
 
 /// Build-time knobs for million-doc, out-of-core-friendly index builds.
-/// Fixed at construction. Neither changes a Search or phrase result.
+/// Fixed at construction. Neither changes a Search result.
 struct IndexBuildOptions {
-  /// Expose each document's token-id stream to readers outside the
-  /// index. With store_text=false, DocTokenIds() and HitWindow() return
-  /// empty spans, so Prisma feedback and snippet mining yield nothing; a
-  /// search-only build (a serving shard, a streamed corpus) switches it
-  /// off.
+  /// Keep each document's token-id stream after Finalize(). Phrase checks,
+  /// snippets and Prisma feedback read the streams; BM25 search does not.
   ///
-  /// Degraded-path contract: only those two readers degrade. The index
-  /// keeps the streams either way (its phrase checks read them), so
-  /// Search, PhraseResultCount and PhraseSearch return exactly the same
-  /// results and counts as a store_text=true build (regression-tested in
+  /// store_text=false builds a search-only index (a serving shard, a
+  /// streamed corpus): Finalize() keeps the streams' token total for the
+  /// collection statistics and frees the streams themselves. Search
+  /// returns exactly what a store_text=true build returns, while
+  /// PhraseResultCount, PhraseSearch, DocTokenIds and HitWindow fail a
+  /// CKR_CHECK, since nothing is left for them to read (tested in
   /// tests/index_test.cc).
   bool store_text = true;
   /// Compute the BlockMaxIndex's maxima inside Finalize(). The maxima
@@ -117,7 +118,8 @@ class InvertedIndex {
   void Add(const Document& doc);
 
   /// Builds postings and collection statistics; call once after all Add()s.
-  /// Internal doc ids follow Add() order.
+  /// Internal doc ids follow Add() order. A store_text=false index frees
+  /// its token streams here.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -196,10 +198,11 @@ class InvertedIndex {
   ///
   /// An empty/whitespace-only phrase or one containing an
   /// out-of-vocabulary term returns 0 (no document can contain it).
+  /// Requires store_text.
   uint64_t PhraseResultCount(std::string_view phrase) const;
 
   /// Ranked documents containing the phrase contiguously (BM25 over the
-  /// phrase's terms, restricted to phrase matches).
+  /// phrase's terms, restricted to phrase matches). Requires store_text.
   std::vector<SearchResult> PhraseSearch(std::string_view phrase,
                                          size_t k) const;
 
@@ -209,13 +212,13 @@ class InvertedIndex {
   /// the first token that is any query term, else at the document head,
   /// and shifted back inside the document where it would run off its end.
   /// The span points into this index. Empty for an unknown or empty
-  /// document, and for a store_text=false index.
+  /// document. Requires store_text.
   std::span<const uint32_t> HitWindow(DocId doc, std::string_view query,
                                       size_t context_tokens = 30) const;
 
   /// Term ids of an indexed document's tokens, in text order — the stream
-  /// the postings were built from. Empty for an unknown document, and
-  /// empty when the index was built with store_text=false.
+  /// the postings were built from. Empty for an unknown document. Requires
+  /// store_text.
   std::span<const uint32_t> DocTokenIds(DocId doc) const;
 
   /// Every indexed term by id: slot `tid` holds that term's text, for all
@@ -247,7 +250,7 @@ class InvertedIndex {
 
  private:
   /// Read-only view of the frozen postings layout for the layout golden
-  /// test (tests/index_test.cc); it is defined there and nowhere else.
+  /// and sharded-build tests; defined in tests/index_layout_peer.h.
   friend class InvertedIndexLayoutPeer;
 
   static constexpr uint32_t kInvalidTid = 0xffffffffu;
@@ -277,7 +280,8 @@ class InvertedIndex {
                    size_t rarest, uint32_t rarest_tf,
                    uint32_t* num_starts) const;
 
-  // ---- Documents (CSR token streams; built during Add) ----
+  // ---- Documents (CSR token streams; built during Add, freed by a
+  // store_text=false Finalize) ----
   std::vector<DocId> doc_id_;            ///< External id per internal doc.
   std::unordered_map<DocId, uint32_t> doc_index_;
   std::vector<size_t> doc_tok_offset_;   ///< docs+1 offsets into tok_tid_.
@@ -294,6 +298,7 @@ class InvertedIndex {
 
   // ---- Collection statistics ----
   std::vector<uint32_t> doc_len_;        ///< Tokens per doc.
+  uint64_t total_tokens_ = 0;            ///< Sum of doc_len_.
   std::vector<double> default_norm_;     ///< k1*(1-b+b*dl/avg), default params.
   double avg_doc_len_ = 0.0;             ///< Scoring avg (global if overridden).
   double score_num_docs_ = 0.0;          ///< n used by idf (global if overridden).

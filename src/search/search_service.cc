@@ -24,6 +24,8 @@ SearchService::SearchService(const InvertedIndex& index, const QueryLog& log,
       evaluator_(ChooseEvaluator(index.NumDocs(), index.has_block_index())),
       terms_(index.TermsById()) {
   CKR_DCHECK(index.finalized());
+  // Snippets, phrase counts and Prisma feedback all read the streams.
+  CKR_CHECK(index.build_options().store_text);
   feedback_idf_.reserve(terms_.size());
   for (std::string_view term : terms_) {
     feedback_idf_.push_back(IsStopWord(term) ? 0.0 : term_dict_.Idf(term));

@@ -44,7 +44,8 @@ QueryEvaluator ChooseEvaluator(size_t num_docs, bool has_block_index);
 
 /// Read-only facade over the index, the query log and the term dictionary.
 /// All referenced objects must outlive the service, and the index must be
-/// finalized before the service is built.
+/// finalized before the service is built and keep its token streams
+/// (store_text; checked at construction).
 class SearchService {
  public:
   SearchService(const InvertedIndex& index, const QueryLog& log,
@@ -53,7 +54,7 @@ class SearchService {
   /// Result snippets of the concept submitted as a phrase query, one per
   /// result in rank order: the term ids of a window of the result's
   /// tokens around the phrase (InvertedIndex::HitWindow). The spans point
-  /// into the index. An index built with store_text=false yields none.
+  /// into the index.
   std::vector<std::span<const uint32_t>> Snippets(
       std::string_view concept_phrase, size_t k = 100) const;
 
@@ -64,7 +65,7 @@ class SearchService {
   /// `feedback_docs` results, returning at most `max_terms` terms, best
   /// first (equal scores by ascending term text). Stop words and the
   /// concept's own terms are never returned. Reads the documents' token-id
-  /// streams, so an index built with store_text=false yields no terms.
+  /// streams.
   std::vector<std::string> PrismaFeedbackTerms(std::string_view concept_phrase,
                                                size_t max_terms = 20,
                                                size_t feedback_docs = 50) const;

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "corpus/doc_generator.h"
 #include "obs/hooks.h"
 
 namespace ckr {
@@ -75,45 +76,45 @@ StatusOr<ShardedIndex> ShardedIndex::Build(const World& world,
   // the collection-stats override so its maxima carry the global idf.
   IndexBuildOptions shard_opts = config.build;
   shard_opts.build_block_index = false;
-  std::vector<std::unique_ptr<InvertedIndex>> shards;
-  shards.reserve(config.num_shards);
-  for (size_t s = 0; s < config.num_shards; ++s) {
-    shards.push_back(std::make_unique<InvertedIndex>(shard_opts));
-  }
+  const DocGenerator generator(world);
+  const size_t num_shards = config.num_shards;
+  const unsigned workers = config.stream.workers;
+  std::vector<std::unique_ptr<InvertedIndex>> shards(num_shards);
+  // A worker owns whole shards. It generates a shard's range in ascending
+  // id order, so the shard is what a serial build makes, and finalizes it
+  // at once, so a search-only shard's token streams are freed before the
+  // worker takes its next shard.
+  auto build_shard = [&](size_t s) {
+    auto shard = std::make_unique<InvertedIndex>(shard_opts);
+    const ShardRange range = ShardRangeOf(s, num_shards, num_docs);
+    {
+      CKR_OBS_SCOPED_TIMER("ckr.serve.build.ingest_seconds");
+      for (uint64_t id = range.begin; id < range.end; ++id) {
+        shard->Add(generator.Generate(kind, static_cast<DocId>(id)));
+      }
+    }
+    {
+      CKR_OBS_SCOPED_TIMER("ckr.serve.build.finalize_seconds");
+      shard->Finalize();
+    }
+    shards[s] = std::move(shard);
+  };
+  ParallelFor(num_shards, workers, build_shard);
 
-  // One streamed pass in ascending doc order; a walking cursor routes each
-  // document to its contiguous range owner.
-  {
-    CKR_OBS_SCOPED_TIMER("ckr.serve.build.ingest_seconds");
-    CorpusStreamer streamer(world);
-    uint64_t count = 0;
-    size_t cur = 0;
-    uint64_t cur_end = ShardRangeOf(0, config.num_shards, num_docs).end;
-    Status s = streamer.Stream(
-        kind, static_cast<size_t>(num_docs), config.stream,
-        [&](Document&& doc) {
-          while (count >= cur_end) {
-            ++cur;
-            cur_end = ShardRangeOf(cur, config.num_shards, num_docs).end;
-          }
-          shards[cur]->Add(doc);
-          ++count;
-        });
-    if (!s.ok()) return s;
-  }
-  {
-    CKR_OBS_SCOPED_TIMER("ckr.serve.build.finalize_seconds");
-    for (auto& shard : shards) shard->Finalize();
-  }
   CKR_OBS_SCOPED_TIMER("ckr.serve.build.stats_seconds");
   CollectionStats merged;
   for (const auto& shard : shards) {
     merged.Absorb(shard->LocalCollectionStats());
   }
-  for (auto& shard : shards) {
-    CKR_RETURN_IF_ERROR(shard->OverrideCollectionStats(merged));
-    if (config.build.build_block_index) shard->RebuildBlockIndex();
-  }
+  std::vector<Status> overridden(num_shards);
+  auto override_shard = [&](size_t s) {
+    overridden[s] = shards[s]->OverrideCollectionStats(merged);
+    if (overridden[s].ok() && config.build.build_block_index) {
+      shards[s]->RebuildBlockIndex();
+    }
+  };
+  ParallelFor(num_shards, workers, override_shard);
+  for (const Status& status : overridden) CKR_RETURN_IF_ERROR(status);
   return ShardedIndex(std::move(shards));
 }
 

@@ -1,11 +1,14 @@
 // Doc-partitioned index sharding for the serving daemon.
 //
 // A ShardedIndex splits the corpus into N contiguous document ranges,
-// each owned by one InvertedIndex shard built from a single streamed
-// corpus pass (CorpusStreamer routes every document to its range owner).
-// After the shards are finalized their LocalCollectionStats() are merged
-// and pushed back into every shard (OverrideCollectionStats), so each
-// shard computes BM25 with the whole collection's n / df / avg_doc_len.
+// each owned by one InvertedIndex shard. Build() hands whole shards to a
+// worker pool: a worker generates its shard's documents in ascending id
+// order (each from its own counter-seeded stream, so a shard sees the
+// same documents in the same order on any worker), indexes and finalizes
+// them. After every shard is finalized their LocalCollectionStats() are
+// merged and pushed back into every shard (OverrideCollectionStats), so
+// each shard computes BM25 with the whole collection's n / df /
+// avg_doc_len.
 //
 // Exactness contract: sharded top-k is *bit-identical* to a single index
 // over the union, for any shard count and every QueryEvaluator. The
@@ -28,7 +31,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "corpus/corpus_stream.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "index/inverted_index.h"
@@ -49,14 +51,22 @@ struct ShardRange {
 /// one document larger. Requires shard < num_shards.
 ShardRange ShardRangeOf(size_t shard, size_t num_shards, uint64_t num_docs);
 
-/// Build knobs for a streamed sharded build.
+/// Build knobs for a sharded build.
 struct ShardedIndexConfig {
   size_t num_shards = 4;
   /// Per-shard build options. build_block_index applies after the
   /// collection-stats override (so block maxima carry global stats).
+  /// store_text=false (the serving setting) frees each shard's token
+  /// streams as its worker finalizes it.
   IndexBuildOptions build;
-  /// Chunking/worker knobs of the single corpus pass.
-  CorpusStreamConfig stream;
+  /// Build parallelism.
+  struct Stream {
+    /// Shards generated, indexed and finalized at once (0 or 1: one
+    /// after another on the calling thread). Also the fan-out of the
+    /// stats override and block-index rebuild.
+    unsigned workers = 1;
+  };
+  Stream stream;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -88,9 +98,13 @@ class ShardedIndex {
     int64_t scatter_end_nanos = 0;
   };
 
-  /// Builds shards from one streamed corpus pass over [0, num_docs),
-  /// routing each document to its ShardRangeOf owner, then merges and
-  /// overrides collection stats (see file comment).
+  /// Builds one shard per ShardRangeOf range of [0, num_docs) on up to
+  /// config.stream.workers threads; each worker generates, indexes and
+  /// finalizes whole shards. Then merges and overrides collection stats
+  /// (see file comment). The shards are the same for any worker count.
+  /// The ckr.serve.build.{ingest,finalize}_seconds histograms get one
+  /// sample per shard (its worker's time, so concurrent shards overlap);
+  /// ckr.serve.build.stats_seconds one per build.
   [[nodiscard]] static StatusOr<ShardedIndex> Build(
       const World& world, Document::Kind kind, uint64_t num_docs,
       const ShardedIndexConfig& config);

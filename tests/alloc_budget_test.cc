@@ -31,6 +31,7 @@
 
 #include "common/rng.h"
 #include "core/contextual_ranker.h"
+#include "corpus/corpus_stream.h"
 #include "corpus/doc_generator.h"
 #include "corpus/world.h"
 #include "index/inverted_index.h"

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/check.h"
 #include "framework/bitstream.h"
 #include "framework/golomb.h"
 #include "framework/runtime_ranker.h"
@@ -185,6 +186,19 @@ TEST(PackedRelevanceTest, ScoreMatchesUnpackedWithinQuantization) {
   EXPECT_NEAR(score, 50.0, 0.1);  // 10-bit quantization error bound.
   EXPECT_DOUBLE_EQ(store.Score("unknown", context), 0.0);
   EXPECT_DOUBLE_EQ(store.Score("my concept", {}), 0.0);
+}
+
+TEST(ConceptStoreDeathTest, FinalizesOnceAndTakesNoAddAfter) {
+  // Finalize frees the build map, so a second Finalize or a late Add would
+  // pack an empty or partial store.
+  if (!CKR_DEBUG_CHECKS) GTEST_SKIP() << "CKR_DCHECK is compiled out";
+  GlobalTidTable tids;
+  ConceptStore store;
+  store.Add("my concept", {}, {{"alpha", 1.0}});
+  store.Finalize(&tids);
+  EXPECT_EQ(store.NumConcepts(), 1u);
+  EXPECT_DEATH(store.Finalize(&tids), "finalized_");
+  EXPECT_DEATH(store.Add("late", {}, {}), "finalized_");
 }
 
 TEST(PackedRelevanceTest, KeepsAtMostHundredTerms) {

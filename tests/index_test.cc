@@ -2,6 +2,7 @@
 // windows.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -11,38 +12,17 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "corpus/doc_generator.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
-#include "fnv_fold.h"
 #include "index/inverted_index.h"
+#include "index_layout_peer.h"
 #include "index/legacy_index.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 
 namespace ckr {
-
-/// Folds the postings layout Finalize() freezes: the slot offset table
-/// and every slot's (doc, tf).
-class InvertedIndexLayoutPeer {
- public:
-  static uint64_t FoldLayout(const InvertedIndex& index) {
-    using testing_fnv::FoldValue;
-    uint64_t h = testing_fnv::kFnvOffsetBasis;
-    const uint64_t num_terms = index.post_offset_.size();
-    h = FoldValue(h, num_terms);
-    for (size_t offset : index.post_offset_) {
-      h = FoldValue(h, static_cast<uint64_t>(offset));
-    }
-    const size_t num_slots = index.post_doc_.size();
-    h = FoldValue(h, static_cast<uint64_t>(num_slots));
-    for (size_t slot = 0; slot < num_slots; ++slot) {
-      h = FoldValue(h, index.post_doc_[slot]);
-      h = FoldValue(h, index.post_tf_[slot]);
-    }
-    return h;
-  }
-};
 
 namespace {
 
@@ -283,11 +263,10 @@ TEST(IndexLargeTest, AddOrderDoesNotChangeResults) {
 }
 
 TEST(IndexOptionsTest, PhraseContractHoldsWithoutStoredText) {
-  // store_text=false hides the token streams from readers outside the
-  // index only; the index keeps them and the position pool, so every
-  // phrase and search result is bit-identical to the store_text=true
-  // build. DocTokenIds and HitWindow return empty spans instead of
-  // failing — the documented contract.
+  // store_text=false builds a search-only index: Finalize frees the token
+  // streams, so Search and the collection statistics stay bit-identical
+  // to the store_text=true build while every reader of the streams fails
+  // a CKR_CHECK instead of reading freed memory.
   InvertedIndex full;
   IndexBuildOptions lean_opts;
   lean_opts.store_text = false;
@@ -301,30 +280,62 @@ TEST(IndexOptionsTest, PhraseContractHoldsWithoutStoredText) {
   full.Finalize();
   lean.Finalize();
 
-  for (const char* phrase :
-       {"quick brown", "brown fox", "the quick brown", "quick the", "",
-        "   ", "zzz", "quick zzz", "quick"}) {
-    EXPECT_EQ(lean.PhraseResultCount(phrase), full.PhraseResultCount(phrase))
-        << phrase;
-    const auto a = lean.PhraseSearch(phrase, 10);
-    const auto b = full.PhraseSearch(phrase, 10);
-    ASSERT_EQ(a.size(), b.size()) << phrase;
+  for (const char* query :
+       {"quick brown", "the fox", "brown", "common run", "zzz", ""}) {
+    const auto a = lean.Search(query, 10);
+    const auto b = full.Search(query, 10);
+    ASSERT_EQ(a.size(), b.size()) << query;
     for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].doc, b[i].doc) << phrase;
-      EXPECT_EQ(a[i].score, b[i].score) << phrase;
+      EXPECT_EQ(a[i].doc, b[i].doc) << query;
+      EXPECT_EQ(std::bit_cast<uint64_t>(a[i].score),
+                std::bit_cast<uint64_t>(b[i].score))
+          << query;
     }
   }
-  const auto a = lean.Search("quick brown", 10);
-  const auto b = full.Search("quick brown", 10);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].doc, b[i].doc);
+  const CollectionStats lean_stats = lean.LocalCollectionStats();
+  const CollectionStats full_stats = full.LocalCollectionStats();
+  EXPECT_EQ(lean_stats.num_docs, full_stats.num_docs);
+  EXPECT_EQ(lean_stats.total_tokens, full_stats.total_tokens);
+  EXPECT_EQ(lean_stats.total_tokens, 14u);
+  EXPECT_EQ(lean_stats.doc_freq, full_stats.doc_freq);
 
-  // The degraded accessors return empty spans (not a crash, not stale
-  // ids).
-  EXPECT_TRUE(lean.DocTokenIds(1).empty());
-  EXPECT_TRUE(lean.HitWindow(1, "quick", 30).empty());
-  EXPECT_FALSE(full.DocTokenIds(1).empty());
+  EXPECT_DEATH(lean.PhraseResultCount("quick brown"), "store_text");
+  EXPECT_DEATH(lean.PhraseSearch("quick brown", 10), "store_text");
+  EXPECT_DEATH(lean.DocTokenIds(1), "store_text");
+  EXPECT_DEATH(lean.HitWindow(1, "quick", 30), "store_text");
+  // The store_text=true build answers all four.
+  EXPECT_EQ(full.PhraseResultCount("quick brown"), 2u);
+  EXPECT_EQ(full.PhraseSearch("quick brown", 10).size(), 2u);
+  EXPECT_EQ(full.DocTokenIds(1).size(), 4u);
   EXPECT_FALSE(full.HitWindow(1, "quick", 30).empty());
+}
+
+TEST(IndexStatsTest, OverrideErrorNamesTheFirstInternedBadTerm) {
+  // Two terms are bad; the error names the one interned first, whichever
+  // order the document lists them in.
+  for (const bool alpha_first : {true, false}) {
+    InvertedIndex index;
+    index.Add(
+        MakeDoc(1, alpha_first ? "alpha beta gamma" : "beta alpha gamma"));
+    index.Finalize();
+    const std::string first = alpha_first ? "'alpha'" : "'beta'";
+
+    CollectionStats missing = index.LocalCollectionStats();
+    missing.doc_freq.erase("alpha");
+    missing.doc_freq.erase("beta");
+    const Status m = index.OverrideCollectionStats(missing);
+    ASSERT_FALSE(m.ok());
+    EXPECT_NE(m.message().find("missing"), std::string::npos) << m.message();
+    EXPECT_NE(m.message().find(first), std::string::npos) << m.message();
+
+    CollectionStats undercounted = index.LocalCollectionStats();
+    undercounted.doc_freq["alpha"] = 0;
+    undercounted.doc_freq["beta"] = 0;
+    const Status u = index.OverrideCollectionStats(undercounted);
+    ASSERT_FALSE(u.ok());
+    EXPECT_NE(u.message().find(first), std::string::npos) << u.message();
+    EXPECT_FALSE(index.collection_stats_overridden());
+  }
 }
 
 TEST(IndexOptionsTest, PhraseContractHoldsWithDeferredBlockIndex) {
@@ -570,6 +581,21 @@ TEST(IndexLayoutGoldenTest, FinalizedLayoutIsPinned) {
     EXPECT_EQ(h, 0xe44b2049aaa1513cull) << "store_text=" << store_text
                          << " fingerprint: " << std::hex << h;
   }
+}
+
+TEST(IndexLayoutGoldenTest, SearchOnlyIndexDropsItsStreamsFromMemoryBytes) {
+  // The same postings (the golden fold), without the token streams: a
+  // search-only index counts every byte the full one does except the
+  // streams' token ids and per-document offsets.
+  const InvertedIndex full = LayoutGoldenIndex(true);
+  const InvertedIndex lean = LayoutGoldenIndex(false);
+  EXPECT_EQ(InvertedIndexLayoutPeer::FoldLayout(lean), 0xe44b2049aaa1513cull);
+  const uint64_t tokens = lean.LocalCollectionStats().total_tokens;
+  EXPECT_EQ(tokens, full.LocalCollectionStats().total_tokens);
+  ASSERT_GT(tokens, 0u);
+  const size_t streams = tokens * sizeof(uint32_t) +
+                         (lean.NumDocs() + 1) * sizeof(size_t);
+  EXPECT_EQ(full.MemoryBytes() - lean.MemoryBytes(), streams);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end serving smoke (ungated — small world, a few seconds): a
-// streamed sharded build is checked bit-identical to the single-index
-// oracle, then the daemon is driven with the deterministic load
+// sharded build is checked bit-identical to the single-index oracle and,
+// shard by shard, to a serial build at every worker count, then the daemon is driven with the deterministic load
 // generator through the two behaviours that define the serving layer:
 //  * hot snapshot swap under live load with ZERO failed requests, and
 //  * admission-control shedding under deliberate overload, with every
@@ -11,6 +11,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <future>
 #include <memory>
 #include <string>
@@ -22,6 +23,8 @@
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "index/inverted_index.h"
+#include "index_layout_peer.h"
+#include "obs/hooks.h"
 #include "obs/metrics.h"
 #include "search/search_service.h"
 #include "serve/load_gen.h"
@@ -100,6 +103,113 @@ TEST_F(ServeSmokeTest, ShardedBuildMatchesSingleIndexOracle) {
       for (size_t r = 0; r < expected.size(); ++r) {
         ASSERT_EQ(got[r].doc, expected[r].doc) << query << " rank " << r;
         ASSERT_EQ(got[r].score, expected[r].score) << query << " rank " << r;
+      }
+    }
+  }
+}
+
+/// The serial build ShardedIndex::Build must equal: one corpus pass in id
+/// order, each document added to its range owner. The shards keep their
+/// token streams, so their token totals can be counted from the streams.
+std::vector<std::unique_ptr<InvertedIndex>> SerialShards(const World& world,
+                                                         uint64_t num_docs,
+                                                         size_t num_shards) {
+  std::vector<std::unique_ptr<InvertedIndex>> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards.push_back(std::make_unique<InvertedIndex>());
+  }
+  CorpusStreamer streamer(world);
+  uint64_t id = 0;
+  size_t owner = 0;
+  const Status status = streamer.Stream(
+      Document::Kind::kWeb, num_docs, CorpusStreamConfig{},
+      [&](Document&& doc) {
+        while (id >= ShardRangeOf(owner, num_shards, num_docs).end) ++owner;
+        shards[owner]->Add(doc);
+        ++id;
+      });
+  CKR_CHECK(status.ok());
+  for (auto& shard : shards) shard->Finalize();
+  return shards;
+}
+
+uint64_t HistogramCount(const char* name) {
+  return obs::MetricRegistry::Global().GetHistogram(name)->Count();
+}
+
+TEST_F(ServeSmokeTest, ParallelBuildEqualsSerialBuild) {
+  // One document short of the corpus, so no shard count divides it: 3
+  // shards hold 400/400/399 documents, 4 hold 300/300/300/299.
+  constexpr uint64_t kDocs = kSmokeDocs - 1;
+  LoadGenConfig load_cfg;
+  const LoadGenerator gen(*world_, load_cfg);
+  std::vector<std::string> queries;
+  for (uint64_t i = 0; i < 40; ++i) queries.push_back(gen.Request(i * 31).query);
+  // One ingest and one finalize sample per shard, one stats sample per
+  // build; nothing when the hooks are compiled out.
+  const uint64_t per_sample = CKR_OBS_ENABLED ? 1 : 0;
+
+  for (const size_t num_shards : {1u, 3u, 4u}) {
+    auto oracle_or =
+        ShardedIndex::FromShards(SerialShards(*world_, kDocs, num_shards));
+    ASSERT_TRUE(oracle_or.ok()) << oracle_or.status().ToString();
+    const ShardedIndex& oracle = oracle_or.value();
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << num_shards << " shards, " << workers
+                                      << " workers");
+      const uint64_t ingest = HistogramCount("ckr.serve.build.ingest_seconds");
+      const uint64_t finalize =
+          HistogramCount("ckr.serve.build.finalize_seconds");
+      const uint64_t stats = HistogramCount("ckr.serve.build.stats_seconds");
+      ShardedIndexConfig config;
+      config.num_shards = num_shards;
+      config.build.store_text = false;
+      config.build.build_block_index = true;
+      config.stream.workers = workers;
+      auto built_or =
+          ShardedIndex::Build(*world_, Document::Kind::kWeb, kDocs, config);
+      ASSERT_TRUE(built_or.ok()) << built_or.status().ToString();
+      const ShardedIndex& built = built_or.value();
+      EXPECT_EQ(HistogramCount("ckr.serve.build.ingest_seconds") - ingest,
+                per_sample * num_shards);
+      EXPECT_EQ(HistogramCount("ckr.serve.build.finalize_seconds") - finalize,
+                per_sample * num_shards);
+      EXPECT_EQ(HistogramCount("ckr.serve.build.stats_seconds") - stats,
+                per_sample);
+
+      ASSERT_EQ(built.NumShards(), num_shards);
+      for (size_t s = 0; s < num_shards; ++s) {
+        const InvertedIndex& got = built.shard(s);
+        const InvertedIndex& want = oracle.shard(s);
+        EXPECT_EQ(InvertedIndexLayoutPeer::FoldLayout(got),
+                  InvertedIndexLayoutPeer::FoldLayout(want))
+            << "shard " << s;
+        EXPECT_EQ(got.NumTerms(), want.NumTerms()) << "shard " << s;
+        ASSERT_EQ(got.NumDocs(), want.NumDocs()) << "shard " << s;
+        uint64_t want_tokens = 0;
+        for (uint32_t d = 0; d < want.NumDocs(); ++d) {
+          ASSERT_EQ(got.ExternalDocId(d), want.ExternalDocId(d))
+              << "shard " << s << " doc " << d;
+          want_tokens += want.DocTokenIds(want.ExternalDocId(d)).size();
+        }
+        EXPECT_EQ(got.LocalCollectionStats().total_tokens, want_tokens)
+            << "shard " << s;
+        EXPECT_TRUE(got.has_block_index()) << "shard " << s;
+      }
+      for (const std::string& query : queries) {
+        for (QueryEvaluator evaluator :
+             {QueryEvaluator::kExhaustive, QueryEvaluator::kMaxScore,
+              QueryEvaluator::kBlockMaxWand}) {
+          const auto want = oracle.Search(query, 10, Bm25Params{}, evaluator);
+          const auto got = built.Search(query, 10, Bm25Params{}, evaluator);
+          ASSERT_EQ(got.size(), want.size()) << query;
+          for (size_t r = 0; r < want.size(); ++r) {
+            ASSERT_EQ(got[r].doc, want[r].doc) << query << " rank " << r;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got[r].score),
+                      std::bit_cast<uint64_t>(want[r].score))
+                << query << " rank " << r;
+          }
+        }
       }
     }
   }

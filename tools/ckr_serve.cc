@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/corpus_stream.h"
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "obs/clock.h"
@@ -78,6 +79,7 @@ std::unique_ptr<ckr::ServingSnapshot> BuildSnapshot(const ckr::World& world,
   config.num_shards = opt.shards;
   config.build.store_text = false;
   config.build.build_block_index = true;
+  config.stream.workers = opt.workers;
   auto sharded = ckr::ShardedIndex::Build(world, ckr::Document::Kind::kWeb,
                                           opt.docs, config);
   if (!sharded.ok()) {
@@ -162,8 +164,11 @@ int main(int argc, char** argv) {
   daemon_config.metrics = &metrics;
   ckr::ServeDaemon daemon(daemon_config);
 
+  const ckr::Clock& wall = ckr::RealClock();
+  const int64_t build_start_nanos = wall.NowNanos();
   auto snapshot = BuildSnapshot(*world, opt);
   if (snapshot == nullptr) return 1;
+  const double build_seconds = wall.SecondsSince(build_start_nanos);
   const char* evaluator_name =
       snapshot->evaluator == ckr::QueryEvaluator::kExhaustive ? "exhaustive"
                                                               : "maxscore";
@@ -179,11 +184,12 @@ int main(int argc, char** argv) {
   const ckr::LoadGenerator gen(*world, load_config);
 
   std::printf(
-      "ckr_serve: %llu requests, %u clients, %u workers, evaluator=%s%s\n",
-      static_cast<unsigned long long>(opt.requests), opt.clients, opt.workers,
-      evaluator_name, opt.swap ? ", swap mid-run" : "");
+      "ckr_serve: built in %.3f s; %llu requests, %u clients, %u workers, "
+      "evaluator=%s%s\n",
+      build_seconds, static_cast<unsigned long long>(opt.requests),
+      opt.clients, opt.workers, evaluator_name,
+      opt.swap ? ", swap mid-run" : "");
 
-  const ckr::Clock& wall = ckr::RealClock();
   const int64_t start_nanos = wall.NowNanos();
   std::atomic<uint64_t> answered{0};
 
