@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -125,7 +126,7 @@ Rng Rng::Fork(uint64_t stream) {
 }
 
 ZipfSampler::ZipfSampler(size_t n, double exponent) {
-  CKR_DCHECK(n > 0);
+  CKR_DCHECK(n > 0 && n <= UINT32_MAX);
   pmf_.resize(n);
   cdf_.resize(n);
   double total = 0.0;
@@ -140,11 +141,27 @@ ZipfSampler::ZipfSampler(size_t n, double exponent) {
     cdf_[i] = acc;
   }
   cdf_.back() = 1.0;
+  // Bucket bounds b / buckets are exact in binary, and so is the draw's
+  // bucket index below.
+  const size_t buckets = std::bit_ceil(std::min<size_t>(n, 4096));
+  guide_.resize(buckets + 1);
+  for (size_t b = 0; b <= buckets; ++b) {
+    const double bound =
+        static_cast<double>(b) / static_cast<double>(buckets);
+    guide_[b] = static_cast<uint32_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), bound) - cdf_.begin());
+  }
 }
 
 size_t ZipfSampler::Sample(Rng& rng) const {
-  double x = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), x);
+  const double x = rng.NextDouble();
+  const size_t b =
+      static_cast<size_t>(x * static_cast<double>(guide_.size() - 1));
+  // Every entry before guide_[b] is below b / buckets <= x, and the entry
+  // at guide_[b + 1] is >= (b + 1) / buckets > x, so the first entry >= x
+  // lies in [guide_[b], guide_[b + 1]].
+  auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                             cdf_.begin() + guide_[b + 1], x);
   return static_cast<size_t>(it - cdf_.begin()) + 1;
 }
 

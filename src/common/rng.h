@@ -62,6 +62,9 @@ class Rng {
 
 /// Zipf(s, n) sampler over ranks {1..n} with exponent s, implemented with a
 /// precomputed CDF and binary search. Rank 1 is the most frequent outcome.
+/// A guide table narrows each search to the ranks whose CDF entries fall
+/// in the draw's bucket of [0, 1), so a draw returns exactly the rank a
+/// search of the whole CDF would.
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double exponent);
@@ -77,6 +80,9 @@ class ZipfSampler {
  private:
   std::vector<double> cdf_;
   std::vector<double> pmf_;
+  /// guide_[b]: the first index whose CDF entry is >= b / buckets, where
+  /// buckets = guide_.size() - 1 is a power of two.
+  std::vector<uint32_t> guide_;
 };
 
 /// Repeated draws from one fixed unnormalized weight vector in O(log n).

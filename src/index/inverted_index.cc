@@ -62,25 +62,14 @@ void CollectionStats::Absorb(const CollectionStats& other) {
   }
 }
 
-uint32_t InvertedIndex::InternTerm(std::string_view token) {
-  auto it = term_ids_.find(token);
-  if (it != term_ids_.end()) return it->second;
-  uint32_t tid = static_cast<uint32_t>(term_ids_.size());
-  term_ids_.emplace(std::string(token), tid);
-  return tid;
-}
-
-uint32_t InvertedIndex::LookupTerm(std::string_view term) const {
-  auto it = term_ids_.find(term);
-  return it == term_ids_.end() ? kInvalidTid : it->second;
-}
-
 void InvertedIndex::Add(const Document& doc) {
   CKR_DCHECK(!finalized_);
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
   static thread_local std::vector<Token> toks;
   TokenizeInto(doc.text, &toks);
-  for (const Token& t : toks) tok_tid_.push_back(InternTerm(t.text));
+  for (const Token& t : toks) {
+    tok_tid_.push_back(term_table_.Intern(t.text, t.hash));
+  }
   doc_tok_offset_.push_back(tok_tid_.size());
   doc_index_[doc.id] = static_cast<uint32_t>(doc_id_.size());
   doc_id_.push_back(doc.id);
@@ -89,7 +78,7 @@ void InvertedIndex::Add(const Document& doc) {
 void InvertedIndex::Finalize() {
   CKR_DCHECK(!finalized_);
   const size_t num_docs = doc_id_.size();
-  const size_t num_terms = term_ids_.size();
+  const size_t num_terms = term_table_.size();
   if (doc_tok_offset_.empty()) doc_tok_offset_.push_back(0);
 
   doc_len_.resize(num_docs);
@@ -199,7 +188,7 @@ void InvertedIndex::RebuildBlockIndex() {
   // The exhaustive scorer's idf, under the overridden (n, df) when there
   // is an override, so the maxima and per-posting scores stay
   // bit-identical to the single-index oracle.
-  std::vector<double> idf(term_ids_.size());
+  std::vector<double> idf(term_table_.size());
   for (size_t t = 0; t < idf.size(); ++t) {
     idf[t] = TermIdf(static_cast<uint32_t>(t));
   }
@@ -218,11 +207,10 @@ CollectionStats InvertedIndex::LocalCollectionStats() const {
   CollectionStats stats;
   stats.num_docs = doc_id_.size();
   stats.total_tokens = total_tokens_;
-  const std::vector<std::string_view> terms = TermsById();
-  stats.doc_freq.reserve(terms.size());
-  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
+  stats.doc_freq.reserve(term_table_.size());
+  for (uint32_t tid = 0; tid < term_table_.size(); ++tid) {
     stats.doc_freq.emplace(
-        terms[tid],
+        term_table_.TermOf(tid),
         static_cast<uint64_t>(post_offset_[tid + 1] - post_offset_[tid]));
   }
   return stats;
@@ -243,22 +231,22 @@ Status InvertedIndex::OverrideCollectionStats(const CollectionStats& stats) {
   }
   // Validate and gather per-tid df before mutating anything. Terms are
   // checked in tid order, so an error names the first-interned bad term.
-  const std::vector<std::string_view> terms = TermsById();
-  std::vector<double> df(terms.size(), 0.0);
-  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
-    auto it = stats.doc_freq.find(terms[tid]);
+  std::vector<double> df(term_table_.size(), 0.0);
+  for (uint32_t tid = 0; tid < term_table_.size(); ++tid) {
+    const std::string_view term = term_table_.TermOf(tid);
+    auto it = stats.doc_freq.find(term);
     if (it == stats.doc_freq.end()) {
       return Status::InvalidArgument(
           std::string("collection stats: missing document frequency for "
                       "term '")
-              .append(terms[tid])
+              .append(term)
               .append("'"));
     }
     const uint64_t local = post_offset_[tid + 1] - post_offset_[tid];
     if (it->second < local) {
       return Status::InvalidArgument(
           std::string("collection stats: document frequency of term '")
-              .append(terms[tid])
+              .append(term)
               .append("' below this index's local df"));
     }
     df[tid] = static_cast<double>(it->second);
@@ -498,9 +486,10 @@ std::span<const uint32_t> InvertedIndex::DocTokenIds(DocId doc) const {
 }
 
 std::vector<std::string_view> InvertedIndex::TermsById() const {
-  std::vector<std::string_view> terms(term_ids_.size());
-  // ckr-lint: ordered(written by tid slot, so hash order cannot leak)
-  for (const auto& [term, tid] : term_ids_) terms[tid] = term;
+  std::vector<std::string_view> terms(term_table_.size());
+  for (uint32_t tid = 0; tid < terms.size(); ++tid) {
+    terms[tid] = term_table_.TermOf(tid);
+  }
   return terms;
 }
 
@@ -552,13 +541,7 @@ size_t InvertedIndex::MemoryBytes() const {
            (sizeof(std::pair<DocId, uint32_t>) + 2 * sizeof(void*));
   bytes += doc_tok_offset_.capacity() * sizeof(size_t);
   bytes += tok_tid_.capacity() * sizeof(uint32_t);
-  bytes += term_ids_.bucket_count() * sizeof(void*);
-  // ckr-lint: ordered(a byte count; the sum has no order)
-  for (const auto& [term, tid] : term_ids_) {
-    (void)tid;
-    bytes += sizeof(std::pair<std::string, uint32_t>) + 2 * sizeof(void*);
-    if (term.capacity() > sizeof(std::string)) bytes += term.capacity();
-  }
+  bytes += term_table_.MemoryBytes();
   bytes += post_offset_.capacity() * sizeof(size_t);
   bytes += post_doc_.capacity() * sizeof(uint32_t);
   bytes += post_tf_.capacity() * sizeof(uint32_t);

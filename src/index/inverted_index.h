@@ -7,8 +7,9 @@
 //  * Prisma runs pseudo-relevance feedback over the top-50 results.
 //
 // Layout (PISA-style, frozen by Finalize()):
-//  * terms are interned into dense ids at Add() time; lookups are
-//    heterogeneous (string_view, no temporary std::string);
+//  * terms are interned into dense ids at Add() time, in a TermTable
+//    probed with the hash the tokenizer's scan already computed
+//    (Token::hash), so Add() never hashes a term again;
 //  * postings live in CSR flat arrays — per-term slot ranges over
 //    contiguous (doc, tf) columns, filled by Finalize in two doc-major
 //    walks over the token streams (count the slots, then open and count
@@ -46,6 +47,7 @@
 #include "corpus/document.h"
 #include "index/block_max_index.h"
 #include "index/top_k.h"
+#include "text/term_table.h"
 
 namespace ckr {
 
@@ -124,7 +126,7 @@ class InvertedIndex {
 
   bool finalized() const { return finalized_; }
   size_t NumDocs() const { return doc_id_.size(); }
-  size_t NumTerms() const { return term_ids_.size(); }
+  size_t NumTerms() const { return term_table_.size(); }
   /// Posting slots, one per (term, document) pair (requires finalized()).
   size_t NumPostings() const { return post_doc_.size(); }
 
@@ -253,12 +255,12 @@ class InvertedIndex {
   /// and sharded-build tests; defined in tests/index_layout_peer.h.
   friend class InvertedIndexLayoutPeer;
 
-  static constexpr uint32_t kInvalidTid = 0xffffffffu;
+  static constexpr uint32_t kInvalidTid = TermTable::kNotFound;
 
-  /// Interns `token`, assigning the next dense id on first sight.
-  uint32_t InternTerm(std::string_view token);
   /// Dense id of a term, or kInvalidTid if unseen.
-  uint32_t LookupTerm(std::string_view term) const;
+  uint32_t LookupTerm(std::string_view term) const {
+    return term_table_.Find(term);
+  }
 
   int32_t FindDocIndex(DocId id) const;
   /// BM25 idf of term `tid` under the scoring statistics (the
@@ -288,8 +290,7 @@ class InvertedIndex {
   std::vector<uint32_t> tok_tid_;        ///< Token term ids, all docs.
 
   // ---- Term dictionary ----
-  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
-      term_ids_;
+  TermTable term_table_;                 ///< Tid = first-Add() order.
 
   // ---- Postings (CSR; built by Finalize) ----
   std::vector<size_t> post_offset_;      ///< terms+1 slot offsets.

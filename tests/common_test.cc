@@ -248,6 +248,26 @@ TEST(ZipfTest, SampleInRange) {
   }
 }
 
+TEST(ZipfTest, GuidedSampleEqualsFullCdfSearch) {
+  // The CDF the sampler accumulates, rebuilt from its masses in the same
+  // order; each draw must land on the rank a search of all of it finds.
+  for (size_t n : {1u, 7u, 100u, 4000u, 10000u}) {
+    ZipfSampler zipf(n, 1.07);
+    std::vector<double> cdf(n);
+    double acc = 0.0;
+    for (size_t r = 1; r <= n; ++r) cdf[r - 1] = acc += zipf.Pmf(r);
+    cdf.back() = 1.0;
+    Rng guided(n);
+    Rng plain(n);
+    for (int i = 0; i < 200000; ++i) {
+      const double x = plain.NextDouble();
+      const size_t want = static_cast<size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), x) - cdf.begin() + 1);
+      ASSERT_EQ(zipf.Sample(guided), want) << "n=" << n << " draw " << i;
+    }
+  }
+}
+
 TEST(HashTest, Fnv1aKnownValues) {
   // FNV-1a 64 reference: hash of "" is the offset basis.
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);

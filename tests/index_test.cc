@@ -17,8 +17,8 @@
 #include "corpus/document.h"
 #include "corpus/world.h"
 #include "index/inverted_index.h"
-#include "index_layout_peer.h"
 #include "index/legacy_index.h"
+#include "index_layout_peer.h"
 #include "obs/hooks.h"
 #include "obs/metrics.h"
 

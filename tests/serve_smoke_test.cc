@@ -1,7 +1,8 @@
 // End-to-end serving smoke (ungated — small world, a few seconds): a
 // sharded build is checked bit-identical to the single-index oracle and,
-// shard by shard, to a serial build at every worker count, then the daemon is driven with the deterministic load
-// generator through the two behaviours that define the serving layer:
+// shard by shard, to a serial build at every worker count, then the
+// daemon is driven with the deterministic load generator through the two
+// behaviours that define the serving layer:
 //  * hot snapshot swap under live load with ZERO failed requests, and
 //  * admission-control shedding under deliberate overload, with every
 //    submitted request answered exactly once.
@@ -144,7 +145,9 @@ TEST_F(ServeSmokeTest, ParallelBuildEqualsSerialBuild) {
   LoadGenConfig load_cfg;
   const LoadGenerator gen(*world_, load_cfg);
   std::vector<std::string> queries;
-  for (uint64_t i = 0; i < 40; ++i) queries.push_back(gen.Request(i * 31).query);
+  for (uint64_t i = 0; i < 40; ++i) {
+    queries.push_back(gen.Request(i * 31).query);
+  }
   // One ingest and one finalize sample per shard, one stats sample per
   // build; nothing when the hooks are compiled out.
   const uint64_t per_sample = CKR_OBS_ENABLED ? 1 : 0;

@@ -6,6 +6,8 @@
 #include <clocale>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +17,7 @@
 #include "text/porter_stemmer.h"
 #include "text/sentence.h"
 #include "text/stopwords.h"
+#include "text/term_table.h"
 #include "text/tokenizer.h"
 
 namespace ckr {
@@ -379,6 +382,61 @@ TEST(PorterStemIntoTest, MatchesPorterStem) {
     PorterStemInto(word, &buf);
     EXPECT_EQ(buf, PorterStem(word)) << "word: " << word;
   }
+}
+
+TEST(TermTableTest, IdsMatchAnInsertionOrderMapOnRandomForms) {
+  // Forms over a three-letter alphabet, 1 to 20 bytes: short ones repeat
+  // often, and lengths cross the hash's 8-byte words.
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    TermTable table;
+    std::unordered_map<std::string, uint32_t> reference;
+    for (int i = 0; i < 20000; ++i) {
+      std::string form(1 + rng.NextBounded(20), 'a');
+      for (char& c : form) c = static_cast<char>('a' + rng.NextBounded(3));
+      const uint32_t want =
+          reference.emplace(form, static_cast<uint32_t>(reference.size()))
+              .first->second;
+      ASSERT_EQ(table.Intern(form, HashToken(form)), want) << form;
+      ASSERT_EQ(table.size(), reference.size());
+    }
+    // ckr-lint: ordered(checks each entry on its own)
+    for (const auto& [form, id] : reference) {
+      EXPECT_EQ(table.Find(form), id);
+      EXPECT_EQ(table.TermOf(id), form);
+    }
+    EXPECT_EQ(table.Find("abcd"), TermTable::kNotFound);  // 'd' is unused.
+    EXPECT_EQ(table.Find(""), TermTable::kNotFound);
+  }
+}
+
+TEST(TermTableTest, ScanHashesInternLikeTheirText) {
+  std::vector<Token> tokens;
+  TokenizeInto("The cat, the CAT's hat; a cat-like hat.", &tokens);
+  TermTable table;
+  std::vector<uint32_t> ids;
+  for (const Token& t : tokens) ids.push_back(table.Intern(t.text, t.hash));
+  ASSERT_EQ(table.size(), 5u);  // the, cat, hat, a, cat-like
+  EXPECT_EQ(table.TermOf(0), "the");
+  EXPECT_EQ(table.TermOf(4), "cat-like");
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(table.Find(tokens[i].text), ids[i]) << tokens[i].text;
+  }
+  EXPECT_EQ(table.Find("The"), TermTable::kNotFound);  // Bytes, not case.
+  EXPECT_EQ(TermTable().Find("the"), TermTable::kNotFound);
+}
+
+TEST(TermTableTest, ViewsSurviveAMoveButTheTableIsExact) {
+  TermTable table;
+  table.Intern("a", HashToken("a"));
+  table.Intern("bb", HashToken("bb"));
+  const std::string_view a = table.TermOf(0);
+  TermTable moved = std::move(table);
+  EXPECT_EQ(a.data(), moved.TermOf(0).data());
+  EXPECT_EQ(moved.Intern("bb", HashToken("bb")), 1u);
+  const std::string_view a0("a\0", 2);  // Not "a": the lengths differ.
+  EXPECT_EQ(moved.Intern(a0, HashToken(a0)), 2u);
+  EXPECT_GT(moved.MemoryBytes(), 0u);
 }
 
 TEST(WindowTest, CoverageProperty) {
